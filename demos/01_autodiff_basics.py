@@ -11,7 +11,7 @@ import numpy as np
 from b3sum.tape import Parameter, Tape, adagrad_step, clip_global_norm, finite_diff_check
 
 # A Tape records every kernel application.  Values are computed eagerly;
-# calling backward() fills gradients for everything the loss depends on.
+# calling backward() fills the gradients of the leaves the loss depends on.
 w = Parameter("w", np.array([[0.5, -0.3], [0.1, 0.8]], dtype=np.float32))
 b = Parameter("b", np.zeros((1, 2), dtype=np.float32))
 

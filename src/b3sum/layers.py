@@ -2,8 +2,9 @@
 
 All layers are parameter containers plus functions that append kernels to a
 Tape.  Weight matrices are stored in (out_dim, in_dim) orientation; forward
-passes use the tape's cached transpose node.  Sequence inputs travel as lists
-of 1-row matrices so recurrent steps never need to slice a tape node.
+passes multiply by them transposed (``matmul(..., transpose_b=True)``), so no
+transposed copy is made.  Sequence inputs travel as lists of 1-row matrices
+so recurrent steps never need to slice a tape node.
 """
 
 from __future__ import annotations
@@ -39,40 +40,16 @@ class EmbeddingTable:
         return [self.weights]
 
 
-def _one_hot_rows(ids, vocab_size: int, dtype) -> np.ndarray:
-    m = np.zeros((len(ids), vocab_size), dtype=dtype)
-    for k, i in enumerate(ids):
-        if not 0 <= i < vocab_size:
-            raise IndexError(
-                f"embedding id {i} at position {k} out of range (vocab {vocab_size})"
-            )
-        m[k, i] = 1.0
-    return m
-
-
-def embed(tape: Tape, table: EmbeddingTable, ids) -> int:
-    """Embed a whole id sequence as one (len x dim) node.
-
-    The lookup is a one-hot constant times the table, which makes the adjoint
-    an exact scatter-add into the selected rows.
-    """
-    onehot = tape.leaf(_one_hot_rows(ids, table.vocab_size, tape.dtype))
-    return tape.matmul(onehot, tape.param(table.weights))
-
-
 def embed_rows(tape: Tape, table: EmbeddingTable, ids) -> list[int]:
-    """Embed each id as its own 1-row node (recurrent-step friendly)."""
-    w = tape.param(table.weights)
-    out = []
+    """Embed each id as its own 1-row gather of the table (recurrent-step
+    friendly); the adjoint adds into the selected rows only."""
     for k, i in enumerate(ids):
         if not 0 <= i < table.vocab_size:
             raise IndexError(
                 f"embedding id {i} at position {k} out of range (vocab {table.vocab_size})"
             )
-        onehot = np.zeros((1, table.vocab_size), dtype=tape.dtype)
-        onehot[0, i] = 1.0
-        out.append(tape.matmul(tape.leaf(onehot), w))
-    return out
+    w = tape.param(table.weights)
+    return [tape.gather_rows(w, (i,)) for i in ids]
 
 
 class LstmCell:
@@ -107,7 +84,8 @@ def lstm_step(tape: Tape, cell: LstmCell, x: int, h_prev: int, c_prev: int) -> t
     xs = tape.concat([x, h_prev], axis=1)
 
     def gate(name, activation):
-        pre = tape.add(tape.matmul(xs, tape.param_t(cell.w[name])), tape.param(cell.b[name]))
+        pre = tape.add(tape.matmul(xs, tape.param(cell.w[name]), transpose_b=True),
+                       tape.param(cell.b[name]))
         return activation(pre)
 
     i = gate("i", tape.sigmoid)
@@ -171,4 +149,4 @@ def bilstm_encode(tape: Tape, enc: BiLstmEncoder, xs: list[int]) -> EncoderState
 
 def linear(tape: Tape, w: Parameter, b: Parameter, x: int) -> int:
     """Affine map W x + b for a 1-row input; W stored as (out, in)."""
-    return tape.add(tape.matmul(x, tape.param_t(w)), tape.param(b))
+    return tape.add(tape.matmul(x, tape.param(w), transpose_b=True), tape.param(b))

@@ -126,11 +126,17 @@ def attend(tape: Tape, model: SummarizerParams, h_all: int, s_t: int,
 
     ``h_all`` is the (n x 2*hidden) encoder-state node, ``s_t`` the 1-row
     decoder state, ``coverage`` a (1 x n) row of summed past attention.
-    Returns node ids (e_t, a_t, h_star).
+    Returns node ids (e_t, a_t, h_star).  The encoder features W_h h_i do
+    not depend on the step, so they are computed once per (tape, h_all).
     """
+    w_h = model.attn_w_enc
+    enc_features = tape.shared(
+        ("attend.enc_features", id(w_h), h_all),
+        lambda: tape.matmul(h_all, tape.param(w_h), transpose_b=True),
+    )
     arg = tape.add(
-        tape.matmul(h_all, tape.param_t(model.attn_w_enc)),
-        tape.matmul(s_t, tape.param_t(model.attn_w_state)),
+        enc_features,
+        tape.matmul(s_t, tape.param(model.attn_w_state), transpose_b=True),
     )
     if use_coverage:
         if coverage is None:
@@ -138,7 +144,7 @@ def attend(tape: Tape, model: SummarizerParams, h_all: int, s_t: int,
         cov_term = tape.matmul(tape.transpose(coverage), tape.param(model.attn_w_cov))
         arg = tape.add(arg, cov_term)
     arg = tape.add(arg, tape.param(model.attn_bias))
-    e_t = tape.transpose(tape.matmul(tape.tanh(arg), tape.param_t(model.attn_v)))
+    e_t = tape.transpose(tape.matmul(tape.tanh(arg), tape.param(model.attn_v), transpose_b=True))
     a_t = tape.softmax(e_t)
     h_star = tape.matmul(a_t, h_all)
     return e_t, a_t, h_star
@@ -148,8 +154,9 @@ def vocab_distribution(tape: Tape, model: SummarizerParams, s_t: int, h_star: in
     """Two stacked linear maps then softmax over the base vocabulary."""
     feat = tape.concat([s_t, h_star], axis=1)
     inner = tape.add(feat, tape.param(model.proj_b_in))
-    mid = tape.add(tape.matmul(inner, tape.param_t(model.proj_v)), tape.param(model.proj_b_mid))
-    logits = tape.matmul(mid, tape.param_t(model.proj_v_out))
+    mid = tape.add(tape.matmul(inner, tape.param(model.proj_v), transpose_b=True),
+                   tape.param(model.proj_b_mid))
+    logits = tape.matmul(mid, tape.param(model.proj_v_out), transpose_b=True)
     return tape.softmax(logits)
 
 
@@ -158,36 +165,33 @@ def generation_prob(tape: Tape, model: SummarizerParams, h_star: int, s_t: int,
     """Soft switch between generating and copying, in (0, 1)."""
     pre = tape.add(
         tape.add(
-            tape.matmul(h_star, tape.param_t(model.ptr_w_context)),
-            tape.matmul(s_t, tape.param_t(model.ptr_w_state)),
+            tape.matmul(h_star, tape.param(model.ptr_w_context), transpose_b=True),
+            tape.matmul(s_t, tape.param(model.ptr_w_state), transpose_b=True),
         ),
-        tape.add(tape.matmul(x_t, tape.param_t(model.ptr_w_input)), tape.param(model.ptr_bias)),
+        tape.add(tape.matmul(x_t, tape.param(model.ptr_w_input), transpose_b=True),
+                 tape.param(model.ptr_bias)),
     )
     return tape.sigmoid(pre)
 
 
-def copy_matrix(src_ext_ids, ext_size: int, dtype) -> np.ndarray:
-    """(n x ext_size) one-hot of source-position extended ids; attention times
-    this matrix is the copy distribution."""
-    m = np.zeros((len(src_ext_ids), ext_size), dtype=dtype)
-    for k, i in enumerate(src_ext_ids):
-        m[k, i] = 1.0
-    return m
-
-
 def final_distribution(tape: Tape, p_gen: int, p_vocab: int, a_t: int,
-                       copy_m: int, n_oov: int) -> int:
-    """Mix the generation and copy distributions over the extended vocab."""
+                       src_ext_ids, n_oov: int) -> int:
+    """Mix the generation and copy distributions over the extended vocab.
+
+    ``src_ext_ids[i]`` is the extended-vocab id of source position i; the
+    copy distribution puts attention weight i on that id.
+    """
     n_src = tape.value(a_t).shape[1]
-    if tape.value(copy_m).shape[0] != n_src:
+    if len(src_ext_ids) != n_src:
         raise ValueError(
             f"final_distribution: {n_src} attention weights vs "
-            f"{tape.value(copy_m).shape[0]} source positions"
+            f"{len(src_ext_ids)} source positions"
         )
+    ext_size = tape.value(p_vocab).shape[1] + n_oov
     if n_oov > 0:
         pad = tape.leaf(np.zeros((1, n_oov), dtype=tape.dtype))
         p_vocab = tape.concat([p_vocab, pad], axis=1)
-    p_copy = tape.matmul(a_t, copy_m)
+    p_copy = tape.scatter_add(a_t, src_ext_ids, ext_size)
     one = tape.leaf(np.ones((1, 1), dtype=tape.dtype))
     inv_gate = tape.add(one, tape.scale(p_gen, -1.0))
     return tape.add(tape.mul(p_vocab, p_gen), tape.mul(p_copy, inv_gate))
@@ -273,9 +277,9 @@ def _encode_article(tape: Tape, model: SummarizerParams, enc_ids) -> tuple[Encod
     enc = bilstm_encode(tape, model.encoder, xs)
     h_cat = tape.concat([enc.fwd_final[0], enc.bwd_first[0]], axis=1)
     c_cat = tape.concat([enc.fwd_final[1], enc.bwd_first[1]], axis=1)
-    h0 = tape.tanh(tape.add(tape.matmul(h_cat, tape.param_t(model.bridge_w_h)),
+    h0 = tape.tanh(tape.add(tape.matmul(h_cat, tape.param(model.bridge_w_h), transpose_b=True),
                             tape.param(model.bridge_b_h)))
-    c0 = tape.tanh(tape.add(tape.matmul(c_cat, tape.param_t(model.bridge_w_c)),
+    c0 = tape.tanh(tape.add(tape.matmul(c_cat, tape.param(model.bridge_w_c), transpose_b=True),
                             tape.param(model.bridge_b_c)))
     return enc, h0, c0
 
@@ -296,7 +300,6 @@ def sequence_loss(tape: Tape, model: SummarizerParams, ex: PreparedExample,
     """
     enc, h_t, c_t = _encode_article(tape, model, ex.enc_ids)
     n_src = len(ex.enc_ids)
-    copy_m = tape.leaf(copy_matrix(ex.src_ext_ids, ex.ext.size, tape.dtype))
     coverage = tape.leaf(np.zeros((1, n_src), dtype=tape.dtype)) if use_coverage else None
 
     dec_embs = embed_rows(tape, model.embedding, ex.dec_in_ids)
@@ -312,7 +315,8 @@ def sequence_loss(tape: Tape, model: SummarizerParams, ex: PreparedExample,
             p_gen = generation_prob(tape, model, h_star, s_t, dec_embs[t])
         else:
             p_gen = _forced_p_gen(tape, force_p_gen)
-        p_final = final_distribution(tape, p_gen, p_vocab, a_t, copy_m, len(ex.ext.doc_oovs))
+        p_final = final_distribution(tape, p_gen, p_vocab, a_t, ex.src_ext_ids,
+                                     len(ex.ext.doc_oovs))
         nll_nodes.append(tape.neg_log_pick(p_final, target_id))
         penalty = None
         if use_coverage:
@@ -413,7 +417,6 @@ def token_prediction_accuracy(model: SummarizerParams, examples: list[PreparedEx
     for ex in examples:
         tape = Tape()
         enc, h_t, c_t = _encode_article(tape, model, ex.enc_ids)
-        copy_m = tape.leaf(copy_matrix(ex.src_ext_ids, ex.ext.size, tape.dtype))
         coverage = (
             tape.leaf(np.zeros((1, len(ex.enc_ids)), dtype=tape.dtype)) if use_coverage else None
         )
@@ -428,7 +431,8 @@ def token_prediction_accuracy(model: SummarizerParams, examples: list[PreparedEx
                 if force_p_gen is None
                 else _forced_p_gen(tape, force_p_gen)
             )
-            p_final = final_distribution(tape, p_gen, p_vocab, a_t, copy_m, len(ex.ext.doc_oovs))
+            p_final = final_distribution(tape, p_gen, p_vocab, a_t, ex.src_ext_ids,
+                                         len(ex.ext.doc_oovs))
             pred = int(np.argmax(tape.value(p_final)[0]))
             hit = bool(pred == target_id)
             correct += hit
@@ -499,8 +503,7 @@ class _StepRunner:
         self.tape = Tape()
         enc_ids = [i if i < model.vocab_size else Vocabulary.UNK for i in article_ids]
         self.enc, self.h0, self.c0 = _encode_article(self.tape, model, enc_ids)
-        src_ext = article_ids
-        self.copy_m = self.tape.leaf(copy_matrix(src_ext, ext.size, self.tape.dtype))
+        self.src_ext_ids = article_ids
         self.n_src = len(article_ids)
         self.n_oov = len(ext.doc_oovs)
 
@@ -526,7 +529,7 @@ class _StepRunner:
             if self.force_p_gen is None
             else _forced_p_gen(tape, self.force_p_gen)
         )
-        p_final = final_distribution(tape, p_gen, p_vocab, a_t, self.copy_m, self.n_oov)
+        p_final = final_distribution(tape, p_gen, p_vocab, a_t, self.src_ext_ids, self.n_oov)
         probs = tape.value(p_final)[0].astype(np.float64)
         trace = StepTrace(
             attention=tape.value(a_t).copy(),

@@ -66,7 +66,9 @@ class Kernel(enum.Enum):
 
     LEAF marks tape inputs (constants and parameters); TRANSPOSE exists so
     both row and column orientations of attention/coverage vectors can be
-    formed without general broadcasting.
+    formed without general broadcasting.  GATHER_ROWS and SCATTER_ADD move
+    rows and columns by integer id, so lookups and the copy distribution
+    need no one-hot constant.
     """
 
     LEAF = "leaf"
@@ -83,6 +85,8 @@ class Kernel(enum.Enum):
     REDUCE_MEAN = "reduce-mean"
     ELEMENTWISE_MIN = "elementwise-min"
     SCALE = "scale"
+    GATHER_ROWS = "gather-rows"
+    SCATTER_ADD = "scatter-add"
     TRANSPOSE = "transpose"
 
 
@@ -95,7 +99,7 @@ class TapeNode:
         self.value = value
         self.grad = None
         self.needs_grad = needs_grad
-        self.arg = arg  # kernel-specific: axis, pick index, or scale factor
+        self.arg = arg  # kernel-specific: axis, pick index, scale factor, ids or flag
 
 
 class Parameter:
@@ -144,19 +148,32 @@ def _unbroadcast(grad, shape):
     return grad.sum(axis=axes, keepdims=True)
 
 
+def _checked_ids(kernel, ids, limit: int, what: str) -> np.ndarray:
+    """``ids`` as an index array; the first id outside [0, limit) raises."""
+    ids = np.asarray(ids, dtype=np.intp).reshape(-1)
+    if ids.size and (ids.min() < 0 or ids.max() >= limit):
+        k = int(np.flatnonzero((ids < 0) | (ids >= limit))[0])
+        raise IndexError(
+            f"{kernel.value}: id {int(ids[k])} at position {k} out of range ({what})"
+        )
+    return ids
+
+
 class Tape:
     """Append-only computation record.
 
     Nodes reference strictly earlier nodes, so evaluation happens at append
     time and backward is one reverse sweep.  A Parameter appears at most once
     per tape; repeated uses share the leaf node so gradients accumulate there.
+    Adjoints are kept on leaves only: backward drops a computed node's grad
+    as soon as it has been pushed to that node's inputs.
     """
 
     def __init__(self, dtype=DEFAULT_DTYPE):
         self.dtype = dtype
         self.nodes: list[TapeNode] = []
         self._param_nodes: dict[int, tuple[int, Parameter]] = {}
-        self._param_transposes: dict[int, int] = {}
+        self._shared: dict = {}
 
     def __len__(self):
         return len(self.nodes)
@@ -186,12 +203,12 @@ class Tape:
         self._param_nodes[id(p)] = (nid, p)
         return nid
 
-    def param_t(self, p: Parameter) -> int:
-        """Transposed view of a Parameter, cached so it is built once per tape."""
-        nid = self._param_transposes.get(id(p))
+    def shared(self, key, build) -> int:
+        """Node ``build()`` appends on the first call for ``key``; later calls
+        on this tape reuse it, so its adjoint accumulates there."""
+        nid = self._shared.get(key)
         if nid is None:
-            nid = self.transpose(self.param(p))
-            self._param_transposes[id(p)] = nid
+            nid = self._shared[key] = build()
         return nid
 
     def apply(self, kernel: Kernel, input_ids, arg=None) -> int:
@@ -219,12 +236,15 @@ class Tape:
             return self.neg_log_pick(input_ids[0], arg)
         raise ValueError(f"unknown kernel {kernel}")
 
-    def matmul(self, a: int, b: int) -> int:
+    def matmul(self, a: int, b: int, transpose_b: bool = False) -> int:
+        """``a @ b``, or ``a @ b.T`` with ``transpose_b`` (no transposed copy)."""
         va, vb = self.nodes[a].value, self.nodes[b].value
+        if transpose_b:
+            vb = vb.T
         if va.shape[1] != vb.shape[0]:
             raise DimensionError(f"matmul: inner dims differ: {va.shape} x {vb.shape}")
         ng = self.nodes[a].needs_grad or self.nodes[b].needs_grad
-        return self._append(Kernel.MATMUL, (a, b), va @ vb, ng)
+        return self._append(Kernel.MATMUL, (a, b), va @ vb, ng, bool(transpose_b))
 
     def _elementwise_binary(self, kernel, a, b, op):
         na, nb = self.nodes[a], self.nodes[b]
@@ -296,6 +316,26 @@ class Tape:
         value = (node.value * self.dtype(factor)).astype(self.dtype)
         return self._append(Kernel.SCALE, (a,), value, node.needs_grad, float(factor))
 
+    def gather_rows(self, a: int, ids) -> int:
+        """Rows ``ids`` of ``a``, in order; repeated ids are allowed."""
+        node = self.nodes[a]
+        rows = node.value.shape[0]
+        ids = _checked_ids(Kernel.GATHER_ROWS, ids, rows, f"{rows} rows")
+        return self._append(Kernel.GATHER_ROWS, (a,), node.value[ids], node.needs_grad, ids)
+
+    def scatter_add(self, a: int, ids, width: int) -> int:
+        """A ``width``-column matrix whose column ``ids[k]`` accumulates
+        column k of ``a``; columns no id names are zero."""
+        node = self.nodes[a]
+        ids = _checked_ids(Kernel.SCATTER_ADD, ids, width, f"width {width}")
+        if ids.size != node.value.shape[1]:
+            raise DimensionError(
+                f"scatter-add: {ids.size} ids for {node.value.shape[1]} columns"
+            )
+        value = np.zeros((node.value.shape[0], width), dtype=node.value.dtype)
+        np.add.at(value, (slice(None), ids), node.value)
+        return self._append(Kernel.SCATTER_ADD, (a,), value, node.needs_grad, ids)
+
     def transpose(self, a: int) -> int:
         node = self.nodes[a]
         return self._append(
@@ -325,7 +365,11 @@ class Tape:
     # -- backward ----------------------------------------------------------
 
     def backward(self, loss: int):
-        """Fill gradients of every node (and Parameter) the loss depends on."""
+        """Fill the gradients of the leaves (and Parameters) the loss depends on.
+
+        A computed node's adjoint is dropped once it has been pushed to the
+        node's inputs, so after the sweep only leaves hold a ``grad``.
+        """
         root = self.nodes[loss]
         if root.value.size != 1:
             raise DimensionError(
@@ -340,6 +384,7 @@ class Tape:
             if g is None or node.kernel is Kernel.LEAF:
                 continue
             self._accumulate_input_grads(node, g)
+            node.grad = None  # nothing reads a pushed adjoint again
         for nid, p in self._param_nodes.values():
             node = self.nodes[nid]
             if node.grad is not None:
@@ -362,9 +407,9 @@ class Tape:
             a, b = ids
             va, vb = self.nodes[a].value, self.nodes[b].value
             if self.nodes[a].needs_grad:
-                self._add_grad(a, g @ vb.T)
+                self._add_grad(a, g @ vb if node.arg else g @ vb.T)
             if self.nodes[b].needs_grad:
-                self._add_grad(b, va.T @ g)
+                self._add_grad(b, g.T @ va if node.arg else va.T @ g)
         elif k is Kernel.ADD:
             for i in ids:
                 self._add_grad(i, _unbroadcast(g, self.nodes[i].value.shape))
@@ -424,6 +469,14 @@ class Tape:
                 self._add_grad(b, g * ~take_a)
         elif k is Kernel.SCALE:
             self._add_grad(ids[0], g * self.dtype(node.arg))
+        elif k is Kernel.GATHER_ROWS:
+            src = self.nodes[ids[0]]
+            if src.needs_grad:
+                if src.grad is None:
+                    src.grad = np.zeros_like(src.value)
+                np.add.at(src.grad, node.arg, g)
+        elif k is Kernel.SCATTER_ADD:
+            self._add_grad(ids[0], g[:, node.arg])
         elif k is Kernel.TRANSPOSE:
             self._add_grad(ids[0], np.ascontiguousarray(g.T))
         else:

@@ -7,6 +7,10 @@ explicit permutation enumeration).
 
 import itertools
 
+import numpy as np
+
+from b3sum.tape import Tape
+
 
 def oracle_rouge_n(sys_t, ref_t, n):
     sys_grams = [tuple(sys_t[i : i + n]) for i in range(len(sys_t) - n + 1)]
@@ -53,3 +57,34 @@ def oracle_align(sys_sents, ref_sents):
         if best is None or key < best[0]:
             best = (key, perm, slot_f1)
     return best[1], best[2]
+
+
+class DenseTape(Tape):
+    """The dense formulation that the sparse kernels replaced.
+
+    Gathers are one-hot constants times the table, scatters are the
+    attention row times an (n x width) copy matrix, a transposed weight is an
+    explicit transpose node, and no node is shared between decoder steps.
+    Running the library's own loss and decoder on this tape gives the dense
+    reference path.
+    """
+
+    def gather_rows(self, a, ids):
+        one_hot = np.zeros((len(ids), self.value(a).shape[0]))
+        for k, i in enumerate(ids):
+            one_hot[k, i] = 1.0
+        return self.matmul(self.leaf(one_hot), a)
+
+    def scatter_add(self, a, ids, width):
+        copy = np.zeros((len(ids), width))
+        for k, i in enumerate(ids):
+            copy[k, i] = 1.0
+        return self.matmul(a, self.leaf(copy))
+
+    def matmul(self, a, b, transpose_b=False):
+        if transpose_b:
+            b = self.transpose(b)
+        return super().matmul(a, b)
+
+    def shared(self, key, build):
+        return build()

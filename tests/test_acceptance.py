@@ -45,7 +45,6 @@ from b3sum.summarizer import (
     SummarizerParams,
     TrainConfig,
     attend,
-    copy_matrix,
     corpus_loss,
     decode,
     final_distribution,
@@ -149,8 +148,27 @@ class TestCriterion1GradientCorrectness:
             t = Tape(dtype=dtype)
             return t, t.reduce_mean(t.mul(t.param(a), t.param(a)))
 
+        def k_matmul_transposed(dtype):
+            t = Tape(dtype=dtype)
+            out = t.matmul(t.param(b), t.param(c), transpose_b=True)
+            return t, t.reduce_sum(t.mul(out, out))
+
+        def k_gather(dtype):
+            t = Tape(dtype=dtype)
+            rows = t.gather_rows(t.param(b), [2, 0, 2, 1, 2])  # id 2 three times
+            return t, t.reduce_sum(t.mul(rows, t.tanh(rows)))
+
+        def k_scatter(dtype):
+            # base width 5 plus OOV ids 5 and 6; ids 1 and 5 repeat
+            t = Tape(dtype=dtype)
+            mass = t.scatter_add(t.softmax(t.param(pos)), [1, 5, 1, 5], 7)
+            return t, t.add(t.neg_log_pick(mass, 1), t.neg_log_pick(mass, 5))
+
         for what, build, params in [
             ("matmul", k_matmul, [a, b]),
+            ("matmul transposed", k_matmul_transposed, [b, c]),
+            ("gather-rows", k_gather, [b]),
+            ("scatter-add", k_scatter, [pos]),
             ("add/mul/scale", k_add_mul_scale, [c]),
             ("concat/transpose", k_concat_transpose, [a, b]),
             ("tanh/sigmoid", k_activations, [c]),
@@ -215,8 +233,7 @@ class TestCriterion1GradientCorrectness:
             _, a_t, _ = attend(t, model, t.leaf(h_const), s, cov, use_coverage=True)
             p_vocab = vocab_distribution(t, model, s, h_star)
             p_gen = generation_prob(t, model, h_star, s, x)
-            cm = t.leaf(copy_matrix(ex.src_ext_ids, ex.ext.size, t.dtype))
-            p = final_distribution(t, p_gen, p_vocab, a_t, cm, len(ex.ext.doc_oovs))
+            p = final_distribution(t, p_gen, p_vocab, a_t, ex.src_ext_ids, len(ex.ext.doc_oovs))
             oov_id = vocab.size  # the "zz" token
             return t, t.neg_log_pick(p, oov_id)
 
@@ -260,8 +277,7 @@ class TestCriterion2Normalization:
                 _, a_t, h_star = attend(t, model, h_all, s, cov, use_coverage=True)
                 p_vocab = vocab_distribution(t, model, s, h_star)
                 p_gen = generation_prob(t, model, h_star, s, x)
-                cm = t.leaf(copy_matrix(src_ext, ext_size, t.dtype))
-                p = final_distribution(t, p_gen, p_vocab, a_t, cm, n_oov)
+                p = final_distribution(t, p_gen, p_vocab, a_t, src_ext, n_oov)
                 assert abs(t.value(a_t).sum() - 1.0) <= 1e-5
                 assert abs(t.value(p_vocab).sum() - 1.0) <= 1e-5
                 assert abs(t.value(p).sum() - 1.0) <= 1e-5
@@ -281,8 +297,7 @@ class TestCriterion2Normalization:
         src_ext = [2, 10, 5, 10]
         a_t = t.softmax(t.leaf(rng.uniform(-1, 1, (1, 4))))
         p_vocab = t.softmax(t.leaf(rng.uniform(-1, 1, (1, 9))))
-        p = final_distribution(t, t.leaf([[0.0]]), p_vocab, a_t,
-                               t.leaf(copy_matrix(src_ext, 11, t.dtype)), 2)
+        p = final_distribution(t, t.leaf([[0.0]]), p_vocab, a_t, src_ext, 2)
         pv = t.value(p)[0]
         for i, mass in enumerate(pv):
             if i in src_ext:

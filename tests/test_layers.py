@@ -8,7 +8,6 @@ from b3sum.layers import (
     EmbeddingTable,
     LstmCell,
     bilstm_encode,
-    embed,
     embed_rows,
     linear,
     lstm_step,
@@ -28,19 +27,20 @@ class TestEmbedding:
     def test_repeated_ids_give_identical_rows(self):
         table = EmbeddingTable(_rng(), "e", vocab_size=5, dim=3)
         t = Tape()
-        out = t.value(embed(t, table, [0, 0]))
-        np.testing.assert_array_equal(out[0], out[1])
+        first, second = (t.value(r) for r in embed_rows(t, table, [0, 0]))
+        np.testing.assert_array_equal(first, second)
 
     def test_zero_table_embeds_to_zero(self):
         table = EmbeddingTable(_rng(), "e", 5, 3)
         zero_params(table.params())
         t = Tape()
-        np.testing.assert_array_equal(t.value(embed(t, table, [1, 4])), np.zeros((2, 3)))
+        for r in embed_rows(t, table, [1, 4]):
+            np.testing.assert_array_equal(t.value(r), np.zeros((1, 3)))
 
     def test_lookup_adjoint_is_one_hot_row(self):
         table = EmbeddingTable(_rng(1), "e", 5, 3)
         t = Tape()
-        t.backward(t.reduce_sum(embed(t, table, [3])))
+        t.backward(t.reduce_sum(embed_rows(t, table, [3])[0]))
         expected = np.zeros((5, 3), dtype=np.float32)
         expected[3] = 1.0
         np.testing.assert_array_equal(table.weights.grad, expected)
@@ -49,17 +49,19 @@ class TestEmbedding:
         table = EmbeddingTable(_rng(), "e", 5, 3)
         t = Tape()
         with pytest.raises(IndexError, match="position 1"):
-            embed(t, table, [0, 9])
+            embed_rows(t, table, [0, 9])
         with pytest.raises(IndexError, match="position 0"):
             embed_rows(t, table, [7])
+        with pytest.raises(IndexError, match="position 2"):
+            embed_rows(t, table, [0, 1, -1])
 
-    def test_rowwise_matches_batch_embed(self):
+    def test_rows_match_one_hot_product(self):
         table = EmbeddingTable(_rng(2), "e", 6, 4)
+        ids = [2, 5, 1, 5]
+        one_hot = np.eye(6, dtype=np.float32)[ids]
         t = Tape()
-        batch = t.value(embed(t, table, [2, 5, 1]))
-        rows = [t.value(r)[0] for r in embed_rows(t, table, [2, 5, 1])]
-        np.testing.assert_array_equal(batch, np.stack(rows))
-
+        rows = [t.value(r)[0] for r in embed_rows(t, table, ids)]
+        np.testing.assert_array_equal(np.stack(rows), one_hot @ table.weights.value)
 
 class TestLstmStep:
     def test_all_zero_weights_and_state_give_zero(self):

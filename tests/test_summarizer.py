@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
-from b3sum.corpus import Vocabulary
+from b3sum import summarizer
+from b3sum.corpus import NewsPair, Vocabulary
 from b3sum.summarizer import (
     ExtendedVocab,
     TrainConfig,
     attend,
-    copy_matrix,
     corpus_loss,
     coverage_penalty,
     coverage_update,
@@ -21,9 +21,10 @@ from b3sum.summarizer import (
     train_batch,
     vocab_distribution,
 )
-from b3sum.tape import Tape
+from b3sum.tape import Kernel, Tape, zero_grads
 
 from helpers import tiny_corpus, tiny_summarizer, zero_params
+from oracles import DenseTape
 
 
 def _attention_inputs(tape, model, n=4, seed=0):
@@ -155,9 +156,8 @@ class TestFinalDistribution:
         t = Tape()
         pv = t.leaf([p_vocab])
         a = t.leaf([attn])
-        cm = t.leaf(copy_matrix(src_ext_ids, ext_size, t.dtype))
         pg = t.leaf([[p_gen]])
-        out = final_distribution(t, pg, pv, a, cm, ext_size - len(p_vocab))
+        out = final_distribution(t, pg, pv, a, src_ext_ids, ext_size - len(p_vocab))
         return t.value(out)[0]
 
     def test_pure_generation_pads_vocab_distribution(self):
@@ -368,3 +368,89 @@ class TestDecode:
         for step, tr in enumerate(out.traces):
             assert abs(tr.coverage_before.sum() - step) <= 1e-4
             assert -1e-6 <= tr.penalty <= 1.0 + 1e-6
+
+
+def _repeated_oov_example():
+    """Source with two OOV tokens, each at several positions, both copied
+    into the target."""
+    vocab = Vocabulary(["t0", "t1", "t2", "t3", "t4", "t5", "t6"])
+    pair = NewsPair(
+        id="oov-repeats",
+        article=["t0", "zz", "t1", "qq", "zz", "t2", "qq", "zz", "t3"],
+        summary=[["zz", "t1"], ["qq"], ["t2", "zz"]],
+    )
+    return pair, vocab, prepare_pair(pair, vocab)
+
+
+class TestDenseReferenceEquivalence:
+    """Gather/scatter kernels, shared encoder features and transposed
+    matmuls against the dense one-hot path run on oracles.DenseTape."""
+
+    @staticmethod
+    def _loss_and_grads(tape, model, ex, use_coverage):
+        zero_grads(model.params())
+        loss, _, _, _ = sequence_loss(tape, model, ex, use_coverage=use_coverage,
+                                      cov_lambda=1.0)
+        tape.backward(loss)
+        return float(tape.value(loss)[0, 0]), {p.name: p.grad.copy() for p in model.params()}
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("use_coverage", [False, True])
+    def test_sequence_loss_and_grads_match(self, use_coverage, dtype):
+        _, vocab, ex = _repeated_oov_example()
+        assert len(ex.ext.doc_oovs) == 2
+        model = tiny_summarizer(vocab_size=vocab.size, seed=4)
+        loss, grads = self._loss_and_grads(Tape(dtype), model, ex, use_coverage)
+        ref_loss, ref_grads = self._loss_and_grads(DenseTape(dtype), model, ex, use_coverage)
+        assert abs(loss - ref_loss) <= 1e-6 * abs(ref_loss)
+        # attn.W_s and attn.b_a shift every attention score alike, so their
+        # grads nearly cancel (1e-10 against 1e-2 elsewhere).  In float32 the
+        # rounding of the cancelled terms survives, so there each error is
+        # taken relative to the largest grad of the model.
+        model_scale = max(np.abs(g).max() for g in ref_grads.values())
+        for name, ref in ref_grads.items():
+            scale = np.abs(ref).max() if dtype is np.float64 else model_scale
+            assert np.abs(grads[name] - ref).max() <= 1e-5 * scale, name
+
+    def test_articles_sharing_a_tape_keep_their_own_features(self):
+        _, vocab, ex = _repeated_oov_example()
+        pairs, _, _ = tiny_corpus(n=1, seed=5)
+        other = prepare_pair(pairs[0], vocab)
+        model = tiny_summarizer(vocab_size=vocab.size, seed=4)
+        losses = []
+        for tape in (Tape(), DenseTape()):
+            first, _, _, _ = sequence_loss(tape, model, ex, use_coverage=True)
+            second, _, _, _ = sequence_loss(tape, model, other, use_coverage=True)
+            losses.append(float(tape.value(tape.add(first, second))[0, 0]))
+        assert abs(losses[0] - losses[1]) <= 1e-6 * abs(losses[1])
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_decoded_tokens_match(self, seed, monkeypatch):
+        pair, vocab, _ = _repeated_oov_example()
+        model = tiny_summarizer(vocab_size=vocab.size, seed=seed)
+        runs = [("greedy", 1, False), ("beam", 4, False), ("beam", 4, True)]
+
+        def decode_all():
+            return [decode(model, pair.article, vocab, mode=mode, beam_size=beam,
+                           max_decode_len=15, use_coverage=cov).token_ids
+                    for mode, beam, cov in runs]
+
+        sparse = decode_all()
+        monkeypatch.setattr(summarizer, "Tape", DenseTape)
+        assert decode_all() == sparse
+
+
+def test_sequence_loss_tape_holds_no_vocab_wide_constant():
+    vocab = Vocabulary([f"w{i}" for i in range(995)])
+    assert vocab.size == 1000
+    pair = NewsPair(id="wide", article=["w1", "zz", "w2", "zz", "qq"],
+                    summary=[["zz"], ["w2"], ["qq"]])
+    ex = prepare_pair(pair, vocab)
+    model = tiny_summarizer(vocab_size=vocab.size, seed=1)
+    t = Tape()
+    sequence_loss(t, model, ex, use_coverage=True)
+    param_nodes = {t.param(p) for p in model.params()}
+    wide = [nid for nid, node in enumerate(t.nodes)
+            if node.kernel is Kernel.LEAF and nid not in param_nodes
+            and node.value.shape[1] >= vocab.size]
+    assert wide == []

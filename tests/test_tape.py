@@ -100,6 +100,40 @@ class TestKernelForward:
         out = t.transpose(t.leaf([[1.0, 2.0], [3.0, 4.0]]))
         np.testing.assert_array_equal(t.value(out), [[1, 3], [2, 4]])
 
+    def test_matmul_transposed_second_operand(self):
+        t = Tape()
+        a, w = t.leaf([[1.0, 2.0]]), t.leaf([[1.0, 0.0], [3.0, -1.0], [0.5, 2.0]])
+        np.testing.assert_array_equal(t.value(t.matmul(a, w, transpose_b=True)), [[1, 1, 4.5]])
+        with pytest.raises(DimensionError, match="matmul"):
+            t.matmul(a, t.leaf(np.ones((3, 3))), transpose_b=True)
+
+    def test_gather_rows_repeats_ids_in_order(self):
+        t = Tape()
+        x = t.leaf([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+        np.testing.assert_array_equal(t.value(t.gather_rows(x, [2, 0, 2])),
+                                      [[5, 6], [1, 2], [5, 6]])
+
+    def test_gather_rows_out_of_range_names_position(self):
+        t = Tape()
+        x = t.leaf(np.zeros((3, 2)))
+        with pytest.raises(IndexError, match="gather-rows: id 3 at position 2"):
+            t.gather_rows(x, [0, 1, 3])
+        with pytest.raises(IndexError, match="gather-rows: id -1 at position 0"):
+            t.gather_rows(x, [-1])
+
+    def test_scatter_add_accumulates_repeated_ids(self):
+        t = Tape()
+        out = t.scatter_add(t.leaf([[0.1, 0.2, 0.3, 0.4]]), [3, 0, 3, 1], 5)
+        np.testing.assert_allclose(t.value(out), [[0.2, 0.4, 0.0, 0.4, 0.0]], atol=1e-7)
+
+    def test_scatter_add_rejects_bad_ids(self):
+        t = Tape()
+        a = t.leaf([[0.5, 0.5]])
+        with pytest.raises(IndexError, match="scatter-add: id 4 at position 1"):
+            t.scatter_add(a, [0, 4], 4)
+        with pytest.raises(DimensionError, match="scatter-add: 3 ids for 2 columns"):
+            t.scatter_add(a, [0, 1, 2], 4)
+
     def test_eval_kernel_dispatch(self):
         t = Tape()
         x = t.leaf([[1.0, 4.0]])
@@ -165,13 +199,27 @@ class TestBackward:
         def build(dtype):
             t = Tape(dtype=dtype)
             hn = t.leaf(h)
-            scores = t.matmul(t.tanh(t.add(t.matmul(hn, t.param_t(w)), t.param(b))), t.param_t(v))
+            pre = t.add(t.matmul(hn, t.param(w), transpose_b=True), t.param(b))
+            scores = t.matmul(t.tanh(pre), t.param(v), transpose_b=True)
             attn = t.softmax(t.transpose(scores))
             ctx = t.matmul(attn, hn)
             return t, t.reduce_sum(t.mul(ctx, ctx))
 
         report = finite_diff_check(build, [w, v, b], h=1e-3, tol=1e-3)
         assert report.ok, report
+
+    def test_only_leaves_keep_grads(self):
+        p = Parameter("w", [[0.5, -0.2], [0.1, 0.3], [0.7, 0.4]])
+        t = Tape()
+        x = t.leaf([[1.0, -1.0]], needs_grad=True)
+        w = t.param(p)
+        rows = t.gather_rows(w, [2, 0, 2])
+        scores = t.tanh(t.matmul(rows, x, transpose_b=True))
+        mass = t.scatter_add(t.softmax(t.transpose(scores)), [1, 0, 1], 3)
+        t.backward(t.neg_log_pick(mass, 1))
+        held = [nid for nid, node in enumerate(t.nodes) if node.grad is not None]
+        assert held == [x, w]
+        assert np.abs(p.grad).sum() > 0
 
     def test_bit_identical_reruns(self):
         def run():
