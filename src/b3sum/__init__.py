@@ -2,9 +2,10 @@
 
 The package is organized bottom-up:
 
-- ``tape``: tensors, the autodiff tape, Adagrad, clipping, gradient checks
+- ``tape``: the autodiff tape, Adagrad, clipping, gradient checks
 - ``layers``: embeddings, linear maps, LSTM cell, bidirectional encoder
-- ``summarizer``: attention decoder with copy mechanism and coverage
+- ``summarizer``: attention decoder with copy mechanism and coverage; one
+  ``decoder_step`` serves training, evaluation and decoding
 - ``classifier``: binary summary-structure classifier with under-sampling
 - ``pipeline``: pretrain -> auto-label -> fine-tune -> route
 - ``metrics``: ROUGE-1/2/L, pairwise sentence alignment, report tables
@@ -17,7 +18,7 @@ from .config import RunConfig
 from .corpus import NewsPair, StructureLabel, Vocabulary, synth_generate
 from .metrics import RougeScore, pairwise_align, rouge_l, rouge_n
 from .summarizer import SummarizerParams, decode
-from .tape import Parameter, Tape, Tensor, adagrad_step, clip_global_norm, finite_diff_check
+from .tape import Parameter, Tape, adagrad_step, clip_global_norm, finite_diff_check
 
 __version__ = "0.1.0"
 
@@ -29,7 +30,6 @@ __all__ = [
     "StructureLabel",
     "SummarizerParams",
     "Tape",
-    "Tensor",
     "Vocabulary",
     "adagrad_step",
     "clip_global_norm",

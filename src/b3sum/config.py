@@ -21,8 +21,6 @@ class RunConfig:
     attn_dim: int | None = None  # defaults to hidden_dim
     classifier_emb_dim: int = 256
     classifier_hidden_dim: int = 256
-    vocab_size: int = 50000
-    min_count: int = 2
     lr: float = 0.15
     classifier_lr: float = 0.01
     clip_norm: float = 2.0

@@ -117,7 +117,6 @@ class EncoderStates:
     """
 
     h_concat: int
-    h_rows: list[int]
     fwd_final: tuple[int, int]
     bwd_first: tuple[int, int]
     length: int
@@ -140,7 +139,6 @@ def bilstm_encode(tape: Tape, enc: BiLstmEncoder, xs: list[int]) -> EncoderState
     h_concat = rows[0] if len(rows) == 1 else tape.concat(rows, axis=0)
     return EncoderStates(
         h_concat=h_concat,
-        h_rows=rows,
         fwd_final=(fwd[-1], c_f),
         bwd_first=(bwd[0], c_b),
         length=len(xs),

@@ -212,16 +212,6 @@ def coverage_penalty(tape: Tape, a_t: int, coverage: int) -> int:
     return tape.reduce_sum(tape.elementwise_min(a_t, coverage))
 
 
-def step_loss(tape: Tape, p_final: int, target_id: int, a_t: int | None = None,
-              coverage: int | None = None, cov_lambda: float = 1.0,
-              use_coverage: bool = False) -> int:
-    """Negative log likelihood of the target, plus the coverage penalty."""
-    nll = tape.neg_log_pick(p_final, target_id)
-    if not use_coverage:
-        return nll
-    return tape.add(nll, tape.scale(coverage_penalty(tape, a_t, coverage), cov_lambda))
-
-
 # -- prepared examples and the teacher-forced loss ----------------------------
 
 
@@ -272,7 +262,38 @@ class StepTrace:
     penalty: float | None
 
 
-def _encode_article(tape: Tape, model: SummarizerParams, enc_ids) -> tuple[EncoderStates, int, int]:
+def _step_trace(tape: Tape, a_t: int, p_gen: int, coverage: int | None,
+                penalty: float | None) -> StepTrace:
+    attention = tape.value(a_t)
+    return StepTrace(
+        attention=attention.copy(),
+        coverage_before=(
+            tape.value(coverage).copy() if coverage is not None else np.zeros(attention.shape)
+        ),
+        p_gen=float(tape.value(p_gen)[0, 0]),
+        penalty=penalty,
+    )
+
+
+@dataclass
+class EncodedArticle:
+    """Per-article decoder context: encoder states, the bridged initial
+    decoder state, and the source ids the copy distribution scatters onto."""
+
+    enc: EncoderStates
+    h0: int
+    c0: int
+    src_ext_ids: list[int]
+    n_oov: int
+
+    def zero_coverage(self, tape: Tape) -> int:
+        return tape.leaf(np.zeros((1, self.enc.length), dtype=tape.dtype))
+
+
+def encode_article(tape: Tape, model: SummarizerParams, enc_ids, src_ext_ids,
+                   n_oov: int) -> EncodedArticle:
+    """Run the encoder over base-vocab ``enc_ids`` and bridge its final
+    states to the decoder's initial (h0, c0)."""
     xs = embed_rows(tape, model.embedding, enc_ids)
     enc = bilstm_encode(tape, model.encoder, xs)
     h_cat = tape.concat([enc.fwd_final[0], enc.bwd_first[0]], axis=1)
@@ -281,11 +302,45 @@ def _encode_article(tape: Tape, model: SummarizerParams, enc_ids) -> tuple[Encod
                             tape.param(model.bridge_b_h)))
     c0 = tape.tanh(tape.add(tape.matmul(c_cat, tape.param(model.bridge_w_c), transpose_b=True),
                             tape.param(model.bridge_b_c)))
-    return enc, h0, c0
+    return EncodedArticle(enc, h0, c0, src_ext_ids, n_oov)
 
 
-def _forced_p_gen(tape: Tape, force: float) -> int:
-    return tape.leaf(np.full((1, 1), force, dtype=tape.dtype))
+def decoder_step(tape: Tape, model: SummarizerParams, art: EncodedArticle, x_t: int,
+                 state: tuple[int, int], coverage: int | None, use_coverage: bool,
+                 force_p_gen: float | None) -> tuple[int, int, int, tuple[int, int]]:
+    """One decoder step from the embedded input ``x_t``, shared by training,
+    teacher-forced evaluation and decoding.
+
+    Returns node ids (p_final, a_t, p_gen, (h_t, c_t)); ``p_final`` is over
+    the extended vocabulary.  ``force_p_gen`` replaces the learned switch by
+    a constant.  The caller advances the coverage.
+    """
+    h_t, c_t = lstm_step(tape, model.decoder, x_t, *state)
+    s_t = tape.concat([h_t, c_t], axis=1)
+    _, a_t, h_star = attend(tape, model, art.enc.h_concat, s_t, coverage, use_coverage)
+    p_vocab = vocab_distribution(tape, model, s_t, h_star)
+    if force_p_gen is None:
+        p_gen = generation_prob(tape, model, h_star, s_t, x_t)
+    else:
+        p_gen = tape.leaf(np.full((1, 1), force_p_gen, dtype=tape.dtype))
+    p_final = final_distribution(tape, p_gen, p_vocab, a_t, art.src_ext_ids, art.n_oov)
+    return p_final, a_t, p_gen, (h_t, c_t)
+
+
+def _teacher_forced(tape: Tape, model: SummarizerParams, ex: PreparedExample,
+                    use_coverage: bool, force_p_gen: float | None):
+    """Yield (target_id, p_final, a_t, p_gen, coverage before the step) for
+    each target position, feeding the reference summary as decoder input."""
+    art = encode_article(tape, model, ex.enc_ids, ex.src_ext_ids, len(ex.ext.doc_oovs))
+    coverage = art.zero_coverage(tape) if use_coverage else None
+    dec_embs = embed_rows(tape, model.embedding, ex.dec_in_ids)
+    state = (art.h0, art.c0)
+    for t, target_id in enumerate(ex.target_ext_ids):
+        p_final, a_t, p_gen, state = decoder_step(tape, model, art, dec_embs[t], state,
+                                                  coverage, use_coverage, force_p_gen)
+        yield target_id, p_final, a_t, p_gen, coverage
+        if use_coverage:
+            coverage = coverage_update(tape, coverage, a_t)
 
 
 def sequence_loss(tape: Tape, model: SummarizerParams, ex: PreparedExample,
@@ -298,43 +353,21 @@ def sequence_loss(tape: Tape, model: SummarizerParams, ex: PreparedExample,
     assembled as mean(nll) + lambda * mean(penalty) so the two components
     recombine exactly to the reported loss.
     """
-    enc, h_t, c_t = _encode_article(tape, model, ex.enc_ids)
-    n_src = len(ex.enc_ids)
-    coverage = tape.leaf(np.zeros((1, n_src), dtype=tape.dtype)) if use_coverage else None
-
-    dec_embs = embed_rows(tape, model.embedding, ex.dec_in_ids)
     nll_nodes = []
     pen_nodes = []
     traces = []
-    for t, target_id in enumerate(ex.target_ext_ids):
-        h_t, c_t = lstm_step(tape, model.decoder, dec_embs[t], h_t, c_t)
-        s_t = tape.concat([h_t, c_t], axis=1)
-        _, a_t, h_star = attend(tape, model, enc.h_concat, s_t, coverage, use_coverage)
-        p_vocab = vocab_distribution(tape, model, s_t, h_star)
-        if force_p_gen is None:
-            p_gen = generation_prob(tape, model, h_star, s_t, dec_embs[t])
-        else:
-            p_gen = _forced_p_gen(tape, force_p_gen)
-        p_final = final_distribution(tape, p_gen, p_vocab, a_t, ex.src_ext_ids,
-                                     len(ex.ext.doc_oovs))
+    for target_id, p_final, a_t, p_gen, coverage in _teacher_forced(
+            tape, model, ex, use_coverage, force_p_gen):
         nll_nodes.append(tape.neg_log_pick(p_final, target_id))
         penalty = None
         if use_coverage:
             penalty = coverage_penalty(tape, a_t, coverage)
             pen_nodes.append(penalty)
         if collect_traces:
-            traces.append(
-                StepTrace(
-                    attention=tape.value(a_t).copy(),
-                    coverage_before=(
-                        tape.value(coverage).copy() if coverage is not None else np.zeros((1, n_src))
-                    ),
-                    p_gen=float(tape.value(p_gen)[0, 0]),
-                    penalty=float(tape.value(penalty)[0, 0]) if penalty is not None else None,
-                )
-            )
-        if use_coverage:
-            coverage = coverage_update(tape, coverage, a_t)
+            traces.append(_step_trace(
+                tape, a_t, p_gen, coverage,
+                float(tape.value(penalty)[0, 0]) if penalty is not None else None,
+            ))
 
     nll_mean = tape.reduce_mean(tape.concat(nll_nodes, axis=1) if len(nll_nodes) > 1 else nll_nodes[0])
     if use_coverage:
@@ -390,24 +423,6 @@ def corpus_loss(model: SummarizerParams, examples: list[PreparedExample],
     return total / len(examples)
 
 
-def train_epochs(model: SummarizerParams, examples: list[PreparedExample],
-                 cfg: TrainConfig, epochs: int, rng: np.random.Generator | None = None,
-                 on_epoch=None) -> list[float]:
-    """Shuffled minibatch training; returns per-step mean losses."""
-    rng = rng or np.random.default_rng(cfg.seed)
-    losses = []
-    step = 0
-    for epoch in range(epochs):
-        order = rng.permutation(len(examples))
-        for start in range(0, len(examples), cfg.batch_size):
-            batch = [examples[i] for i in order[start : start + cfg.batch_size]]
-            losses.append(train_batch(model, batch, cfg, use_coverage=cfg.coverage_at(step)))
-            step += 1
-        if on_epoch is not None and on_epoch(epoch, losses) is False:
-            break
-    return losses
-
-
 def token_prediction_accuracy(model: SummarizerParams, examples: list[PreparedExample],
                               force_p_gen: float | None = None,
                               use_coverage: bool = False) -> dict:
@@ -416,32 +431,14 @@ def token_prediction_accuracy(model: SummarizerParams, examples: list[PreparedEx
     oov_correct = oov_total = 0
     for ex in examples:
         tape = Tape()
-        enc, h_t, c_t = _encode_article(tape, model, ex.enc_ids)
-        coverage = (
-            tape.leaf(np.zeros((1, len(ex.enc_ids)), dtype=tape.dtype)) if use_coverage else None
-        )
-        dec_embs = embed_rows(tape, model.embedding, ex.dec_in_ids)
-        for t, target_id in enumerate(ex.target_ext_ids):
-            h_t, c_t = lstm_step(tape, model.decoder, dec_embs[t], h_t, c_t)
-            s_t = tape.concat([h_t, c_t], axis=1)
-            _, a_t, h_star = attend(tape, model, enc.h_concat, s_t, coverage, use_coverage)
-            p_vocab = vocab_distribution(tape, model, s_t, h_star)
-            p_gen = (
-                generation_prob(tape, model, h_star, s_t, dec_embs[t])
-                if force_p_gen is None
-                else _forced_p_gen(tape, force_p_gen)
-            )
-            p_final = final_distribution(tape, p_gen, p_vocab, a_t, ex.src_ext_ids,
-                                         len(ex.ext.doc_oovs))
-            pred = int(np.argmax(tape.value(p_final)[0]))
-            hit = bool(pred == target_id)
+        for target_id, p_final, _, _, _ in _teacher_forced(tape, model, ex, use_coverage,
+                                                            force_p_gen):
+            hit = bool(int(np.argmax(tape.value(p_final)[0])) == target_id)
             correct += hit
             total += 1
             if target_id >= ex.ext.base.size:
                 oov_correct += hit
                 oov_total += 1
-            if use_coverage:
-                coverage = coverage_update(tape, coverage, a_t)
     return {
         "accuracy": correct / total if total else 0.0,
         "oov_accuracy": oov_correct / oov_total if oov_total else 0.0,
@@ -491,66 +488,6 @@ def _split_sentences(token_ids, ext: ExtendedVocab) -> tuple[list[list[str]], bo
     return sentences, degenerate
 
 
-class _StepRunner:
-    """Shared per-step forward pass over one append-only tape."""
-
-    def __init__(self, model: SummarizerParams, article_ids, ext: ExtendedVocab,
-                 use_coverage: bool, force_p_gen: float | None):
-        self.model = model
-        self.ext = ext
-        self.use_coverage = use_coverage
-        self.force_p_gen = force_p_gen
-        self.tape = Tape()
-        enc_ids = [i if i < model.vocab_size else Vocabulary.UNK for i in article_ids]
-        self.enc, self.h0, self.c0 = _encode_article(self.tape, model, enc_ids)
-        self.src_ext_ids = article_ids
-        self.n_src = len(article_ids)
-        self.n_oov = len(ext.doc_oovs)
-
-    def initial(self) -> Hypothesis:
-        coverage = None
-        if self.use_coverage:
-            coverage = self.tape.leaf(np.zeros((1, self.n_src), dtype=self.tape.dtype))
-        return Hypothesis(state=(self.h0, self.c0), coverage=coverage)
-
-    def step(self, hyp: Hypothesis, prev_token: int):
-        """Advance one step; returns (log-probs over ext vocab, new state,
-        new coverage, trace)."""
-        tape, model = self.tape, self.model
-        emb_id = prev_token if prev_token < model.vocab_size else Vocabulary.UNK
-        x_t = embed_rows(tape, model.embedding, [emb_id])[0]
-        h_t, c_t = lstm_step(tape, model.decoder, x_t, *hyp.state)
-        s_t = tape.concat([h_t, c_t], axis=1)
-        _, a_t, h_star = attend(tape, model, self.enc.h_concat, s_t, hyp.coverage,
-                                self.use_coverage)
-        p_vocab = vocab_distribution(tape, model, s_t, h_star)
-        p_gen = (
-            generation_prob(tape, model, h_star, s_t, x_t)
-            if self.force_p_gen is None
-            else _forced_p_gen(tape, self.force_p_gen)
-        )
-        p_final = final_distribution(tape, p_gen, p_vocab, a_t, self.src_ext_ids, self.n_oov)
-        probs = tape.value(p_final)[0].astype(np.float64)
-        trace = StepTrace(
-            attention=tape.value(a_t).copy(),
-            coverage_before=(
-                tape.value(hyp.coverage).copy()
-                if hyp.coverage is not None
-                else np.zeros((1, self.n_src))
-            ),
-            p_gen=float(tape.value(p_gen)[0, 0]),
-            penalty=(
-                float(np.minimum(tape.value(a_t), tape.value(hyp.coverage)).sum())
-                if hyp.coverage is not None
-                else None
-            ),
-        )
-        new_cov = (
-            coverage_update(tape, hyp.coverage, a_t) if self.use_coverage else None
-        )
-        return np.log(probs + PGEN_EPS), (h_t, c_t), new_cov, trace
-
-
 def _advance(hyp: Hypothesis, token: int, logp: float, state, coverage) -> Hypothesis:
     return Hypothesis(
         tokens=hyp.tokens + [token],
@@ -585,31 +522,46 @@ def decode(model: SummarizerParams, article_tokens, vocab: Vocabulary,
         )
     ext = ExtendedVocab(vocab, article_tokens)
     article_ids = [ext.id(t) for t in article_tokens]
-    runner = _StepRunner(model, article_ids, ext, use_coverage, force_p_gen)
+    enc_ids = [i if i < model.vocab_size else Vocabulary.UNK for i in article_ids]
+    tape = Tape()
+    art = encode_article(tape, model, enc_ids, article_ids, len(ext.doc_oovs))
+    initial = Hypothesis(state=(art.h0, art.c0),
+                         coverage=art.zero_coverage(tape) if use_coverage else None)
+
+    def step(hyp: Hypothesis):
+        """Advance ``hyp`` one step; returns (log-probs over the extended
+        vocab, new state, new coverage, a_t, p_gen)."""
+        prev = hyp.tokens[-1] if hyp.tokens else Vocabulary.START
+        emb_id = prev if prev < model.vocab_size else Vocabulary.UNK
+        x_t = embed_rows(tape, model.embedding, [emb_id])[0]
+        p_final, a_t, p_gen, state = decoder_step(tape, model, art, x_t, hyp.state,
+                                                  hyp.coverage, use_coverage, force_p_gen)
+        coverage = coverage_update(tape, hyp.coverage, a_t) if use_coverage else None
+        logps = np.log(tape.value(p_final)[0].astype(np.float64) + PGEN_EPS)
+        logps[list(_BANNED_STARTS)] = -np.inf
+        return logps, state, coverage, a_t, p_gen
 
     if mode == "greedy":
-        hyp = runner.initial()
-        prev = Vocabulary.START
+        hyp = initial
         traces = []
         while len(hyp.tokens) < max_decode_len and not hyp.finished:
-            logps, state, cov, trace = runner.step(hyp, prev)
-            logps[list(_BANNED_STARTS)] = -np.inf
+            logps, state, cov, a_t, p_gen = step(hyp)
+            if collect_traces:
+                penalty = None
+                if hyp.coverage is not None:
+                    penalty = float(np.minimum(tape.value(a_t), tape.value(hyp.coverage)).sum())
+                traces.append(_step_trace(tape, a_t, p_gen, hyp.coverage, penalty))
             token = int(np.argmax(logps))
             hyp = _advance(hyp, token, float(logps[token]), state, cov)
-            prev = token
-            if collect_traces:
-                traces.append(trace)
         sentences, degenerate = _split_sentences(hyp.tokens, ext)
         return DecodeResult(sentences, hyp.tokens, degenerate, traces)
 
-    beams = [runner.initial()]
+    beams = [initial]
     finished: list[Hypothesis] = []
     for _ in range(max_decode_len):
         candidates: list[tuple[float, int, int, Hypothesis]] = []
         for h_idx, hyp in enumerate(beams):
-            prev = hyp.tokens[-1] if hyp.tokens else Vocabulary.START
-            logps, state, cov, _ = runner.step(hyp, prev)
-            logps[list(_BANNED_STARTS)] = -np.inf
+            logps, state, cov, _, _ = step(hyp)
             top = np.argsort(-logps, kind="stable")[: beam_size * 2]
             for token in top:
                 nh = _advance(hyp, int(token), float(logps[token]), state, cov)

@@ -1,4 +1,4 @@
-"""Dense tensors, a reverse-mode autodiff tape, Adagrad, and gradient checking.
+"""A reverse-mode autodiff tape over dense matrices, Adagrad, and gradient checking.
 
 Everything downstream (LSTM layers, the attention decoder, the classifier)
 is expressed as a sequence of a small set of kernels appended to a Tape.
@@ -26,39 +26,6 @@ LOG_PICK_EPS = 1e-12
 
 class DimensionError(ValueError):
     """Raised when kernel inputs have incompatible dims."""
-
-
-class Tensor:
-    """A dense array: dims plus row-major float32 data.
-
-    Used at API boundaries (parameters, checkpoints).  Internally the tape
-    works on numpy arrays directly.
-    """
-
-    __slots__ = ("dims", "data")
-
-    def __init__(self, data, dims=None):
-        arr = np.asarray(data, dtype=np.float32)
-        if dims is not None:
-            if int(np.prod(dims)) != arr.size:
-                raise ValueError(
-                    f"data length {arr.size} != product of dims {list(dims)}"
-                )
-            arr = arr.reshape(dims)
-        self.dims = [int(d) for d in arr.shape]
-        self.data = np.ascontiguousarray(arr).reshape(-1)
-        if not np.all(np.isfinite(self.data)):
-            raise ValueError("tensor contains non-finite values")
-
-    @classmethod
-    def zeros(cls, dims):
-        return cls(np.zeros(dims, dtype=np.float32))
-
-    def array(self) -> np.ndarray:
-        return self.data.reshape(self.dims)
-
-    def __repr__(self):
-        return f"Tensor(dims={self.dims})"
 
 
 class Kernel(enum.Enum):
@@ -210,31 +177,6 @@ class Tape:
         if nid is None:
             nid = self._shared[key] = build()
         return nid
-
-    def apply(self, kernel: Kernel, input_ids, arg=None) -> int:
-        """Generic kernel dispatch; the named methods below are shorthands."""
-        fn = {
-            Kernel.MATMUL: self.matmul,
-            Kernel.ADD: self.add,
-            Kernel.MUL: self.mul,
-            Kernel.TANH: self.tanh,
-            Kernel.SIGMOID: self.sigmoid,
-            Kernel.SOFTMAX: self.softmax,
-            Kernel.LOG: self.log,
-            Kernel.REDUCE_SUM: self.reduce_sum,
-            Kernel.REDUCE_MEAN: self.reduce_mean,
-            Kernel.ELEMENTWISE_MIN: self.elementwise_min,
-            Kernel.TRANSPOSE: self.transpose,
-        }.get(kernel)
-        if fn is not None:
-            return fn(*input_ids)
-        if kernel is Kernel.CONCAT:
-            return self.concat(list(input_ids), axis=0 if arg is None else arg)
-        if kernel is Kernel.SCALE:
-            return self.scale(input_ids[0], arg)
-        if kernel is Kernel.NEG_LOG_PICK:
-            return self.neg_log_pick(input_ids[0], arg)
-        raise ValueError(f"unknown kernel {kernel}")
 
     def matmul(self, a: int, b: int, transpose_b: bool = False) -> int:
         """``a @ b``, or ``a @ b.T`` with ``transpose_b`` (no transposed copy)."""
@@ -481,11 +423,6 @@ class Tape:
             self._add_grad(ids[0], np.ascontiguousarray(g.T))
         else:
             raise ValueError(f"no backward rule for kernel {k}")
-
-
-def eval_kernel(tape: Tape, kernel: Kernel, input_ids, arg=None) -> int:
-    """Append one kernel application to the tape; returns the new node id."""
-    return tape.apply(kernel, input_ids, arg)
 
 
 def zero_grads(params):

@@ -114,7 +114,6 @@ class TestRunConfig:
         assert cfg.hidden_dim == 256
         assert cfg.emb_dim == 128
         assert cfg.classifier_emb_dim == 256
-        assert cfg.vocab_size == 50000
         assert cfg.lr == 0.15 and cfg.classifier_lr == 0.01
         assert cfg.clip_norm == 2.0
         assert cfg.max_src_len == 400 and cfg.min_summary_len == 70
@@ -125,6 +124,9 @@ class TestRunConfig:
             RunConfig.from_dict({"hidden_dimension": 8})
         with pytest.raises(ValueError, match="unknown config keys"):
             RunConfig().updated({"learningrate": 0.1})
+        for removed in ({"vocab_size": 5}, {"min_count": 2}):
+            with pytest.raises(ValueError, match="unknown config keys"):
+                RunConfig.from_dict(removed)
 
     def test_from_file_and_overrides(self, tmp_path):
         path = tmp_path / "c.json"

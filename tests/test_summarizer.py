@@ -1,9 +1,12 @@
 """Attention, copy mixture, coverage, teacher-forced training, decoding."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from b3sum import summarizer
+from b3sum import pipeline, summarizer
+from b3sum.config import RunConfig
 from b3sum.corpus import NewsPair, Vocabulary
 from b3sum.summarizer import (
     ExtendedVocab,
@@ -17,7 +20,7 @@ from b3sum.summarizer import (
     generation_prob,
     prepare_pair,
     sequence_loss,
-    step_loss,
+    token_prediction_accuracy,
     train_batch,
     vocab_distribution,
 )
@@ -213,35 +216,15 @@ class TestCoverage:
             assert abs(tr.coverage_before.sum() - step) <= 1e-4
             assert -1e-6 <= tr.penalty <= 1.0 + 1e-6
 
+    def test_penalty_is_one_when_attention_repeats(self):
+        t = Tape()
+        a = t.leaf([[0.25, 0.75]])
+        assert t.value(coverage_penalty(t, a, a))[0, 0] == pytest.approx(1.0)
+
     def test_length_mismatch(self):
         t = Tape()
         with pytest.raises(ValueError, match="coverage_update"):
             coverage_update(t, t.leaf([[0.0, 0.0]]), t.leaf([[1.0]]))
-
-
-class TestStepLoss:
-    def test_certain_target_zero_loss(self):
-        t = Tape()
-        p = t.leaf([[0.0, 1.0]])
-        assert abs(t.value(step_loss(t, p, 1))[0, 0]) < 1e-6
-
-    def test_zero_coverage_term_matches_plain(self):
-        t = Tape()
-        p = t.leaf([[0.2, 0.8]])
-        a = t.leaf([[0.5, 0.5]])
-        c = t.leaf([[0.0, 0.0]])
-        plain = step_loss(t, p, 1)
-        combined = step_loss(t, p, 1, a, c, cov_lambda=1.0, use_coverage=True)
-        assert t.value(plain)[0, 0] == t.value(combined)[0, 0]
-
-    def test_coverage_penalty_is_lambda_when_attention_repeats(self):
-        t = Tape()
-        a = t.leaf([[0.25, 0.75]])
-        pen = coverage_penalty(t, a, a)
-        assert t.value(pen)[0, 0] == pytest.approx(1.0)
-        p = t.leaf([[1.0, 0.0]])
-        combined = step_loss(t, p, 0, a, a, cov_lambda=2.5, use_coverage=True)
-        assert t.value(combined)[0, 0] == pytest.approx(2.5, abs=1e-5)
 
 
 class TestSequenceLossAndTraining:
@@ -454,3 +437,176 @@ def test_sequence_loss_tape_holds_no_vocab_wide_constant():
             if node.kernel is Kernel.LEAF and nid not in param_nodes
             and node.value.shape[1] >= vocab.size]
     assert wide == []
+
+
+# -- one decoder step: pinned values, replay and call-through -----------------
+
+
+def _golden_pairs():
+    vocab = Vocabulary([f"t{i}" for i in range(8)])
+    pairs = [
+        NewsPair(id="a", article=["t0", "zz", "t1", "qq", "zz", "t2", "qq", "zz", "t3"],
+                 summary=[["zz", "t1"], ["qq"], ["t2", "zz"]]),
+        NewsPair(id="b", article=["t4", "t5", "yy", "t6", "t7", "t5", "yy", "t0"],
+                 summary=[["t4", "yy"], ["t6", "t7"], ["yy"]]),
+    ]
+    return pairs, vocab
+
+
+_GOLDEN_DECODES = {
+    "greedy": dict(mode="greedy"),
+    "greedy_cov": dict(mode="greedy", use_coverage=True),
+    "beam4": dict(mode="beam", beam_size=4),
+    "beam4_cov": dict(mode="beam", beam_size=4, use_coverage=True),
+    "copy_only": dict(mode="greedy", force_p_gen=0.0),
+}
+_HELD_OUT_ARTICLE = ["t3", "t2", "ww", "t1", "ww", "t0", "t5"]
+
+
+@pytest.fixture(scope="module")
+def trained():
+    """A tiny model trained for 80 steps on two pairs, the last three with
+    coverage; returns (model, vocab, pairs, prepared, train losses)."""
+    pairs, vocab = _golden_pairs()
+    prepared = [prepare_pair(p, vocab) for p in pairs]
+    model = tiny_summarizer(vocab_size=vocab.size, emb=8, hidden=8, seed=4)
+    cfg = TrainConfig(batch_size=2, lr=0.5)
+    losses = [train_batch(model, prepared, cfg, use_coverage=step >= 77) for step in range(80)]
+    return model, vocab, pairs, prepared, losses
+
+
+def _golden_values(model, vocab, pairs, prepared, losses):
+    articles = [p.article for p in pairs] + [_HELD_OUT_ARTICLE]
+    out = {"train_losses": [repr(x) for x in losses[::10] + losses[-3:]]}
+    for name, kw in _GOLDEN_DECODES.items():
+        out[name] = [decode(model, a, vocab, max_decode_len=12, **kw).token_ids
+                     for a in articles]
+    digest = hashlib.sha256()
+    for a in articles:
+        res = decode(model, a, vocab, max_decode_len=12, use_coverage=True, collect_traces=True)
+        for tr in res.traces:
+            digest.update(tr.attention.tobytes() + tr.coverage_before.tobytes())
+            digest.update(repr((tr.p_gen, tr.penalty)).encode())
+    out["greedy_cov_traces_sha256"] = digest.hexdigest()
+    out["corpus_loss"] = repr(corpus_loss(model, prepared))
+    out["corpus_loss_cov"] = repr(corpus_loss(model, prepared, use_coverage=True,
+                                              cov_lambda=1.0))
+    out["accuracy"] = token_prediction_accuracy(model, prepared)
+    out["accuracy_gen_only"] = token_prediction_accuracy(model, prepared, force_p_gen=1.0)
+    out["accuracy_cov"] = token_prediction_accuracy(model, prepared, use_coverage=True)
+    return out
+
+
+# Computed with the three separate per-step forward passes (teacher-forced
+# loss, teacher-forced accuracy, decoding) that decoder_step replaced.
+GOLDEN = {
+    "train_losses": [
+        "2.5688071250915527", "1.8927972316741943", "1.5113458633422852",
+        "1.3965076208114624", "1.3727527856826782", "1.3523516654968262",
+        "1.3195563554763794", "1.2224838733673096", "1.9804961681365967",
+        "1.9649020433425903", "1.9767993688583374",
+    ],
+    "greedy": [[13, 6, 6, 4, 13, 4, 13, 4], [13, 6, 4, 13, 4, 13, 4], [13, 6, 4, 13, 4, 13, 4]],
+    "greedy_cov": [[13, 6, 6, 4, 13, 4, 13, 4], [13, 6, 4, 13, 4, 13, 4],
+                   [13, 6, 4, 13, 4, 13, 4]],
+    "beam4": [[13, 6, 6, 4, 13, 4, 13, 4]] * 3,
+    "beam4_cov": [[13, 6, 6, 4, 13, 4, 13, 4]] * 3,
+    "copy_only": [[13] * 12] * 3,
+    "greedy_cov_traces_sha256": "120900631dc21779aad24588b39065202e25afe41397237f5a68c95ca53525a7",
+    "corpus_loss": "1.2579447031021118",
+    "corpus_loss_cov": "2.1329323053359985",
+    "accuracy": {"accuracy": 0.4375, "oov_accuracy": 0.8, "tokens": 16, "oov_tokens": 5},
+    "accuracy_gen_only": {"accuracy": 0.1875, "oov_accuracy": 0.0, "tokens": 16, "oov_tokens": 5},
+    "accuracy_cov": {"accuracy": 0.4375, "oov_accuracy": 0.8, "tokens": 16, "oov_tokens": 5},
+}
+
+
+def test_golden_values_are_unchanged(trained):
+    assert _golden_values(*trained) == GOLDEN
+
+
+@pytest.mark.parametrize("use_coverage", [False, True])
+@pytest.mark.parametrize("force_p_gen", [None, 0.0])
+def test_teacher_forced_replay_of_a_decode_matches_its_traces(trained, use_coverage, force_p_gen):
+    model, vocab, pairs, _, _ = trained
+    for article in [p.article for p in pairs] + [_HELD_OUT_ARTICLE]:
+        out = decode(model, article, vocab, max_decode_len=12, use_coverage=use_coverage,
+                     force_p_gen=force_p_gen, collect_traces=True)
+        ex = prepare_pair(NewsPair(id="replay", article=article, summary=[["t0"]]), vocab)
+        ex.dec_in_ids = [Vocabulary.START] + [
+            i if i < vocab.size else Vocabulary.UNK for i in out.token_ids[:-1]
+        ]
+        ex.target_ext_ids = list(out.token_ids)
+        _, _, _, traces = sequence_loss(Tape(), model, ex, use_coverage=use_coverage,
+                                        force_p_gen=force_p_gen, collect_traces=True)
+        assert len(traces) == len(out.traces) == len(out.token_ids)
+        for replayed, decoded in zip(traces, out.traces):
+            assert replayed.attention.tobytes() == decoded.attention.tobytes()
+            assert replayed.coverage_before.tobytes() == decoded.coverage_before.tobytes()
+            assert replayed.p_gen == decoded.p_gen
+            if use_coverage:
+                assert abs(replayed.penalty - decoded.penalty) <= 1e-6
+            else:
+                assert replayed.penalty is None and decoded.penalty is None
+
+
+class TestCallThrough:
+    """A profiler can patch the step pieces, train_batch and Tape as module
+    attributes; every caller must look them up there at call time."""
+
+    STEP_PIECES = ("lstm_step", "attend", "vocab_distribution", "generation_prob",
+                   "final_distribution")
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = dict.fromkeys(self.STEP_PIECES, 0)
+        for name in self.STEP_PIECES:
+            original = getattr(summarizer, name)
+
+            def counting(*args, _name=name, _fn=original, **kwargs):
+                counts[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(summarizer, name, counting)
+        return counts
+
+    @pytest.mark.parametrize("entry", ["sequence_loss", "accuracy", "greedy", "beam"])
+    def test_every_step_piece_fires(self, calls, entry):
+        pairs, vocab = _golden_pairs()
+        ex = prepare_pair(pairs[0], vocab)
+        model = tiny_summarizer(vocab_size=vocab.size, seed=1)
+        if entry == "sequence_loss":
+            sequence_loss(Tape(), model, ex, use_coverage=True)
+        elif entry == "accuracy":
+            token_prediction_accuracy(model, [ex])
+        else:
+            decode(model, pairs[0].article, vocab, mode=entry, max_decode_len=3)
+        assert all(calls.values()), calls
+
+    def test_decode_builds_its_tape_from_the_module_attribute(self, monkeypatch):
+        pairs, vocab = _golden_pairs()
+        built = []
+
+        class CountingTape(Tape):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(summarizer, "Tape", CountingTape)
+        decode(tiny_summarizer(vocab_size=vocab.size), pairs[0].article, vocab,
+               max_decode_len=3)
+        assert len(built) == 1
+
+    def test_pipeline_trains_through_its_train_batch_attribute(self, monkeypatch):
+        pairs, vocab = _golden_pairs()
+        prepared = [prepare_pair(p, vocab) for p in pairs]
+        seen = []
+
+        def recording(model, batch, *args, **kwargs):
+            seen.append(len(batch))
+            return summarizer.train_batch(model, batch, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "train_batch", recording)
+        cfg = RunConfig(hidden_dim=8, emb_dim=4, batch_size=2)
+        losses = pipeline._train_steps(tiny_summarizer(vocab_size=vocab.size), prepared, cfg, 3)
+        assert len(losses) == 3 and seen == [2, 2, 2]

@@ -1,7 +1,5 @@
 """Kernel semantics, backward correctness, optimizer, and the grad checker."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,31 +8,13 @@ from hypothesis import strategies as st
 from b3sum.tape import (
     DimensionError,
     GradCheckReport,
-    Kernel,
     Parameter,
     Tape,
-    Tensor,
     adagrad_step,
     clip_global_norm,
-    eval_kernel,
     finite_diff_check,
     zero_grads,
 )
-
-
-class TestTensor:
-    def test_dims_data_consistency(self):
-        t = Tensor([1.0, 2.0, 3.0, 4.0], dims=[2, 2])
-        assert t.dims == [2, 2]
-        assert t.data.shape == (4,)
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="product of dims"):
-            Tensor([1.0, 2.0, 3.0], dims=[2, 2])
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(ValueError, match="non-finite"):
-            Tensor([1.0, float("nan")])
 
 
 class TestKernelForward:
@@ -133,15 +113,6 @@ class TestKernelForward:
             t.scatter_add(a, [0, 4], 4)
         with pytest.raises(DimensionError, match="scatter-add: 3 ids for 2 columns"):
             t.scatter_add(a, [0, 1, 2], 4)
-
-    def test_eval_kernel_dispatch(self):
-        t = Tape()
-        x = t.leaf([[1.0, 4.0]])
-        assert t.value(eval_kernel(t, Kernel.TANH, (x,)))[0, 0] == pytest.approx(math.tanh(1.0))
-        assert t.value(eval_kernel(t, Kernel.REDUCE_SUM, (x,)))[0, 0] == 5.0
-        assert t.value(eval_kernel(t, Kernel.SCALE, (x,), 2.0))[0, 1] == 8.0
-        picked = eval_kernel(t, Kernel.NEG_LOG_PICK, (t.softmax(x),), 1)
-        assert t.value(picked)[0, 0] > 0
 
 
 @settings(max_examples=60, deadline=None)
