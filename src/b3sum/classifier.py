@@ -142,7 +142,7 @@ def _batch_step(model: ClassifierParams, batch: list[LabeledExample], lr: float)
         tape.neg_log_pick(decision_distribution(tape, model, ex.ids), ex.gold)
         for ex in batch
     ]
-    total = tape.reduce_mean(tape.concat(losses, axis=1) if len(losses) > 1 else losses[0])
+    total = tape.reduce_mean(tape.concat(losses, axis=1))
     tape.backward(total)
     adagrad_step(model.params(), lr)
     return float(tape.value(total)[0, 0])

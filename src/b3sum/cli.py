@@ -81,8 +81,8 @@ def _parse_set(values) -> dict:
 
 def _config(args) -> RunConfig:
     cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
-    cfg = cfg.updated(_parse_set(getattr(args, "set", None)))
-    if getattr(args, "seed", None) is not None:
+    cfg = cfg.updated(_parse_set(args.set))
+    if args.seed is not None:
         cfg = cfg.updated({"seed": args.seed})
     log.info("resolved config: %s", cfg.canonical_json())
     return cfg
@@ -93,7 +93,6 @@ def _add_config_flags(p: argparse.ArgumentParser):
     p.add_argument("--set", action="append", metavar="KEY=VALUE",
                    help="override one config key (repeatable)")
     p.add_argument("--seed", type=int, help="override config seed")
-    p.add_argument("--out", help="write the JSON result here instead of stdout")
 
 
 def _load_pairs(path):
@@ -134,7 +133,7 @@ def _classifier_cfg(cfg: RunConfig, epochs: int) -> ClassifierTrainConfig:
 def cmd_gen_synth(args):
     cfg = _config(args)
     pairs = corpus_mod.synth_generate(
-        seed=cfg.seed if args.seed is None else args.seed,
+        seed=cfg.seed,
         n=args.n,
         oov_rate=args.oov_rate,
         structure_mix=args.mix,
@@ -425,7 +424,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--size", type=int, default=50000)
     p.add_argument("--min-count", type=int, default=2)
     p.add_argument("--vocab-out", required=True)
-    _add_config_flags(p)
     p.set_defaults(func=cmd_build_vocab)
 
     p = sub.add_parser("preprocess", help="truncate articles and drop short summaries")
@@ -502,26 +500,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--system", required=True)
     p.add_argument("--reference", required=True)
     p.add_argument("--per-doc", help="write per-document scores JSONL here")
-    _add_config_flags(p)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("align-eval", help="no-duplicate sentence alignment evaluation")
     p.add_argument("--system", required=True)
     p.add_argument("--reference", required=True)
-    _add_config_flags(p)
     p.set_defaults(func=cmd_align_eval)
 
     p = sub.add_parser("report", help="per-sentence breakdown and pattern histogram")
     p.add_argument("--scores", required=True, help="per-document JSONL from evaluate")
     p.add_argument("--format", choices=("json", "tsv", "pretty"), default="pretty")
-    _add_config_flags(p)
     p.set_defaults(func=cmd_report)
 
     p = sub.add_parser("stats", help="annotation label counts per split")
     p.add_argument("splits", nargs="+", metavar="NAME=FILE")
-    _add_config_flags(p)
     p.set_defaults(func=cmd_stats)
 
+    for p in sub.choices.values():
+        p.add_argument("--out", help="write the JSON result here instead of stdout")
     return parser
 
 

@@ -136,7 +136,7 @@ def bilstm_encode(tape: Tape, enc: BiLstmEncoder, xs: list[int]) -> EncoderState
         h_b, c_b = lstm_step(tape, enc.backward_cell, xs[k], h_b, c_b)
         bwd[k] = h_b
     rows = [tape.concat([fwd[k], bwd[k]], axis=1) for k in range(len(xs))]
-    h_concat = rows[0] if len(rows) == 1 else tape.concat(rows, axis=0)
+    h_concat = tape.concat(rows, axis=0)
     return EncoderStates(
         h_concat=h_concat,
         fwd_final=(fwd[-1], c_f),

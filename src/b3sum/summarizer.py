@@ -369,9 +369,9 @@ def sequence_loss(tape: Tape, model: SummarizerParams, ex: PreparedExample,
                 float(tape.value(penalty)[0, 0]) if penalty is not None else None,
             ))
 
-    nll_mean = tape.reduce_mean(tape.concat(nll_nodes, axis=1) if len(nll_nodes) > 1 else nll_nodes[0])
+    nll_mean = tape.reduce_mean(tape.concat(nll_nodes, axis=1))
     if use_coverage:
-        pen_mean = tape.reduce_mean(tape.concat(pen_nodes, axis=1) if len(pen_nodes) > 1 else pen_nodes[0])
+        pen_mean = tape.reduce_mean(tape.concat(pen_nodes, axis=1))
         loss = tape.add(nll_mean, tape.scale(pen_mean, cov_lambda))
         return loss, nll_mean, pen_mean, traces
     return nll_mean, nll_mean, None, traces
@@ -402,7 +402,7 @@ def train_batch(model: SummarizerParams, batch: list[PreparedExample],
             tape, model, ex, use_coverage=use_coverage, cov_lambda=cfg.coverage_lambda
         )
         losses.append(loss)
-    total = tape.reduce_mean(tape.concat(losses, axis=1) if len(losses) > 1 else losses[0])
+    total = tape.reduce_mean(tape.concat(losses, axis=1))
     tape.backward(total)
     params = model.params()
     clip_global_norm(params, cfg.clip_norm)
@@ -458,6 +458,7 @@ class Hypothesis:
     coverage: int | None = None
     sb_count: int = 0
     finished: bool = False
+    traces: list[StepTrace] = field(default_factory=list)
 
     def score(self) -> float:
         return self.log_prob / max(1, len(self.tokens))
@@ -488,15 +489,21 @@ def _split_sentences(token_ids, ext: ExtendedVocab) -> tuple[list[list[str]], bo
     return sentences, degenerate
 
 
-def _advance(hyp: Hypothesis, token: int, logp: float, state, coverage) -> Hypothesis:
-    return Hypothesis(
-        tokens=hyp.tokens + [token],
-        log_prob=hyp.log_prob + logp,
-        state=state,
-        coverage=coverage,
-        sb_count=hyp.sb_count + (token == Vocabulary.SB),
-        finished=(token == Vocabulary.STOP or hyp.sb_count + (token == Vocabulary.SB) >= 3),
-    )
+def _advance(hyp: Hypothesis, token: int, log_prob: float, state, coverage, traces) -> Hypothesis:
+    sb_count = hyp.sb_count + (token == Vocabulary.SB)
+    return Hypothesis(tokens=hyp.tokens + [token], log_prob=log_prob,
+                      state=state, coverage=coverage, sb_count=sb_count,
+                      finished=token == Vocabulary.STOP or sb_count >= 3, traces=traces)
+
+
+def _top_k(x: np.ndarray, k: int) -> np.ndarray:
+    """Ids of the ``k`` largest entries of ``x``, largest first and ties by
+    lower id: ``np.argsort(-x, kind="stable")[:k]`` without sorting all of x."""
+    if k >= x.size:
+        return np.argsort(-x, kind="stable")
+    kth = np.partition(x, x.size - k)[x.size - k]
+    ids = np.flatnonzero(x >= kth)
+    return ids[np.argsort(-x[ids], kind="stable")[:k]]
 
 
 def decode(model: SummarizerParams, article_tokens, vocab: Vocabulary,
@@ -505,10 +512,12 @@ def decode(model: SummarizerParams, article_tokens, vocab: Vocabulary,
            collect_traces: bool = False) -> DecodeResult:
     """Generate a three-sentence summary for one article.
 
-    Greedy follows the argmax; beam keeps ``beam_size`` live hypotheses with
-    length-normalized final scoring.  Output token ids live in the extended
-    vocabulary and are resolved back to surface tokens, so copied
-    out-of-vocabulary tokens survive.
+    Beam search keeps ``beam_size`` live hypotheses with length-normalized
+    final scoring; greedy decoding is beam search of width 1.  Output token
+    ids live in the extended vocabulary and are resolved back to surface
+    tokens, so copied out-of-vocabulary tokens survive.  With
+    ``collect_traces`` the result carries one ``StepTrace`` per token of the
+    winning hypothesis.
     """
     if not article_tokens:
         raise ValueError("decode: empty article")
@@ -520,64 +529,47 @@ def decode(model: SummarizerParams, article_tokens, vocab: Vocabulary,
         raise ValueError(
             f"decode: model vocab {model.vocab_size} != vocabulary size {vocab.size}"
         )
+    width = 1 if mode == "greedy" else beam_size
     ext = ExtendedVocab(vocab, article_tokens)
     article_ids = [ext.id(t) for t in article_tokens]
     enc_ids = [i if i < model.vocab_size else Vocabulary.UNK for i in article_ids]
     tape = Tape()
     art = encode_article(tape, model, enc_ids, article_ids, len(ext.doc_oovs))
-    initial = Hypothesis(state=(art.h0, art.c0),
-                         coverage=art.zero_coverage(tape) if use_coverage else None)
-
-    def step(hyp: Hypothesis):
-        """Advance ``hyp`` one step; returns (log-probs over the extended
-        vocab, new state, new coverage, a_t, p_gen)."""
-        prev = hyp.tokens[-1] if hyp.tokens else Vocabulary.START
-        emb_id = prev if prev < model.vocab_size else Vocabulary.UNK
-        x_t = embed_rows(tape, model.embedding, [emb_id])[0]
-        p_final, a_t, p_gen, state = decoder_step(tape, model, art, x_t, hyp.state,
-                                                  hyp.coverage, use_coverage, force_p_gen)
-        coverage = coverage_update(tape, hyp.coverage, a_t) if use_coverage else None
-        logps = np.log(tape.value(p_final)[0].astype(np.float64) + PGEN_EPS)
-        logps[list(_BANNED_STARTS)] = -np.inf
-        return logps, state, coverage, a_t, p_gen
-
-    if mode == "greedy":
-        hyp = initial
-        traces = []
-        while len(hyp.tokens) < max_decode_len and not hyp.finished:
-            logps, state, cov, a_t, p_gen = step(hyp)
-            if collect_traces:
-                penalty = None
-                if hyp.coverage is not None:
-                    penalty = float(np.minimum(tape.value(a_t), tape.value(hyp.coverage)).sum())
-                traces.append(_step_trace(tape, a_t, p_gen, hyp.coverage, penalty))
-            token = int(np.argmax(logps))
-            hyp = _advance(hyp, token, float(logps[token]), state, cov)
-        sentences, degenerate = _split_sentences(hyp.tokens, ext)
-        return DecodeResult(sentences, hyp.tokens, degenerate, traces)
-
-    beams = [initial]
+    beams = [Hypothesis(state=(art.h0, art.c0),
+                        coverage=art.zero_coverage(tape) if use_coverage else None)]
     finished: list[Hypothesis] = []
-    for _ in range(max_decode_len):
-        candidates: list[tuple[float, int, int, Hypothesis]] = []
+    for t in range(max_decode_len):
+        steps, candidates = [], []
         for h_idx, hyp in enumerate(beams):
-            logps, state, cov, _, _ = step(hyp)
-            top = np.argsort(-logps, kind="stable")[: beam_size * 2]
-            for token in top:
-                nh = _advance(hyp, int(token), float(logps[token]), state, cov)
-                candidates.append((-nh.log_prob, h_idx, int(token), nh))
-        candidates.sort(key=lambda c: (c[0], c[1], c[2]))
-        beams = []
-        for _, _, _, nh in candidates:
-            if nh.finished:
-                finished.append(nh)
-            else:
-                beams.append(nh)
-            if len(beams) >= beam_size:
+            prev = hyp.tokens[-1] if hyp.tokens else Vocabulary.START
+            x_t = embed_rows(tape, model.embedding,
+                             [prev if prev < model.vocab_size else Vocabulary.UNK])[0]
+            p_final, a_t, p_gen, state = decoder_step(tape, model, art, x_t, hyp.state,
+                                                      hyp.coverage, use_coverage, force_p_gen)
+            coverage = coverage_update(tape, hyp.coverage, a_t) if use_coverage else None
+            probs = tape.value(p_final)[0]
+            if not np.isfinite(probs).all():
+                raise ValueError(f"decode: non-finite probabilities at step {t}")
+            logps = np.log(probs.astype(np.float64) + PGEN_EPS)
+            logps[list(_BANNED_STARTS)] = -np.inf
+            traces = hyp.traces
+            if collect_traces:
+                penalty = None if hyp.coverage is None else float(
+                    np.minimum(tape.value(a_t), tape.value(hyp.coverage)).sum())
+                traces = traces + [_step_trace(tape, a_t, p_gen, hyp.coverage, penalty)]
+            steps.append((state, coverage, traces))
+            for token in _top_k(logps, 2 * width):
+                candidates.append((-(hyp.log_prob + float(logps[token])), h_idx, int(token)))
+        candidates.sort()
+        parents, beams = beams, []
+        for neg_log_prob, h_idx, token in candidates:
+            nh = _advance(parents[h_idx], token, -neg_log_prob, *steps[h_idx])
+            (finished if nh.finished else beams).append(nh)
+            if len(beams) >= width:
                 break
-        if not beams or len(finished) >= beam_size:
+        if not beams or len(finished) >= width:
             break
     pool = finished if finished else beams
     best = max(pool, key=lambda h: (h.score(), -len(h.tokens)))
     sentences, degenerate = _split_sentences(best.tokens, ext)
-    return DecodeResult(sentences, best.tokens, degenerate, [])
+    return DecodeResult(sentences, best.tokens, degenerate, best.traces)

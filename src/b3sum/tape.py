@@ -212,8 +212,11 @@ class Tape:
         return self._elementwise_binary(Kernel.ELEMENTWISE_MIN, a, b, np.minimum)
 
     def concat(self, ids, axis: int = 1) -> int:
+        """Join nodes along ``axis``; a single node is returned as it is."""
         if axis not in (0, 1):
             raise DimensionError(f"concat: axis must be 0 or 1, got {axis}")
+        if len(ids) == 1:
+            return ids[0]
         vals = [self.nodes[i].value for i in ids]
         other = 1 - axis
         base = vals[0].shape[other]
@@ -332,13 +335,15 @@ class Tape:
             if node.grad is not None:
                 p.grad += node.grad.astype(np.float32)
 
-    def _add_grad(self, nid: int, g):
+    def _add_grad(self, nid: int, g, view: bool = False):
+        """Accumulate adjoint ``g`` into node ``nid``.  A first adjoint is
+        kept as it is, so ``view`` must be set when ``g`` may share memory
+        with another node's grad (add, concat and transpose pass views)."""
         node = self.nodes[nid]
         if not node.needs_grad:
             return
         if node.grad is None:
-            # copy: g may alias another node's grad (add/concat pass views)
-            node.grad = np.array(g, copy=True)
+            node.grad = g.copy() if view else g
         else:
             node.grad += g
 
@@ -354,7 +359,7 @@ class Tape:
                 self._add_grad(b, g.T @ va if node.arg else va.T @ g)
         elif k is Kernel.ADD:
             for i in ids:
-                self._add_grad(i, _unbroadcast(g, self.nodes[i].value.shape))
+                self._add_grad(i, _unbroadcast(g, self.nodes[i].value.shape), view=True)
         elif k is Kernel.MUL:
             a, b = ids
             va, vb = self.nodes[a].value, self.nodes[b].value
@@ -372,7 +377,7 @@ class Tape:
                     if axis == 0
                     else (slice(None), slice(offset, offset + size))
                 )
-                self._add_grad(i, g[sl])
+                self._add_grad(i, g[sl], view=True)
                 offset += size
         elif k is Kernel.TANH:
             self._add_grad(ids[0], g * (1.0 - node.value * node.value))
@@ -420,7 +425,7 @@ class Tape:
         elif k is Kernel.SCATTER_ADD:
             self._add_grad(ids[0], g[:, node.arg])
         elif k is Kernel.TRANSPOSE:
-            self._add_grad(ids[0], np.ascontiguousarray(g.T))
+            self._add_grad(ids[0], g.T, view=True)
         else:
             raise ValueError(f"no backward rule for kernel {k}")
 

@@ -2,8 +2,10 @@
 
 import json
 
+import numpy as np
 import pytest
 
+from b3sum.checkpoint import load_checkpoint, save_checkpoint
 from b3sum.cli import main
 from b3sum.corpus import load_jsonl, save_jsonl, synth_generate
 
@@ -56,6 +58,11 @@ class TestUsageAndFailures:
                            "--vocab-out", str(tmp_path / "v.json"))
         assert code == 1
         assert "error:" in err
+
+    def test_evaluate_takes_no_config_flags(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["evaluate", "--system", "s.jsonl", "--reference", "r.jsonl", "--seed", "3"])
+        assert exc.value.code == 2
 
     def test_bad_config_key_exits_1(self, tmp_path, capsys):
         corpus = tmp_path / "c.jsonl"
@@ -157,6 +164,22 @@ class TestModelCommands:
         assert res["written"] == 6
         routed = (ws / "sys_routed.jsonl").read_text().splitlines()
         assert all("chosen_label" in json.loads(line) for line in routed)
+
+    def test_summarize_rejects_non_finite_checkpoint(self, workspace, tmp_path, capsys):
+        vocab = tmp_path / "vocab.json"
+        run_json(capsys, "build-vocab", "--corpus", str(workspace / "train.jsonl"),
+                 "--vocab-out", str(vocab))
+        run_json(capsys, "pretrain", "--corpus", str(workspace / "train.jsonl"),
+                 "--vocab", str(vocab), "--steps", "1",
+                 "--checkpoint-out", str(tmp_path / "base.ckpt"), *TINY)
+        tensors, config_hash = load_checkpoint(tmp_path / "base.ckpt")
+        tensors["proj.V_out"][3, 0] = np.nan
+        save_checkpoint(tensors, tmp_path / "nan.ckpt", config_hash)
+        code, _, err = run(capsys, "summarize", "--articles", str(workspace / "heldout.jsonl"),
+                           "--vocab", str(vocab), "--checkpoint", str(tmp_path / "nan.ckpt"),
+                           "--summaries-out", str(tmp_path / "sys.jsonl"), *TINY)
+        assert code == 1
+        assert "decode: non-finite probabilities at step 0" in err
 
     def test_summarize_requires_model_flags(self, workspace, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,9 +1,12 @@
 """Attention, copy mixture, coverage, teacher-forced training, decoding."""
 
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from b3sum import pipeline, summarizer
 from b3sum.config import RunConfig
@@ -346,11 +349,33 @@ class TestDecode:
     def test_coverage_traces_satisfy_identity(self):
         pairs, vocab, _ = tiny_corpus(n=1, seed=25)
         model = tiny_summarizer(vocab_size=vocab.size, seed=7)
-        out = decode(model, pairs[0].article, vocab, max_decode_len=10,
-                     use_coverage=True, collect_traces=True)
-        for step, tr in enumerate(out.traces):
-            assert abs(tr.coverage_before.sum() - step) <= 1e-4
-            assert -1e-6 <= tr.penalty <= 1.0 + 1e-6
+        for search in (dict(mode="greedy"), dict(mode="beam", beam_size=4)):
+            out = decode(model, pairs[0].article, vocab, max_decode_len=10,
+                         use_coverage=True, collect_traces=True, **search)
+            assert len(out.traces) == len(out.token_ids) > 0, search
+            for step, tr in enumerate(out.traces):
+                assert abs(tr.coverage_before.sum() - step) <= 1e-4
+                assert -1e-6 <= tr.penalty <= 1.0 + 1e-6
+
+    @pytest.mark.parametrize("mode", ["greedy", "beam"])
+    def test_non_finite_weight_is_a_named_error(self, mode):
+        pairs, vocab, _ = tiny_corpus(n=1, seed=26)
+        model = tiny_summarizer(vocab_size=vocab.size, seed=8)
+        model.proj_v_out.value[5, 0] = np.nan
+        with pytest.raises(ValueError, match="decode: non-finite probabilities at step 0"):
+            decode(model, pairs[0].article, vocab, mode=mode, max_decode_len=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_top_k_equals_stable_argsort(data):
+    values = data.draw(st.lists(
+        st.sampled_from([-np.inf, -3.0, -0.5, 0.0, 1.25]) | st.floats(-4, 4),
+        min_size=1, max_size=30))
+    x = np.array(values, dtype=np.float64)
+    k = data.draw(st.integers(1, x.size + 3))
+    np.testing.assert_array_equal(summarizer._top_k(x, k),
+                                  np.argsort(-x, kind="stable")[:k])
 
 
 def _repeated_oov_example():
@@ -528,10 +553,14 @@ def test_golden_values_are_unchanged(trained):
 @pytest.mark.parametrize("use_coverage", [False, True])
 @pytest.mark.parametrize("force_p_gen", [None, 0.0])
 def test_teacher_forced_replay_of_a_decode_matches_its_traces(trained, use_coverage, force_p_gen):
+    """Each case replays a greedy and a beam-4 decode; beam traces are the
+    winning hypothesis's own."""
     model, vocab, pairs, _, _ = trained
-    for article in [p.article for p in pairs] + [_HELD_OUT_ARTICLE]:
+    searches = (dict(mode="greedy"), dict(mode="beam", beam_size=4))
+    for article, search in itertools.product([p.article for p in pairs] + [_HELD_OUT_ARTICLE],
+                                             searches):
         out = decode(model, article, vocab, max_decode_len=12, use_coverage=use_coverage,
-                     force_p_gen=force_p_gen, collect_traces=True)
+                     force_p_gen=force_p_gen, collect_traces=True, **search)
         ex = prepare_pair(NewsPair(id="replay", article=article, summary=[["t0"]]), vocab)
         ex.dec_in_ids = [Vocabulary.START] + [
             i if i < vocab.size else Vocabulary.UNK for i in out.token_ids[:-1]
@@ -539,7 +568,7 @@ def test_teacher_forced_replay_of_a_decode_matches_its_traces(trained, use_cover
         ex.target_ext_ids = list(out.token_ids)
         _, _, _, traces = sequence_loss(Tape(), model, ex, use_coverage=use_coverage,
                                         force_p_gen=force_p_gen, collect_traces=True)
-        assert len(traces) == len(out.traces) == len(out.token_ids)
+        assert len(traces) == len(out.traces) == len(out.token_ids), search
         for replayed, decoded in zip(traces, out.traces):
             assert replayed.attention.tobytes() == decoded.attention.tobytes()
             assert replayed.coverage_before.tobytes() == decoded.coverage_before.tobytes()

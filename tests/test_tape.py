@@ -59,6 +59,12 @@ class TestKernelForward:
         np.testing.assert_array_equal(t.value(t.concat([a, b], axis=1)), [[1, 2, 3, 4]])
         np.testing.assert_array_equal(t.value(t.concat([a, b], axis=0)), [[1, 2], [3, 4]])
 
+    def test_concat_of_one_node_is_that_node(self):
+        t = Tape()
+        a = t.leaf([[1.0, 2.0]])
+        assert t.concat([a], axis=1) == a and t.concat([a], axis=0) == a
+        assert len(t) == 1
+
     def test_reduce_mean_and_scale(self):
         t = Tape()
         x = t.leaf([[1.0, 2.0, 3.0, 6.0]])
@@ -177,6 +183,23 @@ class TestBackward:
             return t, t.reduce_sum(t.mul(ctx, ctx))
 
         report = finite_diff_check(build, [w, v, b], h=1e-3, tol=1e-3)
+        assert report.ok, report
+
+    def test_add_input_with_a_second_consumer_matches_finite_differences(self):
+        # add hands its own adjoint to both inputs; tanh(x) then accumulates
+        # into x's grad, which must not reach y's.
+        rng = np.random.default_rng(1)
+        x = Parameter("x", rng.uniform(-1, 1, size=(1, 3)))
+        y = Parameter("y", rng.uniform(-1, 1, size=(1, 3)))
+
+        def build(dtype):
+            t = Tape(dtype=dtype)
+            xn, yn = t.param(x), t.param(y)
+            side = t.tanh(xn)
+            z = t.add(xn, yn)
+            return t, t.reduce_sum(t.add(t.mul(z, z), t.mul(side, side)))
+
+        report = finite_diff_check(build, [x, y], h=1e-3, tol=1e-3)
         assert report.ok, report
 
     def test_only_leaves_keep_grads(self):
