@@ -11,13 +11,15 @@ Layout (all integers little-endian):
 
 Round trips are bit-exact; loading rejects wrong magic or version and
 truncated files, and warns when the stored config hash differs from the
-expected one.
+expected one.  Saving writes a temporary file beside the target and renames
+it into place, so a failed save leaves any previous checkpoint as it was.
 """
 
 from __future__ import annotations
 
 import hashlib
 import logging
+import os
 import struct
 
 import numpy as np
@@ -46,18 +48,32 @@ def save_checkpoint(tensors: dict[str, np.ndarray], path, config_hash: bytes = b
     if len(config_hash) not in (0, 32):
         raise CheckpointError("config hash must be 32 bytes (or empty)")
     config_hash = config_hash or b"\x00" * 32
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<II", VERSION, len(tensors)))
-        for name, value in tensors.items():
-            arr = np.ascontiguousarray(value, dtype="<f4")
-            encoded = name.encode("utf-8")
-            fh.write(struct.pack("<H", len(encoded)))
-            fh.write(encoded)
-            fh.write(struct.pack("<B", arr.ndim))
-            fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            fh.write(arr.tobytes())
-        fh.write(config_hash)
+    for name in tensors:
+        if len(name.encode("utf-8")) > 0xFFFF:
+            raise CheckpointError(
+                f"tensor name {name[:40]!r}... is longer than 65535 UTF-8 bytes"
+            )
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    fh = open(tmp, "xb")
+    try:
+        with fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<II", VERSION, len(tensors)))
+            for name, value in tensors.items():
+                arr = np.ascontiguousarray(value, dtype="<f4")
+                encoded = name.encode("utf-8")
+                fh.write(struct.pack("<H", len(encoded)))
+                fh.write(encoded)
+                fh.write(struct.pack("<B", arr.ndim))
+                fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
+                fh.write(arr.tobytes())
+            fh.write(config_hash)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _read(fh, size: int, what: str) -> bytes:
@@ -102,7 +118,12 @@ def load_checkpoint(path, expect_hash: bytes | None = None) -> tuple[dict[str, n
 
 
 def restore_params(params, tensors: dict[str, np.ndarray], strict: bool = True) -> None:
-    """Copy loaded tensors into a model's parameters by name."""
+    """Copy loaded tensors into a model's parameters by name.
+
+    Every tensor is checked before any is copied: a missing, unknown (with
+    ``strict``), misshapen or non-finite tensor raises CheckpointError naming
+    it and leaves the model unchanged.
+    """
     byname = {p.name: p for p in params}
     missing = set(byname) - set(tensors)
     unknown = set(tensors) - set(byname)
@@ -116,7 +137,10 @@ def restore_params(params, tensors: dict[str, np.ndarray], strict: bool = True) 
             raise CheckpointError(
                 f"tensor {name!r} has shape {arr.shape}, model expects {p.value.shape}"
             )
-        p.value[...] = arr
+        if not np.isfinite(arr).all():
+            raise CheckpointError(f"tensor {name!r} holds non-finite values")
+    for name, p in byname.items():
+        p.value[...] = tensors[name]
 
 
 def checkpoint_digest(path) -> str:

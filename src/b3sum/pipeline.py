@@ -28,6 +28,7 @@ from .summarizer import (
     prepare_pair,
     train_batch,
 )
+from .tape import NonFiniteError
 
 log = logging.getLogger("b3sum.pipeline")
 
@@ -61,7 +62,10 @@ def _train_steps(model: SummarizerParams, prepared: list[PreparedExample],
             if len(losses) >= steps:
                 break
             batch = [prepared[i] for i in order[start : start + tc.batch_size]]
-            losses.append(train_batch(model, batch, tc, use_coverage=tc.coverage_at(step)))
+            try:
+                losses.append(train_batch(model, batch, tc, use_coverage=tc.coverage_at(step)))
+            except NonFiniteError as exc:
+                raise NonFiniteError(f"training step {step}: {exc}") from exc
             step += 1
     return losses
 

@@ -26,7 +26,7 @@ from .layers import (
     uniform_param,
     zeros_param,
 )
-from .tape import Parameter, Tape, adagrad_step, clip_global_norm
+from .tape import NonFiniteError, Parameter, Tape, adagrad_step, clip_global_norm, zero_grads
 
 PGEN_EPS = 1e-12
 
@@ -392,7 +392,11 @@ class TrainConfig:
 
 def train_batch(model: SummarizerParams, batch: list[PreparedExample],
                 cfg: TrainConfig, use_coverage: bool = False) -> float:
-    """One optimizer update on a batch; returns the mean loss."""
+    """One optimizer update on a batch; returns the mean loss.
+
+    A non-finite loss or gradient raises NonFiniteError (naming the
+    parameter for a gradient) before any parameter value changes.
+    """
     if not batch:
         raise ValueError("train_batch: empty batch")
     tape = Tape()
@@ -403,11 +407,18 @@ def train_batch(model: SummarizerParams, batch: list[PreparedExample],
         )
         losses.append(loss)
     total = tape.reduce_mean(tape.concat(losses, axis=1))
+    mean_loss = float(tape.value(total)[0, 0])
+    if not np.isfinite(mean_loss):
+        raise NonFiniteError(f"train_batch: non-finite loss {mean_loss}")
     tape.backward(total)
     params = model.params()
-    clip_global_norm(params, cfg.clip_norm)
+    try:
+        clip_global_norm(params, cfg.clip_norm)
+    except NonFiniteError as exc:
+        zero_grads(params)  # leave no half-made step behind
+        raise NonFiniteError(f"train_batch: {exc}") from exc
     adagrad_step(params, cfg.lr)
-    return float(tape.value(total)[0, 0])
+    return mean_loss
 
 
 def corpus_loss(model: SummarizerParams, examples: list[PreparedExample],

@@ -28,6 +28,10 @@ class DimensionError(ValueError):
     """Raised when kernel inputs have incompatible dims."""
 
 
+class NonFiniteError(ValueError):
+    """Raised when a loss or a gradient holds a NaN or an inf."""
+
+
 class Kernel(enum.Enum):
     """Compute kernels a tape node can hold.
 
@@ -70,9 +74,14 @@ class TapeNode:
 
 
 class Parameter:
-    """A named trainable tensor with gradient and Adagrad accumulator state."""
+    """A named trainable tensor with gradient and Adagrad accumulator state.
 
-    __slots__ = ("name", "value", "grad", "adagrad_acc")
+    ``grad`` (zeros) and ``adagrad_acc`` (``acc_init``) are created on first
+    use, so a model that only evaluates or decodes holds just its values.
+    ``zero_grad`` releases the grad; the next read of ``grad`` sees zeros.
+    """
+
+    __slots__ = ("name", "value", "_grad", "_acc", "_acc_init")
 
     def __init__(self, name: str, value, acc_init: float = ADAGRAD_INIT_ACC):
         self.name = name
@@ -81,15 +90,28 @@ class Parameter:
             self.value = np.atleast_2d(self.value)
         if not np.all(np.isfinite(self.value)):
             raise ValueError(f"parameter {name!r} has non-finite values")
-        self.grad = np.zeros_like(self.value)
-        self.adagrad_acc = np.full_like(self.value, acc_init)
+        self._grad = None
+        self._acc = None
+        self._acc_init = acc_init
 
     @property
     def shape(self):
         return self.value.shape
 
+    @property
+    def grad(self) -> np.ndarray:
+        if self._grad is None:
+            self._grad = np.zeros_like(self.value)
+        return self._grad
+
+    @property
+    def adagrad_acc(self) -> np.ndarray:
+        if self._acc is None:
+            self._acc = np.full_like(self.value, self._acc_init)
+        return self._acc
+
     def zero_grad(self):
-        self.grad[...] = 0.0
+        self._grad = None
 
     def __repr__(self):
         return f"Parameter({self.name!r}, shape={self.value.shape})"
@@ -134,6 +156,11 @@ class Tape:
     per tape; repeated uses share the leaf node so gradients accumulate there.
     Adjoints are kept on leaves only: backward drops a computed node's grad
     as soon as it has been pushed to that node's inputs.
+
+    On a float32 tape a parameter leaf's value is the Parameter's own
+    ``value`` array, not a copy, so a parameter must not be updated while a
+    tape that still has to run backward reads it.  Float64 tapes (the
+    finite-difference oracle's) copy.
     """
 
     def __init__(self, dtype=DEFAULT_DTYPE):
@@ -166,7 +193,7 @@ class Tape:
         entry = self._param_nodes.get(id(p))
         if entry is not None:
             return entry[0]
-        nid = self.leaf(p.value.astype(self.dtype), needs_grad=True)
+        nid = self.leaf(p.value, needs_grad=True)  # no copy when dtypes match
         self._param_nodes[id(p)] = (nid, p)
         return nid
 
@@ -313,7 +340,10 @@ class Tape:
         """Fill the gradients of the leaves (and Parameters) the loss depends on.
 
         A computed node's adjoint is dropped once it has been pushed to the
-        node's inputs, so after the sweep only leaves hold a ``grad``.
+        node's inputs, so after the sweep only leaves hold a ``grad``.  A
+        Parameter holding no grad takes a float32 leaf adjoint as it is, so
+        the leaf and the Parameter then share one array; otherwise the
+        adjoint is added into the Parameter's grad.
         """
         root = self.nodes[loss]
         if root.value.size != 1:
@@ -331,9 +361,13 @@ class Tape:
             self._accumulate_input_grads(node, g)
             node.grad = None  # nothing reads a pushed adjoint again
         for nid, p in self._param_nodes.values():
-            node = self.nodes[nid]
-            if node.grad is not None:
-                p.grad += node.grad.astype(np.float32)
+            g = self.nodes[nid].grad
+            if g is None or g is p._grad:
+                continue
+            if p._grad is None and g.dtype == np.float32:
+                p._grad = g
+            else:
+                np.add(p.grad, g.astype(np.float32, copy=False), out=p._grad)
 
     def _add_grad(self, nid: int, g, view: bool = False):
         """Accumulate adjoint ``g`` into node ``nid``.  A first adjoint is
@@ -435,11 +469,26 @@ def zero_grads(params):
         p.zero_grad()
 
 
+def _sum_of_squares(g) -> float:
+    # One float64 copy, squared in place: a ufunc casting on the fly would
+    # add its own 64 KiB buffer.
+    g64 = g.astype(np.float64)
+    return float(np.square(g64, out=g64).sum())
+
+
 def global_grad_norm(params) -> float:
+    """L2 norm over all grads, accumulated in float64.
+
+    Raises NonFiniteError naming the first parameter whose grad holds a NaN
+    or an inf; a parameter that holds no grad adds nothing.
+    """
+    sums = [_sum_of_squares(p._grad) if p._grad is not None else 0.0 for p in params]
     total = 0.0
-    for p in params:
-        g = p.grad.astype(np.float64)
-        total += float((g * g).sum())
+    for s in sums:  # left to right; sum() compensates on Python >= 3.12
+        total += s
+    if not math.isfinite(total):
+        bad = [p.name for p, s in zip(params, sums) if not math.isfinite(s)]
+        raise NonFiniteError(f"non-finite gradient in parameter {bad[0]!r}")
     return math.sqrt(total)
 
 
@@ -456,16 +505,31 @@ def clip_global_norm(params, max_norm: float) -> float:
         return 1.0
     factor = max_norm / norm
     for p in params:
-        p.grad *= np.float32(factor)
+        if p._grad is not None:
+            p._grad *= np.float32(factor)
     return factor
 
 
 def adagrad_step(params, lr: float):
-    """acc += g^2; value -= lr * g / (sqrt(acc) + eps); grads are then zeroed."""
+    """acc += g^2; value -= lr * g / (sqrt(acc) + eps); grads are then released.
+
+    Runs in place with one float32 temporary per parameter: the grad itself
+    is overwritten with the step.  A parameter holding no grad has a zero
+    step and is left as it is.
+    """
+    lr, eps = np.float32(lr), np.float32(ADAGRAD_EPS)
     for p in params:
-        g = p.grad
-        p.adagrad_acc += g * g
-        p.value -= np.float32(lr) * g / (np.sqrt(p.adagrad_acc) + np.float32(ADAGRAD_EPS))
+        g = p._grad
+        if g is None:
+            continue
+        acc = p.adagrad_acc
+        tmp = np.multiply(g, g)
+        acc += tmp
+        g *= lr
+        np.sqrt(acc, out=tmp)
+        tmp += eps
+        g /= tmp
+        p.value -= g
         p.zero_grad()
 
 

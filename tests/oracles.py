@@ -6,10 +6,11 @@ explicit permutation enumeration).
 """
 
 import itertools
+import math
 
 import numpy as np
 
-from b3sum.tape import Tape
+from b3sum.tape import ADAGRAD_EPS, Tape
 
 
 def oracle_rouge_n(sys_t, ref_t, n):
@@ -88,3 +89,25 @@ class DenseTape(Tape):
 
     def shared(self, key, build):
         return build()
+
+
+def reference_clip_global_norm(grads, max_norm):
+    """Global-norm clip on copies, written out: each grad cast to float64,
+    multiplied by itself and summed.  Returns (factor, clipped grads)."""
+    total = 0.0
+    for g in grads:
+        g64 = g.astype(np.float64)
+        total += float((g64 * g64).sum())
+    norm = math.sqrt(total)
+    if norm <= max_norm or norm == 0.0:
+        return 1.0, [g.copy() for g in grads]
+    factor = max_norm / norm
+    return factor, [g * np.float32(factor) for g in grads]
+
+
+def reference_adagrad_step(value, grad, acc, lr):
+    """Adagrad update on copies, written as the formula reads; returns
+    (value, acc)."""
+    acc = acc + grad * grad
+    value = value - np.float32(lr) * grad / (np.sqrt(acc) + np.float32(ADAGRAD_EPS))
+    return value, acc

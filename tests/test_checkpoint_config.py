@@ -101,6 +101,33 @@ class TestCheckpointRoundTrip:
         with pytest.raises(CheckpointError, match="duplicate"):
             tensor_map([p1, p2])
 
+    def test_non_finite_tensor_rejected_by_name_before_any_copy(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint({"a": np.full((1, 2), 7.0, dtype=np.float32),
+                         "b": np.array([[1.0, np.inf]], dtype=np.float32)}, path)
+        tensors, _ = load_checkpoint(path)
+        a, b = Parameter("a", [[0.0, 0.0]]), Parameter("b", [[0.0, 0.0]])
+        with pytest.raises(CheckpointError, match="tensor 'b' holds non-finite values"):
+            restore_params([a, b], tensors)
+        np.testing.assert_array_equal(a.value, [[0.0, 0.0]])
+
+    @pytest.mark.parametrize("bad", ["long-name", "bad-value"])
+    def test_failed_save_keeps_previous_checkpoint(self, tmp_path, bad):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint({"w": np.ones((2, 2), dtype=np.float32)}, path)
+        before = path.read_bytes()
+        if bad == "long-name":
+            tensors = {"w": np.zeros((2, 2), dtype=np.float32), "n" * 65536: np.zeros((1, 1))}
+            with pytest.raises(CheckpointError, match="longer than 65535"):
+                save_checkpoint(tensors, path)
+        else:
+            # fails after the header and the first tensor have been written
+            tensors = {"w": np.zeros((2, 2), dtype=np.float32), "v": "not a number"}
+            with pytest.raises(ValueError):
+                save_checkpoint(tensors, path)
+        assert path.read_bytes() == before
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["m.ckpt"]
+
     def test_digest_changes_with_content(self, tmp_path):
         a, b = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
         save_checkpoint({"w": np.ones((1, 1), dtype=np.float32)}, a)

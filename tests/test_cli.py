@@ -179,7 +179,14 @@ class TestModelCommands:
                            "--vocab", str(vocab), "--checkpoint", str(tmp_path / "nan.ckpt"),
                            "--summaries-out", str(tmp_path / "sys.jsonl"), *TINY)
         assert code == 1
-        assert "decode: non-finite probabilities at step 0" in err
+        assert "tensor 'proj.V_out' holds non-finite values" in err
+        code, _, err = run(capsys, "finetune", "--base", str(tmp_path / "nan.ckpt"),
+                           "--corpus", str(workspace / "train.jsonl"), "--label", "parallel",
+                           "--vocab", str(vocab), "--steps", "1",
+                           "--checkpoint-out", str(tmp_path / "tuned.ckpt"), *TINY)
+        assert code == 1
+        assert "tensor 'proj.V_out' holds non-finite values" in err
+        assert not (tmp_path / "tuned.ckpt").exists()
 
     def test_summarize_requires_model_flags(self, workspace, capsys):
         with pytest.raises(SystemExit) as exc:

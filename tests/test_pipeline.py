@@ -9,6 +9,7 @@ from b3sum.config import RunConfig
 from b3sum.corpus import build_vocab, synth_generate
 from b3sum.pipeline import (
     StructureAwareModel,
+    _train_steps,
     auto_label_corpus,
     finetune,
     new_summarizer,
@@ -18,6 +19,8 @@ from b3sum.pipeline import (
     update_manifest,
 )
 from b3sum.classifier import classify, classifier_input_tokens
+from b3sum.summarizer import prepare_pair
+from b3sum.tape import NonFiniteError
 
 from helpers import zero_params
 
@@ -64,6 +67,20 @@ class TestPretrain:
         assert info["steps"] == 2
         assert info["config_hash"] == _cfg().hash_hex()
         assert info["checkpoint_digest"] == checkpoint_digest(tmp_path / "b.ckpt")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_training_step_is_named(corpus):
+    # An inf embedding saturates the LSTM gates, so the loss stays finite
+    # while inf * 0 turns its gradients into NaN.
+    pairs, vocab = corpus
+    cfg = _cfg()
+    model = new_summarizer(vocab.size, cfg)
+    model.embedding.weights.value[:, 0] = np.inf
+    with pytest.raises(NonFiniteError, match=r"^training step 5: train_batch: "
+                                             r"non-finite gradient in parameter '"):
+        _train_steps(model, [prepare_pair(p, vocab) for p in pairs[:4]], cfg, steps=2,
+                     start_step=5)
 
 
 class TestAutoLabel:

@@ -27,7 +27,7 @@ from b3sum.summarizer import (
     train_batch,
     vocab_distribution,
 )
-from b3sum.tape import Kernel, Tape, zero_grads
+from b3sum.tape import Kernel, NonFiniteError, Tape, zero_grads
 
 from helpers import tiny_corpus, tiny_summarizer, zero_params
 from oracles import DenseTape
@@ -266,6 +266,31 @@ class TestSequenceLossAndTraining:
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             train_batch(tiny_summarizer(), [], TrainConfig())
+
+    @pytest.mark.parametrize("where", ["loss", "gradient"])
+    def test_non_finite_step_raises_before_any_update(self, where):
+        _, vocab, prepared = tiny_corpus(n=2)
+        model = tiny_summarizer(vocab_size=vocab.size, seed=2)
+        if where == "loss":
+            model.proj_v_out.value[0, 0] = np.nan
+            match = "train_batch: non-finite loss nan"
+        else:
+            model.proj_v_out.grad[0, 0] = np.inf  # backward adds into it
+            match = "train_batch: non-finite gradient in parameter 'proj.V_out'"
+        before = {p.name: p.value.tobytes() for p in model.params()}
+        with pytest.raises(NonFiniteError, match=match):
+            train_batch(model, prepared, TrainConfig())
+        assert {p.name: p.value.tobytes() for p in model.params()} == before
+        assert all(p._grad is None and p._acc is None for p in model.params())
+
+    def test_evaluation_allocates_no_optimizer_state(self):
+        pairs, vocab, prepared = tiny_corpus(n=2)
+        model = tiny_summarizer(vocab_size=vocab.size, seed=2)
+        corpus_loss(model, prepared, use_coverage=True)
+        token_prediction_accuracy(model, prepared)
+        for search in (dict(mode="greedy"), dict(mode="beam", beam_size=3)):
+            decode(model, pairs[0].article, vocab, max_decode_len=6, **search)
+        assert all(p._grad is None and p._acc is None for p in model.params())
 
     def test_corpus_loss_runs_without_mutating(self):
         _, vocab, prepared = tiny_corpus(n=2)

@@ -1,13 +1,17 @@
 """Kernel semantics, backward correctness, optimizer, and the grad checker."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from b3sum.tape import (
     DimensionError,
     GradCheckReport,
+    NonFiniteError,
     Parameter,
     Tape,
     adagrad_step,
@@ -15,6 +19,8 @@ from b3sum.tape import (
     finite_diff_check,
     zero_grads,
 )
+
+from oracles import reference_adagrad_step, reference_clip_global_norm
 
 
 class TestKernelForward:
@@ -330,6 +336,109 @@ class TestAdagrad:
         p.grad[...] = 5.0
         zero_grads([p])
         np.testing.assert_array_equal(p.grad, [[0.0]])
+
+
+class TestParameterState:
+    def test_float32_leaf_borrows_the_value_and_float64_copies(self):
+        p = Parameter("w", [[1.0, 2.0], [3.0, 4.0]])
+        t32, t64 = Tape(), Tape(dtype=np.float64)
+        assert np.shares_memory(t32.value(t32.param(p)), p.value)
+        assert not np.shares_memory(t64.value(t64.param(p)), p.value)
+
+    def test_optimizer_state_is_created_on_first_use(self):
+        p = Parameter("w", [[1.0, 2.0]], acc_init=0.25)
+        assert p._grad is None and p._acc is None
+        np.testing.assert_array_equal(p.grad, [[0.0, 0.0]])
+        np.testing.assert_array_equal(p.adagrad_acc, [[0.25, 0.25]])
+        p.zero_grad()
+        assert p._grad is None
+
+    def test_backward_moves_a_float32_adjoint_and_adds_the_rest(self):
+        p = Parameter("w", [[2.0, -1.0]])
+        t = Tape()
+        w = t.param(p)
+        t.backward(t.reduce_sum(t.mul(w, w)))
+        assert p.grad is t.grad(w)
+        np.testing.assert_array_equal(p.grad, [[4.0, -2.0]])
+        t64 = Tape(dtype=np.float64)
+        w64 = t64.param(p)
+        t64.backward(t64.reduce_sum(w64))
+        assert p.grad.dtype == np.float32
+        np.testing.assert_array_equal(p.grad, [[5.0, -1.0]])
+        np.testing.assert_array_equal(t.grad(w), [[5.0, -1.0]])  # still the moved array
+
+    def test_non_finite_grad_names_the_parameter(self):
+        ok, bad = Parameter("ok", [[1.0]]), Parameter("bad", [[1.0, 2.0]])
+        ok.grad[...] = 3.0
+        bad.grad[0, 1] = np.inf
+        with pytest.raises(NonFiniteError, match="non-finite gradient in parameter 'bad'"):
+            clip_global_norm([ok, bad], 1.0)
+
+    def test_clip_and_adagrad_peak_below_one_float64_grad(self):
+        # The float64 squares in the norm (8 bytes per element) are the
+        # largest temporary; Adagrad then needs its accumulator and one
+        # float32 temporary.
+        n = 1 << 20
+        p = Parameter("big", np.zeros((1, n), dtype=np.float32))
+        p.grad[...] = 1.0  # norm 1024, so the clip scales every element
+        tracemalloc.start()
+        try:
+            clip_global_norm([p], 2.0)
+            adagrad_step([p], lr=0.1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * n + 64 * 1024
+
+
+_GRAD_VALUES = st.one_of(
+    st.just(0.0),
+    st.floats(-1e3, 1e3, width=32),
+    st.floats(width=32, allow_nan=False, allow_infinity=False),
+)
+
+
+_SHAPES = hnp.array_shapes(min_dims=2, max_dims=2, max_side=5)
+
+
+@st.composite
+def _grads(draw):
+    shapes = draw(st.lists(_SHAPES, min_size=1, max_size=3))
+    return [draw(hnp.arrays(np.float32, shape, elements=_GRAD_VALUES)) for shape in shapes]
+
+
+class TestOptimizerMatchesReference:
+    """The in-place optimizer against the formulas it replaced, bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_grads(), st.floats(1e-3, 10.0))
+    def test_clip_global_norm(self, grads, max_norm):
+        params = [Parameter(f"p{k}", np.zeros_like(g)) for k, g in enumerate(grads)]
+        for p, g in zip(params, grads):
+            p.grad[...] = g
+        factor = clip_global_norm(params, max_norm)
+        want_factor, want = reference_clip_global_norm(grads, max_norm)
+        assert factor == want_factor
+        for p, w in zip(params, want):
+            assert p.grad.tobytes() == w.tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_adagrad_step(self, data):
+        shape = data.draw(_SHAPES)
+        grad = data.draw(hnp.arrays(np.float32, shape, elements=_GRAD_VALUES))
+        value = data.draw(hnp.arrays(np.float32, shape, elements=_GRAD_VALUES))
+        acc = data.draw(hnp.arrays(np.float32, shape, elements=st.floats(0.0, 1e6, width=32)))
+        lr = data.draw(st.floats(1e-4, 1.0))
+        p = Parameter("w", value)
+        p.adagrad_acc[...] = acc
+        p.grad[...] = grad
+        with np.errstate(over="ignore", invalid="ignore"):
+            adagrad_step([p], lr)
+            want_value, want_acc = reference_adagrad_step(value, grad, acc, lr)
+        assert p.value.tobytes() == want_value.tobytes()
+        assert p.adagrad_acc.tobytes() == want_acc.tobytes()
+        assert p._grad is None
 
 
 def test_grad_check_report_str():
