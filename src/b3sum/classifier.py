@@ -17,7 +17,7 @@ from .corpus import BINARY_CLASSES, NewsPair, Vocabulary
 from .layers import BiLstmEncoder, EmbeddingTable, bilstm_encode, embed_rows, linear, uniform_param, zeros_param
 from .metrics import classification_report
 from .summarizer import target_token_sequence
-from .tape import Parameter, Tape, adagrad_step
+from .tape import NonFiniteError, Parameter, Tape, adagrad_step, global_grad_norm, zero_grads
 
 
 class ClassifierParams:
@@ -137,15 +137,29 @@ class TrainReport:
 
 
 def _batch_step(model: ClassifierParams, batch: list[LabeledExample], lr: float) -> float:
+    """One Adagrad update on a batch; returns the mean loss.
+
+    A non-finite loss or gradient raises NonFiniteError (naming the
+    parameter for a gradient) before any parameter value changes.
+    """
     tape = Tape()
     losses = [
         tape.neg_log_pick(decision_distribution(tape, model, ex.ids), ex.gold)
         for ex in batch
     ]
     total = tape.reduce_mean(tape.concat(losses, axis=1))
+    mean_loss = float(tape.value(total)[0, 0])
+    if not np.isfinite(mean_loss):
+        raise NonFiniteError(f"classifier batch: non-finite loss {mean_loss}")
     tape.backward(total)
-    adagrad_step(model.params(), lr)
-    return float(tape.value(total)[0, 0])
+    params = model.params()
+    try:
+        global_grad_norm(params)
+    except NonFiniteError as exc:
+        zero_grads(params)  # leave no half-made step behind
+        raise NonFiniteError(f"classifier batch: {exc}") from exc
+    adagrad_step(params, lr)
+    return mean_loss
 
 
 def evaluate_classifier(model: ClassifierParams, examples: list[LabeledExample]) -> dict:

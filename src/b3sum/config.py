@@ -3,7 +3,8 @@
 Config files are flat JSON objects; unknown keys are rejected so typos fail
 loudly.  CLI flags override file values.  The sha256 of the canonical JSON
 form is embedded in checkpoints so a model can warn when reloaded under a
-different configuration.
+different configuration.  Every value is checked for type and range on
+construction, so a bad file or ``--set`` value fails with the key's name.
 """
 
 from __future__ import annotations
@@ -11,7 +12,49 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_real(v) -> bool:
+    return _is_int(v) or (isinstance(v, float) and math.isfinite(v))
+
+
+def _int_at_least(lo: int):
+    return f"an integer >= {lo}", lambda v: _is_int(v) and v >= lo
+
+
+def _or_null(rule):
+    desc, ok = rule
+    return f"null or {desc}", lambda v: v is None or ok(v)
+
+
+_POSITIVE = "a finite number > 0", lambda v: _is_real(v) and v > 0
+
+# key -> (what the value must be, check)
+_RULES = {
+    "hidden_dim": _int_at_least(1),
+    "emb_dim": _int_at_least(1),
+    "attn_dim": _or_null(_int_at_least(1)),
+    "classifier_emb_dim": _int_at_least(1),
+    "classifier_hidden_dim": _int_at_least(1),
+    "lr": _POSITIVE,
+    "classifier_lr": _POSITIVE,
+    "clip_norm": _POSITIVE,
+    "coverage_lambda": ("a finite number >= 0", lambda v: _is_real(v) and v >= 0),
+    "coverage_from_step": _or_null(_int_at_least(0)),
+    "beam_size": _int_at_least(1),
+    "max_decode_len": _int_at_least(1),
+    "max_src_len": _int_at_least(1),
+    "min_summary_len": _int_at_least(0),
+    "batch_size": _int_at_least(1),
+    "tau": ("a number in [0, 1]", lambda v: _is_real(v) and 0 <= v <= 1),
+    "seed": _int_at_least(0),
+}
 
 
 @dataclass
@@ -33,6 +76,13 @@ class RunConfig:
     batch_size: int = 16
     tau: float = 0.8
     seed: int = 13
+
+    def __post_init__(self):
+        for f in dataclasses.fields(self):  # declaration order: the first bad key is named
+            desc, ok = _RULES[f.name]
+            value = getattr(self, f.name)
+            if not ok(value):
+                raise ValueError(f"config key {f.name!r} must be {desc}, got {value!r}")
 
     @classmethod
     def field_names(cls) -> set[str]:

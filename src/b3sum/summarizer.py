@@ -134,17 +134,14 @@ def attend(tape: Tape, model: SummarizerParams, h_all: int, s_t: int,
         ("attend.enc_features", id(w_h), h_all),
         lambda: tape.matmul(h_all, tape.param(w_h), transpose_b=True),
     )
-    arg = tape.add(
-        enc_features,
-        tape.matmul(s_t, tape.param(model.attn_w_state), transpose_b=True),
-    )
+    terms = [enc_features, tape.matmul(s_t, tape.param(model.attn_w_state), transpose_b=True)]
     if use_coverage:
         if coverage is None:
             raise ValueError("use_coverage=True requires a coverage node")
-        cov_term = tape.matmul(tape.transpose(coverage), tape.param(model.attn_w_cov))
-        arg = tape.add(arg, cov_term)
-    arg = tape.add(arg, tape.param(model.attn_bias))
-    e_t = tape.transpose(tape.matmul(tape.tanh(arg), tape.param(model.attn_v), transpose_b=True))
+        terms.append(tape.matmul(tape.transpose(coverage), tape.param(model.attn_w_cov)))
+    terms.append(tape.param(model.attn_bias))
+    scores = tape.tanh_sum(terms)  # stores only the tanh, one (n x attn) array
+    e_t = tape.transpose(tape.matmul(scores, tape.param(model.attn_v), transpose_b=True))
     a_t = tape.softmax(e_t)
     h_star = tape.matmul(a_t, h_all)
     return e_t, a_t, h_star

@@ -39,7 +39,8 @@ class Kernel(enum.Enum):
     both row and column orientations of attention/coverage vectors can be
     formed without general broadcasting.  GATHER_ROWS and SCATTER_ADD move
     rows and columns by integer id, so lookups and the copy distribution
-    need no one-hot constant.
+    need no one-hot constant.  TANH_SUM is tanh of a left-to-right sum that
+    stores only the tanh, so attention keeps one (n x attn) array per step.
     """
 
     LEAF = "leaf"
@@ -59,6 +60,7 @@ class Kernel(enum.Enum):
     GATHER_ROWS = "gather-rows"
     SCATTER_ADD = "scatter-add"
     TRANSPOSE = "transpose"
+    TANH_SUM = "tanh-sum"
 
 
 class TapeNode:
@@ -263,6 +265,18 @@ class Tape:
     def tanh(self, a: int) -> int:
         return self._unary(Kernel.TANH, a, np.tanh)
 
+    def tanh_sum(self, ids) -> int:
+        """``tanh(ids[0] + ids[1] + ...)``, added left to right with ``add``'s
+        broadcasting; only the tanh is stored, not the partial sums."""
+        total = self.nodes[ids[0]].value
+        for i in ids[1:]:
+            v = self.nodes[i].value
+            if not _bcast_ok(total.shape, v.shape):
+                raise DimensionError(f"tanh-sum: incompatible dims {total.shape} vs {v.shape}")
+            total = total + v
+        ng = any(self.nodes[i].needs_grad for i in ids)
+        return self._append(Kernel.TANH_SUM, tuple(ids), np.tanh(total), ng)
+
     def sigmoid(self, a: int) -> int:
         def op(v):
             # exp may overflow to inf for very negative inputs; 1/inf -> 0 is fine
@@ -415,6 +429,10 @@ class Tape:
                 offset += size
         elif k is Kernel.TANH:
             self._add_grad(ids[0], g * (1.0 - node.value * node.value))
+        elif k is Kernel.TANH_SUM:
+            g_pre = g * (1.0 - node.value * node.value)
+            for i in ids:
+                self._add_grad(i, _unbroadcast(g_pre, self.nodes[i].value.shape), view=True)
         elif k is Kernel.SIGMOID:
             self._add_grad(ids[0], g * node.value * (1.0 - node.value))
         elif k is Kernel.SOFTMAX:
@@ -469,11 +487,31 @@ def zero_grads(params):
         p.zero_grad()
 
 
+SUM_CHUNK = 1 << 16
+
+
+def _pairwise_sum_of_squares(flat, start: int, n: int) -> float:
+    # numpy's float64 sum is a pairwise tree that splits n elements at
+    # n//2 rounded down to a multiple of 8.  Splitting at the same points
+    # makes each chunk's sum a subtree of that tree, so the result is
+    # byte-identical to squaring one float64 copy of the whole grad.  Each
+    # chunk is cast, then squared in place: a casting ufunc would add its
+    # own 64 KiB buffer.
+    if n <= SUM_CHUNK:
+        chunk = flat[start : start + n].astype(np.float64)
+        return float(np.square(chunk, out=chunk).sum())
+    n2 = n // 2
+    n2 -= n2 % 8
+    return _pairwise_sum_of_squares(flat, start, n2) + _pairwise_sum_of_squares(
+        flat, start + n2, n - n2
+    )
+
+
 def _sum_of_squares(g) -> float:
-    # One float64 copy, squared in place: a ufunc casting on the fly would
-    # add its own 64 KiB buffer.
-    g64 = g.astype(np.float64)
-    return float(np.square(g64, out=g64).sum())
+    """Float64 sum of squares in memory order, with one float64 chunk of at
+    most SUM_CHUNK elements alive at a time."""
+    flat = g.ravel(order="K")  # a view for C- and F-ordered grads
+    return _pairwise_sum_of_squares(flat, 0, flat.size)
 
 
 def global_grad_norm(params) -> float:

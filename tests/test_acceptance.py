@@ -108,6 +108,8 @@ class TestCriterion1GradientCorrectness:
         b = Parameter("b", rng.uniform(-0.8, 0.8, (3, 2)))
         c = Parameter("c", rng.uniform(-0.8, 0.8, (2, 2)))
         pos = Parameter("pos", rng.uniform(0.5, 1.5, (1, 4)))
+        row = Parameter("row", rng.uniform(-0.8, 0.8, (1, 2)))
+        bias = Parameter("bias", rng.uniform(-0.8, 0.8, (1, 2)))
 
         def k_matmul(dtype):
             t = Tape(dtype=dtype)
@@ -164,8 +166,15 @@ class TestCriterion1GradientCorrectness:
             mass = t.scatter_add(t.softmax(t.param(pos)), [1, 5, 1, 5], 7)
             return t, t.add(t.neg_log_pick(mass, 1), t.neg_log_pick(mass, 5))
 
+        def k_tanh_sum(dtype):
+            # (n x d) + (1 x d) + (n x d) + (1 x d), attention's score shape
+            t = Tape(dtype=dtype)
+            y = t.tanh_sum([t.param(b), t.param(row), t.transpose(t.param(a)), t.param(bias)])
+            return t, t.reduce_sum(t.mul(y, t.param(b)))
+
         for what, build, params in [
             ("matmul", k_matmul, [a, b]),
+            ("tanh-sum", k_tanh_sum, [a, b, row, bias]),
             ("matmul transposed", k_matmul_transposed, [b, c]),
             ("gather-rows", k_gather, [b]),
             ("scatter-add", k_scatter, [pos]),

@@ -167,6 +167,26 @@ class TestRunConfig:
         assert RunConfig().hash_hex() == RunConfig().hash_hex()
         assert RunConfig().hash_hex() != RunConfig(seed=1).hash_hex()
 
+    @pytest.mark.parametrize("key, value", [
+        ("hidden_dim", 0), ("hidden_dim", 8.0), ("emb_dim", True), ("attn_dim", 0),
+        ("lr", 0), ("lr", float("nan")), ("tau", 10**400), ("classifier_lr", -0.1), ("clip_norm", "2"),
+        ("coverage_lambda", -1.0), ("coverage_from_step", -1), ("beam_size", None),
+        ("max_decode_len", 0), ("max_src_len", 0), ("min_summary_len", -1),
+        ("batch_size", 0), ("tau", -0.1), ("tau", 1.5), ("seed", -1),
+    ])
+    def test_bad_value_names_the_key(self, key, value):
+        with pytest.raises(ValueError, match=f"config key '{key}' must be "):
+            RunConfig(**{key: value})
+
+    def test_edge_values_accepted(self, tmp_path):
+        cfg = RunConfig(attn_dim=None, coverage_from_step=0, min_summary_len=0, tau=0,
+                        coverage_lambda=0, lr=1, seed=0)
+        assert cfg.tau == 0 and cfg.lr == 1  # ints stay ints, so the hash is unchanged
+        path = tmp_path / "c.json"
+        path.write_text('{"tau": 1.0, "batch_size": -2}')
+        with pytest.raises(ValueError, match="config key 'batch_size'"):
+            RunConfig.from_file(path)
+
     def test_non_object_config_file_rejected(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text("[1, 2]")

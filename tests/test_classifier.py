@@ -15,7 +15,7 @@ from b3sum.classifier import (
 )
 from b3sum.corpus import Vocabulary, build_vocab, split_pairs, synth_generate
 from b3sum.layers import lstm_step
-from b3sum.tape import Tape
+from b3sum.tape import NonFiniteError, Tape
 
 from helpers import zero_params
 
@@ -162,6 +162,20 @@ class TestTraining:
         report = train_classifier(model, train, dev, cfg)
         f1s = [report.heldout["per_class"][c]["f1"] for c in ("parallel", "sequence")]
         assert sum(f1s) / 2 >= 0.9
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_step_raises_before_any_update(self):
+        # An inf embedding column saturates the gates: without the guard,
+        # training ran on and left every parameter NaN.
+        train = _token_separable(n_major=6, n_minor=4)
+        model = ClassifierParams(10, emb_dim=6, hidden_dim=5, seed=1)
+        model.embedding.weights.value[:, 0] = np.inf
+        before = {p.name: p.value.tobytes() for p in model.params()}
+        with pytest.raises(NonFiniteError,
+                           match=r"^classifier batch: non-finite gradient in parameter 'cls\."):
+            train_classifier(model, train, None, ClassifierTrainConfig(batch_size=4, epochs=1))
+        assert {p.name: p.value.tobytes() for p in model.params()} == before
+        assert all(p._grad is None and p._acc is None for p in model.params())
 
 
 def _token_separable(n_major=40, n_minor=20, seed=0):

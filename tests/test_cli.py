@@ -73,6 +73,20 @@ class TestUsageAndFailures:
         assert code == 1
         assert "unknown config keys" in err
 
+    @pytest.mark.parametrize("setting, message", [
+        ("beam_size=abc", "config key 'beam_size' must be an integer >= 1, got 'abc'"),
+        ("batch_size=0", "config key 'batch_size' must be an integer >= 1, got 0"),
+        ("tau=1.5", "config key 'tau' must be a number in [0, 1], got 1.5"),
+    ])
+    def test_bad_config_value_exits_1(self, tmp_path, capsys, setting, message):
+        corpus = tmp_path / "c.jsonl"
+        save_jsonl(synth_generate(seed=1, n=2), corpus)
+        code, _, err = run(capsys, "preprocess", "--corpus", str(corpus),
+                           "--corpus-out", str(tmp_path / "o.jsonl"), "--set", setting)
+        assert code == 1
+        assert message in err
+        assert not (tmp_path / "o.jsonl").exists()
+
 
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):

@@ -489,6 +489,27 @@ def test_sequence_loss_tape_holds_no_vocab_wide_constant():
     assert wide == []
 
 
+@pytest.mark.parametrize("use_coverage", [False, True])
+def test_attention_keeps_one_score_array_per_step(use_coverage):
+    # Per step the tape holds the tanh of the scores and, with coverage, the
+    # coverage term; the encoder features are shared.  Storing the partial
+    # sums again would add (n x attn) values.
+    n, attn = 50, 16
+    vocab = Vocabulary([f"w{i}" for i in range(20)])
+    article = [f"w{i % 17}" for i in range(n)]
+    pair = NewsPair(id="mem", article=article,
+                    summary=[["w1", "w2"], ["w3"], ["w4", "w5"]])
+    ex = prepare_pair(pair, vocab)
+    model = summarizer.SummarizerParams(vocab.size, emb_dim=4, hidden_dim=12, attn_dim=attn,
+                                        seed=1)
+    t = Tape()
+    sequence_loss(t, model, ex, use_coverage=use_coverage)
+    steps = len(ex.target_ext_ids)
+    held = [node for node in t.nodes
+            if node.kernel is not Kernel.LEAF and node.value.shape == (n, attn)]
+    assert len(held) == (2 * steps + 1 if use_coverage else steps + 1)
+
+
 # -- one decoder step: pinned values, replay and call-through -----------------
 
 

@@ -9,11 +9,13 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from b3sum.tape import (
+    SUM_CHUNK,
     DimensionError,
     GradCheckReport,
     NonFiniteError,
     Parameter,
     Tape,
+    _sum_of_squares,
     adagrad_step,
     clip_global_norm,
     finite_diff_check,
@@ -98,6 +100,12 @@ class TestKernelForward:
         np.testing.assert_array_equal(t.value(t.matmul(a, w, transpose_b=True)), [[1, 1, 4.5]])
         with pytest.raises(DimensionError, match="matmul"):
             t.matmul(a, t.leaf(np.ones((3, 3))), transpose_b=True)
+
+    def test_tanh_sum_dim_mismatch_names_kernel(self):
+        t = Tape()
+        a, b = t.leaf(np.ones((3, 2))), t.leaf(np.ones((1, 2)))
+        with pytest.raises(DimensionError, match="tanh-sum: incompatible dims"):
+            t.tanh_sum([a, b, t.leaf(np.ones((3, 3)))])
 
     def test_gather_rows_repeats_ids_in_order(self):
         t = Tape()
@@ -230,6 +238,43 @@ class TestBackward:
             return t.value(y).tobytes(), t.grad(x).tobytes()
 
         assert run() == run()
+
+
+def _attention_scores(fused, dtype, coverage):
+    """Two attention-like steps sharing the encoder term and the bias, built
+    with ``tanh_sum`` or with the add/add/tanh chain it replaces.  Returns
+    the step values and the adjoints of every input leaf, as bytes."""
+    rng = np.random.default_rng(7)
+    n, d = 6, 5
+    t = Tape(dtype)
+    enc = t.leaf(rng.uniform(-1, 1, (n, d)), needs_grad=True)
+    bias = t.leaf(rng.uniform(-1, 1, (1, d)), needs_grad=True)
+    read = t.leaf(rng.uniform(-1, 1, (n, d)))
+    inputs, ys, loss = [enc, bias], [], None
+    for _ in range(2):
+        terms = [enc, t.leaf(rng.uniform(-1, 1, (1, d)), needs_grad=True)]
+        if coverage:
+            terms.append(t.leaf(rng.uniform(-1, 1, (n, d)), needs_grad=True))
+        terms.append(bias)
+        inputs += terms[1:-1]
+        if fused:
+            y = t.tanh_sum(terms)
+        else:
+            y = terms[0]
+            for term in terms[1:]:
+                y = t.add(y, term)
+            y = t.tanh(y)
+        ys.append(y)
+        step = t.reduce_sum(t.mul(y, read))
+        loss = step if loss is None else t.add(loss, step)
+    t.backward(loss)
+    return [t.value(y).tobytes() for y in ys], [t.grad(i).tobytes() for i in inputs]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("coverage", [False, True])
+def test_tanh_sum_is_byte_equal_to_the_add_chain(dtype, coverage):
+    assert _attention_scores(True, dtype, coverage) == _attention_scores(False, dtype, coverage)
 
 
 class TestFiniteDiffCheck:
@@ -389,6 +434,44 @@ class TestParameterState:
         finally:
             tracemalloc.stop()
         assert peak <= 8 * n + 64 * 1024
+
+    def test_clip_norm_alone_stays_within_one_mebibyte(self):
+        # The float64 squares are made one chunk of at most SUM_CHUNK
+        # elements at a time, so no grad-sized temporary is left.
+        p = Parameter("big", np.zeros((1, 1 << 20), dtype=np.float32))
+        p.grad[...] = 1.0
+        tracemalloc.start()
+        try:
+            clip_global_norm([p], 2.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1 << 20
+
+
+@pytest.mark.parametrize("shape, layout", [
+    ((1, SUM_CHUNK - 1), "C"), ((1, SUM_CHUNK), "C"), ((1, SUM_CHUNK + 1), "C"),
+    ((1, 3 * SUM_CHUNK + 5), "C"), ((20000, 256), "C"), ((20000, 256), "F"),
+    ((20000, 256), "transposed"),
+], ids=["chunk-1", "chunk", "chunk+1", "3chunks+5", "20000x256", "F-ordered", "transposed"])
+def test_chunked_clip_norm_matches_reference_bytes(shape, layout):
+    # Magnitudes spread over e^-4..e^4, so the float64 sum rounds often and
+    # a different summation order shows in the norm.
+    rng = np.random.default_rng(11)
+    grad = (rng.standard_normal(shape) * np.exp(rng.uniform(-4, 4, shape))).astype(np.float32)
+    if layout == "F":
+        grad = np.asfortranarray(grad)
+    elif layout == "transposed":
+        grad = grad.T
+    g64 = grad.astype(np.float64)
+    # The square root can hide a last-bit difference, so the sum is compared too.
+    assert _sum_of_squares(grad) == float((g64 * g64).sum())
+    p = Parameter("g", np.zeros((1, 1), dtype=np.float32))
+    p._grad = grad.copy(order="K")  # keeps the F order and the transposed layout
+    factor = clip_global_norm([p], 1.0)
+    want_factor, (want,) = reference_clip_global_norm([grad], 1.0)
+    assert factor == want_factor < 1.0
+    assert p._grad.tobytes(order="A") == want.tobytes(order="A")
 
 
 _GRAD_VALUES = st.one_of(
