@@ -7,18 +7,20 @@ Layout (all integers little-endian):
     count   u32      number of tensors
     entries          name length u16, name UTF-8, rank u8,
                      dims u32 * rank, float32 data
-    trailer 32 bytes config hash (sha256 of the canonical config JSON)
+    trailer 32 bytes config hash (``RunConfig.hash_bytes``)
 
-Round trips are bit-exact; loading rejects wrong magic or version and
-truncated files, and warns when the stored config hash differs from the
-expected one.  Saving writes a temporary file beside the target and renames
-it into place, so a failed save leaves any previous checkpoint as it was.
+Round trips are bit-exact; loading rejects wrong magic or version,
+truncated files and headers that claim more data than the file holds, and
+warns when the stored config hash differs from the expected one.  Saving
+writes a temporary file beside the target and renames it into place, so a
+failed save leaves any previous checkpoint as it was.
 """
 
 from __future__ import annotations
 
 import hashlib
 import logging
+import math
 import os
 import struct
 
@@ -83,29 +85,58 @@ def _read(fh, size: int, what: str) -> bytes:
     return data
 
 
+def _fits(path, fh, end: int, size: int, what: str) -> None:
+    """Raise unless ``size`` bytes remain before the 32-byte trailer at ``end``.
+
+    Checked before each read, so a header that claims more data than the
+    file holds fails by name instead of allocating what it claims.
+    """
+    left = end - fh.tell()
+    if size > left:
+        raise CheckpointError(
+            f"{path}: {what} needs {size} bytes but only {max(left, 0)} remain before "
+            "the config hash (truncated or corrupt checkpoint)"
+        )
+
+
 def load_checkpoint(path, expect_hash: bytes | None = None) -> tuple[dict[str, np.ndarray], bytes]:
     """Returns (tensors, stored config hash).
 
-    A mismatching ``expect_hash`` only logs a warning: the tensors may still
-    be usable under a different configuration.
+    Every length in the file is checked against the bytes left before it is
+    read, and tensor data is read straight into its array, so loading never
+    holds more than the file's own size.  A mismatching ``expect_hash`` only
+    logs a warning: the tensors may still be usable under a different
+    configuration.
     """
     tensors: dict[str, np.ndarray] = {}
     with open(path, "rb") as fh:
+        end = os.fstat(fh.fileno()).st_size - 32
         if _read(fh, 4, "magic") != MAGIC:
             raise CheckpointError(f"{path}: not a checkpoint (bad magic)")
         version, count = struct.unpack("<II", _read(fh, 8, "header"))
         if version != VERSION:
             raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
-        for _ in range(count):
+        for k in range(count):
             (name_len,) = struct.unpack("<H", _read(fh, 2, "name length"))
-            name = _read(fh, name_len, "name").decode("utf-8")
+            _fits(path, fh, end, name_len + 1, f"tensor #{k} name and rank")
+            try:
+                name = _read(fh, name_len, "name").decode("utf-8")
+            except UnicodeDecodeError:
+                raise CheckpointError(f"{path}: tensor #{k} name is not UTF-8") from None
             if name in tensors:
                 raise CheckpointError(f"{path}: duplicate tensor {name!r}")
             (rank,) = struct.unpack("<B", _read(fh, 1, "rank"))
+            _fits(path, fh, end, 4 * rank, f"tensor {name!r} dims")
             dims = struct.unpack(f"<{rank}I", _read(fh, 4 * rank, "dims"))
-            n = int(np.prod(dims)) if rank else 1
-            data = np.frombuffer(_read(fh, 4 * n, f"data of {name!r}"), dtype="<f4")
-            tensors[name] = data.reshape(dims).copy()
+            n = math.prod(dims)  # a Python int: no int64 overflow
+            _fits(path, fh, end, 4 * n, f"tensor {name!r} of dims {dims}")
+            try:
+                data = np.empty(dims, dtype="<f4")
+            except ValueError:  # a zero dim beside dims whose product overflows
+                raise CheckpointError(f"{path}: tensor {name!r} has unusable dims {dims}") from None
+            if fh.readinto(data.reshape(-1).view(np.uint8)) != 4 * n:
+                raise CheckpointError(f"truncated checkpoint while reading data of {name!r}")
+            tensors[name] = data
         stored_hash = _read(fh, 32, "config hash")
         if fh.read(1):
             raise CheckpointError(f"{path}: trailing bytes after config hash")

@@ -2,8 +2,9 @@
 
 Config files are flat JSON objects; unknown keys are rejected so typos fail
 loudly.  CLI flags override file values.  The sha256 of the canonical JSON
-form is embedded in checkpoints so a model can warn when reloaded under a
-different configuration.  Every value is checked for type and range on
+form, less the decode-time keys, is embedded in checkpoints so a model can
+warn when reloaded under a configuration that would have built or trained
+it differently.  Every value is checked for type and range on
 construction, so a bad file or ``--set`` value fails with the key's name.
 """
 
@@ -33,6 +34,10 @@ def _or_null(rule):
     return f"null or {desc}", lambda v: v is None or ok(v)
 
 
+# Read only when decoding or routing: a checkpoint is the same model under
+# any of these, so the config hash leaves them out.
+DECODE_KEYS = frozenset({"beam_size", "max_decode_len", "tau"})
+
 _POSITIVE = "a finite number > 0", lambda v: _is_real(v) and v > 0
 
 # key -> (what the value must be, check)
@@ -55,6 +60,10 @@ _RULES = {
     "tau": ("a number in [0, 1]", lambda v: _is_real(v) and 0 <= v <= 1),
     "seed": _int_at_least(0),
 }
+
+
+def _canonical_json(values: dict) -> str:
+    return json.dumps(values, sort_keys=True, separators=(",", ":"))
 
 
 @dataclass
@@ -92,7 +101,7 @@ class RunConfig:
     def from_dict(cls, values: dict) -> "RunConfig":
         unknown = set(values) - cls.field_names()
         if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
+            raise ValueError(f"unknown config keys: {sorted(unknown, key=repr)}")
         return cls(**values)
 
     @classmethod
@@ -114,10 +123,12 @@ class RunConfig:
         return dataclasses.asdict(self)
 
     def canonical_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        return _canonical_json(self.to_dict())
 
     def hash_bytes(self) -> bytes:
-        return hashlib.sha256(self.canonical_json().encode("utf-8")).digest()
+        """sha256 of the canonical JSON of every key but DECODE_KEYS."""
+        shaping = {k: v for k, v in self.to_dict().items() if k not in DECODE_KEYS}
+        return hashlib.sha256(_canonical_json(shaping).encode("utf-8")).digest()
 
     def hash_hex(self) -> str:
         return self.hash_bytes().hex()

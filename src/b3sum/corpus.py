@@ -157,16 +157,21 @@ def load_jsonl(path, strict: bool = True) -> tuple[list[NewsPair], list[tuple[in
     """
     pairs: list[NewsPair] = []
     errors: list[tuple[int, str]] = []
-    with open(path, encoding="utf-8") as fh:
+    # Undecodable bytes become lone surrogates, so the line holding them is named.
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                obj = json.loads(line)
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError:
+                    raise CorpusError("line is not valid UTF-8") from None
+                obj = json.loads(line)  # ValueError: bad JSON, or an int too long to convert
                 if not isinstance(obj, dict):
                     raise CorpusError("line is not a JSON object")
                 pairs.append(_parse_pair(obj))
-            except (json.JSONDecodeError, CorpusError) as exc:
+            except (ValueError, RecursionError) as exc:
                 if strict:
                     raise CorpusError(f"line {line_no}: {exc}") from None
                 errors.append((line_no, str(exc)))

@@ -176,7 +176,9 @@ def final_distribution(tape: Tape, p_gen: int, p_vocab: int, a_t: int,
     """Mix the generation and copy distributions over the extended vocab.
 
     ``src_ext_ids[i]`` is the extended-vocab id of source position i; the
-    copy distribution puts attention weight i on that id.
+    copy distribution puts attention weight i on that id.  Row r of
+    ``p_gen``, ``p_vocab`` and ``a_t`` belongs to one step, and so does row r
+    of the result.
     """
     n_src = tape.value(a_t).shape[1]
     if len(src_ext_ids) != n_src:
@@ -186,7 +188,7 @@ def final_distribution(tape: Tape, p_gen: int, p_vocab: int, a_t: int,
         )
     ext_size = tape.value(p_vocab).shape[1] + n_oov
     if n_oov > 0:
-        pad = tape.leaf(np.zeros((1, n_oov), dtype=tape.dtype))
+        pad = tape.leaf(np.zeros((tape.value(p_vocab).shape[0], n_oov), dtype=tape.dtype))
         p_vocab = tape.concat([p_vocab, pad], axis=1)
     p_copy = tape.scatter_add(a_t, src_ext_ids, ext_size)
     one = tape.leaf(np.ones((1, 1), dtype=tape.dtype))
@@ -302,42 +304,80 @@ def encode_article(tape: Tape, model: SummarizerParams, enc_ids, src_ext_ids,
     return EncodedArticle(enc, h0, c0, src_ext_ids, n_oov)
 
 
+@dataclass
+class DecoderStep:
+    """Node ids of one step's recurrent part: the decoder state row s_t = [h_t; c_t],
+    the context h*_t, the attention a_t, the switch p_gen and the LSTM state."""
+
+    s_t: int
+    h_star: int
+    a_t: int
+    p_gen: int
+    state: tuple[int, int]
+
+
 def decoder_step(tape: Tape, model: SummarizerParams, art: EncodedArticle, x_t: int,
                  state: tuple[int, int], coverage: int | None, use_coverage: bool,
-                 force_p_gen: float | None) -> tuple[int, int, int, tuple[int, int]]:
-    """One decoder step from the embedded input ``x_t``, shared by training,
+                 force_p_gen: float | None) -> DecoderStep:
+    """The recurrent part of one decoder step from the embedded input
+    ``x_t``: LSTM, attention and p_gen, one row.  Shared by training,
     teacher-forced evaluation and decoding.
 
-    Returns node ids (p_final, a_t, p_gen, (h_t, c_t)); ``p_final`` is over
-    the extended vocabulary.  ``force_p_gen`` replaces the learned switch by
-    a constant.  The caller advances the coverage.
+    The vocabulary output never feeds back into the recurrence, so it is
+    left to ``output_distribution``.  ``force_p_gen`` replaces the learned
+    switch by a constant.  The caller advances the coverage.
     """
     h_t, c_t = lstm_step(tape, model.decoder, x_t, *state)
     s_t = tape.concat([h_t, c_t], axis=1)
     _, a_t, h_star = attend(tape, model, art.enc.h_concat, s_t, coverage, use_coverage)
-    p_vocab = vocab_distribution(tape, model, s_t, h_star)
     if force_p_gen is None:
         p_gen = generation_prob(tape, model, h_star, s_t, x_t)
     else:
         p_gen = tape.leaf(np.full((1, 1), force_p_gen, dtype=tape.dtype))
-    p_final = final_distribution(tape, p_gen, p_vocab, a_t, art.src_ext_ids, art.n_oov)
-    return p_final, a_t, p_gen, (h_t, c_t)
+    return DecoderStep(s_t, h_star, a_t, p_gen, (h_t, c_t))
+
+
+def output_distribution(tape: Tape, model: SummarizerParams, art: EncodedArticle,
+                        steps: list[DecoderStep]) -> int:
+    """The output part of any number of decoder steps, one row each: vocab
+    projection, softmax, and the copy mix over the extended vocabulary.
+
+    The steps' rows are stacked, so teacher forcing makes one
+    (T x hidden)·V_outᵀ product per sequence and backward one V_out
+    product; ``concat`` of a single step adds no node.
+    """
+    def rows(ids):
+        return tape.concat(ids, axis=0)
+
+    p_vocab = vocab_distribution(tape, model, rows([s.s_t for s in steps]),
+                                 rows([s.h_star for s in steps]))
+    return final_distribution(tape, rows([s.p_gen for s in steps]), p_vocab,
+                              rows([s.a_t for s in steps]), art.src_ext_ids, art.n_oov)
 
 
 def _teacher_forced(tape: Tape, model: SummarizerParams, ex: PreparedExample,
                     use_coverage: bool, force_p_gen: float | None):
-    """Yield (target_id, p_final, a_t, p_gen, coverage before the step) for
-    each target position, feeding the reference summary as decoder input."""
+    """Feed the reference summary as decoder input: the recurrent part runs
+    once per target position, then the output part once on all of them.
+
+    Returns (p_final, steps, coverages, penalties): ``p_final`` is the
+    (T x extended vocab) node, ``steps[t]`` the recurrent part of step t,
+    ``coverages[t]`` the coverage before it and ``penalties[t]`` its
+    coverage penalty, both None without coverage.
+    """
     art = encode_article(tape, model, ex.enc_ids, ex.src_ext_ids, len(ex.ext.doc_oovs))
     coverage = art.zero_coverage(tape) if use_coverage else None
-    dec_embs = embed_rows(tape, model.embedding, ex.dec_in_ids)
     state = (art.h0, art.c0)
-    for t, target_id in enumerate(ex.target_ext_ids):
-        p_final, a_t, p_gen, state = decoder_step(tape, model, art, dec_embs[t], state,
-                                                  coverage, use_coverage, force_p_gen)
-        yield target_id, p_final, a_t, p_gen, coverage
+    steps, coverages, penalties = [], [], []
+    for x_t in embed_rows(tape, model.embedding, ex.dec_in_ids):
+        step = decoder_step(tape, model, art, x_t, state, coverage, use_coverage, force_p_gen)
+        state = step.state
+        steps.append(step)
+        coverages.append(coverage)
+        penalties.append(coverage_penalty(tape, step.a_t, coverage) if use_coverage else None)
         if use_coverage:
-            coverage = coverage_update(tape, coverage, a_t)
+            coverage = coverage_update(tape, coverage, step.a_t)
+    return output_distribution(tape, model, art, steps), steps, coverages, penalties
 
 
 def sequence_loss(tape: Tape, model: SummarizerParams, ex: PreparedExample,
@@ -350,25 +390,18 @@ def sequence_loss(tape: Tape, model: SummarizerParams, ex: PreparedExample,
     assembled as mean(nll) + lambda * mean(penalty) so the two components
     recombine exactly to the reported loss.
     """
-    nll_nodes = []
-    pen_nodes = []
+    p_final, steps, coverages, penalties = _teacher_forced(tape, model, ex, use_coverage,
+                                                           force_p_gen)
     traces = []
-    for target_id, p_final, a_t, p_gen, coverage in _teacher_forced(
-            tape, model, ex, use_coverage, force_p_gen):
-        nll_nodes.append(tape.neg_log_pick(p_final, target_id))
-        penalty = None
-        if use_coverage:
-            penalty = coverage_penalty(tape, a_t, coverage)
-            pen_nodes.append(penalty)
-        if collect_traces:
-            traces.append(_step_trace(
-                tape, a_t, p_gen, coverage,
-                float(tape.value(penalty)[0, 0]) if penalty is not None else None,
-            ))
-
-    nll_mean = tape.reduce_mean(tape.concat(nll_nodes, axis=1))
+    if collect_traces:
+        traces = [
+            _step_trace(tape, step.a_t, step.p_gen, coverage,
+                        float(tape.value(penalty)[0, 0]) if penalty is not None else None)
+            for step, coverage, penalty in zip(steps, coverages, penalties)
+        ]
+    nll_mean = tape.reduce_mean(tape.neg_log_pick(p_final, ex.target_ext_ids))
     if use_coverage:
-        pen_mean = tape.reduce_mean(tape.concat(pen_nodes, axis=1))
+        pen_mean = tape.reduce_mean(tape.concat(penalties, axis=1))
         loss = tape.add(nll_mean, tape.scale(pen_mean, cov_lambda))
         return loss, nll_mean, pen_mean, traces
     return nll_mean, nll_mean, None, traces
@@ -439,9 +472,9 @@ def token_prediction_accuracy(model: SummarizerParams, examples: list[PreparedEx
     oov_correct = oov_total = 0
     for ex in examples:
         tape = Tape()
-        for target_id, p_final, _, _, _ in _teacher_forced(tape, model, ex, use_coverage,
-                                                            force_p_gen):
-            hit = bool(int(np.argmax(tape.value(p_final)[0])) == target_id)
+        p_final, _, _, _ = _teacher_forced(tape, model, ex, use_coverage, force_p_gen)
+        for pred, target_id in zip(np.argmax(tape.value(p_final), axis=1), ex.target_ext_ids):
+            hit = bool(int(pred) == target_id)
             correct += hit
             total += 1
             if target_id >= ex.ext.base.size:
@@ -552,10 +585,11 @@ def decode(model: SummarizerParams, article_tokens, vocab: Vocabulary,
             prev = hyp.tokens[-1] if hyp.tokens else Vocabulary.START
             x_t = embed_rows(tape, model.embedding,
                              [prev if prev < model.vocab_size else Vocabulary.UNK])[0]
-            p_final, a_t, p_gen, state = decoder_step(tape, model, art, x_t, hyp.state,
-                                                      hyp.coverage, use_coverage, force_p_gen)
+            step = decoder_step(tape, model, art, x_t, hyp.state, hyp.coverage,
+                                use_coverage, force_p_gen)
+            a_t = step.a_t
             coverage = coverage_update(tape, hyp.coverage, a_t) if use_coverage else None
-            probs = tape.value(p_final)[0]
+            probs = tape.value(output_distribution(tape, model, art, [step]))[0]
             if not np.isfinite(probs).all():
                 raise ValueError(f"decode: non-finite probabilities at step {t}")
             logps = np.log(probs.astype(np.float64) + PGEN_EPS)
@@ -564,8 +598,8 @@ def decode(model: SummarizerParams, article_tokens, vocab: Vocabulary,
             if collect_traces:
                 penalty = None if hyp.coverage is None else float(
                     np.minimum(tape.value(a_t), tape.value(hyp.coverage)).sum())
-                traces = traces + [_step_trace(tape, a_t, p_gen, hyp.coverage, penalty)]
-            steps.append((state, coverage, traces))
+                traces = traces + [_step_trace(tape, a_t, step.p_gen, hyp.coverage, penalty)]
+            steps.append((step.state, coverage, traces))
             for token in _top_k(logps, 2 * width):
                 candidates.append((-(hyp.log_prob + float(logps[token])), h_idx, int(token)))
         candidates.sort()

@@ -72,7 +72,7 @@ class TapeNode:
         self.value = value
         self.grad = None
         self.needs_grad = needs_grad
-        self.arg = arg  # kernel-specific: axis, pick index, scale factor, ids or flag
+        self.arg = arg  # kernel-specific: axis, pick or row ids, scale factor or flag
 
 
 class Parameter:
@@ -157,7 +157,9 @@ class Tape:
     time and backward is one reverse sweep.  A Parameter appears at most once
     per tape; repeated uses share the leaf node so gradients accumulate there.
     Adjoints are kept on leaves only: backward drops a computed node's grad
-    as soon as it has been pushed to that node's inputs.
+    as soon as it has been pushed to that node's inputs, and its value as
+    soon as the sweep has passed it.  So a tape runs backward once; read any
+    intermediate value before calling it.
 
     On a float32 tape a parameter leaf's value is the Parameter's own
     ``value`` array, not a copy, so a parameter must not be updated while a
@@ -170,6 +172,7 @@ class Tape:
         self.nodes: list[TapeNode] = []
         self._param_nodes: dict[int, tuple[int, Parameter]] = {}
         self._shared: dict = {}
+        self._swept = False
 
     def __len__(self):
         return len(self.nodes)
@@ -338,23 +341,40 @@ class Tape:
         value = np.array([[node.value.mean(dtype=np.float64)]], dtype=self.dtype)
         return self._append(Kernel.REDUCE_MEAN, (a,), value, node.needs_grad)
 
-    def neg_log_pick(self, a: int, index: int) -> int:
+    def neg_log_pick(self, a: int, ids) -> int:
+        """``-log(a[r, ids[r]])`` for each row r, as a (rows x 1) column.
+
+        ``ids`` holds one column index per row; a single int picks from a
+        1-row input.  An index outside the row raises DimensionError naming
+        the row.
+        """
         node = self.nodes[a]
-        flat = node.value.reshape(-1)
-        if not 0 <= index < flat.size:
+        rows, cols = node.value.shape
+        ids = np.asarray(ids, dtype=np.intp).reshape(-1)
+        if ids.size != rows:
+            raise DimensionError(f"neg-log-pick: {ids.size} indices for {rows} rows")
+        bad = np.flatnonzero((ids < 0) | (ids >= cols))
+        if bad.size:
+            r = int(bad[0])
             raise DimensionError(
-                f"neg-log-pick: index {index} out of range for {node.value.shape}"
+                f"neg-log-pick: index {int(ids[r])} at row {r} out of range "
+                f"for {node.value.shape}"
             )
-        value = np.array([[-math.log(float(flat[index]) + LOG_PICK_EPS)]], dtype=self.dtype)
-        return self._append(Kernel.NEG_LOG_PICK, (a,), value, node.needs_grad, int(index))
+        picked = node.value[np.arange(rows), ids].astype(np.float64) + LOG_PICK_EPS
+        # math.log, not np.log: the vectorised float64 log may differ in the last bit
+        value = np.array([[-math.log(p)] for p in picked.tolist()], dtype=self.dtype)
+        return self._append(Kernel.NEG_LOG_PICK, (a,), value, node.needs_grad, ids)
 
     # -- backward ----------------------------------------------------------
 
     def backward(self, loss: int):
         """Fill the gradients of the leaves (and Parameters) the loss depends on.
 
-        A computed node's adjoint is dropped once it has been pushed to the
-        node's inputs, so after the sweep only leaves hold a ``grad``.  A
+        The sweep releases what it has used: a computed node's adjoint once it
+        has been pushed to the node's inputs, and its value once the sweep has
+        passed it (every reader of a value comes later on the tape).  After
+        backward only leaves hold a ``grad``, and only leaves and the loss
+        node hold a ``value``; the tape cannot run backward again.  A
         Parameter holding no grad takes a float32 leaf adjoint as it is, so
         the leaf and the Parameter then share one array; otherwise the
         adjoint is added into the Parameter's grad.
@@ -366,14 +386,19 @@ class Tape:
             )
         if not root.needs_grad:
             return  # loss independent of all parameters: grads stay zero
+        if self._swept:
+            raise ValueError("backward: this tape has already run backward")
+        self._swept = True
         root.grad = np.ones_like(root.value)
         for nid in range(loss, -1, -1):
             node = self.nodes[nid]
-            g = node.grad
-            if g is None or node.kernel is Kernel.LEAF:
+            if node.kernel is Kernel.LEAF:
                 continue
-            self._accumulate_input_grads(node, g)
-            node.grad = None  # nothing reads a pushed adjoint again
+            if node.grad is not None:
+                self._accumulate_input_grads(node, node.grad)
+                node.grad = None  # nothing reads a pushed adjoint again
+            if nid != loss:
+                node.value = None  # its readers are this node and later ones
         for nid, p in self._param_nodes.values():
             g = self.nodes[nid].grad
             if g is None or g is p._grad:
@@ -444,10 +469,10 @@ class Tape:
         elif k is Kernel.NEG_LOG_PICK:
             src = self.nodes[ids[0]]
             if src.needs_grad:
+                rows = np.arange(src.value.shape[0])
                 gi = np.zeros_like(src.value)
-                flat = src.value.reshape(-1)
-                gi.reshape(-1)[node.arg] = -float(g[0, 0]) / (
-                    float(flat[node.arg]) + LOG_PICK_EPS
+                gi[rows, node.arg] = -g[:, 0].astype(np.float64) / (
+                    src.value[rows, node.arg].astype(np.float64) + LOG_PICK_EPS
                 )
                 self._add_grad(ids[0], gi)
         elif k is Kernel.REDUCE_SUM:
@@ -551,23 +576,29 @@ def clip_global_norm(params, max_norm: float) -> float:
 def adagrad_step(params, lr: float):
     """acc += g^2; value -= lr * g / (sqrt(acc) + eps); grads are then released.
 
-    Runs in place with one float32 temporary per parameter: the grad itself
-    is overwritten with the step.  A parameter holding no grad has a zero
-    step and is left as it is.
+    Runs in place, SUM_CHUNK elements at a time: the grad is overwritten
+    with the step, and the only temporary is one float32 chunk, so no
+    parameter-sized array is made while the grads are alive.  A parameter
+    holding no grad has a zero step and is left as it is.
     """
     lr, eps = np.float32(lr), np.float32(ADAGRAD_EPS)
     for p in params:
         g = p._grad
         if g is None:
             continue
-        acc = p.adagrad_acc
-        tmp = np.multiply(g, g)
-        acc += tmp
-        g *= lr
-        np.sqrt(acc, out=tmp)
-        tmp += eps
-        g /= tmp
-        p.value -= g
+        # C order for all three, whatever the grad's layout: reshape copies
+        # a grad that is not C-contiguous, and the step is then made on that copy.
+        flat_g, flat_acc, flat_value = (a.reshape(-1) for a in (g, p.adagrad_acc, p.value))
+        for start in range(0, flat_g.size, SUM_CHUNK):
+            chunk = slice(start, start + SUM_CHUNK)
+            gc, acc = flat_g[chunk], flat_acc[chunk]
+            tmp = np.multiply(gc, gc)
+            acc += tmp
+            gc *= lr
+            np.sqrt(acc, out=tmp)
+            tmp += eps
+            gc /= tmp
+            flat_value[chunk] -= gc
         p.zero_grad()
 
 

@@ -10,6 +10,14 @@ import math
 
 import numpy as np
 
+from b3sum.layers import embed_rows
+from b3sum.summarizer import (
+    coverage_penalty,
+    coverage_update,
+    decoder_step,
+    encode_article,
+    output_distribution,
+)
 from b3sum.tape import ADAGRAD_EPS, Tape
 
 
@@ -89,6 +97,32 @@ class DenseTape(Tape):
 
     def shared(self, key, build):
         return build()
+
+
+def per_row_teacher_forced(tape, model, ex, use_coverage, force_p_gen):
+    """Drop-in for ``summarizer._teacher_forced`` that runs the output part
+    once per target row, inside the step loop, as one decoder step did
+    before the rows were stacked.
+
+    Its nodes are made in that order too, so forward values and every
+    adjoint sum match the per-step path bit for bit: the reference for the
+    pinned golden values, where one stacked (T x hidden) GEMM rounds
+    differently from T row products.
+    """
+    art = encode_article(tape, model, ex.enc_ids, ex.src_ext_ids, len(ex.ext.doc_oovs))
+    coverage = art.zero_coverage(tape) if use_coverage else None
+    state = (art.h0, art.c0)
+    rows, steps, coverages, penalties = [], [], [], []
+    for x_t in embed_rows(tape, model.embedding, ex.dec_in_ids):
+        step = decoder_step(tape, model, art, x_t, state, coverage, use_coverage, force_p_gen)
+        state = step.state
+        rows.append(output_distribution(tape, model, art, [step]))
+        steps.append(step)
+        coverages.append(coverage)
+        penalties.append(coverage_penalty(tape, step.a_t, coverage) if use_coverage else None)
+        if use_coverage:
+            coverage = coverage_update(tape, coverage, step.a_t)
+    return tape.concat(rows, axis=0), steps, coverages, penalties
 
 
 def reference_clip_global_norm(grads, max_norm):

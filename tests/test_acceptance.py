@@ -137,6 +137,12 @@ class TestCriterion1GradientCorrectness:
             p = t.softmax(t.param(pos))
             return t, t.neg_log_pick(p, 2)
 
+        def k_pick_rows(dtype):
+            # one index per row of a (3 x 2) distribution, column 1 twice
+            t = Tape(dtype=dtype)
+            p = t.softmax(t.param(b))
+            return t, t.reduce_mean(t.neg_log_pick(p, [1, 0, 1]))
+
         def k_log(dtype):
             t = Tape(dtype=dtype)
             return t, t.reduce_sum(t.log(t.param(pos)))
@@ -182,6 +188,7 @@ class TestCriterion1GradientCorrectness:
             ("concat/transpose", k_concat_transpose, [a, b]),
             ("tanh/sigmoid", k_activations, [c]),
             ("softmax/neg-log-pick", k_softmax_pick, [pos]),
+            ("neg-log-pick per row", k_pick_rows, [b]),
             ("log", k_log, [pos]),
             ("elementwise-min", k_min, [c]),
             ("reduce-mean", k_mean, [a]),

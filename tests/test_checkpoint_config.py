@@ -1,9 +1,15 @@
 """Binary checkpoint format round trips and run-config validation."""
 
 import logging
+import struct
+import tempfile
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from b3sum.checkpoint import (
     MAGIC,
@@ -68,6 +74,47 @@ class TestCheckpointRoundTrip:
         with open(path, "ab") as fh:
             fh.write(b"x")
         with pytest.raises(CheckpointError, match="trailing"):
+            load_checkpoint(path)
+
+    @staticmethod
+    def _header_only(dims, size: int) -> bytes:
+        """A one-tensor header named 'w' with ``dims``, zero-padded to ``size`` bytes."""
+        head = MAGIC + struct.pack("<IIH", 1, 1, 1) + b"w" + struct.pack(f"<B{len(dims)}I", len(dims), *dims)
+        return head + b"\x00" * (size - len(head))
+
+    @pytest.mark.parametrize("size, message", [
+        (50, "tensor 'w' dims needs 8 bytes but only 2 remain"),
+        (64, "tensor 'w' of dims \\(4096, 4096\\) needs 67108864 bytes but only 8 remain"),
+    ])
+    def test_oversized_header_fails_before_allocating(self, tmp_path, size, message):
+        path = tmp_path / "claims-64mib.ckpt"
+        path.write_bytes(self._header_only((4096, 4096), size))
+        tracemalloc.start()
+        try:
+            with pytest.raises(CheckpointError, match=message):
+                load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
+    def test_dims_whose_product_overflows_int64_are_rejected_by_name(self, tmp_path):
+        path = tmp_path / "overflow.ckpt"
+        dims = (65536,) * 4  # 2**64 elements: numpy's int64 product wraps to 0
+        path.write_bytes(self._header_only(dims, 80))
+        with pytest.raises(CheckpointError, match="tensor 'w' of dims"):
+            load_checkpoint(path)
+
+    def test_empty_tensor_with_overflowing_dims_is_rejected_by_name(self, tmp_path):
+        path = tmp_path / "zero-dim.ckpt"
+        path.write_bytes(self._header_only((0, 1 << 31, 1 << 31, 1 << 31), 80))
+        with pytest.raises(CheckpointError, match="tensor 'w' has unusable dims"):
+            load_checkpoint(path)
+
+    def test_name_longer_than_the_file_is_rejected(self, tmp_path):
+        path = tmp_path / "long-name.ckpt"
+        path.write_bytes(MAGIC + struct.pack("<IIH", 1, 1, 60000) + b"\x00" * 40)
+        with pytest.raises(CheckpointError, match="tensor #0 name and rank needs 60001 bytes"):
             load_checkpoint(path)
 
     def test_hash_mismatch_warns(self, tmp_path, caplog):
@@ -167,6 +214,18 @@ class TestRunConfig:
         assert RunConfig().hash_hex() == RunConfig().hash_hex()
         assert RunConfig().hash_hex() != RunConfig(seed=1).hash_hex()
 
+    def test_decode_keys_stay_out_of_the_hash(self, tmp_path, caplog):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint({"w": np.ones((1, 1), dtype=np.float32)}, path, RunConfig().hash_bytes())
+        decode_only = RunConfig(beam_size=8, max_decode_len=5, tau=0.1)
+        with caplog.at_level(logging.WARNING):
+            load_checkpoint(path, expect_hash=decode_only.hash_bytes())
+        assert not any("hash mismatch" in r.message for r in caplog.records)
+        with caplog.at_level(logging.WARNING):
+            load_checkpoint(path, expect_hash=RunConfig(hidden_dim=8).hash_bytes())
+        assert any("hash mismatch" in r.message for r in caplog.records)
+        assert '"beam_size":8' in decode_only.canonical_json()  # still logged in full
+
     @pytest.mark.parametrize("key, value", [
         ("hidden_dim", 0), ("hidden_dim", 8.0), ("emb_dim", True), ("attn_dim", 0),
         ("lr", 0), ("lr", float("nan")), ("tau", 10**400), ("classifier_lr", -0.1), ("clip_norm", "2"),
@@ -192,3 +251,64 @@ class TestRunConfig:
         path.write_text("[1, 2]")
         with pytest.raises(ValueError, match="flat JSON object"):
             RunConfig.from_file(path)
+
+
+# -- fuzzing: bad bytes and bad values fail by name ----------------------------
+
+
+def _sample_checkpoint_bytes() -> bytes:
+    tensors = {"a": np.arange(6, dtype=np.float32).reshape(2, 3),
+               "bb": np.full((4,), 0.5, dtype=np.float32),
+               "c": np.ones((3, 1), dtype=np.float32)}
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "s.ckpt"
+        save_checkpoint(tensors, path, RunConfig().hash_bytes())
+        return path.read_bytes()
+
+
+_SAMPLE = _sample_checkpoint_bytes()
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@example(edits=[], header_edits=[(15, 5)], keep=68)  # rank 5: a zero dim beside huge ones
+@given(edits=st.lists(st.tuples(st.integers(0, len(_SAMPLE) - 1), st.integers(0, 255)),
+                      max_size=6),
+       header_edits=st.lists(st.tuples(st.integers(0, 40), st.integers(0, 255)), max_size=3),
+       keep=st.integers(0, len(_SAMPLE)))
+def test_load_checkpoint_on_mutated_bytes_fails_only_by_name(edits, header_edits, keep):
+    data = bytearray(_SAMPLE)
+    for pos, byte in edits + header_edits:
+        data[pos] = byte
+    data = bytes(data[:keep])
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "m.ckpt"
+        path.write_bytes(data)
+        tracemalloc.start()
+        try:
+            try:
+                load_checkpoint(path)
+            except CheckpointError:
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak <= len(data) + 64 * 1024
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.dictionaries(
+    st.sampled_from(sorted(RunConfig.field_names())) | st.text(max_size=6) | st.integers(),
+    _JSON_VALUES, max_size=4))
+def test_config_from_random_values_fails_only_naming_a_key(values):
+    try:
+        RunConfig.from_dict(values)
+    except ValueError as exc:
+        assert any(repr(k) in str(exc) for k in values), str(exc)

@@ -1,11 +1,13 @@
 """Every subcommand end to end on a tiny corpus, plus exit-code contracts."""
 
 import json
+import logging
+import struct
 
 import numpy as np
 import pytest
 
-from b3sum.checkpoint import load_checkpoint, save_checkpoint
+from b3sum.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from b3sum.cli import main
 from b3sum.corpus import load_jsonl, save_jsonl, synth_generate
 
@@ -201,6 +203,45 @@ class TestModelCommands:
         assert code == 1
         assert "tensor 'proj.V_out' holds non-finite values" in err
         assert not (tmp_path / "tuned.ckpt").exists()
+
+    @pytest.fixture(scope="class")
+    def pretrained(self, workspace, tmp_path_factory):
+        """(vocab path, one-step checkpoint path) built with TINY."""
+        root = tmp_path_factory.mktemp("pretrained")
+        vocab, ckpt = root / "vocab.json", root / "base.ckpt"
+        assert main(["build-vocab", "--corpus", str(workspace / "train.jsonl"),
+                     "--vocab-out", str(vocab)]) == 0
+        assert main(["pretrain", "--corpus", str(workspace / "train.jsonl"), "--vocab", str(vocab),
+                     "--steps", "1", "--checkpoint-out", str(ckpt), *TINY]) == 0
+        return vocab, ckpt
+
+    def _summarize(self, capsys, workspace, tmp_path, vocab, ckpt, *extra):
+        return run(capsys, "summarize", "--articles", str(workspace / "heldout.jsonl"),
+                   "--vocab", str(vocab), "--checkpoint", str(ckpt),
+                   "--summaries-out", str(tmp_path / "sys.jsonl"), *TINY, *extra)
+
+    def test_summarize_rejects_a_header_larger_than_its_file(self, workspace, pretrained,
+                                                              tmp_path, capsys):
+        bad = tmp_path / "claims-64mib.ckpt"
+        head = MAGIC + struct.pack("<IIHcB2I", 1, 1, 1, b"w", 2, 4096, 4096)
+        bad.write_bytes(head + b"\x00" * (50 - len(head)))
+        code, _, err = self._summarize(capsys, workspace, tmp_path, pretrained[0], bad)
+        assert code == 1
+        assert "tensor 'w' dims needs 8 bytes but only 2 remain" in err
+
+    def test_summarize_warns_on_model_keys_only(self, workspace, pretrained, tmp_path, capsys,
+                                                caplog):
+        vocab, ckpt = pretrained
+        with caplog.at_level(logging.WARNING):
+            code, _, err = self._summarize(capsys, workspace, tmp_path, vocab, ckpt,
+                                           "--set", "beam_size=8", "--set", "tau=0.5")
+        assert code == 0, err
+        assert not any("hash mismatch" in r.message for r in caplog.records)
+        with caplog.at_level(logging.WARNING):
+            code, _, _ = self._summarize(capsys, workspace, tmp_path, vocab, ckpt,
+                                         "--set", "hidden_dim=6")
+        assert code == 1  # the tensors no longer fit the model
+        assert any("hash mismatch" in r.message for r in caplog.records)
 
     def test_summarize_requires_model_flags(self, workspace, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,8 +1,12 @@
 """JSONL ingestion, preprocessing, vocabulary, splits, synthetic generator."""
 
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from b3sum.corpus import (
     CorpusError,
@@ -53,6 +57,15 @@ class TestJsonl:
         pairs, errors = load_jsonl(path, strict=False)
         assert len(pairs) == 1
         assert errors[0][0] == 2 and "3 sentences" in errors[0][1]
+
+    def test_undecodable_and_unconvertible_lines_are_named(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        good = json.dumps(_pair().to_json()).encode("utf-8")
+        path.write_bytes(good + b"\n\x80\xff\n" + b"1" * 5000 + b"\n")
+        with pytest.raises(CorpusError, match="line 2: line is not valid UTF-8"):
+            load_jsonl(path)
+        pairs, errors = load_jsonl(path, strict=False)
+        assert len(pairs) == 1 and [n for n, _ in errors] == [2, 3]
 
     def test_missing_field_and_bad_label(self, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -246,3 +259,28 @@ class TestSynthGenerate:
     def test_n_must_be_positive(self):
         with pytest.raises(ValueError):
             synth_generate(seed=1, n=0)
+
+
+_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+_VALUES = st.recursive(_SCALARS, lambda inner: st.lists(inner, max_size=4)
+                       | st.dictionaries(st.text(max_size=4), inner, max_size=3), max_leaves=8)
+_FIELDS = st.sampled_from(["id", "article", "summary", "label", "category"])
+_OBJECT_LINES = st.dictionaries(_FIELDS | st.text(max_size=4), _VALUES, max_size=6).map(json.dumps)
+_LINES = st.lists(_OBJECT_LINES | _VALUES.map(json.dumps) | st.text(max_size=20)
+                  | st.binary(max_size=20), min_size=1, max_size=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=_LINES)
+def test_load_jsonl_strict_on_random_lines_fails_only_by_name(lines):
+    data = b"\n".join(line if isinstance(line, bytes) else line.encode("utf-8")
+                      for line in lines)
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "c.jsonl"
+        path.write_bytes(data)
+        try:
+            pairs, errors = load_jsonl(path, strict=True)
+        except CorpusError as exc:
+            assert str(exc).startswith("line "), str(exc)
+        else:
+            assert errors == [] and len(pairs) <= len(lines)

@@ -89,6 +89,18 @@ class TestKernelForward:
         with pytest.raises(DimensionError, match="neg-log-pick"):
             t.neg_log_pick(t.leaf([[1.0, 0.0]]), 5)
 
+    def test_neg_log_pick_one_index_per_row(self):
+        t = Tape()
+        p = t.leaf([[0.5, 0.25, 0.25], [0.1, 0.1, 0.8]])
+        np.testing.assert_allclose(t.value(t.neg_log_pick(p, [0, 2])),
+                                   -np.log([[0.5], [0.8]]), rtol=1e-6)
+        with pytest.raises(DimensionError, match="index 3 at row 1 out of range"):
+            t.neg_log_pick(p, [2, 3])
+        with pytest.raises(DimensionError, match="index -1 at row 0"):
+            t.neg_log_pick(p, [-1, 0])
+        with pytest.raises(DimensionError, match="1 indices for 2 rows"):
+            t.neg_log_pick(p, 1)
+
     def test_transpose(self):
         t = Tape()
         out = t.transpose(t.leaf([[1.0, 2.0], [3.0, 4.0]]))
@@ -234,8 +246,9 @@ class TestBackward:
             t = Tape()
             x = t.leaf([[0.3, -0.7, 2.0]], needs_grad=True)
             y = t.softmax(t.tanh(t.scale(x, 1.7)))
+            y_bytes = t.value(y).tobytes()  # backward releases it
             t.backward(t.neg_log_pick(y, 2))
-            return t.value(y).tobytes(), t.grad(x).tobytes()
+            return y_bytes, t.grad(x).tobytes()
 
         assert run() == run()
 
@@ -267,8 +280,9 @@ def _attention_scores(fused, dtype, coverage):
         ys.append(y)
         step = t.reduce_sum(t.mul(y, read))
         loss = step if loss is None else t.add(loss, step)
+    values = [t.value(y).tobytes() for y in ys]  # backward releases them
     t.backward(loss)
-    return [t.value(y).tobytes() for y in ys], [t.grad(i).tobytes() for i in inputs]
+    return values, [t.grad(i).tobytes() for i in inputs]
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -420,9 +434,9 @@ class TestParameterState:
             clip_global_norm([ok, bad], 1.0)
 
     def test_clip_and_adagrad_peak_below_one_float64_grad(self):
-        # The float64 squares in the norm (8 bytes per element) are the
-        # largest temporary; Adagrad then needs its accumulator and one
-        # float32 temporary.
+        # The accumulator Adagrad creates on first use is the largest new
+        # array; the norm's float64 squares and Adagrad's temporary are
+        # made one chunk at a time.
         n = 1 << 20
         p = Parameter("big", np.zeros((1, n), dtype=np.float32))
         p.grad[...] = 1.0  # norm 1024, so the clip scales every element
@@ -447,6 +461,40 @@ class TestParameterState:
         finally:
             tracemalloc.stop()
         assert peak <= 1 << 20
+
+    def test_adagrad_alone_stays_within_one_mebibyte(self):
+        p = Parameter("big", np.zeros((1, 1 << 20), dtype=np.float32))
+        p.adagrad_acc  # created before tracing: only the step's temporaries count
+        p.grad[...] = 1.0
+        tracemalloc.start()
+        try:
+            adagrad_step([p], lr=0.1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1 << 20
+
+
+@pytest.mark.parametrize("shape, layout", [
+    ((1, SUM_CHUNK + 1), "C"), ((3, SUM_CHUNK + 7), "C"), ((300, 700), "F"),
+    ((700, 300), "transposed"),
+], ids=["chunk+1", "3rows-odd", "F-ordered", "transposed"])
+def test_chunked_adagrad_matches_reference_bytes(shape, layout):
+    rng = np.random.default_rng(12)
+    grad = (rng.standard_normal(shape) * np.exp(rng.uniform(-4, 4, shape))).astype(np.float32)
+    if layout == "F":
+        grad = np.asfortranarray(grad)
+    elif layout == "transposed":
+        grad = grad.T
+    value = rng.standard_normal(grad.shape).astype(np.float32)
+    acc = rng.uniform(0.1, 5.0, grad.shape).astype(np.float32)
+    p = Parameter("w", value)
+    p.adagrad_acc[...] = acc
+    p._grad = grad.copy(order="K")
+    adagrad_step([p], 0.15)
+    want_value, want_acc = reference_adagrad_step(value, grad, acc, 0.15)
+    assert p.value.tobytes() == want_value.tobytes()
+    assert p.adagrad_acc.tobytes() == want_acc.tobytes()
 
 
 @pytest.mark.parametrize("shape, layout", [
