@@ -9,6 +9,7 @@ three sentences joined by the boundary token) or the truncated article.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,7 +18,7 @@ from .corpus import BINARY_CLASSES, NewsPair, Vocabulary
 from .layers import BiLstmEncoder, EmbeddingTable, bilstm_encode, embed_rows, linear, uniform_param, zeros_param
 from .metrics import classification_report
 from .summarizer import target_token_sequence
-from .tape import NonFiniteError, Parameter, Tape, adagrad_step, global_grad_norm, zero_grads
+from .tape import NonFiniteError, Parameter, Tape, batch_order, optimizer_step
 
 
 class ClassifierParams:
@@ -62,11 +63,8 @@ def decision_distribution(tape: Tape, model: ClassifierParams, ids) -> int:
     logit_parallel = linear(tape, model.head_parallel_w, model.head_parallel_b, h)
     logit_sequence = linear(tape, model.head_sequence_w, model.head_sequence_b, h)
     # first logit of each head -> shared 2-way softmax
-    first = tape.leaf(np.array([[1.0], [0.0]], dtype=tape.dtype))
-    z = tape.concat(
-        [tape.matmul(logit_parallel, first), tape.matmul(logit_sequence, first)], axis=1
-    )
-    return tape.softmax(z)
+    heads = tape.transpose(tape.concat([logit_parallel, logit_sequence], axis=0))
+    return tape.softmax(tape.gather_rows(heads, (0,)))
 
 
 @dataclass
@@ -136,32 +134,6 @@ class TrainReport:
     heldout: dict | None = None
 
 
-def _batch_step(model: ClassifierParams, batch: list[LabeledExample], lr: float) -> float:
-    """One Adagrad update on a batch; returns the mean loss.
-
-    A non-finite loss or gradient raises NonFiniteError (naming the
-    parameter for a gradient) before any parameter value changes.
-    """
-    tape = Tape()
-    losses = [
-        tape.neg_log_pick(decision_distribution(tape, model, ex.ids), ex.gold)
-        for ex in batch
-    ]
-    total = tape.reduce_mean(tape.concat(losses, axis=1))
-    mean_loss = float(tape.value(total)[0, 0])
-    if not np.isfinite(mean_loss):
-        raise NonFiniteError(f"classifier batch: non-finite loss {mean_loss}")
-    tape.backward(total)
-    params = model.params()
-    try:
-        global_grad_norm(params)
-    except NonFiniteError as exc:
-        zero_grads(params)  # leave no half-made step behind
-        raise NonFiniteError(f"classifier batch: {exc}") from exc
-    adagrad_step(params, lr)
-    return mean_loss
-
-
 def evaluate_classifier(model: ClassifierParams, examples: list[LabeledExample]) -> dict:
     preds = [classify(model, ex.ids).label for ex in examples]
     golds = [BINARY_CLASSES[ex.gold] for ex in examples]
@@ -171,20 +143,30 @@ def evaluate_classifier(model: ClassifierParams, examples: list[LabeledExample])
 def train_classifier(model: ClassifierParams, train: list[LabeledExample],
                      heldout: list[LabeledExample] | None,
                      cfg: ClassifierTrainConfig) -> TrainReport:
-    """Cross-entropy Adagrad training; rejects single-class corpora."""
+    """Cross-entropy Adagrad training, unclipped; rejects single-class corpora.
+    A non-finite step raises NonFiniteError naming it, counted from 0."""
     if len({ex.gold for ex in train}) < 2:
         raise ValueError("training corpus contains a single class")
-    rng = np.random.default_rng(cfg.seed)
+    batches = batch_order(np.random.default_rng(cfg.seed), len(train), cfg.batch_size)
+    per_epoch = len(range(0, len(train), cfg.batch_size))
+    params = model.params()
     report = TrainReport()
+    step = 0
     for _ in range(cfg.epochs):
-        order = rng.permutation(len(train))
         epoch_loss = 0.0
-        n_batches = 0
-        for start in range(0, len(train), cfg.batch_size):
-            batch = [train[i] for i in order[start : start + cfg.batch_size]]
-            epoch_loss += _batch_step(model, batch, cfg.lr)
-            n_batches += 1
-        report.epoch_losses.append(epoch_loss / n_batches)
+        for idx in itertools.islice(batches, per_epoch):
+            tape = Tape()
+            losses = [
+                tape.neg_log_pick(decision_distribution(tape, model, train[i].ids), train[i].gold)
+                for i in idx
+            ]
+            total = tape.reduce_mean(tape.concat(losses, axis=1))
+            try:
+                epoch_loss += optimizer_step(tape, total, params, cfg.lr)
+            except NonFiniteError as exc:
+                raise NonFiniteError(f"classifier step {step}: {exc}") from exc
+            step += 1
+        report.epoch_losses.append(epoch_loss / per_epoch)
     if heldout:
         report.heldout = evaluate_classifier(model, heldout)
     return report

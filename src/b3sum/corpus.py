@@ -112,9 +112,16 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path) -> "Vocabulary":
-        with open(path, encoding="utf-8") as fh:
-            obj = json.load(fh)
-        return cls(obj["tokens"])
+        """Read a ``save`` file; a malformed one raises CorpusError naming it."""
+        try:
+            with open(path, encoding="utf-8") as fh:
+                obj = json.load(fh)
+            tokens = obj.get("tokens") if isinstance(obj, dict) else None
+            if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
+                raise CorpusError('needs an object with a "tokens" list of strings')
+            return cls(tokens)
+        except (ValueError, RecursionError) as exc:
+            raise CorpusError(f"vocabulary file {path}: {exc}") from None
 
 
 # -- JSONL ingestion -------------------------------------------------------
@@ -149,13 +156,10 @@ def _parse_pair(obj: dict) -> NewsPair:
     )
 
 
-def load_jsonl(path, strict: bool = True) -> tuple[list[NewsPair], list[tuple[int, str]]]:
-    """Load a corpus file.
-
-    Returns (pairs, errors) where errors is a list of (line_number, message).
-    With strict=True the first malformed line raises CorpusError instead.
-    """
-    pairs: list[NewsPair] = []
+def _read_jsonl(path, parse, strict: bool = True) -> tuple[list, list[tuple[int, str]]]:
+    """``parse(obj)`` for the JSON object on each non-blank line, returned
+    and raised as ``load_jsonl`` describes."""
+    results: list = []
     errors: list[tuple[int, str]] = []
     # Undecodable bytes become lone surrogates, so the line holding them is named.
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
@@ -170,12 +174,21 @@ def load_jsonl(path, strict: bool = True) -> tuple[list[NewsPair], list[tuple[in
                 obj = json.loads(line)  # ValueError: bad JSON, or an int too long to convert
                 if not isinstance(obj, dict):
                     raise CorpusError("line is not a JSON object")
-                pairs.append(_parse_pair(obj))
+                results.append(parse(obj))
             except (ValueError, RecursionError) as exc:
                 if strict:
                     raise CorpusError(f"line {line_no}: {exc}") from None
                 errors.append((line_no, str(exc)))
-    return pairs, errors
+    return results, errors
+
+
+def load_jsonl(path, strict: bool = True) -> tuple[list[NewsPair], list[tuple[int, str]]]:
+    """Load a corpus file.
+
+    Returns (pairs, errors) where errors is a list of (line_number, message).
+    With strict=True the first malformed line raises CorpusError instead.
+    """
+    return _read_jsonl(path, _parse_pair, strict)
 
 
 def save_jsonl(pairs, path):
@@ -185,28 +198,26 @@ def save_jsonl(pairs, path):
             fh.write("\n")
 
 
+def _parse_summary(obj: dict) -> tuple[str, list[list[str]]]:
+    if "id" not in obj or "summary" not in obj:
+        raise CorpusError("needs 'id' and 'summary'")
+    sents = obj["summary"]
+    if not isinstance(sents, list) or len(sents) != 3:
+        raise CorpusError("summary must have 3 sentences")
+    return str(obj["id"]), [str(s).split() for s in sents]
+
+
 def load_summary_file(path) -> dict[str, list[list[str]]]:
     """Load system-output summaries: id -> three token lists.
 
     Unlike training corpora, system outputs may contain empty sentences
-    (padded short decodes), so only the sentence count is enforced.
+    (padded short decodes), so only the sentence count is enforced.  A bad
+    line raises CorpusError naming the file and the line.
     """
-    out: dict[str, list[list[str]]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusError(f"line {line_no}: {exc}") from None
-            if "id" not in obj or "summary" not in obj:
-                raise CorpusError(f"line {line_no}: needs 'id' and 'summary'")
-            sents = obj["summary"]
-            if not isinstance(sents, list) or len(sents) != 3:
-                raise CorpusError(f"line {line_no}: summary must have 3 sentences")
-            out[str(obj["id"])] = [str(s).split() for s in sents]
-    return out
+    try:
+        return dict(_read_jsonl(path, _parse_summary)[0])
+    except CorpusError as exc:
+        raise CorpusError(f"{path}: {exc}") from None
 
 
 def save_summary_file(summaries: dict, path, extra: dict | None = None) -> None:

@@ -9,13 +9,14 @@ from files.
 
 from __future__ import annotations
 
+import itertools
 import json
 import logging
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .checkpoint import checkpoint_digest, restore_params, save_checkpoint, tensor_map
+from .checkpoint import checkpoint_digest, load_checkpoint, restore_params, save_checkpoint, tensor_map
 from .classifier import ClassifierParams, classifier_input_tokens, classify
 from .config import RunConfig
 from .corpus import NewsPair, Vocabulary
@@ -28,7 +29,7 @@ from .summarizer import (
     prepare_pair,
     train_batch,
 )
-from .tape import NonFiniteError
+from .tape import NonFiniteError, batch_order
 
 log = logging.getLogger("b3sum.pipeline")
 
@@ -53,20 +54,14 @@ def new_summarizer(vocab_size: int, cfg: RunConfig) -> SummarizerParams:
 def _train_steps(model: SummarizerParams, prepared: list[PreparedExample],
                  cfg: RunConfig, steps: int, start_step: int = 0) -> list[float]:
     tc = _train_config(cfg)
-    rng = np.random.default_rng(cfg.seed)
+    batches = batch_order(np.random.default_rng(cfg.seed), len(prepared), tc.batch_size)
     losses: list[float] = []
-    step = start_step
-    while len(losses) < steps:
-        order = rng.permutation(len(prepared))
-        for start in range(0, len(prepared), tc.batch_size):
-            if len(losses) >= steps:
-                break
-            batch = [prepared[i] for i in order[start : start + tc.batch_size]]
-            try:
-                losses.append(train_batch(model, batch, tc, use_coverage=tc.coverage_at(step)))
-            except NonFiniteError as exc:
-                raise NonFiniteError(f"training step {step}: {exc}") from exc
-            step += 1
+    for step, idx in enumerate(itertools.islice(batches, steps), start=start_step):
+        batch = [prepared[i] for i in idx]
+        try:
+            losses.append(train_batch(model, batch, tc, use_coverage=tc.coverage_at(step)))
+        except NonFiniteError as exc:
+            raise NonFiniteError(f"training step {step}: {exc}") from exc
     return losses
 
 
@@ -79,18 +74,20 @@ def pretrain(pairs: list[NewsPair], vocab: Vocabulary, cfg: RunConfig, steps: in
     prepared = [prepare_pair(p, vocab) for p in pairs]
     model = new_summarizer(vocab.size, cfg)
     losses = _train_steps(model, prepared, cfg, steps)
-    info = {
-        "stage": "pretrain",
-        "steps": steps,
-        "pairs": len(pairs),
-        "config_hash": cfg.hash_hex(),
-        "final_loss": losses[-1] if losses else None,
-    }
+    info = {"stage": "pretrain", "steps": steps, "pairs": len(pairs)}
+    return model, _stage_info(info, model, losses, cfg, out_path)
+
+
+def _stage_info(info: dict, model: SummarizerParams, losses: list[float], cfg: RunConfig,
+                out_path) -> dict:
+    """``info`` plus the config hash and the last loss, and, with an
+    ``out_path``, the checkpoint written there and its digest."""
+    info |= {"config_hash": cfg.hash_hex(), "final_loss": losses[-1] if losses else None}
     if out_path is not None:
         save_checkpoint(tensor_map(model.params()), out_path, cfg.hash_bytes())
         info["checkpoint"] = str(out_path)
         info["checkpoint_digest"] = checkpoint_digest(out_path)
-    return model, info
+    return info
 
 
 def auto_label_corpus(summary_classifier: ClassifierParams, cls_vocab: Vocabulary,
@@ -127,7 +124,7 @@ def finetune(base_checkpoint, subset: list[NewsPair], label: str, vocab: Vocabul
         raise ValueError(
             f"finetune({label}): empty subset; lower tau so auto-labeling keeps more pairs"
         )
-    tensors, _ = _load_base(base_checkpoint, cfg)
+    tensors, _ = load_checkpoint(base_checkpoint, expect_hash=cfg.hash_bytes())
     model = new_summarizer(vocab.size, cfg)
     restore_params(model.params(), tensors)
     prepared = [prepare_pair(p, vocab) for p in subset]
@@ -137,20 +134,8 @@ def finetune(base_checkpoint, subset: list[NewsPair], label: str, vocab: Vocabul
         "steps": steps,
         "pairs": len(subset),
         "base_digest": checkpoint_digest(base_checkpoint),
-        "config_hash": cfg.hash_hex(),
-        "final_loss": losses[-1] if losses else None,
     }
-    if out_path is not None:
-        save_checkpoint(tensor_map(model.params()), out_path, cfg.hash_bytes())
-        info["checkpoint"] = str(out_path)
-        info["checkpoint_digest"] = checkpoint_digest(out_path)
-    return model, info
-
-
-def _load_base(base_checkpoint, cfg: RunConfig):
-    from .checkpoint import load_checkpoint
-
-    return load_checkpoint(base_checkpoint, expect_hash=cfg.hash_bytes())
+    return model, _stage_info(info, model, losses, cfg, out_path)
 
 
 @dataclass

@@ -26,7 +26,7 @@ from .layers import (
     uniform_param,
     zeros_param,
 )
-from .tape import NonFiniteError, Parameter, Tape, adagrad_step, clip_global_norm, zero_grads
+from .tape import Parameter, Tape, optimizer_step
 
 PGEN_EPS = 1e-12
 
@@ -422,33 +422,18 @@ class TrainConfig:
 
 def train_batch(model: SummarizerParams, batch: list[PreparedExample],
                 cfg: TrainConfig, use_coverage: bool = False) -> float:
-    """One optimizer update on a batch; returns the mean loss.
-
-    A non-finite loss or gradient raises NonFiniteError (naming the
-    parameter for a gradient) before any parameter value changes.
-    """
+    """One clipped Adagrad update on a batch (``optimizer_step``); returns
+    the mean loss, or raises NonFiniteError with every value unchanged."""
     if not batch:
         raise ValueError("train_batch: empty batch")
     tape = Tape()
-    losses = []
-    for ex in batch:
-        loss, _, _, _ = sequence_loss(
-            tape, model, ex, use_coverage=use_coverage, cov_lambda=cfg.coverage_lambda
-        )
-        losses.append(loss)
+    losses = [
+        sequence_loss(tape, model, ex, use_coverage=use_coverage,
+                      cov_lambda=cfg.coverage_lambda)[0]
+        for ex in batch
+    ]
     total = tape.reduce_mean(tape.concat(losses, axis=1))
-    mean_loss = float(tape.value(total)[0, 0])
-    if not np.isfinite(mean_loss):
-        raise NonFiniteError(f"train_batch: non-finite loss {mean_loss}")
-    tape.backward(total)
-    params = model.params()
-    try:
-        clip_global_norm(params, cfg.clip_norm)
-    except NonFiniteError as exc:
-        zero_grads(params)  # leave no half-made step behind
-        raise NonFiniteError(f"train_batch: {exc}") from exc
-    adagrad_step(params, cfg.lr)
-    return mean_loss
+    return optimizer_step(tape, total, model.params(), cfg.lr, cfg.clip_norm)
 
 
 def corpus_loss(model: SummarizerParams, examples: list[PreparedExample],

@@ -1,4 +1,4 @@
-"""A reverse-mode autodiff tape over dense matrices, Adagrad, and gradient checking.
+"""A reverse-mode autodiff tape over dense matrices, the optimizer step, and gradient checking.
 
 Everything downstream (LSTM layers, the attention decoder, the classifier)
 is expressed as a sequence of a small set of kernels appended to a Tape.
@@ -600,6 +600,39 @@ def adagrad_step(params, lr: float):
             gc /= tmp
             flat_value[chunk] -= gc
         p.zero_grad()
+
+
+def optimizer_step(tape: Tape, loss: int, params, lr: float,
+                   clip_norm: float | None = None) -> float:
+    """Backward, clip to ``clip_norm`` (None: only check), Adagrad; returns the loss.
+
+    A non-finite loss (before backward) or grad (naming the parameter, with
+    every grad released) raises NonFiniteError, and no value changes."""
+    value = float(tape.value(loss)[0, 0])
+    if not math.isfinite(value):
+        raise NonFiniteError(f"non-finite loss {value}")
+    tape.backward(loss)
+    try:
+        if clip_norm is None:
+            global_grad_norm(params)
+        else:
+            clip_global_norm(params, clip_norm)
+    except NonFiniteError:
+        zero_grads(params)  # leave no half-made step behind
+        raise
+    adagrad_step(params, lr)
+    return value
+
+
+def batch_order(rng: np.random.Generator, n: int, batch_size: int):
+    """Minibatch index arrays without end: each pass over ``n`` examples draws
+    one ``rng.permutation(n)`` as its first batch is taken, then slices it."""
+    if n < 1 or batch_size < 1:
+        raise ValueError(f"batch_order: needs examples and batch_size >= 1, got {n}, {batch_size}")
+    while True:
+        order = rng.permutation(n)
+        for start in range(0, n, batch_size):
+            yield order[start : start + batch_size]
 
 
 @dataclass

@@ -1,5 +1,7 @@
 """Structure classifier: encoding, decision rule, training, under-sampling."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -172,10 +174,31 @@ class TestTraining:
         model.embedding.weights.value[:, 0] = np.inf
         before = {p.name: p.value.tobytes() for p in model.params()}
         with pytest.raises(NonFiniteError,
-                           match=r"^classifier batch: non-finite gradient in parameter 'cls\."):
+                           match=r"^classifier step 0: non-finite gradient in parameter 'cls\."):
             train_classifier(model, train, None, ClassifierTrainConfig(batch_size=4, epochs=1))
         assert {p.name: p.value.tobytes() for p in model.params()} == before
         assert all(p._grad is None and p._acc is None for p in model.params())
+
+
+# Computed before train_classifier and the summarizer shared one optimizer
+# step and one batch order: epoch losses as exact reprs, and a sha256 over
+# every parameter's bytes in params() order.  30 examples in batches of 7
+# end each epoch on a short batch.
+PINNED_EPOCH_LOSSES = ["0.6936418175697326", "0.6895285010337829", "0.6843534231185913"]
+PINNED_PARAMS_SHA256 = "5c23acc20bff8ce5a12f6831f1716a5f3ba9176ab12c0138d4702ccc525567b1"
+
+
+def test_training_is_bit_identical_to_the_pinned_run():
+    train, _, vocab = _labeled_split(n=40)
+    cfg = ClassifierTrainConfig(emb_dim=8, hidden_dim=8, lr=0.1, batch_size=7, epochs=3, seed=4)
+    model = ClassifierParams(vocab.size, cfg.emb_dim, cfg.hidden_dim, seed=cfg.seed)
+    report = train_classifier(model, train, None, cfg)
+    assert len(train) == 30
+    assert [repr(loss) for loss in report.epoch_losses] == PINNED_EPOCH_LOSSES
+    digest = hashlib.sha256()
+    for p in model.params():
+        digest.update(p.value.tobytes())
+    assert digest.hexdigest() == PINNED_PARAMS_SHA256
 
 
 def _token_separable(n_major=40, n_minor=20, seed=0):

@@ -243,6 +243,19 @@ class TestModelCommands:
         assert code == 1  # the tensors no longer fit the model
         assert any("hash mismatch" in r.message for r in caplog.records)
 
+    @pytest.mark.parametrize("content, message", [
+        ("{}", 'needs an object with a "tokens" list of strings'),
+        ("[1]", 'needs an object with a "tokens" list of strings'),
+        ('{"tokens": 5}', 'needs an object with a "tokens" list of strings'),
+    ], ids=["no-tokens-key", "not-an-object", "tokens-not-a-list"])
+    def test_summarize_rejects_a_malformed_vocabulary_file(self, workspace, pretrained,
+                                                           tmp_path, capsys, content, message):
+        bad = tmp_path / "bad-vocab.json"
+        bad.write_text(content)
+        code, _, err = self._summarize(capsys, workspace, tmp_path, bad, pretrained[1])
+        assert code == 1
+        assert f"error: vocabulary file {bad}: {message}" in err
+
     def test_summarize_requires_model_flags(self, workspace, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["summarize", "--articles", "x.jsonl", "--vocab", "v.json",
@@ -297,6 +310,21 @@ class TestEvaluationCommands:
         code, out, _ = run(capsys, "report", "--scores", str(tmp_path / "docs.jsonl"),
                            "--format", "pretty")
         assert code == 0 and "alignment patterns" in out
+
+    @pytest.mark.parametrize("bad_line, message", [
+        (b"5\n", "line 2: line is not a JSON object"),
+        (b'{"id": "x", "summary": ["a", "b\xff", "c"]}\n', "line 2: line is not valid UTF-8"),
+    ], ids=["not-an-object", "undecodable"])
+    def test_evaluate_names_the_bad_system_line(self, tmp_path, capsys, reference,
+                                                bad_line, message):
+        ref_path, pairs = reference
+        sys_path = self._write_system(tmp_path, pairs)
+        lines = sys_path.read_bytes().splitlines(keepends=True)
+        sys_path.write_bytes(lines[0] + bad_line + b"".join(lines[1:]))
+        code, _, err = run(capsys, "evaluate", "--system", str(sys_path),
+                           "--reference", str(ref_path))
+        assert code == 1
+        assert f"error: {sys_path}: {message}" in err
 
     def test_missing_system_document_fails(self, tmp_path, capsys, reference):
         ref_path, pairs = reference

@@ -7,6 +7,7 @@ from b3sum.checkpoint import checkpoint_digest, load_checkpoint
 from b3sum.classifier import ClassifierParams
 from b3sum.config import RunConfig
 from b3sum.corpus import build_vocab, synth_generate
+from b3sum import pipeline
 from b3sum.pipeline import (
     StructureAwareModel,
     _train_steps,
@@ -77,10 +78,42 @@ def test_non_finite_training_step_is_named(corpus):
     cfg = _cfg()
     model = new_summarizer(vocab.size, cfg)
     model.embedding.weights.value[:, 0] = np.inf
-    with pytest.raises(NonFiniteError, match=r"^training step 5: train_batch: "
+    with pytest.raises(NonFiniteError, match=r"^training step 5: "
                                              r"non-finite gradient in parameter '"):
         _train_steps(model, [prepare_pair(p, vocab) for p in pairs[:4]], cfg, steps=2,
                      start_step=5)
+
+
+# Computed before the summarizer and the classifier shared one optimizer
+# step and one batch order.  Pretraining takes 5 steps over 12 pairs in
+# batches of 4, so it starts a second pass, and switches coverage on at
+# step 3; fine-tuning takes 3 steps over 5 pairs, a short batch among them.
+PINNED_LOSSES = [
+    "3.894705295562744", "3.917904853820801", "3.882148265838623", "4.837911128997803",
+    "4.832944869995117", "3.8975167274475098", "3.8929972648620605", "3.888843536376953",
+]
+PINNED_BASE_SHA256 = "cf133a9a2e2189ce1bedb30f56f3e1e2e454bab3eafa2bd07f0559efc67ee591"
+PINNED_TUNED_SHA256 = "8ba333b9b4bad6716e48f5459b8ce999baaf0c3907921f7e3ca0e35961f926e9"
+
+
+def test_pretrain_then_finetune_is_bit_identical_to_the_pinned_run(corpus, tmp_path,
+                                                                   monkeypatch):
+    pairs, vocab = corpus
+    cfg = _cfg(coverage_from_step=3)
+    losses = []
+    original = pipeline.train_batch
+
+    def recording(*args, **kwargs):
+        losses.append(original(*args, **kwargs))
+        return losses[-1]
+
+    monkeypatch.setattr(pipeline, "train_batch", recording)
+    pretrain(pairs, vocab, cfg, steps=5, out_path=tmp_path / "b.ckpt")
+    finetune(tmp_path / "b.ckpt", pairs[:5], "parallel", vocab, cfg, steps=3,
+             out_path=tmp_path / "p.ckpt")
+    assert [repr(loss) for loss in losses] == PINNED_LOSSES
+    assert checkpoint_digest(tmp_path / "b.ckpt") == PINNED_BASE_SHA256
+    assert checkpoint_digest(tmp_path / "p.ckpt") == PINNED_TUNED_SHA256
 
 
 class TestAutoLabel:

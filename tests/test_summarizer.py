@@ -10,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from b3sum import pipeline, summarizer
+from b3sum import tape as tape_mod
+from b3sum.classifier import ClassifierParams, ClassifierTrainConfig, LabeledExample, train_classifier
 from b3sum.config import RunConfig
 from b3sum.corpus import NewsPair, Vocabulary
 from b3sum.summarizer import (
@@ -275,10 +277,10 @@ class TestSequenceLossAndTraining:
         model = tiny_summarizer(vocab_size=vocab.size, seed=2)
         if where == "loss":
             model.proj_v_out.value[0, 0] = np.nan
-            match = "train_batch: non-finite loss nan"
+            match = "^non-finite loss nan$"
         else:
             model.proj_v_out.grad[0, 0] = np.inf  # backward adds into it
-            match = "train_batch: non-finite gradient in parameter 'proj.V_out'"
+            match = "^non-finite gradient in parameter 'proj.V_out'$"
         before = {p.name: p.value.tobytes() for p in model.params()}
         with pytest.raises(NonFiniteError, match=match):
             train_batch(model, prepared, TrainConfig())
@@ -805,3 +807,21 @@ class TestCallThrough:
         cfg = RunConfig(hidden_dim=8, emb_dim=4, batch_size=2)
         losses = pipeline._train_steps(tiny_summarizer(vocab_size=vocab.size), prepared, cfg, 3)
         assert len(losses) == 3 and seen == [2, 2, 2]
+
+    def test_both_trainers_step_through_the_tape_module_attributes(self, monkeypatch):
+        fired = []
+        for name in ("global_grad_norm", "clip_global_norm", "adagrad_step"):
+            def counting(*args, _name=name, _fn=getattr(tape_mod, name), **kwargs):
+                fired.append(_name)
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(tape_mod, name, counting)
+        pairs, vocab = _golden_pairs()
+        train_batch(tiny_summarizer(vocab_size=vocab.size), [prepare_pair(pairs[0], vocab)],
+                    TrainConfig())
+        assert fired == ["clip_global_norm", "global_grad_norm", "adagrad_step"]
+        fired.clear()
+        examples = [LabeledExample(ids=[5, 7], gold=0), LabeledExample(ids=[6, 7], gold=1)]
+        train_classifier(ClassifierParams(10, emb_dim=4, hidden_dim=3), examples, None,
+                         ClassifierTrainConfig(batch_size=1, epochs=1))
+        assert fired == ["global_grad_norm", "adagrad_step"] * 2

@@ -1,5 +1,6 @@
 """Kernel semantics, backward correctness, optimizer, and the grad checker."""
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -17,8 +18,10 @@ from b3sum.tape import (
     Tape,
     _sum_of_squares,
     adagrad_step,
+    batch_order,
     clip_global_norm,
     finite_diff_check,
+    optimizer_step,
     zero_grads,
 )
 
@@ -395,6 +398,75 @@ class TestAdagrad:
         p.grad[...] = 5.0
         zero_grads([p])
         np.testing.assert_array_equal(p.grad, [[0.0]])
+
+
+class TestOptimizerStep:
+    @staticmethod
+    def _linear_loss(params, coefs):
+        """sum(coef * param) over the pairs: each param's grad is its coef."""
+        t = Tape()
+        terms = [t.reduce_sum(t.mul(t.param(p), t.leaf(c))) for p, c in zip(params, coefs)]
+        return t, t.reduce_sum(t.concat(terms, axis=1))
+
+    def test_non_finite_loss_raises_before_any_grad_exists(self):
+        w = Parameter("w", [[1.0, 2.0]])
+        t, loss = self._linear_loss([w], [[[np.nan, 1.0]]])
+        with pytest.raises(NonFiniteError, match=r"^non-finite loss nan$"):
+            optimizer_step(t, loss, [w], lr=0.1, clip_norm=1.0)
+        assert w._grad is None and w._acc is None
+        assert all(node.grad is None for node in t.nodes)  # backward never ran
+        np.testing.assert_array_equal(w.value, [[1.0, 2.0]])
+
+    @pytest.mark.parametrize("clip_norm", [None, 1.0])
+    def test_non_finite_grad_releases_every_grad_and_names_the_parameter(self, clip_norm):
+        ok, bad = Parameter("ok", [[1.0]]), Parameter("bad", [[1.0, 2.0]])
+        bad.grad[0, 1] = np.inf  # backward adds into it
+        t, loss = self._linear_loss([ok, bad], [[[3.0]], [[1.0, 1.0]]])
+        with pytest.raises(NonFiniteError, match=r"^non-finite gradient in parameter 'bad'$"):
+            optimizer_step(t, loss, [ok, bad], lr=0.1, clip_norm=clip_norm)
+        assert all(p._grad is None and p._acc is None for p in (ok, bad))
+        np.testing.assert_array_equal(ok.value, [[1.0]])
+        np.testing.assert_array_equal(bad.value, [[1.0, 2.0]])
+
+    @pytest.mark.parametrize("clip_norm", [None, 1.0])
+    def test_grads_are_unscaled_without_clip_norm_and_clipped_with_it(self, clip_norm):
+        start = np.array([[0.5, -0.25]], dtype=np.float32)
+        grad = np.array([[30.0, 40.0]], dtype=np.float32)  # norm 50
+        w = Parameter("w", start)
+        t, loss = self._linear_loss([w], [grad])
+        assert optimizer_step(t, loss, [w], lr=0.1, clip_norm=clip_norm) == float(
+            t.value(loss)[0, 0])
+        if clip_norm is not None:
+            _, (grad,) = reference_clip_global_norm([grad], clip_norm)
+        want_value, want_acc = reference_adagrad_step(
+            start, grad, np.full_like(start, 0.1), 0.1)
+        assert w.value.tobytes() == want_value.tobytes()
+        assert w.adagrad_acc.tobytes() == want_acc.tobytes()
+        assert w._grad is None
+
+
+class TestBatchOrder:
+    def test_one_permutation_per_pass_sliced_in_order(self):
+        got = [b.tolist() for b in itertools.islice(batch_order(np.random.default_rng(5), 7, 3), 6)]
+        rng = np.random.default_rng(5)
+        want = []
+        for _ in range(2):
+            order = rng.permutation(7).tolist()
+            want += [order[0:3], order[3:6], order[6:7]]
+        assert got == want
+
+    def test_a_pass_is_drawn_when_its_first_batch_is_taken(self):
+        rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+        batches = batch_order(rng, 6, 3)
+        assert rng.bit_generator.state == ref.bit_generator.state
+        list(itertools.islice(batches, 2))
+        ref.permutation(6)
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("n, batch_size", [(0, 2), (3, 0), (3, -1)])
+    def test_rejects_no_examples_or_a_batch_size_below_one(self, n, batch_size):
+        with pytest.raises(ValueError, match="batch_order"):
+            next(batch_order(np.random.default_rng(0), n, batch_size))
 
 
 class TestParameterState:
