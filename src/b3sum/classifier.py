@@ -45,9 +45,6 @@ class ClassifierParams:
                self.head_sequence_w, self.head_sequence_b]
         )
 
-    def param_dict(self) -> dict[str, Parameter]:
-        return {p.name: p for p in self.params()}
-
 
 def encode_text(tape: Tape, model: ClassifierParams, ids) -> int:
     """(1 x 2*hidden) node: [final forward state, first-position backward state]."""

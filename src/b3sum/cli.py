@@ -33,7 +33,7 @@ from .classifier import (
     undersample_tune,
 )
 from .config import RunConfig
-from .corpus import CorpusError, Vocabulary, load_jsonl, save_jsonl
+from .corpus import CorpusError, Vocabulary, load_jsonl, read_json, read_jsonl, save_jsonl
 from .pipeline import (
     StructureAwareModel,
     auto_label_corpus,
@@ -57,13 +57,16 @@ def _setup_logging():
     )
 
 
-def _emit(result: dict, out_path: str | None):
-    text = json.dumps(result, indent=2, sort_keys=True)
+def _write(text: str, out_path: str | None):
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     else:
         print(text)
+
+
+def _emit(result: dict, out_path: str | None):
+    _write(json.dumps(result, indent=2, sort_keys=True), out_path)
 
 
 def _parse_set(values) -> dict:
@@ -80,10 +83,12 @@ def _parse_set(values) -> dict:
 
 
 def _config(args) -> RunConfig:
-    cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
-    cfg = cfg.updated(_parse_set(args.set))
+    """The config file's keys, then each ``--set``, then ``--seed``, checked once."""
+    values = read_json(args.config, "config file") if args.config else {}
+    values.update(_parse_set(args.set))
     if args.seed is not None:
-        cfg = cfg.updated({"seed": args.seed})
+        values["seed"] = args.seed
+    cfg = RunConfig.from_dict(values)
     log.info("resolved config: %s", cfg.canonical_json())
     return cfg
 
@@ -354,23 +359,7 @@ def cmd_align_eval(args):
 
 
 def cmd_report(args):
-    per_doc = []
-    with open(args.scores, encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            obj = json.loads(line)
-            per_doc.append(
-                metrics.DocumentScores(
-                    doc_id=obj["id"],
-                    per_position=[
-                        {m: metrics.RougeScore(*vals) for m, vals in pos.items()}
-                        for pos in obj["positions"]
-                    ],
-                    gold_class=obj.get("gold_class"),
-                    pattern=obj.get("pattern"),
-                )
-            )
+    per_doc, _ = read_jsonl(args.scores, metrics.DocumentScores.from_json)
     report = metrics.breakdown_report(per_doc)
     if args.format == "tsv":
         text = metrics.format_breakdown_tsv(report)
@@ -378,11 +367,7 @@ def cmd_report(args):
         text = metrics.format_breakdown_pretty(report)
     else:
         text = json.dumps(report, indent=2, sort_keys=True)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _write(text, args.out)
 
 
 def cmd_stats(args):

@@ -1,11 +1,12 @@
 """Run configuration: one flat key set with defaults for every stage.
 
 Config files are flat JSON objects; unknown keys are rejected so typos fail
-loudly.  CLI flags override file values.  The sha256 of the canonical JSON
-form, less the decode-time keys, is embedded in checkpoints so a model can
-warn when reloaded under a configuration that would have built or trained
-it differently.  Every value is checked for type and range on
-construction, so a bad file or ``--set`` value fails with the key's name.
+loudly.  CLI flags override file values, and the merged keys are checked
+once, so ``--set key=null`` resets a nullable key.  The sha256 of the
+canonical JSON form, less the decode-time keys, is embedded in checkpoints
+so a model can warn when reloaded under a configuration that would have
+built or trained it differently.  Every value is checked for type and range
+on construction, so a bad file or ``--set`` value fails with the key's name.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
+
+from .corpus import read_json
 
 
 def _is_int(v) -> bool:
@@ -106,18 +109,7 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
-        with open(path, encoding="utf-8") as fh:
-            obj = json.load(fh)
-        if not isinstance(obj, dict):
-            raise ValueError("config file must hold a flat JSON object")
-        return cls.from_dict(obj)
-
-    def updated(self, overrides: dict) -> "RunConfig":
-        values = {k: v for k, v in overrides.items() if v is not None}
-        unknown = set(values) - self.field_names()
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        return dataclasses.replace(self, **values)
+        return cls.from_dict(read_json(path, "config file"))
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)

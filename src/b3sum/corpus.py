@@ -113,18 +113,16 @@ class Vocabulary:
     @classmethod
     def load(cls, path) -> "Vocabulary":
         """Read a ``save`` file; a malformed one raises CorpusError naming it."""
+        tokens = read_json(path, "vocabulary file").get("tokens")
         try:
-            with open(path, encoding="utf-8") as fh:
-                obj = json.load(fh)
-            tokens = obj.get("tokens") if isinstance(obj, dict) else None
             if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
                 raise CorpusError('needs an object with a "tokens" list of strings')
             return cls(tokens)
-        except (ValueError, RecursionError) as exc:
+        except CorpusError as exc:
             raise CorpusError(f"vocabulary file {path}: {exc}") from None
 
 
-# -- JSONL ingestion -------------------------------------------------------
+# -- JSON and JSONL ingestion --------------------------------------------
 
 
 def _parse_pair(obj: dict) -> NewsPair:
@@ -156,9 +154,23 @@ def _parse_pair(obj: dict) -> NewsPair:
     )
 
 
-def _read_jsonl(path, parse, strict: bool = True) -> tuple[list, list[tuple[int, str]]]:
+def read_json(path, what: str) -> dict:
+    """The JSON object held in ``path``.  Bad UTF-8, bad JSON, nesting too
+    deep to parse and any non-object value raise CorpusError naming ``what``
+    and the file; OSError passes through."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            obj = json.load(fh)  # UnicodeDecodeError and JSONDecodeError are ValueErrors
+        except (ValueError, RecursionError) as exc:
+            raise CorpusError(f"{what} {path}: {exc}") from None
+    if not isinstance(obj, dict):
+        raise CorpusError(f"{what} {path}: not a JSON object")
+    return obj
+
+
+def read_jsonl(path, parse, strict: bool = True) -> tuple[list, list[tuple[int, str]]]:
     """``parse(obj)`` for the JSON object on each non-blank line, returned
-    and raised as ``load_jsonl`` describes."""
+    and raised as ``load_jsonl`` describes; a raised error names the file."""
     results: list = []
     errors: list[tuple[int, str]] = []
     # Undecodable bytes become lone surrogates, so the line holding them is named.
@@ -177,7 +189,7 @@ def _read_jsonl(path, parse, strict: bool = True) -> tuple[list, list[tuple[int,
                 results.append(parse(obj))
             except (ValueError, RecursionError) as exc:
                 if strict:
-                    raise CorpusError(f"line {line_no}: {exc}") from None
+                    raise CorpusError(f"{path}: line {line_no}: {exc}") from None
                 errors.append((line_no, str(exc)))
     return results, errors
 
@@ -188,7 +200,7 @@ def load_jsonl(path, strict: bool = True) -> tuple[list[NewsPair], list[tuple[in
     Returns (pairs, errors) where errors is a list of (line_number, message).
     With strict=True the first malformed line raises CorpusError instead.
     """
-    return _read_jsonl(path, _parse_pair, strict)
+    return read_jsonl(path, _parse_pair, strict)
 
 
 def save_jsonl(pairs, path):
@@ -214,10 +226,7 @@ def load_summary_file(path) -> dict[str, list[list[str]]]:
     (padded short decodes), so only the sentence count is enforced.  A bad
     line raises CorpusError naming the file and the line.
     """
-    try:
-        return dict(_read_jsonl(path, _parse_summary)[0])
-    except CorpusError as exc:
-        raise CorpusError(f"{path}: {exc}") from None
+    return dict(read_jsonl(path, _parse_summary)[0])
 
 
 def save_summary_file(summaries: dict, path, extra: dict | None = None) -> None:
@@ -297,6 +306,8 @@ def build_vocab(pairs, mode: str = "cap", size: int = 50000, min_count: int = 2)
 
     ordered = sorted(counts, key=lambda t: (-counts[t], first_seen[t]))
     if mode == "cap":
+        if size < 0:
+            raise CorpusError(f"vocabulary size must be >= 0, got {size}")
         kept = ordered[:size]
     elif mode == "min_count":
         kept = [t for t in ordered if counts[t] >= min_count]

@@ -84,9 +84,7 @@ def lstm_step(tape: Tape, cell: LstmCell, x: int, h_prev: int, c_prev: int) -> t
     xs = tape.concat([x, h_prev], axis=1)
 
     def gate(name, activation):
-        pre = tape.add(tape.matmul(xs, tape.param(cell.w[name]), transpose_b=True),
-                       tape.param(cell.b[name]))
-        return activation(pre)
+        return activation(linear(tape, cell.w[name], cell.b[name], xs))
 
     i = gate("i", tape.sigmoid)
     f = gate("f", tape.sigmoid)
@@ -135,10 +133,8 @@ def bilstm_encode(tape: Tape, enc: BiLstmEncoder, xs: list[int]) -> EncoderState
     for k in range(len(xs) - 1, -1, -1):
         h_b, c_b = lstm_step(tape, enc.backward_cell, xs[k], h_b, c_b)
         bwd[k] = h_b
-    rows = [tape.concat([fwd[k], bwd[k]], axis=1) for k in range(len(xs))]
-    h_concat = tape.concat(rows, axis=0)
     return EncoderStates(
-        h_concat=h_concat,
+        h_concat=tape.concat([tape.concat(fwd, axis=0), tape.concat(bwd, axis=0)], axis=1),
         fwd_final=(fwd[-1], c_f),
         bwd_first=(bwd[0], c_b),
         length=len(xs),
@@ -146,5 +142,5 @@ def bilstm_encode(tape: Tape, enc: BiLstmEncoder, xs: list[int]) -> EncoderState
 
 
 def linear(tape: Tape, w: Parameter, b: Parameter, x: int) -> int:
-    """Affine map W x + b for a 1-row input; W stored as (out, in)."""
+    """Affine map W x + b applied to each row of ``x``; W stored as (out, in)."""
     return tape.add(tape.matmul(x, tape.param(w), transpose_b=True), tape.param(b))

@@ -182,6 +182,25 @@ class DocumentScores:
             ],
         }
 
+    @classmethod
+    def from_json(cls, obj: dict) -> "DocumentScores":
+        """Inverse of ``to_json``; a record of any other shape raises ValueError."""
+        positions = obj.get("positions")
+        if "id" not in obj or not isinstance(positions, list) or len(positions) != 3:
+            raise ValueError("needs an 'id' and a list of 3 'positions'")
+        if not all(isinstance(obj.get(k), (str, type(None))) for k in ("gold_class", "pattern")):
+            raise ValueError("'gold_class' and 'pattern' must be strings or null")
+        per_position = [{m: _score_from_json(pos, m) for m in _METRICS} for pos in positions]
+        return cls(obj["id"], per_position, obj.get("gold_class"), obj.get("pattern"))
+
+
+def _score_from_json(pos, metric: str) -> RougeScore:
+    vals = pos.get(metric) if isinstance(pos, dict) else None
+    if not (isinstance(vals, list) and len(vals) == 3
+            and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in vals)):
+        raise ValueError(f"each position needs {metric!r} as 3 numbers")
+    return RougeScore(*vals)
+
 
 def score_summary_positions(sys_sents, ref_sents) -> list[dict[str, RougeScore]]:
     """Position-by-position ROUGE-1/2/L between two 3-sentence summaries."""

@@ -19,7 +19,7 @@ import numpy as np
 from .checkpoint import checkpoint_digest, load_checkpoint, restore_params, save_checkpoint, tensor_map
 from .classifier import ClassifierParams, classifier_input_tokens, classify
 from .config import RunConfig
-from .corpus import NewsPair, Vocabulary
+from .corpus import CorpusError, NewsPair, Vocabulary, read_json
 from .summarizer import (
     DecodeResult,
     PreparedExample,
@@ -186,8 +186,10 @@ def write_manifest(path, entries: dict) -> None:
 
 
 def read_manifest(path) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+    manifest = read_json(path, "manifest")
+    if not isinstance(manifest.get("stages", {}), dict):
+        raise CorpusError(f'manifest {path}: "stages" is not a JSON object')
+    return manifest
 
 
 def update_manifest(path, stage: str, info: dict) -> dict:

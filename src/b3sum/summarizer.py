@@ -22,6 +22,7 @@ from .layers import (
     LstmCell,
     bilstm_encode,
     embed_rows,
+    linear,
     lstm_step,
     uniform_param,
     zeros_param,
@@ -113,9 +114,6 @@ class SummarizerParams:
             ]
         )
 
-    def param_dict(self) -> dict[str, Parameter]:
-        return {p.name: p for p in self.params()}
-
 
 # -- single decoding step pieces ---------------------------------------------
 
@@ -151,8 +149,7 @@ def vocab_distribution(tape: Tape, model: SummarizerParams, s_t: int, h_star: in
     """Two stacked linear maps then softmax over the base vocabulary."""
     feat = tape.concat([s_t, h_star], axis=1)
     inner = tape.add(feat, tape.param(model.proj_b_in))
-    mid = tape.add(tape.matmul(inner, tape.param(model.proj_v), transpose_b=True),
-                   tape.param(model.proj_b_mid))
+    mid = linear(tape, model.proj_v, model.proj_b_mid, inner)
     logits = tape.matmul(mid, tape.param(model.proj_v_out), transpose_b=True)
     return tape.softmax(logits)
 
@@ -297,10 +294,8 @@ def encode_article(tape: Tape, model: SummarizerParams, enc_ids, src_ext_ids,
     enc = bilstm_encode(tape, model.encoder, xs)
     h_cat = tape.concat([enc.fwd_final[0], enc.bwd_first[0]], axis=1)
     c_cat = tape.concat([enc.fwd_final[1], enc.bwd_first[1]], axis=1)
-    h0 = tape.tanh(tape.add(tape.matmul(h_cat, tape.param(model.bridge_w_h), transpose_b=True),
-                            tape.param(model.bridge_b_h)))
-    c0 = tape.tanh(tape.add(tape.matmul(c_cat, tape.param(model.bridge_w_c), transpose_b=True),
-                            tape.param(model.bridge_b_c)))
+    h0 = tape.tanh(linear(tape, model.bridge_w_h, model.bridge_b_h, h_cat))
+    c0 = tape.tanh(linear(tape, model.bridge_w_c, model.bridge_b_c, c_cat))
     return EncodedArticle(enc, h0, c0, src_ext_ids, n_oov)
 
 

@@ -196,19 +196,9 @@ class TestRunConfig:
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValueError, match="unknown config keys"):
             RunConfig.from_dict({"hidden_dimension": 8})
-        with pytest.raises(ValueError, match="unknown config keys"):
-            RunConfig().updated({"learningrate": 0.1})
         for removed in ({"vocab_size": 5}, {"min_count": 2}):
             with pytest.raises(ValueError, match="unknown config keys"):
                 RunConfig.from_dict(removed)
-
-    def test_from_file_and_overrides(self, tmp_path):
-        path = tmp_path / "c.json"
-        path.write_text('{"hidden_dim": 32, "seed": 5}')
-        cfg = RunConfig.from_file(path)
-        assert cfg.hidden_dim == 32 and cfg.seed == 5
-        cfg2 = cfg.updated({"seed": 9, "lr": None})  # None means "not set"
-        assert cfg2.seed == 9 and cfg2.lr == cfg.lr
 
     def test_hash_is_stable_and_sensitive(self):
         assert RunConfig().hash_hex() == RunConfig().hash_hex()
@@ -249,7 +239,7 @@ class TestRunConfig:
     def test_non_object_config_file_rejected(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text("[1, 2]")
-        with pytest.raises(ValueError, match="flat JSON object"):
+        with pytest.raises(ValueError, match="config file .*: not a JSON object"):
             RunConfig.from_file(path)
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from b3sum.checkpoint import MAGIC, load_checkpoint, save_checkpoint
-from b3sum.cli import main
+from b3sum.cli import _config, build_parser, main
 from b3sum.corpus import load_jsonl, save_jsonl, synth_generate
 
 
@@ -79,6 +79,7 @@ class TestUsageAndFailures:
         ("beam_size=abc", "config key 'beam_size' must be an integer >= 1, got 'abc'"),
         ("batch_size=0", "config key 'batch_size' must be an integer >= 1, got 0"),
         ("tau=1.5", "config key 'tau' must be a number in [0, 1], got 1.5"),
+        ("lr=null", "config key 'lr' must be a finite number > 0, got None"),
     ])
     def test_bad_config_value_exits_1(self, tmp_path, capsys, setting, message):
         corpus = tmp_path / "c.jsonl"
@@ -88,6 +89,26 @@ class TestUsageAndFailures:
         assert code == 1
         assert message in err
         assert not (tmp_path / "o.jsonl").exists()
+
+    def test_bad_config_file_is_named(self, tmp_path, capsys):
+        corpus, config = tmp_path / "c.jsonl", tmp_path / "config.json"
+        save_jsonl(synth_generate(seed=1, n=2), corpus)
+        config.write_text("nope")
+        code, _, err = run(capsys, "preprocess", "--corpus", str(corpus),
+                           "--corpus-out", str(tmp_path / "o.jsonl"), "--config", str(config))
+        assert code == 1
+        assert f"error: config file {config}: Expecting value" in err
+        assert "Traceback" not in err
+
+    def test_set_null_resets_a_nullable_key_from_the_file(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text('{"coverage_from_step": 2, "attn_dim": 4, "seed": 1}')
+        args = build_parser().parse_args([
+            "preprocess", "--corpus", "c.jsonl", "--corpus-out", "o.jsonl",
+            "--config", str(config), "--set", "coverage_from_step=null", "--seed", "3"])
+        cfg = _config(args)
+        assert cfg.coverage_from_step is None
+        assert cfg.attn_dim == 4 and cfg.seed == 3
 
 
 @pytest.fixture(scope="module")
@@ -100,6 +121,13 @@ def workspace(tmp_path_factory):
 
 
 class TestCorpusCommands:
+    def test_build_vocab_rejects_a_negative_size(self, workspace, tmp_path, capsys):
+        code, _, err = run(capsys, "build-vocab", "--corpus", str(workspace / "train.jsonl"),
+                           "--size", "-3", "--vocab-out", str(tmp_path / "v.json"))
+        assert code == 1
+        assert "error: vocabulary size must be >= 0, got -3" in err
+        assert not (tmp_path / "v.json").exists()
+
     def test_build_vocab_and_preprocess(self, workspace, capsys):
         res = run_json(capsys, "build-vocab", "--corpus", str(workspace / "train.jsonl"),
                        "--mode", "cap", "--size", "100",
@@ -245,7 +273,7 @@ class TestModelCommands:
 
     @pytest.mark.parametrize("content, message", [
         ("{}", 'needs an object with a "tokens" list of strings'),
-        ("[1]", 'needs an object with a "tokens" list of strings'),
+        ("[1]", "not a JSON object"),
         ('{"tokens": 5}', 'needs an object with a "tokens" list of strings'),
     ], ids=["no-tokens-key", "not-an-object", "tokens-not-a-list"])
     def test_summarize_rejects_a_malformed_vocabulary_file(self, workspace, pretrained,
@@ -255,6 +283,23 @@ class TestModelCommands:
         code, _, err = self._summarize(capsys, workspace, tmp_path, bad, pretrained[1])
         assert code == 1
         assert f"error: vocabulary file {bad}: {message}" in err
+
+    @pytest.mark.parametrize("content, message", [
+        ("[]", "not a JSON object"),
+        ('{"stages": 5}', '"stages" is not a JSON object'),
+    ], ids=["list", "stages-not-an-object"])
+    def test_pretrain_rejects_a_malformed_manifest(self, workspace, pretrained, tmp_path,
+                                                   capsys, content, message):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(content)
+        code, _, err = run(capsys, "pretrain", "--corpus", str(workspace / "train.jsonl"),
+                           "--vocab", str(pretrained[0]), "--steps", "1",
+                           "--checkpoint-out", str(tmp_path / "base.ckpt"),
+                           "--manifest", str(manifest), *TINY)
+        assert code == 1
+        assert f"error: manifest {manifest}: {message}" in err
+        assert "Traceback" not in err
+        assert manifest.read_text() == content
 
     def test_summarize_requires_model_flags(self, workspace, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -325,6 +370,38 @@ class TestEvaluationCommands:
                            "--reference", str(ref_path))
         assert code == 1
         assert f"error: {sys_path}: {message}" in err
+
+    def test_evaluate_names_the_bad_reference_line(self, tmp_path, capsys, reference):
+        ref_path, pairs = reference
+        sys_path = self._write_system(tmp_path, pairs)
+        lines = ref_path.read_bytes().splitlines(keepends=True)
+        ref_path.write_bytes(lines[0] + b"5\n" + b"".join(lines[1:]))
+        code, _, err = run(capsys, "evaluate", "--system", str(sys_path),
+                           "--reference", str(ref_path))
+        assert code == 1
+        assert f"error: {ref_path}: line 2: line is not a JSON object" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda rec: 5, "line is not a JSON object"),
+        (lambda rec: {k: v for k, v in rec.items() if k != "positions"},
+         "needs an 'id' and a list of 3 'positions'"),
+        (lambda rec: rec | {"positions": rec["positions"][:2]},
+         "needs an 'id' and a list of 3 'positions'"),
+    ], ids=["not-an-object", "no-positions", "two-positions"])
+    def test_report_names_the_bad_scores_line(self, tmp_path, capsys, reference, edit, message):
+        ref_path, pairs = reference
+        sys_path = self._write_system(tmp_path, pairs)
+        scores = tmp_path / "docs.jsonl"
+        run_json(capsys, "evaluate", "--system", str(sys_path), "--reference", str(ref_path),
+                 "--per-doc", str(scores))
+        lines = scores.read_bytes().splitlines(keepends=True)
+        bad = json.dumps(edit(json.loads(lines[1]))).encode() + b"\n"
+        scores.write_bytes(lines[0] + bad + b"".join(lines[2:]))
+        code, out, err = run(capsys, "report", "--scores", str(scores))
+        assert code == 1 and out == ""
+        assert f"error: {scores}: line 2: {message}" in err
+        assert "Traceback" not in err
 
     def test_missing_system_document_fails(self, tmp_path, capsys, reference):
         ref_path, pairs = reference

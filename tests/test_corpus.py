@@ -281,6 +281,6 @@ def test_load_jsonl_strict_on_random_lines_fails_only_by_name(lines):
         try:
             pairs, errors = load_jsonl(path, strict=True)
         except CorpusError as exc:
-            assert str(exc).startswith("line "), str(exc)
+            assert str(exc).startswith(f"{path}: line "), str(exc)
         else:
             assert errors == [] and len(pairs) <= len(lines)

@@ -264,6 +264,27 @@ class TestBreakdownReport:
         assert report["tables"]["sequence"]["rows"]["ave"]["rouge_l"] == 0.0
         assert report["tables"]["all"]["rows"]["ave"]["rouge_l"] == 0.5
 
+    def test_json_round_trip(self):
+        sys_s, ref_s = [["a", "b"], ["c"], []], [["a"], ["c", "d"], ["e"]]
+        doc = DocumentScores("d", score_summary_positions(sys_s, ref_s), "sequence", "132")
+        assert DocumentScores.from_json(doc.to_json()) == doc
+        assert DocumentScores.from_json(self._doc("e", 0.5, None, None).to_json()).gold_class is None
+
+    @pytest.mark.parametrize("change, message", [
+        ({"positions": None}, "list of 3 'positions'"),
+        ({"positions": [{}] * 2}, "list of 3 'positions'"),
+        ({"positions": [{"rouge_1": [0, 0, 0]}] * 3}, "'rouge_2' as 3 numbers"),
+        ({"positions": [5] * 3}, "'rouge_1' as 3 numbers"),
+        ({"pattern": [1]}, "'pattern' must be strings or null"),
+    ], ids=["no-positions", "two-positions", "missing-metric", "position-not-object",
+            "pattern-not-a-string"])
+    def test_from_json_rejects_other_shapes(self, change, message):
+        obj = self._doc("d", 0.5, "parallel", "123").to_json() | change
+        with pytest.raises(ValueError, match=message):
+            DocumentScores.from_json(obj)
+        with pytest.raises(ValueError, match="needs an 'id'"):
+            DocumentScores.from_json({k: v for k, v in obj.items() if k != "id"})
+
     def test_formatters_run(self):
         docs = [self._doc("a", 0.25, "parallel", "132")]
         report = breakdown_report(docs)
