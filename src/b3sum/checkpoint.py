@@ -148,19 +148,19 @@ def load_checkpoint(path, expect_hash: bytes | None = None) -> tuple[dict[str, n
     return tensors, stored_hash
 
 
-def restore_params(params, tensors: dict[str, np.ndarray], strict: bool = True) -> None:
+def restore_params(params, tensors: dict[str, np.ndarray]) -> None:
     """Copy loaded tensors into a model's parameters by name.
 
-    Every tensor is checked before any is copied: a missing, unknown (with
-    ``strict``), misshapen or non-finite tensor raises CheckpointError naming
-    it and leaves the model unchanged.
+    Every tensor is checked before any is copied: a missing, unknown,
+    misshapen or non-finite tensor raises CheckpointError naming it and
+    leaves the model unchanged.
     """
     byname = {p.name: p for p in params}
     missing = set(byname) - set(tensors)
     unknown = set(tensors) - set(byname)
     if missing:
         raise CheckpointError(f"checkpoint missing tensors: {sorted(missing)}")
-    if unknown and strict:
+    if unknown:
         raise CheckpointError(f"checkpoint has unknown tensors: {sorted(unknown)}")
     for name, p in byname.items():
         arr = tensors[name]

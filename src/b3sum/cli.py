@@ -38,7 +38,8 @@ from .pipeline import (
     StructureAwareModel,
     auto_label_corpus,
     finetune,
-    new_summarizer,
+    load_summarizer,
+    open_manifest,
     pretrain,
     structure_aware_summarize,
     update_manifest,
@@ -100,18 +101,6 @@ def _add_config_flags(p: argparse.ArgumentParser):
     p.add_argument("--seed", type=int, help="override config seed")
 
 
-def _load_pairs(path):
-    pairs, _ = load_jsonl(path, strict=True)
-    return pairs
-
-
-def _load_summarizer(path, vocab: Vocabulary, cfg: RunConfig):
-    model = new_summarizer(vocab.size, cfg)
-    tensors, _ = load_checkpoint(path, expect_hash=cfg.hash_bytes())
-    restore_params(model.params(), tensors)
-    return model
-
-
 def _load_classifier(path, vocab: Vocabulary, cfg: RunConfig):
     model = ClassifierParams(
         vocab.size, cfg.classifier_emb_dim, cfg.classifier_hidden_dim, seed=cfg.seed
@@ -148,7 +137,7 @@ def cmd_gen_synth(args):
 
 
 def cmd_build_vocab(args):
-    pairs = _load_pairs(args.corpus)
+    pairs = load_jsonl(args.corpus)
     vocab = corpus_mod.build_vocab(
         pairs, mode=args.mode, size=args.size, min_count=args.min_count
     )
@@ -158,7 +147,7 @@ def cmd_build_vocab(args):
 
 def cmd_preprocess(args):
     cfg = _config(args)
-    pairs = _load_pairs(args.corpus)
+    pairs = load_jsonl(args.corpus)
     prepared, report = corpus_mod.preprocess(
         pairs, max_src_len=cfg.max_src_len, min_summary_len=cfg.min_summary_len
     )
@@ -168,8 +157,10 @@ def cmd_preprocess(args):
 
 def cmd_pretrain(args):
     cfg = _config(args)
-    pairs = _load_pairs(args.corpus)
+    pairs = load_jsonl(args.corpus)
     vocab = Vocabulary.load(args.vocab)
+    if args.manifest:
+        open_manifest(args.manifest)  # a bad manifest fails before training
     _, info = pretrain(pairs, vocab, cfg, steps=args.steps, out_path=args.checkpoint_out)
     if args.manifest:
         update_manifest(args.manifest, "pretrain", info | {"vocab": args.vocab})
@@ -178,13 +169,13 @@ def cmd_pretrain(args):
 
 def cmd_train_classifier(args):
     cfg = _config(args)
-    pairs = _load_pairs(args.corpus)
+    pairs = load_jsonl(args.corpus)
     vocab = Vocabulary.load(args.vocab)
     input_kind = {"summaries": "summary", "articles": "article"}[args.input]
     examples = prepare_labeled(pairs, vocab, input_kind, cfg.max_src_len)
     heldout = None
     if args.heldout:
-        heldout = prepare_labeled(_load_pairs(args.heldout), vocab, input_kind, cfg.max_src_len)
+        heldout = prepare_labeled(load_jsonl(args.heldout), vocab, input_kind, cfg.max_src_len)
     ccfg = _classifier_cfg(cfg, args.epochs)
     model = ClassifierParams(vocab.size, ccfg.emb_dim, ccfg.hidden_dim, seed=ccfg.seed)
     report = train_classifier(model, examples, heldout, ccfg)
@@ -204,8 +195,8 @@ def cmd_tune_undersample(args):
     cfg = _config(args)
     vocab = Vocabulary.load(args.vocab)
     input_kind = {"summaries": "summary", "articles": "article"}[args.input]
-    train = prepare_labeled(_load_pairs(args.train), vocab, input_kind, cfg.max_src_len)
-    heldout = prepare_labeled(_load_pairs(args.heldout), vocab, input_kind, cfg.max_src_len)
+    train = prepare_labeled(load_jsonl(args.train), vocab, input_kind, cfg.max_src_len)
+    heldout = prepare_labeled(load_jsonl(args.heldout), vocab, input_kind, cfg.max_src_len)
     result = undersample_tune(
         train, heldout, _classifier_cfg(cfg, args.epochs), vocab.size,
         target_precision=args.target_precision,
@@ -227,7 +218,7 @@ def cmd_auto_label(args):
     cfg = _config(args)
     vocab = Vocabulary.load(args.vocab)
     model = _load_classifier(args.classifier, vocab, cfg)
-    pairs = _load_pairs(args.corpus)
+    pairs = load_jsonl(args.corpus)
     parallel, sequence, rest, counts = auto_label_corpus(model, vocab, pairs, cfg.tau)
     save_jsonl(parallel, args.out_parallel)
     save_jsonl(sequence, args.out_sequence)
@@ -238,8 +229,10 @@ def cmd_auto_label(args):
 
 def cmd_finetune(args):
     cfg = _config(args)
-    pairs = _load_pairs(args.corpus)
+    pairs = load_jsonl(args.corpus)
     vocab = Vocabulary.load(args.vocab)
+    if args.manifest:
+        open_manifest(args.manifest)  # a bad manifest fails before training
     _, info = finetune(
         args.base, pairs, args.label, vocab, cfg, steps=args.steps,
         out_path=args.checkpoint_out,
@@ -252,13 +245,13 @@ def cmd_finetune(args):
 def cmd_summarize(args):
     cfg = _config(args)
     vocab = Vocabulary.load(args.vocab)
-    pairs = _load_pairs(args.articles)
+    pairs = load_jsonl(args.articles)
     use_coverage = cfg.coverage_from_step is not None
     summaries: dict[str, list[list[str]]] = {}
     extra: dict[str, dict] = {}
     degenerate = 0
     if args.checkpoint:
-        model = _load_summarizer(args.checkpoint, vocab, cfg)
+        model = load_summarizer(args.checkpoint, vocab, cfg)
         for p in pairs:
             res = decode(
                 model, p.article[: cfg.max_src_len], vocab, mode=args.mode,
@@ -271,8 +264,8 @@ def cmd_summarize(args):
         cls_vocab = Vocabulary.load(args.classifier_vocab)
         sam = StructureAwareModel(
             article_classifier=_load_classifier(args.classifier, cls_vocab, cfg),
-            parallel_model=_load_summarizer(args.parallel_checkpoint, vocab, cfg),
-            sequence_model=_load_summarizer(args.sequence_checkpoint, vocab, cfg),
+            parallel_model=load_summarizer(args.parallel_checkpoint, vocab, cfg),
+            sequence_model=load_summarizer(args.sequence_checkpoint, vocab, cfg),
             vocab=vocab,
             classifier_vocab=cls_vocab,
         )
@@ -293,7 +286,7 @@ def cmd_summarize(args):
 
 def _paired_docs(system_path, reference_path):
     system = corpus_mod.load_summary_file(system_path)
-    reference = _load_pairs(reference_path)
+    reference = load_jsonl(reference_path)
     docs = []
     for p in reference:
         if p.id not in system:
@@ -339,11 +332,9 @@ def cmd_evaluate(args):
 
 def cmd_align_eval(args):
     docs = _paired_docs(args.system, args.reference)
-    patterns = []
     per_doc = []
     for pair, sys_sents in docs:
         align = metrics.pairwise_align(sys_sents, pair.summary)
-        patterns.append(align.pattern)
         per_doc.append(
             {
                 "id": pair.id,
@@ -351,15 +342,12 @@ def cmd_align_eval(args):
                 "slot_f1": [s.f1 for s in align.slot_scores],
             }
         )
-    histogram = {}
-    for pat in sorted(set(patterns)):
-        c = patterns.count(pat)
-        histogram[pat] = {"count": c, "percent": 100.0 * c / len(patterns)}
+    histogram = metrics.pattern_histogram(d["pattern"] for d in per_doc)
     _emit({"n": len(per_doc), "histogram": histogram, "documents": per_doc}, args.out)
 
 
 def cmd_report(args):
-    per_doc, _ = read_jsonl(args.scores, metrics.DocumentScores.from_json)
+    per_doc = read_jsonl(args.scores, metrics.DocumentScores.from_json)
     report = metrics.breakdown_report(per_doc)
     if args.format == "tsv":
         text = metrics.format_breakdown_tsv(report)
@@ -376,7 +364,7 @@ def cmd_stats(args):
         if "=" not in item:
             raise ValueError(f"stats expects NAME=FILE arguments, got {item!r}")
         name, path = item.split("=", 1)
-        pairs = _load_pairs(path)
+        pairs = load_jsonl(path)
         unlabeled = [p.id for p in pairs if p.label is None]
         if unlabeled:
             raise CorpusError(f"split {name!r} has unlabeled pairs, e.g. {unlabeled[0]!r}")
@@ -523,7 +511,6 @@ def main(argv=None) -> int:
     try:
         args.func(args)
     except (CorpusError, CheckpointError, ValueError, OSError) as exc:
-        log.error("%s", exc)
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

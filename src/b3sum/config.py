@@ -17,8 +17,6 @@ import json
 import math
 from dataclasses import dataclass
 
-from .corpus import read_json
-
 
 def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
@@ -106,10 +104,6 @@ class RunConfig:
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown, key=repr)}")
         return cls(**values)
-
-    @classmethod
-    def from_file(cls, path) -> "RunConfig":
-        return cls.from_dict(read_json(path, "config file"))
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)

@@ -8,7 +8,9 @@ The on-disk corpus format is JSONL, one object per line:
      "category": "..."}
 
 ``label`` and ``category`` are optional.  Text is pre-tokenized; tokens are
-whatever whitespace splitting yields.
+whatever whitespace splitting yields.  Corpus files are read strictly, with
+no lenient mode: the first bad line raises CorpusError naming the file and
+the line.
 """
 
 from __future__ import annotations
@@ -168,11 +170,11 @@ def read_json(path, what: str) -> dict:
     return obj
 
 
-def read_jsonl(path, parse, strict: bool = True) -> tuple[list, list[tuple[int, str]]]:
-    """``parse(obj)`` for the JSON object on each non-blank line, returned
-    and raised as ``load_jsonl`` describes; a raised error names the file."""
+def read_jsonl(path, parse) -> list:
+    """``parse(obj)`` for the JSON object on each non-blank line.  The first
+    bad line (undecodable bytes, bad JSON, a non-object, or an error from
+    ``parse``) raises CorpusError naming the file and the line."""
     results: list = []
-    errors: list[tuple[int, str]] = []
     # Undecodable bytes become lone surrogates, so the line holding them is named.
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -188,19 +190,13 @@ def read_jsonl(path, parse, strict: bool = True) -> tuple[list, list[tuple[int, 
                     raise CorpusError("line is not a JSON object")
                 results.append(parse(obj))
             except (ValueError, RecursionError) as exc:
-                if strict:
-                    raise CorpusError(f"{path}: line {line_no}: {exc}") from None
-                errors.append((line_no, str(exc)))
-    return results, errors
+                raise CorpusError(f"{path}: line {line_no}: {exc}") from None
+    return results
 
 
-def load_jsonl(path, strict: bool = True) -> tuple[list[NewsPair], list[tuple[int, str]]]:
-    """Load a corpus file.
-
-    Returns (pairs, errors) where errors is a list of (line_number, message).
-    With strict=True the first malformed line raises CorpusError instead.
-    """
-    return read_jsonl(path, _parse_pair, strict)
+def load_jsonl(path) -> list[NewsPair]:
+    """The pairs in a corpus file; a bad line raises as ``read_jsonl`` says."""
+    return read_jsonl(path, _parse_pair)
 
 
 def save_jsonl(pairs, path):
@@ -226,7 +222,7 @@ def load_summary_file(path) -> dict[str, list[list[str]]]:
     (padded short decodes), so only the sentence count is enforced.  A bad
     line raises CorpusError naming the file and the line.
     """
-    return dict(read_jsonl(path, _parse_summary)[0])
+    return dict(read_jsonl(path, _parse_summary))
 
 
 def save_summary_file(summaries: dict, path, extra: dict | None = None) -> None:
@@ -318,27 +314,11 @@ def build_vocab(pairs, mode: str = "cap", size: int = 50000, min_count: int = 2)
 
 # -- splits ------------------------------------------------------------------
 
-# Split proportions of the full-scale corpus this pipeline mirrors:
-# 211,744 / 1,200 / 1,200 out of 214,120.
-_REFERENCE_SPLIT = (211744, 1200, 1200)
 
-
-def split_pairs(pairs, sizes=None, seed: int = 0, id_lists=None):
-    """Deterministic train/dev/test split.
-
-    Either pass explicit ``sizes=(n_train, n_dev, n_test)``, or id_lists with
-    explicit membership, or leave both unset to scale the reference
-    proportions to the corpus size.
-    """
-    if id_lists is not None:
-        by_id = {p.id: p for p in pairs}
-        return tuple([by_id[i] for i in ids] for ids in id_lists)
+def split_pairs(pairs, sizes, seed: int = 0):
+    """Deterministic train/dev/test split of ``sizes=(n_train, n_dev, n_test)``
+    pairs, shuffled by ``seed``."""
     n = len(pairs)
-    if sizes is None:
-        total = sum(_REFERENCE_SPLIT)
-        n_dev = max(1, round(n * _REFERENCE_SPLIT[1] / total))
-        n_test = max(1, round(n * _REFERENCE_SPLIT[2] / total))
-        sizes = (n - n_dev - n_test, n_dev, n_test)
     if sum(sizes) > n:
         raise CorpusError(f"requested split sizes {sizes} exceed corpus size {n}")
     order = np.random.default_rng(seed).permutation(n)

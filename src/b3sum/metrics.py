@@ -10,7 +10,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 
-from .corpus import StructureLabel
+from .corpus import BINARY_CLASSES, StructureLabel
 
 
 @dataclass(frozen=True)
@@ -113,14 +113,15 @@ def pairwise_align(sys_sents, ref_sents) -> AlignmentPattern:
 # -- classification metrics --------------------------------------------------
 
 
-def classification_report(preds, golds, classes=("parallel", "sequence")) -> dict:
-    """Per-class precision/recall/F1 plus overall accuracy from label lists."""
+def classification_report(preds, golds) -> dict:
+    """Per-class precision/recall/F1 over ``BINARY_CLASSES`` plus overall
+    accuracy from label lists."""
     if len(preds) != len(golds):
         raise ValueError(f"length mismatch: {len(preds)} predictions, {len(golds)} golds")
     report: dict = {"per_class": {}, "accuracy": 0.0, "n": len(golds)}
     correct = sum(1 for p, g in zip(preds, golds) if p == g)
     report["accuracy"] = correct / len(golds) if golds else 0.0
-    for cls in classes:
+    for cls in BINARY_CLASSES:
         tp = sum(1 for p, g in zip(preds, golds) if p == cls and g == cls)
         fp = sum(1 for p, g in zip(preds, golds) if p == cls and g != cls)
         fn = sum(1 for p, g in zip(preds, golds) if p != cls and g == cls)
@@ -231,7 +232,7 @@ def breakdown_report(results: list[DocumentScores]) -> dict:
     """Mean F1 per sentence position and per gold-class subset, plus the
     alignment-pattern histogram with percentages."""
     subsets = {"all": results}
-    for cls in ("parallel", "sequence"):
+    for cls in BINARY_CLASSES:
         subsets[cls] = [r for r in results if r.gold_class == cls]
 
     tables: dict = {}
@@ -244,13 +245,19 @@ def breakdown_report(results: list[DocumentScores]) -> dict:
         rows["ave"] = {m: _mean(rows[p][m] for p in _POSITIONS) for m in _METRICS}
         tables[name] = {"n": len(docs), "rows": rows}
 
-    patterns = Counter(r.pattern for r in results if r.pattern is not None)
-    total = sum(patterns.values())
-    histogram = {
-        pat: {"count": c, "percent": 100.0 * c / total if total else 0.0}
-        for pat, c in sorted(patterns.items(), key=lambda kv: (-kv[1], kv[0]))
-    }
+    histogram = pattern_histogram(r.pattern for r in results if r.pattern is not None)
     return {"tables": tables, "pattern_histogram": histogram}
+
+
+def pattern_histogram(patterns) -> dict:
+    """``{pattern: {"count", "percent"}}`` over alignment patterns, most
+    frequent first and ties by pattern."""
+    counts = Counter(patterns)
+    total = sum(counts.values())
+    return {
+        pat: {"count": c, "percent": 100.0 * c / total}
+        for pat, c in sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
+    }
 
 
 def format_breakdown_tsv(report: dict) -> str:

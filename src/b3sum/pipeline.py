@@ -51,12 +51,21 @@ def new_summarizer(vocab_size: int, cfg: RunConfig) -> SummarizerParams:
     )
 
 
+def load_summarizer(path, vocab: Vocabulary, cfg: RunConfig) -> SummarizerParams:
+    """A summarizer built from ``cfg`` with the tensors of the checkpoint at
+    ``path``; a config hash other than ``cfg``'s is logged as a warning."""
+    model = new_summarizer(vocab.size, cfg)
+    tensors, _ = load_checkpoint(path, expect_hash=cfg.hash_bytes())
+    restore_params(model.params(), tensors)
+    return model
+
+
 def _train_steps(model: SummarizerParams, prepared: list[PreparedExample],
-                 cfg: RunConfig, steps: int, start_step: int = 0) -> list[float]:
+                 cfg: RunConfig, steps: int) -> list[float]:
     tc = _train_config(cfg)
     batches = batch_order(np.random.default_rng(cfg.seed), len(prepared), tc.batch_size)
     losses: list[float] = []
-    for step, idx in enumerate(itertools.islice(batches, steps), start=start_step):
+    for step, idx in enumerate(itertools.islice(batches, steps)):
         batch = [prepared[i] for i in idx]
         try:
             losses.append(train_batch(model, batch, tc, use_coverage=tc.coverage_at(step)))
@@ -124,9 +133,7 @@ def finetune(base_checkpoint, subset: list[NewsPair], label: str, vocab: Vocabul
         raise ValueError(
             f"finetune({label}): empty subset; lower tau so auto-labeling keeps more pairs"
         )
-    tensors, _ = load_checkpoint(base_checkpoint, expect_hash=cfg.hash_bytes())
-    model = new_summarizer(vocab.size, cfg)
-    restore_params(model.params(), tensors)
+    model = load_summarizer(base_checkpoint, vocab, cfg)
     prepared = [prepare_pair(p, vocab) for p in subset]
     losses = _train_steps(model, prepared, cfg, steps)
     info = {
@@ -192,11 +199,16 @@ def read_manifest(path) -> dict:
     return manifest
 
 
-def update_manifest(path, stage: str, info: dict) -> dict:
+def open_manifest(path) -> dict:
+    """The manifest at ``path``, or a new one when no file is there."""
     try:
-        manifest = read_manifest(path)
+        return read_manifest(path)
     except FileNotFoundError:
-        manifest = {"stages": {}}
+        return {"stages": {}}
+
+
+def update_manifest(path, stage: str, info: dict) -> dict:
+    manifest = open_manifest(path)
     manifest.setdefault("stages", {})[stage] = info
     # The tau filter is one reading of why only part of the corpus gets
     # labels; keep that visible to downstream consumers.

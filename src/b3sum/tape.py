@@ -78,14 +78,15 @@ class TapeNode:
 class Parameter:
     """A named trainable tensor with gradient and Adagrad accumulator state.
 
-    ``grad`` (zeros) and ``adagrad_acc`` (``acc_init``) are created on first
-    use, so a model that only evaluates or decodes holds just its values.
+    ``grad`` (zeros) and ``adagrad_acc`` (``ADAGRAD_INIT_ACC``) are created
+    on first use, so a model that only evaluates or decodes holds just its
+    values.
     ``zero_grad`` releases the grad; the next read of ``grad`` sees zeros.
     """
 
-    __slots__ = ("name", "value", "_grad", "_acc", "_acc_init")
+    __slots__ = ("name", "value", "_grad", "_acc")
 
-    def __init__(self, name: str, value, acc_init: float = ADAGRAD_INIT_ACC):
+    def __init__(self, name: str, value):
         self.name = name
         self.value = np.array(value, dtype=np.float32)
         if self.value.ndim != 2:
@@ -94,7 +95,6 @@ class Parameter:
             raise ValueError(f"parameter {name!r} has non-finite values")
         self._grad = None
         self._acc = None
-        self._acc_init = acc_init
 
     @property
     def shape(self):
@@ -109,7 +109,7 @@ class Parameter:
     @property
     def adagrad_acc(self) -> np.ndarray:
         if self._acc is None:
-            self._acc = np.full_like(self.value, self._acc_init)
+            self._acc = np.full_like(self.value, ADAGRAD_INIT_ACC)
         return self._acc
 
     def zero_grad(self):

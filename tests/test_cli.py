@@ -2,11 +2,16 @@
 
 import json
 import logging
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from b3sum import metrics
 from b3sum.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from b3sum.cli import _config, build_parser, main
 from b3sum.corpus import load_jsonl, save_jsonl, synth_generate
@@ -24,6 +29,8 @@ def run_json(capsys, *argv):
     return json.loads(out)
 
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+
 TINY = ("--set", "hidden_dim=8", "--set", "emb_dim=8", "--set", "classifier_emb_dim=8",
         "--set", "classifier_hidden_dim=8", "--set", "batch_size=4",
         "--set", "max_decode_len=10", "--set", "min_summary_len=0")
@@ -40,7 +47,7 @@ class TestGenSynth:
         path = tmp_path / "c.jsonl"
         run_json(capsys, "gen-synth", "--seed", "1", "--n", "10", "--mix", "1.0",
                  "--corpus-out", str(path))
-        pairs, _ = load_jsonl(path)
+        pairs = load_jsonl(path)
         assert all(p.label.value == "parallel" for p in pairs)
 
 
@@ -128,6 +135,20 @@ class TestCorpusCommands:
         assert "error: vocabulary size must be >= 0, got -3" in err
         assert not (tmp_path / "v.json").exists()
 
+    def test_a_failure_prints_one_error_line(self, workspace, tmp_path):
+        # A separate process: inside pytest the root logger already has
+        # handlers, so logging.basicConfig would not add its stderr one.
+        env = {k: v for k, v in os.environ.items() if k != "B3SUM_LOG"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "b3sum.cli", "build-vocab",
+             "--corpus", str(workspace / "train.jsonl"), "--size", "-3",
+             "--vocab-out", str(tmp_path / "v.json")],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == ["error: vocabulary size must be >= 0, got -3"]
+
     def test_build_vocab_and_preprocess(self, workspace, capsys):
         res = run_json(capsys, "build-vocab", "--corpus", str(workspace / "train.jsonl"),
                        "--mode", "cap", "--size", "100",
@@ -178,7 +199,7 @@ class TestModelCommands:
         assert res["parallel"] + res["sequence"] == 16
         # guarantee both fine-tune inputs are nonempty regardless of routing
         for name in ("par.jsonl", "seq.jsonl"):
-            pairs, _ = load_jsonl(ws / name)
+            pairs = load_jsonl(ws / name)
             if not pairs:
                 save_jsonl(synth_generate(seed=8, n=3, oov_rate=0.0), ws / name)
 
@@ -301,6 +322,20 @@ class TestModelCommands:
         assert "Traceback" not in err
         assert manifest.read_text() == content
 
+    @pytest.mark.parametrize("command", ["pretrain", "finetune"])
+    def test_a_bad_manifest_fails_before_training(self, workspace, pretrained, tmp_path,
+                                                  capsys, command):
+        vocab, base = pretrained
+        manifest, out = tmp_path / "manifest.json", tmp_path / "out.ckpt"
+        manifest.write_text("[]")
+        extra = ("--base", str(base), "--label", "parallel") if command == "finetune" else ()
+        code, _, err = run(capsys, command, *extra, "--corpus", str(workspace / "train.jsonl"),
+                           "--vocab", str(vocab), "--steps", "1", "--checkpoint-out", str(out),
+                           "--manifest", str(manifest), *TINY)
+        assert code == 1
+        assert f"error: manifest {manifest}: not a JSON object" in err
+        assert not out.exists()
+
     def test_summarize_requires_model_flags(self, workspace, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["summarize", "--articles", "x.jsonl", "--vocab", "v.json",
@@ -342,6 +377,23 @@ class TestEvaluationCommands:
                        "--reference", str(ref_path))
         assert all(d["pattern"] == "213" for d in res["documents"])
         assert res["histogram"]["213"]["count"] == 4
+
+    def test_align_eval_and_report_share_one_histogram(self, tmp_path, capsys, reference):
+        ref_path, pairs = reference
+        sys_path = tmp_path / "sys.jsonl"
+        with open(sys_path, "w") as fh:
+            for p, perm in zip(pairs, [(0, 1, 2), (1, 0, 2), (1, 0, 2), (2, 0, 1)]):
+                sents = [" ".join(p.summary[i]) for i in perm]
+                fh.write(json.dumps({"id": p.id, "summary": sents}) + "\n")
+        aligned = run_json(capsys, "align-eval", "--system", str(sys_path),
+                           "--reference", str(ref_path))
+        run_json(capsys, "evaluate", "--system", str(sys_path), "--reference", str(ref_path),
+                 "--per-doc", str(tmp_path / "docs.jsonl"))
+        report = run_json(capsys, "report", "--scores", str(tmp_path / "docs.jsonl"),
+                          "--format", "json")
+        expected = metrics.pattern_histogram(d["pattern"] for d in aligned["documents"])
+        assert len(expected) == 3 and max(h["count"] for h in expected.values()) == 2
+        assert aligned["histogram"] == report["pattern_histogram"] == expected
 
     def test_report_formats(self, tmp_path, capsys, reference):
         ref_path, pairs = reference

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from b3sum.tape import (
+    ADAGRAD_INIT_ACC,
     SUM_CHUNK,
     DimensionError,
     GradCheckReport,
@@ -477,10 +478,10 @@ class TestParameterState:
         assert not np.shares_memory(t64.value(t64.param(p)), p.value)
 
     def test_optimizer_state_is_created_on_first_use(self):
-        p = Parameter("w", [[1.0, 2.0]], acc_init=0.25)
+        p = Parameter("w", [[1.0, 2.0]])
         assert p._grad is None and p._acc is None
         np.testing.assert_array_equal(p.grad, [[0.0, 0.0]])
-        np.testing.assert_array_equal(p.adagrad_acc, [[0.25, 0.25]])
+        np.testing.assert_array_equal(p.adagrad_acc, np.full((1, 2), ADAGRAD_INIT_ACC, np.float32))
         p.zero_grad()
         assert p._grad is None
 
