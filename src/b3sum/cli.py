@@ -18,15 +18,8 @@ import numpy as np
 
 from . import corpus as corpus_mod
 from . import metrics
-from .checkpoint import (
-    CheckpointError,
-    load_checkpoint,
-    restore_params,
-    save_checkpoint,
-    tensor_map,
-)
+from .checkpoint import CheckpointError
 from .classifier import (
-    ClassifierParams,
     ClassifierTrainConfig,
     prepare_labeled,
     train_classifier,
@@ -37,14 +30,17 @@ from .corpus import CorpusError, Vocabulary, load_jsonl, read_json, read_jsonl, 
 from .pipeline import (
     StructureAwareModel,
     auto_label_corpus,
+    decode_article,
     finetune,
+    load_classifier,
     load_summarizer,
+    new_classifier,
     open_manifest,
     pretrain,
+    save_model,
     structure_aware_summarize,
     update_manifest,
 )
-from .summarizer import decode
 
 log = logging.getLogger("b3sum")
 
@@ -94,20 +90,19 @@ def _config(args) -> RunConfig:
     return cfg
 
 
+_FRACTION = "a number in [0, 1]", lambda v: 0 <= v <= 1
+_COUNT = "an integer >= 1", lambda v: v >= 1
+# flag -> (what the value must be, check) for the numeric flags that are not
+# config keys; synth_generate and build_vocab check --n and --size themselves
+_FLAG_RULES = {"oov_rate": _FRACTION, "mix": _FRACTION, "target_precision": _FRACTION,
+               "min_count": _COUNT, "steps": _COUNT, "epochs": _COUNT}
+
+
 def _add_config_flags(p: argparse.ArgumentParser):
     p.add_argument("--config", help="flat JSON config file")
     p.add_argument("--set", action="append", metavar="KEY=VALUE",
                    help="override one config key (repeatable)")
     p.add_argument("--seed", type=int, help="override config seed")
-
-
-def _load_classifier(path, vocab: Vocabulary, cfg: RunConfig):
-    model = ClassifierParams(
-        vocab.size, cfg.classifier_emb_dim, cfg.classifier_hidden_dim, seed=cfg.seed
-    )
-    tensors, _ = load_checkpoint(path, expect_hash=cfg.hash_bytes())
-    restore_params(model.params(), tensors)
-    return model
 
 
 def _classifier_cfg(cfg: RunConfig, epochs: int) -> ClassifierTrainConfig:
@@ -176,10 +171,9 @@ def cmd_train_classifier(args):
     heldout = None
     if args.heldout:
         heldout = prepare_labeled(load_jsonl(args.heldout), vocab, input_kind, cfg.max_src_len)
-    ccfg = _classifier_cfg(cfg, args.epochs)
-    model = ClassifierParams(vocab.size, ccfg.emb_dim, ccfg.hidden_dim, seed=ccfg.seed)
-    report = train_classifier(model, examples, heldout, ccfg)
-    save_checkpoint(tensor_map(model.params()), args.checkpoint_out, cfg.hash_bytes())
+    model = new_classifier(vocab.size, cfg)
+    report = train_classifier(model, examples, heldout, _classifier_cfg(cfg, args.epochs))
+    save_model(model, args.checkpoint_out, cfg)
     _emit(
         {
             "epoch_losses": report.epoch_losses,
@@ -201,7 +195,7 @@ def cmd_tune_undersample(args):
         train, heldout, _classifier_cfg(cfg, args.epochs), vocab.size,
         target_precision=args.target_precision,
     )
-    save_checkpoint(tensor_map(result.model.params()), args.checkpoint_out, cfg.hash_bytes())
+    save_model(result.model, args.checkpoint_out, cfg)
     _emit(
         {
             "ratio": result.ratio,
@@ -217,7 +211,7 @@ def cmd_tune_undersample(args):
 def cmd_auto_label(args):
     cfg = _config(args)
     vocab = Vocabulary.load(args.vocab)
-    model = _load_classifier(args.classifier, vocab, cfg)
+    model = load_classifier(args.classifier, vocab, cfg)
     pairs = load_jsonl(args.corpus)
     parallel, sequence, rest, counts = auto_label_corpus(model, vocab, pairs, cfg.tau)
     save_jsonl(parallel, args.out_parallel)
@@ -246,24 +240,19 @@ def cmd_summarize(args):
     cfg = _config(args)
     vocab = Vocabulary.load(args.vocab)
     pairs = load_jsonl(args.articles)
-    use_coverage = cfg.coverage_from_step is not None
     summaries: dict[str, list[list[str]]] = {}
     extra: dict[str, dict] = {}
     degenerate = 0
     if args.checkpoint:
         model = load_summarizer(args.checkpoint, vocab, cfg)
         for p in pairs:
-            res = decode(
-                model, p.article[: cfg.max_src_len], vocab, mode=args.mode,
-                beam_size=cfg.beam_size, max_decode_len=cfg.max_decode_len,
-                use_coverage=use_coverage,
-            )
+            res = decode_article(model, p.article, vocab, cfg, args.mode)
             summaries[p.id] = res.sentences
             degenerate += res.degenerate
     else:
         cls_vocab = Vocabulary.load(args.classifier_vocab)
         sam = StructureAwareModel(
-            article_classifier=_load_classifier(args.classifier, cls_vocab, cfg),
+            article_classifier=load_classifier(args.classifier, cls_vocab, cfg),
             parallel_model=load_summarizer(args.parallel_checkpoint, vocab, cfg),
             sequence_model=load_summarizer(args.sequence_checkpoint, vocab, cfg),
             vocab=vocab,
@@ -509,6 +498,10 @@ def main(argv=None) -> int:
                 "--classifier-vocab --parallel-checkpoint --sequence-checkpoint"
             )
     try:
+        for dest, (desc, ok) in _FLAG_RULES.items():  # before any file is read
+            value = getattr(args, dest, None)
+            if value is not None and not ok(value):
+                raise ValueError(f"--{dest.replace('_', '-')} must be {desc}, got {value!r}")
         args.func(args)
     except (CorpusError, CheckpointError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -26,9 +26,6 @@ class RougeScore:
         return cls(precision, recall, f1)
 
 
-ZERO_SCORE = RougeScore(0.0, 0.0, 0.0)
-
-
 def _ngrams(tokens, n: int) -> Counter:
     return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
 

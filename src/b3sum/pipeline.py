@@ -51,13 +51,41 @@ def new_summarizer(vocab_size: int, cfg: RunConfig) -> SummarizerParams:
     )
 
 
-def load_summarizer(path, vocab: Vocabulary, cfg: RunConfig) -> SummarizerParams:
-    """A summarizer built from ``cfg`` with the tensors of the checkpoint at
-    ``path``; a config hash other than ``cfg``'s is logged as a warning."""
-    model = new_summarizer(vocab.size, cfg)
+def new_classifier(vocab_size: int, cfg: RunConfig) -> ClassifierParams:
+    return ClassifierParams(
+        vocab_size, cfg.classifier_emb_dim, cfg.classifier_hidden_dim, seed=cfg.seed
+    )
+
+
+def save_model(model, path, cfg: RunConfig) -> None:
+    """Write the parameters of ``model`` to ``path`` under ``cfg``'s hash."""
+    save_checkpoint(tensor_map(model.params()), path, cfg.hash_bytes())
+
+
+def restore_model(model, path, cfg: RunConfig):
+    """``model`` with the tensors of the checkpoint at ``path``; a config
+    hash other than ``cfg``'s is logged as a warning."""
     tensors, _ = load_checkpoint(path, expect_hash=cfg.hash_bytes())
     restore_params(model.params(), tensors)
     return model
+
+
+def load_summarizer(path, vocab: Vocabulary, cfg: RunConfig) -> SummarizerParams:
+    return restore_model(new_summarizer(vocab.size, cfg), path, cfg)
+
+
+def load_classifier(path, vocab: Vocabulary, cfg: RunConfig) -> ClassifierParams:
+    return restore_model(new_classifier(vocab.size, cfg), path, cfg)
+
+
+def decode_article(model: SummarizerParams, article_tokens, vocab: Vocabulary,
+                   cfg: RunConfig, mode: str) -> DecodeResult:
+    """Decode the first ``max_src_len`` tokens of an article with the
+    config's beam size and length cap, with coverage iff the config
+    trains with it."""
+    return decode(model, article_tokens[: cfg.max_src_len], vocab, mode=mode,
+                  beam_size=cfg.beam_size, max_decode_len=cfg.max_decode_len,
+                  use_coverage=cfg.coverage_from_step is not None)
 
 
 def _train_steps(model: SummarizerParams, prepared: list[PreparedExample],
@@ -93,7 +121,7 @@ def _stage_info(info: dict, model: SummarizerParams, losses: list[float], cfg: R
     ``out_path``, the checkpoint written there and its digest."""
     info |= {"config_hash": cfg.hash_hex(), "final_loss": losses[-1] if losses else None}
     if out_path is not None:
-        save_checkpoint(tensor_map(model.params()), out_path, cfg.hash_bytes())
+        save_model(model, out_path, cfg)
         info["checkpoint"] = str(out_path)
         info["checkpoint_digest"] = checkpoint_digest(out_path)
     return info
@@ -166,15 +194,7 @@ def structure_aware_summarize(model: StructureAwareModel, article_tokens,
     truncated = article_tokens[: cfg.max_src_len]
     res = classify(model.article_classifier, model.classifier_vocab.encode(truncated))
     sub = model.parallel_model if res.label == "parallel" else model.sequence_model
-    out: DecodeResult = decode(
-        sub,
-        truncated,
-        model.vocab,
-        mode=mode,
-        beam_size=cfg.beam_size,
-        max_decode_len=cfg.max_decode_len,
-        use_coverage=cfg.coverage_from_step is not None,
-    )
+    out = decode_article(sub, truncated, model.vocab, cfg, mode)
     return {
         "summary": out.sentences,
         "chosen_label": res.label,
@@ -210,8 +230,5 @@ def open_manifest(path) -> dict:
 def update_manifest(path, stage: str, info: dict) -> dict:
     manifest = open_manifest(path)
     manifest.setdefault("stages", {})[stage] = info
-    # The tau filter is one reading of why only part of the corpus gets
-    # labels; keep that visible to downstream consumers.
-    manifest["tau_filter_hypothesis"] = True
     write_manifest(path, manifest)
     return manifest

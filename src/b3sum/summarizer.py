@@ -118,20 +118,16 @@ class SummarizerParams:
 # -- single decoding step pieces ---------------------------------------------
 
 
-def attend(tape: Tape, model: SummarizerParams, h_all: int, s_t: int,
+def attend(tape: Tape, model: SummarizerParams, h_all: int, enc_features: int, s_t: int,
            coverage: int | None, use_coverage: bool) -> tuple[int, int, int]:
     """Attention scores, distribution, and context vector for one step.
 
-    ``h_all`` is the (n x 2*hidden) encoder-state node, ``s_t`` the 1-row
+    ``h_all`` is the (n x 2*hidden) encoder-state node and ``enc_features``
+    its (n x attn) features h_all·W_hᵀ, which do not depend on the step, so
+    ``encode_article`` computes them once per article.  ``s_t`` is the 1-row
     decoder state, ``coverage`` a (1 x n) row of summed past attention.
-    Returns node ids (e_t, a_t, h_star).  The encoder features W_h h_i do
-    not depend on the step, so they are computed once per (tape, h_all).
+    Returns node ids (e_t, a_t, h_star).
     """
-    w_h = model.attn_w_enc
-    enc_features = tape.shared(
-        ("attend.enc_features", id(w_h), h_all),
-        lambda: tape.matmul(h_all, tape.param(w_h), transpose_b=True),
-    )
     terms = [enc_features, tape.matmul(s_t, tape.param(model.attn_w_state), transpose_b=True)]
     if use_coverage:
         if coverage is None:
@@ -273,10 +269,12 @@ def _step_trace(tape: Tape, a_t: int, p_gen: int, coverage: int | None,
 
 @dataclass
 class EncodedArticle:
-    """Per-article decoder context: encoder states, the bridged initial
-    decoder state, and the source ids the copy distribution scatters onto."""
+    """Per-article decoder context: encoder states, their attention features,
+    the bridged initial decoder state, and the source ids the copy
+    distribution scatters onto."""
 
     enc: EncoderStates
+    enc_features: int
     h0: int
     c0: int
     src_ext_ids: list[int]
@@ -292,11 +290,14 @@ def encode_article(tape: Tape, model: SummarizerParams, enc_ids, src_ext_ids,
     states to the decoder's initial (h0, c0)."""
     xs = embed_rows(tape, model.embedding, enc_ids)
     enc = bilstm_encode(tape, model.encoder, xs)
+    # must stay h_concat's first reader: the pinned float32 results assume
+    # backward adds this node's adjoint to h_concat after every h_star's
+    enc_features = tape.matmul(enc.h_concat, tape.param(model.attn_w_enc), transpose_b=True)
     h_cat = tape.concat([enc.fwd_final[0], enc.bwd_first[0]], axis=1)
     c_cat = tape.concat([enc.fwd_final[1], enc.bwd_first[1]], axis=1)
     h0 = tape.tanh(linear(tape, model.bridge_w_h, model.bridge_b_h, h_cat))
     c0 = tape.tanh(linear(tape, model.bridge_w_c, model.bridge_b_c, c_cat))
-    return EncodedArticle(enc, h0, c0, src_ext_ids, n_oov)
+    return EncodedArticle(enc, enc_features, h0, c0, src_ext_ids, n_oov)
 
 
 @dataclass
@@ -324,7 +325,8 @@ def decoder_step(tape: Tape, model: SummarizerParams, art: EncodedArticle, x_t: 
     """
     h_t, c_t = lstm_step(tape, model.decoder, x_t, *state)
     s_t = tape.concat([h_t, c_t], axis=1)
-    _, a_t, h_star = attend(tape, model, art.enc.h_concat, s_t, coverage, use_coverage)
+    _, a_t, h_star = attend(tape, model, art.enc.h_concat, art.enc_features, s_t, coverage,
+                            use_coverage)
     if force_p_gen is None:
         p_gen = generation_prob(tape, model, h_star, s_t, x_t)
     else:
@@ -552,10 +554,9 @@ def decode(model: SummarizerParams, article_tokens, vocab: Vocabulary,
         )
     width = 1 if mode == "greedy" else beam_size
     ext = ExtendedVocab(vocab, article_tokens)
-    article_ids = [ext.id(t) for t in article_tokens]
-    enc_ids = [i if i < model.vocab_size else Vocabulary.UNK for i in article_ids]
     tape = Tape()
-    art = encode_article(tape, model, enc_ids, article_ids, len(ext.doc_oovs))
+    art = encode_article(tape, model, vocab.encode(article_tokens),
+                         [ext.id(t) for t in article_tokens], len(ext.doc_oovs))
     beams = [Hypothesis(state=(art.h0, art.c0),
                         coverage=art.zero_coverage(tape) if use_coverage else None)]
     finished: list[Hypothesis] = []

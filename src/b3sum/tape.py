@@ -171,7 +171,6 @@ class Tape:
         self.dtype = dtype
         self.nodes: list[TapeNode] = []
         self._param_nodes: dict[int, tuple[int, Parameter]] = {}
-        self._shared: dict = {}
         self._swept = False
 
     def __len__(self):
@@ -200,14 +199,6 @@ class Tape:
             return entry[0]
         nid = self.leaf(p.value, needs_grad=True)  # no copy when dtypes match
         self._param_nodes[id(p)] = (nid, p)
-        return nid
-
-    def shared(self, key, build) -> int:
-        """Node ``build()`` appends on the first call for ``key``; later calls
-        on this tape reuse it, so its adjoint accumulates there."""
-        nid = self._shared.get(key)
-        if nid is None:
-            nid = self._shared[key] = build()
         return nid
 
     def matmul(self, a: int, b: int, transpose_b: bool = False) -> int:

@@ -72,10 +72,9 @@ class DenseTape(Tape):
     """The dense formulation that the sparse kernels replaced.
 
     Gathers are one-hot constants times the table, scatters are the
-    attention row times an (n x width) copy matrix, a transposed weight is an
-    explicit transpose node, and no node is shared between decoder steps.
-    Running the library's own loss and decoder on this tape gives the dense
-    reference path.
+    attention row times an (n x width) copy matrix, and a transposed weight
+    is an explicit transpose node.  Running the library's own loss and
+    decoder on this tape gives the dense reference path.
     """
 
     def gather_rows(self, a, ids):
@@ -94,9 +93,6 @@ class DenseTape(Tape):
         if transpose_b:
             b = self.transpose(b)
         return super().matmul(a, b)
-
-    def shared(self, key, build):
-        return build()
 
 
 def per_row_teacher_forced(tape, model, ex, use_coverage, force_p_gen):

@@ -222,7 +222,9 @@ class TestCriterion1GradientCorrectness:
             h_all = t.leaf(h_const)
             s = t.leaf(s_const)
             cov = t.leaf(cov_const)
-            _, a_t, h_star = attend(t, model, h_all, s, cov, use_coverage=True)
+            _, a_t, h_star = attend(t, model, h_all,
+                                    t.matmul(h_all, t.param(model.attn_w_enc), transpose_b=True),
+                                    s, cov, use_coverage=True)
             score = t.matmul(h_star, t.leaf(read))
             return t, t.add(score, t.neg_log_pick(a_t, 1))
 
@@ -246,7 +248,9 @@ class TestCriterion1GradientCorrectness:
             h_star = t.leaf(h_const[:1])
             x = t.leaf(x_const)
             cov = t.leaf(cov_const)
-            _, a_t, _ = attend(t, model, t.leaf(h_const), s, cov, use_coverage=True)
+            _, a_t, _ = attend(t, model, h_all := t.leaf(h_const),
+                               t.matmul(h_all, t.param(model.attn_w_enc), transpose_b=True),
+                               s, cov, use_coverage=True)
             p_vocab = vocab_distribution(t, model, s, h_star)
             p_gen = generation_prob(t, model, h_star, s, x)
             p = final_distribution(t, p_gen, p_vocab, a_t, ex.src_ext_ids, len(ex.ext.doc_oovs))
@@ -290,7 +294,9 @@ class TestCriterion2Normalization:
                 s = t.leaf(rng.uniform(-2, 2, (1, 8)))
                 x = t.leaf(rng.uniform(-2, 2, (1, 3)))
                 cov = t.leaf(np.abs(rng.uniform(0, 2, (1, n_src))))
-                _, a_t, h_star = attend(t, model, h_all, s, cov, use_coverage=True)
+                _, a_t, h_star = attend(
+                    t, model, h_all, t.matmul(h_all, t.param(model.attn_w_enc), transpose_b=True),
+                    s, cov, use_coverage=True)
                 p_vocab = vocab_distribution(t, model, s, h_star)
                 p_gen = generation_prob(t, model, h_star, s, x)
                 p = final_distribution(t, p_gen, p_vocab, a_t, src_ext, n_oov)

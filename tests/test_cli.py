@@ -97,6 +97,42 @@ class TestUsageAndFailures:
         assert message in err
         assert not (tmp_path / "o.jsonl").exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["gen-synth", "--n", "2", "--oov-rate", "3", "--corpus-out", "c.jsonl"],
+         "--oov-rate must be a number in [0, 1], got 3.0"),
+        (["gen-synth", "--n", "2", "--mix", "7", "--corpus-out", "c.jsonl"],
+         "--mix must be a number in [0, 1], got 7.0"),
+        (["build-vocab", "--corpus", "c.jsonl", "--mode", "min_count", "--min-count", "-4",
+          "--vocab-out", "v.json"],
+         "--min-count must be an integer >= 1, got -4"),
+        (["pretrain", "--corpus", "c.jsonl", "--vocab", "v.json", "--steps", "0",
+          "--checkpoint-out", "b.ckpt"],
+         "--steps must be an integer >= 1, got 0"),
+        (["pretrain", "--corpus", "c.jsonl", "--vocab", "v.json", "--steps", "-2",
+          "--checkpoint-out", "b.ckpt"],
+         "--steps must be an integer >= 1, got -2"),
+        (["finetune", "--base", "b.ckpt", "--corpus", "c.jsonl", "--label", "parallel",
+          "--vocab", "v.json", "--steps", "0", "--checkpoint-out", "p.ckpt"],
+         "--steps must be an integer >= 1, got 0"),
+        (["train-classifier", "--corpus", "c.jsonl", "--input", "summaries", "--vocab", "v.json",
+          "--epochs", "0", "--checkpoint-out", "cls.ckpt"],
+         "--epochs must be an integer >= 1, got 0"),
+        (["tune-undersample", "--train", "c.jsonl", "--heldout", "h.jsonl", "--vocab", "v.json",
+          "--epochs", "0", "--checkpoint-out", "cls.ckpt"],
+         "--epochs must be an integer >= 1, got 0"),
+        (["tune-undersample", "--train", "c.jsonl", "--heldout", "h.jsonl", "--vocab", "v.json",
+          "--target-precision", "7", "--checkpoint-out", "cls.ckpt"],
+         "--target-precision must be a number in [0, 1], got 7.0"),
+    ])
+    def test_out_of_range_flag_exits_1_naming_it(self, tmp_path, monkeypatch, capsys, argv,
+                                                 message):
+        # checked before any file is read, so the missing inputs are never opened
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_bad_config_file_is_named(self, tmp_path, capsys):
         corpus, config = tmp_path / "c.jsonl", tmp_path / "config.json"
         save_jsonl(synth_generate(seed=1, n=2), corpus)

@@ -233,4 +233,4 @@ class TestManifest:
         manifest = update_manifest(path, "finetune-parallel", {"steps": 1})
         assert manifest["stages"]["pretrain"]["steps"] == 3
         assert read_manifest(path)["stages"]["finetune-parallel"]["steps"] == 1
-        assert read_manifest(path)["tau_filter_hypothesis"] is True
+        assert set(read_manifest(path)) == {"stages"}
