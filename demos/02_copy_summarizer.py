@@ -10,11 +10,11 @@ Runs in a minute or two on a laptop CPU.
 
 import numpy as np
 
+from b3sum.config import RunConfig
 from b3sum.corpus import build_vocab, split_pairs, synth_generate
 from b3sum.summarizer import (
     ExtendedVocab,
     SummarizerParams,
-    TrainConfig,
     decode,
     prepare_pair,
     token_prediction_accuracy,
@@ -33,7 +33,7 @@ model = SummarizerParams(vocab.size, emb_dim=64, hidden_dim=64, seed=5)
 prepared = [prepare_pair(p, vocab) for p in train]
 heldout = [prepare_pair(p, vocab) for p in dev]
 
-cfg = TrainConfig(lr=0.3, clip_norm=2.0, batch_size=8, seed=2)
+cfg = RunConfig(lr=0.3, clip_norm=2.0, batch_size=8, seed=2)
 rng = np.random.default_rng(2)
 for epoch in range(16):
     order = rng.permutation(len(prepared))

@@ -1,15 +1,14 @@
 """Binary summary-structure classifier over a BiLSTM encoding.
 
-The encoder's final forward state and first-position backward state are
-concatenated; one linear head per structure type produces logits, and the
-first logit of each head enters a shared two-way softmax.  Ties resolve to
+One linear head per structure type reads the encoder's final hidden state
+(its final forward state joined to its first-position backward state), and
+the first logit of each head enters a shared two-way softmax.  Ties resolve to
 parallel, the majority class.  Training inputs are either the summary (its
 three sentences joined by the boundary token) or the truncated article.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,7 +17,7 @@ from .corpus import BINARY_CLASSES, NewsPair, Vocabulary
 from .layers import BiLstmEncoder, EmbeddingTable, bilstm_encode, embed_rows, linear, uniform_param, zeros_param
 from .metrics import classification_report
 from .summarizer import target_token_sequence
-from .tape import NonFiniteError, Parameter, Tape, batch_order, optimizer_step
+from .tape import Parameter, Tape, optimizer_step, train_steps
 
 
 class ClassifierParams:
@@ -47,12 +46,10 @@ class ClassifierParams:
 
 
 def encode_text(tape: Tape, model: ClassifierParams, ids) -> int:
-    """(1 x 2*hidden) node: [final forward state, first-position backward state]."""
+    """(1 x 2*hidden) node: the encoder's final hidden state."""
     if not ids:
         raise ValueError("encode_text: empty token sequence")
-    xs = embed_rows(tape, model.embedding, ids)
-    enc = bilstm_encode(tape, model.encoder, xs)
-    return tape.concat([enc.fwd_final[0], enc.bwd_first[0]], axis=1)
+    return bilstm_encode(tape, model.encoder, embed_rows(tape, model.embedding, ids)).final[0]
 
 
 def decision_distribution(tape: Tape, model: ClassifierParams, ids) -> int:
@@ -141,28 +138,28 @@ def train_classifier(model: ClassifierParams, train: list[LabeledExample],
                      heldout: list[LabeledExample] | None,
                      cfg: ClassifierTrainConfig) -> TrainReport:
     """Cross-entropy Adagrad training, unclipped; rejects single-class corpora.
-    A non-finite step raises NonFiniteError naming it, counted from 0."""
+    A non-finite step raises NonFiniteError naming it, counted from 0 across
+    epochs."""
     if len({ex.gold for ex in train}) < 2:
         raise ValueError("training corpus contains a single class")
-    batches = batch_order(np.random.default_rng(cfg.seed), len(train), cfg.batch_size)
-    per_epoch = len(range(0, len(train), cfg.batch_size))
     params = model.params()
+
+    def step(_, idx):
+        tape = Tape()
+        losses = [
+            tape.neg_log_pick(decision_distribution(tape, model, train[i].ids), train[i].gold)
+            for i in idx
+        ]
+        return optimizer_step(tape, tape.reduce_mean(tape.concat(losses, axis=1)), params, cfg.lr)
+
+    per_epoch = len(range(0, len(train), cfg.batch_size))
+    step_losses = train_steps(step, len(train), cfg.batch_size, cfg.seed,
+                              cfg.epochs * per_epoch, "classifier")
     report = TrainReport()
-    step = 0
-    for _ in range(cfg.epochs):
-        epoch_loss = 0.0
-        for idx in itertools.islice(batches, per_epoch):
-            tape = Tape()
-            losses = [
-                tape.neg_log_pick(decision_distribution(tape, model, train[i].ids), train[i].gold)
-                for i in idx
-            ]
-            total = tape.reduce_mean(tape.concat(losses, axis=1))
-            try:
-                epoch_loss += optimizer_step(tape, total, params, cfg.lr)
-            except NonFiniteError as exc:
-                raise NonFiniteError(f"classifier step {step}: {exc}") from exc
-            step += 1
+    for start in range(0, len(step_losses), per_epoch):
+        epoch_loss = 0.0  # added left to right: sum() compensates from Python 3.12
+        for loss in step_losses[start : start + per_epoch]:
+            epoch_loss += loss
         report.epoch_losses.append(epoch_loss / per_epoch)
     if heldout:
         report.heldout = evaluate_classifier(model, heldout)

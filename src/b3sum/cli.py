@@ -19,17 +19,13 @@ import numpy as np
 from . import corpus as corpus_mod
 from . import metrics
 from .checkpoint import CheckpointError
-from .classifier import (
-    ClassifierTrainConfig,
-    prepare_labeled,
-    train_classifier,
-    undersample_tune,
-)
+from .classifier import prepare_labeled, train_classifier, undersample_tune
 from .config import RunConfig
 from .corpus import CorpusError, Vocabulary, load_jsonl, read_json, read_jsonl, save_jsonl
 from .pipeline import (
     StructureAwareModel,
     auto_label_corpus,
+    classifier_trainer_config,
     decode_article,
     finetune,
     load_classifier,
@@ -93,9 +89,14 @@ def _config(args) -> RunConfig:
 _FRACTION = "a number in [0, 1]", lambda v: 0 <= v <= 1
 _COUNT = "an integer >= 1", lambda v: v >= 1
 # flag -> (what the value must be, check) for the numeric flags that are not
-# config keys; synth_generate and build_vocab check --n and --size themselves
+# config keys, so a bad value is named by its flag; synth_generate and
+# build_vocab keep their own checks of n and size for library callers
 _FLAG_RULES = {"oov_rate": _FRACTION, "mix": _FRACTION, "target_precision": _FRACTION,
-               "min_count": _COUNT, "steps": _COUNT, "epochs": _COUNT}
+               "min_count": _COUNT, "steps": _COUNT, "epochs": _COUNT, "n": _COUNT,
+               "size": ("an integer >= 0", lambda v: v >= 0)}
+
+# --input choice -> the classifier's input kind
+_INPUT_KINDS = {"summaries": "summary", "articles": "article"}
 
 
 def _add_config_flags(p: argparse.ArgumentParser):
@@ -103,17 +104,6 @@ def _add_config_flags(p: argparse.ArgumentParser):
     p.add_argument("--set", action="append", metavar="KEY=VALUE",
                    help="override one config key (repeatable)")
     p.add_argument("--seed", type=int, help="override config seed")
-
-
-def _classifier_cfg(cfg: RunConfig, epochs: int) -> ClassifierTrainConfig:
-    return ClassifierTrainConfig(
-        emb_dim=cfg.classifier_emb_dim,
-        hidden_dim=cfg.classifier_hidden_dim,
-        lr=cfg.classifier_lr,
-        batch_size=cfg.batch_size,
-        epochs=epochs,
-        seed=cfg.seed,
-    )
 
 
 # -- subcommand implementations ----------------------------------------------
@@ -166,13 +156,13 @@ def cmd_train_classifier(args):
     cfg = _config(args)
     pairs = load_jsonl(args.corpus)
     vocab = Vocabulary.load(args.vocab)
-    input_kind = {"summaries": "summary", "articles": "article"}[args.input]
+    input_kind = _INPUT_KINDS[args.input]
     examples = prepare_labeled(pairs, vocab, input_kind, cfg.max_src_len)
     heldout = None
     if args.heldout:
         heldout = prepare_labeled(load_jsonl(args.heldout), vocab, input_kind, cfg.max_src_len)
     model = new_classifier(vocab.size, cfg)
-    report = train_classifier(model, examples, heldout, _classifier_cfg(cfg, args.epochs))
+    report = train_classifier(model, examples, heldout, classifier_trainer_config(cfg, args.epochs))
     save_model(model, args.checkpoint_out, cfg)
     _emit(
         {
@@ -188,11 +178,11 @@ def cmd_train_classifier(args):
 def cmd_tune_undersample(args):
     cfg = _config(args)
     vocab = Vocabulary.load(args.vocab)
-    input_kind = {"summaries": "summary", "articles": "article"}[args.input]
+    input_kind = _INPUT_KINDS[args.input]
     train = prepare_labeled(load_jsonl(args.train), vocab, input_kind, cfg.max_src_len)
     heldout = prepare_labeled(load_jsonl(args.heldout), vocab, input_kind, cfg.max_src_len)
     result = undersample_tune(
-        train, heldout, _classifier_cfg(cfg, args.epochs), vocab.size,
+        train, heldout, classifier_trainer_config(cfg, args.epochs), vocab.size,
         target_precision=args.target_precision,
     )
     save_model(result.model, args.checkpoint_out, cfg)
@@ -405,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train-classifier", help="train the structure classifier")
     p.add_argument("--corpus", required=True)
-    p.add_argument("--input", choices=("summaries", "articles"), required=True)
+    p.add_argument("--input", choices=tuple(_INPUT_KINDS), required=True)
     p.add_argument("--vocab", required=True)
     p.add_argument("--heldout")
     p.add_argument("--epochs", type=int, default=10)
@@ -416,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tune-undersample", help="precision-targeted under-sampling search")
     p.add_argument("--train", required=True)
     p.add_argument("--heldout", required=True)
-    p.add_argument("--input", choices=("summaries", "articles"), default="summaries")
+    p.add_argument("--input", choices=tuple(_INPUT_KINDS), default="summaries")
     p.add_argument("--vocab", required=True)
     p.add_argument("--epochs", type=int, default=10)
     p.add_argument("--target-precision", type=float, default=0.8)

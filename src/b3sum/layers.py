@@ -107,16 +107,16 @@ class BiLstmEncoder:
 
 @dataclass
 class EncoderStates:
-    """Per-position concatenated states plus the direction endpoints.
+    """Per-position concatenated states plus the sequence's final state.
 
-    ``h_concat`` is an (n x 2*hidden) node; ``fwd_final`` is the forward
-    state after the last token and ``bwd_first`` the backward state after it
-    has consumed the whole sequence (its value at position 1).
+    ``h_concat`` is an (n x 2*hidden) node; ``final`` is the (h, c) pair of
+    (1 x 2*hidden) nodes that join the forward state after the last token
+    and the backward state after the first, each having read the whole
+    sequence.
     """
 
     h_concat: int
-    fwd_final: tuple[int, int]
-    bwd_first: tuple[int, int]
+    final: tuple[int, int]
     length: int
 
 
@@ -135,8 +135,7 @@ def bilstm_encode(tape: Tape, enc: BiLstmEncoder, xs: list[int]) -> EncoderState
         bwd[k] = h_b
     return EncoderStates(
         h_concat=tape.concat([tape.concat(fwd, axis=0), tape.concat(bwd, axis=0)], axis=1),
-        fwd_final=(fwd[-1], c_f),
-        bwd_first=(bwd[0], c_b),
+        final=(tape.concat([fwd[-1], bwd[0]], axis=1), tape.concat([c_f, c_b], axis=1)),
         length=len(xs),
     )
 

@@ -9,40 +9,25 @@ from files.
 
 from __future__ import annotations
 
-import itertools
 import json
 import logging
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .checkpoint import checkpoint_digest, load_checkpoint, restore_params, save_checkpoint, tensor_map
-from .classifier import ClassifierParams, classifier_input_tokens, classify
+from .classifier import ClassifierParams, ClassifierTrainConfig, classifier_input_tokens, classify
 from .config import RunConfig
 from .corpus import CorpusError, NewsPair, Vocabulary, read_json
 from .summarizer import (
     DecodeResult,
     PreparedExample,
     SummarizerParams,
-    TrainConfig,
     decode,
     prepare_pair,
     train_batch,
 )
-from .tape import NonFiniteError, batch_order
+from .tape import train_steps
 
 log = logging.getLogger("b3sum.pipeline")
-
-
-def _train_config(cfg: RunConfig) -> TrainConfig:
-    return TrainConfig(
-        lr=cfg.lr,
-        clip_norm=cfg.clip_norm,
-        batch_size=cfg.batch_size,
-        coverage_lambda=cfg.coverage_lambda,
-        coverage_from_step=cfg.coverage_from_step,
-        seed=cfg.seed,
-    )
 
 
 def new_summarizer(vocab_size: int, cfg: RunConfig) -> SummarizerParams:
@@ -54,6 +39,17 @@ def new_summarizer(vocab_size: int, cfg: RunConfig) -> SummarizerParams:
 def new_classifier(vocab_size: int, cfg: RunConfig) -> ClassifierParams:
     return ClassifierParams(
         vocab_size, cfg.classifier_emb_dim, cfg.classifier_hidden_dim, seed=cfg.seed
+    )
+
+
+def classifier_trainer_config(cfg: RunConfig, epochs: int) -> ClassifierTrainConfig:
+    return ClassifierTrainConfig(
+        emb_dim=cfg.classifier_emb_dim,
+        hidden_dim=cfg.classifier_hidden_dim,
+        lr=cfg.classifier_lr,
+        batch_size=cfg.batch_size,
+        epochs=epochs,
+        seed=cfg.seed,
     )
 
 
@@ -88,18 +84,17 @@ def decode_article(model: SummarizerParams, article_tokens, vocab: Vocabulary,
                   use_coverage=cfg.coverage_from_step is not None)
 
 
+def coverage_at(cfg: RunConfig, step: int) -> bool:
+    """Whether training step ``step`` (from 0) adds the coverage loss."""
+    return cfg.coverage_from_step is not None and step >= cfg.coverage_from_step
+
+
 def _train_steps(model: SummarizerParams, prepared: list[PreparedExample],
                  cfg: RunConfig, steps: int) -> list[float]:
-    tc = _train_config(cfg)
-    batches = batch_order(np.random.default_rng(cfg.seed), len(prepared), tc.batch_size)
-    losses: list[float] = []
-    for step, idx in enumerate(itertools.islice(batches, steps)):
-        batch = [prepared[i] for i in idx]
-        try:
-            losses.append(train_batch(model, batch, tc, use_coverage=tc.coverage_at(step)))
-        except NonFiniteError as exc:
-            raise NonFiniteError(f"training step {step}: {exc}") from exc
-    return losses
+    def step(k, idx):  # reads the module's train_batch each step, so it can be patched
+        return train_batch(model, [prepared[i] for i in idx], cfg, use_coverage=coverage_at(cfg, k))
+
+    return train_steps(step, len(prepared), cfg.batch_size, cfg.seed, steps, "training")
 
 
 def pretrain(pairs: list[NewsPair], vocab: Vocabulary, cfg: RunConfig, steps: int,

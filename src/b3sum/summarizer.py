@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import RunConfig
 from .corpus import NewsPair, Vocabulary
 from .layers import (
     BiLstmEncoder,
@@ -293,10 +294,9 @@ def encode_article(tape: Tape, model: SummarizerParams, enc_ids, src_ext_ids,
     # must stay h_concat's first reader: the pinned float32 results assume
     # backward adds this node's adjoint to h_concat after every h_star's
     enc_features = tape.matmul(enc.h_concat, tape.param(model.attn_w_enc), transpose_b=True)
-    h_cat = tape.concat([enc.fwd_final[0], enc.bwd_first[0]], axis=1)
-    c_cat = tape.concat([enc.fwd_final[1], enc.bwd_first[1]], axis=1)
-    h0 = tape.tanh(linear(tape, model.bridge_w_h, model.bridge_b_h, h_cat))
-    c0 = tape.tanh(linear(tape, model.bridge_w_c, model.bridge_b_c, c_cat))
+    h_final, c_final = enc.final
+    h0 = tape.tanh(linear(tape, model.bridge_w_h, model.bridge_b_h, h_final))
+    c0 = tape.tanh(linear(tape, model.bridge_w_c, model.bridge_b_c, c_final))
     return EncodedArticle(enc, enc_features, h0, c0, src_ext_ids, n_oov)
 
 
@@ -404,23 +404,14 @@ def sequence_loss(tape: Tape, model: SummarizerParams, ex: PreparedExample,
     return nll_mean, nll_mean, None, traces
 
 
-@dataclass
-class TrainConfig:
-    lr: float = 0.15
-    clip_norm: float = 2.0
-    batch_size: int = 16
-    coverage_lambda: float = 1.0
-    coverage_from_step: int | None = None
-    seed: int = 13
-
-    def coverage_at(self, step: int) -> bool:
-        return self.coverage_from_step is not None and step >= self.coverage_from_step
+TrainConfig = RunConfig  # an older name, still built by perfbench/workloads.py
 
 
 def train_batch(model: SummarizerParams, batch: list[PreparedExample],
-                cfg: TrainConfig, use_coverage: bool = False) -> float:
-    """One clipped Adagrad update on a batch (``optimizer_step``); returns
-    the mean loss, or raises NonFiniteError with every value unchanged."""
+                cfg: RunConfig, use_coverage: bool = False) -> float:
+    """One clipped Adagrad update on a batch (``optimizer_step``) with the
+    config's ``lr``, ``clip_norm`` and ``coverage_lambda``; returns the mean
+    loss, or raises NonFiniteError with every value unchanged."""
     if not batch:
         raise ValueError("train_batch: empty batch")
     tape = Tape()

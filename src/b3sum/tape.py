@@ -13,6 +13,7 @@ construction, so backward is a single reverse sweep.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -624,6 +625,21 @@ def batch_order(rng: np.random.Generator, n: int, batch_size: int):
         order = rng.permutation(n)
         for start in range(0, n, batch_size):
             yield order[start : start + batch_size]
+
+
+def train_steps(step, n: int, batch_size: int, seed: int, steps: int, what: str) -> list[float]:
+    """``step(k, idx)`` on each of the first ``steps`` batches ``idx`` of
+    ``batch_order(default_rng(seed), n, batch_size)``; returns its losses in
+    order.  A NonFiniteError at step k is re-raised as ``"{what} step {k}: ..."``
+    and no later step runs."""
+    batches = batch_order(np.random.default_rng(seed), n, batch_size)
+    losses: list[float] = []
+    for k, idx in enumerate(itertools.islice(batches, steps)):
+        try:
+            losses.append(step(k, idx))
+        except NonFiniteError as exc:
+            raise NonFiniteError(f"{what} step {k}: {exc}") from exc
+    return losses
 
 
 @dataclass

@@ -43,7 +43,6 @@ from b3sum.pipeline import (
 from b3sum.summarizer import (
     ExtendedVocab,
     SummarizerParams,
-    TrainConfig,
     attend,
     corpus_loss,
     decode,
@@ -392,7 +391,7 @@ class TestCriterion4CopyTask:
         n_oov = sum(1 for e in heldout for i in e.target_ext_ids if i >= vocab.size)
         assert n_oov >= 20, "held-out set must exercise OOV targets"
 
-        cfg = TrainConfig(lr=0.3, clip_norm=2.0, batch_size=8, seed=2)
+        cfg = RunConfig(lr=0.3, clip_norm=2.0, batch_size=8, seed=2)
         rng = np.random.default_rng(2)
         acc = {"accuracy": 0.0, "oov_accuracy": 0.0}
         epochs_run = 0

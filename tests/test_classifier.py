@@ -5,6 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from b3sum import classifier
 from b3sum.classifier import (
     ClassifierParams,
     ClassifierTrainConfig,
@@ -17,7 +18,7 @@ from b3sum.classifier import (
 )
 from b3sum.corpus import Vocabulary, build_vocab, split_pairs, synth_generate
 from b3sum.layers import lstm_step
-from b3sum.tape import NonFiniteError, Tape
+from b3sum.tape import NonFiniteError, Tape, optimizer_step
 
 from helpers import zero_params
 
@@ -178,6 +179,23 @@ class TestTraining:
             train_classifier(model, train, None, ClassifierTrainConfig(batch_size=4, epochs=1))
         assert {p.name: p.value.tobytes() for p in model.params()} == before
         assert all(p._grad is None and p._acc is None for p in model.params())
+
+    def test_a_non_finite_step_is_named_by_its_step_across_epochs(self, monkeypatch):
+        # 10 examples in batches of 5: two steps per epoch, so the 4th
+        # optimizer step is step 3, the second of epoch 2
+        calls = []
+
+        def failing_fourth(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 4:
+                raise NonFiniteError("non-finite loss nan")
+            return optimizer_step(*args, **kwargs)
+
+        monkeypatch.setattr(classifier, "optimizer_step", failing_fourth)
+        with pytest.raises(NonFiniteError, match=r"^classifier step 3: non-finite loss nan$"):
+            train_classifier(_tiny(), _token_separable(n_major=6, n_minor=4), None,
+                             ClassifierTrainConfig(batch_size=5, epochs=3))
+        assert len(calls) == 4
 
 
 # Computed before train_classifier and the summarizer shared one optimizer

@@ -102,6 +102,10 @@ class TestUsageAndFailures:
          "--oov-rate must be a number in [0, 1], got 3.0"),
         (["gen-synth", "--n", "2", "--mix", "7", "--corpus-out", "c.jsonl"],
          "--mix must be a number in [0, 1], got 7.0"),
+        (["gen-synth", "--n", "0", "--corpus-out", "c.jsonl"],
+         "--n must be an integer >= 1, got 0"),
+        (["build-vocab", "--corpus", "c.jsonl", "--size", "-3", "--vocab-out", "v.json"],
+         "--size must be an integer >= 0, got -3"),
         (["build-vocab", "--corpus", "c.jsonl", "--mode", "min_count", "--min-count", "-4",
           "--vocab-out", "v.json"],
          "--min-count must be an integer >= 1, got -4"),
@@ -168,7 +172,7 @@ class TestCorpusCommands:
         code, _, err = run(capsys, "build-vocab", "--corpus", str(workspace / "train.jsonl"),
                            "--size", "-3", "--vocab-out", str(tmp_path / "v.json"))
         assert code == 1
-        assert "error: vocabulary size must be >= 0, got -3" in err
+        assert "error: --size must be an integer >= 0, got -3" in err
         assert not (tmp_path / "v.json").exists()
 
     def test_a_failure_prints_one_error_line(self, workspace, tmp_path):
@@ -183,7 +187,7 @@ class TestCorpusCommands:
             env=env, capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 1
-        assert proc.stderr.splitlines() == ["error: vocabulary size must be >= 0, got -3"]
+        assert proc.stderr.splitlines() == ["error: --size must be an integer >= 0, got -3"]
 
     def test_build_vocab_and_preprocess(self, workspace, capsys):
         res = run_json(capsys, "build-vocab", "--corpus", str(workspace / "train.jsonl"),

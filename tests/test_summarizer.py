@@ -17,7 +17,6 @@ from b3sum.corpus import NewsPair, Vocabulary
 from b3sum.summarizer import (
     ExtendedVocab,
     SummarizerParams,
-    TrainConfig,
     attend,
     corpus_loss,
     coverage_penalty,
@@ -242,7 +241,7 @@ class TestCoverage:
 class TestSequenceLossAndTraining:
     def test_duplicated_example_same_batch_loss(self):
         _, vocab, prepared = tiny_corpus(n=1)
-        cfg = TrainConfig(batch_size=4, lr=0.15)
+        cfg = RunConfig(batch_size=4, lr=0.15)
         m1 = tiny_summarizer(vocab_size=vocab.size, seed=11)
         m2 = tiny_summarizer(vocab_size=vocab.size, seed=11)
         l1 = train_batch(m1, [prepared[0]], cfg)
@@ -266,7 +265,7 @@ class TestSequenceLossAndTraining:
     def test_smoothed_loss_strictly_decreases_on_toy_corpus(self):
         pairs, vocab, prepared = tiny_corpus(n=5, seed=13)
         model = tiny_summarizer(vocab_size=vocab.size, emb=8, hidden=8, seed=1)
-        cfg = TrainConfig(batch_size=5, lr=0.3, seed=0)
+        cfg = RunConfig(batch_size=5, lr=0.3, seed=0)
         losses = [train_batch(model, prepared, cfg) for _ in range(50)]
         thirds = [np.mean(losses[i : i + 16]) for i in (0, 17, 34)]
         assert thirds[0] > thirds[1] > thirds[2]
@@ -274,7 +273,7 @@ class TestSequenceLossAndTraining:
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            train_batch(tiny_summarizer(), [], TrainConfig())
+            train_batch(tiny_summarizer(), [], RunConfig())
 
     @pytest.mark.parametrize("where", ["loss", "gradient"])
     def test_non_finite_step_raises_before_any_update(self, where):
@@ -288,7 +287,7 @@ class TestSequenceLossAndTraining:
             match = "^non-finite gradient in parameter 'proj.V_out'$"
         before = {p.name: p.value.tobytes() for p in model.params()}
         with pytest.raises(NonFiniteError, match=match):
-            train_batch(model, prepared, TrainConfig())
+            train_batch(model, prepared, RunConfig())
         assert {p.name: p.value.tobytes() for p in model.params()} == before
         assert all(p._grad is None and p._acc is None for p in model.params())
 
@@ -721,7 +720,7 @@ def _train_golden():
     pairs, vocab = _golden_pairs()
     prepared = [prepare_pair(p, vocab) for p in pairs]
     model = tiny_summarizer(vocab_size=vocab.size, emb=8, hidden=8, seed=4)
-    cfg = TrainConfig(batch_size=2, lr=0.5)
+    cfg = RunConfig(batch_size=2, lr=0.5)
     losses = [train_batch(model, prepared, cfg, use_coverage=step >= 77) for step in range(80)]
     return model, vocab, pairs, prepared, losses
 
@@ -896,7 +895,7 @@ class TestCallThrough:
             monkeypatch.setattr(tape_mod, name, counting)
         pairs, vocab = _golden_pairs()
         train_batch(tiny_summarizer(vocab_size=vocab.size), [prepare_pair(pairs[0], vocab)],
-                    TrainConfig())
+                    RunConfig())
         assert fired == ["clip_global_norm", "global_grad_norm", "adagrad_step"]
         fired.clear()
         examples = [LabeledExample(ids=[5, 7], gold=0), LabeledExample(ids=[6, 7], gold=1)]

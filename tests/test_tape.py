@@ -23,6 +23,7 @@ from b3sum.tape import (
     clip_global_norm,
     finite_diff_check,
     optimizer_step,
+    train_steps,
     zero_grads,
 )
 
@@ -468,6 +469,33 @@ class TestBatchOrder:
     def test_rejects_no_examples_or_a_batch_size_below_one(self, n, batch_size):
         with pytest.raises(ValueError, match="batch_order"):
             next(batch_order(np.random.default_rng(0), n, batch_size))
+
+
+class TestTrainSteps:
+    def test_steps_run_on_batch_order_and_return_their_losses_in_order(self):
+        calls = []
+
+        def step(k, idx):
+            calls.append((k, idx.tolist()))
+            return 10.0 * k
+
+        losses = train_steps(step, 7, 3, seed=5, steps=5, what="x")
+        want = itertools.islice(batch_order(np.random.default_rng(5), 7, 3), 5)
+        assert calls == [(k, idx.tolist()) for k, idx in enumerate(want)]
+        assert losses == [0.0, 10.0, 20.0, 30.0, 40.0]
+
+    def test_a_non_finite_step_is_named_and_no_later_step_runs(self):
+        ran = []
+
+        def step(k, idx):
+            ran.append(k)
+            if k == 2:
+                raise NonFiniteError("non-finite loss nan")
+            return 1.0
+
+        with pytest.raises(NonFiniteError, match=r"^x step 2: non-finite loss nan$"):
+            train_steps(step, 4, 1, seed=0, steps=6, what="x")
+        assert ran == [0, 1, 2]
 
 
 class TestParameterState:
