@@ -34,7 +34,7 @@ vocab = build_vocab(train, mode="min_count", min_count=10)
 
 print("1) pretraining the shared base model")
 base, info = pretrain(train, vocab, cfg, steps=400, out_path=workdir / "base.ckpt")
-update_manifest(workdir / "manifest.json", "pretrain", info)
+update_manifest(workdir / "manifest.json", info)
 print(f"   final loss {info['final_loss']:.3f}")
 
 print("2) training the summary classifier and auto-labeling")
@@ -50,8 +50,8 @@ par_model, par_info = finetune(workdir / "base.ckpt", par, "parallel", vocab, cf
                                steps=80, out_path=workdir / "par.ckpt")
 seq_model, seq_info = finetune(workdir / "base.ckpt", seq, "sequence", vocab, cfg,
                                steps=80, out_path=workdir / "seq.ckpt")
-update_manifest(workdir / "manifest.json", "finetune-parallel", par_info)
-update_manifest(workdir / "manifest.json", "finetune-sequence", seq_info)
+update_manifest(workdir / "manifest.json", par_info)
+update_manifest(workdir / "manifest.json", seq_info)
 for name, sub in (("parallel", par_model), ("sequence", seq_model)):
     subset = [prepare_pair(p, vocab) for p in heldout if p.label.binary == name]
     print(f"   {name}: held-out loss {corpus_loss(base, subset):.3f} (base) -> "
@@ -66,7 +66,6 @@ router = StructureAwareModel(
     sequence_model=seq_model,
     vocab=vocab,
     classifier_vocab=vocab,
-    provenance={"base": info["checkpoint_digest"]},
 )
 for pair in heldout[:3]:
     out = structure_aware_summarize(router, pair.article, cfg)

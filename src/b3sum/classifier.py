@@ -200,7 +200,17 @@ def undersample_tune(train: list[LabeledExample], heldout: list[LabeledExample],
     rng = np.random.default_rng(cfg.seed)
     majority_order = rng.permutation(len(by_class[majority]))
 
+    def by_recall(t):
+        return (t["mean_recall"], t["ratio"])
+
+    def by_precision(t):
+        return (t["min_precision"], t["ratio"])
+
+    # Only the running best trial of each rule keeps its model, and the
+    # model's Adagrad state, alive.  No two ratios are equal, so ">" picks
+    # what max() over all the trials would.
     trials = []
+    best_qualifying = best_overall = None  # (trial, model, report)
     for ratio in UNDERSAMPLE_GRID:
         keep = max(1, int(round(ratio * len(by_class[majority]))))
         subset = [by_class[majority][i] for i in majority_order[:keep]] + by_class[1 - majority]
@@ -209,28 +219,17 @@ def undersample_tune(train: list[LabeledExample], heldout: list[LabeledExample],
         rep = evaluate_classifier(model, heldout)
         precisions = [rep["per_class"][c]["precision"] for c in BINARY_CLASSES]
         recalls = [rep["per_class"][c]["recall"] for c in BINARY_CLASSES]
-        trials.append(
-            {
-                "ratio": ratio,
-                "model": model,
-                "report": rep,
-                "min_precision": min(precisions),
-                "mean_recall": sum(recalls) / 2.0,
-                "qualified": all(p > target_precision for p in precisions),
-            }
-        )
-
-    qualifying = [t for t in trials if t["qualified"]]
-    if qualifying:
-        best = max(qualifying, key=lambda t: (t["mean_recall"], t["ratio"]))
-        qualified = True
-    else:
-        best = max(trials, key=lambda t: (t["min_precision"], t["ratio"]))
-        qualified = False
-    return UndersampleResult(
-        ratio=best["ratio"],
-        model=best["model"],
-        heldout=best["report"],
-        qualified=qualified,
-        trials=[{k: t[k] for k in ("ratio", "min_precision", "mean_recall", "qualified")} for t in trials],
-    )
+        trial = {"ratio": ratio, "min_precision": min(precisions),
+                 "mean_recall": sum(recalls) / 2.0,
+                 "qualified": all(p > target_precision for p in precisions)}
+        trials.append(trial)
+        if trial["qualified"] and (best_qualifying is None
+                                   or by_recall(trial) > by_recall(best_qualifying[0])):
+            best_qualifying = (trial, model, rep)
+        if best_overall is None or by_precision(trial) > by_precision(best_overall[0]):
+            best_overall = (trial, model, rep)
+        del model  # a beaten model goes before the next one is built
+    qualified = best_qualifying is not None
+    trial, model, rep = best_qualifying if qualified else best_overall
+    return UndersampleResult(ratio=trial["ratio"], model=model, heldout=rep,
+                             qualified=qualified, trials=trials)

@@ -148,7 +148,7 @@ def cmd_pretrain(args):
         open_manifest(args.manifest)  # a bad manifest fails before training
     _, info = pretrain(pairs, vocab, cfg, steps=args.steps, out_path=args.checkpoint_out)
     if args.manifest:
-        update_manifest(args.manifest, "pretrain", info | {"vocab": args.vocab})
+        update_manifest(args.manifest, info | {"vocab": args.vocab})
     _emit(info, args.out)
 
 
@@ -222,7 +222,7 @@ def cmd_finetune(args):
         out_path=args.checkpoint_out,
     )
     if args.manifest:
-        update_manifest(args.manifest, f"finetune-{args.label}", info | {"vocab": args.vocab})
+        update_manifest(args.manifest, info | {"vocab": args.vocab})
     _emit(info, args.out)
 
 

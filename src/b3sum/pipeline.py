@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 from .checkpoint import checkpoint_digest, load_checkpoint, restore_params, save_checkpoint, tensor_map
 from .classifier import ClassifierParams, ClassifierTrainConfig, classifier_input_tokens, classify
@@ -97,29 +97,36 @@ def _train_steps(model: SummarizerParams, prepared: list[PreparedExample],
     return train_steps(step, len(prepared), cfg.batch_size, cfg.seed, steps, "training")
 
 
-def pretrain(pairs: list[NewsPair], vocab: Vocabulary, cfg: RunConfig, steps: int,
-             out_path=None) -> tuple[SummarizerParams, dict]:
-    """Train the shared base model on all pairs for a number of optimizer
-    steps; returns the model and a provenance record."""
-    if not pairs:
-        raise ValueError("pretrain: empty corpus")
-    prepared = [prepare_pair(p, vocab) for p in pairs]
-    model = new_summarizer(vocab.size, cfg)
+def _train_stage(model: SummarizerParams, pairs: list[NewsPair], vocab: Vocabulary,
+                 cfg: RunConfig, steps: int, info: dict,
+                 out_path) -> tuple[SummarizerParams, dict]:
+    """Train ``model`` for ``steps`` steps on ``pairs``, each read, as
+    decoding reads it, up to its first ``max_src_len`` article tokens.
+
+    Returns the model and ``info`` plus the step and pair counts, the config
+    hash and the last loss, and, with an ``out_path``, the checkpoint
+    written there and its digest.
+    """
+    prepared = [prepare_pair(replace(p, article=p.article[: cfg.max_src_len]), vocab)
+                for p in pairs]
     losses = _train_steps(model, prepared, cfg, steps)
-    info = {"stage": "pretrain", "steps": steps, "pairs": len(pairs)}
-    return model, _stage_info(info, model, losses, cfg, out_path)
-
-
-def _stage_info(info: dict, model: SummarizerParams, losses: list[float], cfg: RunConfig,
-                out_path) -> dict:
-    """``info`` plus the config hash and the last loss, and, with an
-    ``out_path``, the checkpoint written there and its digest."""
-    info |= {"config_hash": cfg.hash_hex(), "final_loss": losses[-1] if losses else None}
+    info |= {"steps": steps, "pairs": len(pairs), "config_hash": cfg.hash_hex(),
+             "final_loss": losses[-1] if losses else None}
     if out_path is not None:
         save_model(model, out_path, cfg)
         info["checkpoint"] = str(out_path)
         info["checkpoint_digest"] = checkpoint_digest(out_path)
-    return info
+    return model, info
+
+
+def pretrain(pairs: list[NewsPair], vocab: Vocabulary, cfg: RunConfig, steps: int,
+             out_path=None) -> tuple[SummarizerParams, dict]:
+    """Train the shared base model on all pairs for a number of optimizer
+    steps; returns the model and its stage record (``_train_stage``)."""
+    if not pairs:
+        raise ValueError("pretrain: empty corpus")
+    return _train_stage(new_summarizer(vocab.size, cfg), pairs, vocab, cfg, steps,
+                        {"stage": "pretrain"}, out_path)
 
 
 def auto_label_corpus(summary_classifier: ClassifierParams, cls_vocab: Vocabulary,
@@ -156,16 +163,9 @@ def finetune(base_checkpoint, subset: list[NewsPair], label: str, vocab: Vocabul
         raise ValueError(
             f"finetune({label}): empty subset; lower tau so auto-labeling keeps more pairs"
         )
-    model = load_summarizer(base_checkpoint, vocab, cfg)
-    prepared = [prepare_pair(p, vocab) for p in subset]
-    losses = _train_steps(model, prepared, cfg, steps)
-    info = {
-        "stage": f"finetune-{label}",
-        "steps": steps,
-        "pairs": len(subset),
-        "base_digest": checkpoint_digest(base_checkpoint),
-    }
-    return model, _stage_info(info, model, losses, cfg, out_path)
+    info = {"stage": f"finetune-{label}", "base_digest": checkpoint_digest(base_checkpoint)}
+    return _train_stage(load_summarizer(base_checkpoint, vocab, cfg), subset, vocab, cfg, steps,
+                        info, out_path)
 
 
 @dataclass
@@ -177,7 +177,6 @@ class StructureAwareModel:
     sequence_model: SummarizerParams
     vocab: Vocabulary
     classifier_vocab: Vocabulary
-    provenance: dict = field(default_factory=dict)
 
 
 def structure_aware_summarize(model: StructureAwareModel, article_tokens,
@@ -201,29 +200,24 @@ def structure_aware_summarize(model: StructureAwareModel, article_tokens,
 # -- manifest -----------------------------------------------------------------
 
 
-def write_manifest(path, entries: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(entries, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def read_manifest(path) -> dict:
-    manifest = read_json(path, "manifest")
+def open_manifest(path) -> dict:
+    """The manifest at ``path``, or a new one when no file is there; one
+    that is not a JSON object with a ``"stages"`` object raises CorpusError
+    naming the file."""
+    try:
+        manifest = read_json(path, "manifest")
+    except FileNotFoundError:
+        return {"stages": {}}
     if not isinstance(manifest.get("stages", {}), dict):
         raise CorpusError(f'manifest {path}: "stages" is not a JSON object')
     return manifest
 
 
-def open_manifest(path) -> dict:
-    """The manifest at ``path``, or a new one when no file is there."""
-    try:
-        return read_manifest(path)
-    except FileNotFoundError:
-        return {"stages": {}}
-
-
-def update_manifest(path, stage: str, info: dict) -> dict:
+def update_manifest(path, info: dict) -> dict:
+    """File a stage record under its ``"stage"`` in the manifest at ``path``."""
     manifest = open_manifest(path)
-    manifest.setdefault("stages", {})[stage] = info
-    write_manifest(path, manifest)
+    manifest.setdefault("stages", {})[info["stage"]] = info
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(manifest, fh, indent=2, sort_keys=True)
+        fh.write("\n")
     return manifest

@@ -34,17 +34,25 @@ PGEN_EPS = 1e-12
 
 
 class ExtendedVocab:
-    """Base vocabulary plus this document's out-of-vocabulary source tokens."""
+    """Base vocabulary plus this document's out-of-vocabulary source tokens,
+    with the article's ids in both: ``enc_ids`` (base, an OOV as ``<unk>``)
+    feed the encoder, and the copy distribution scatters onto
+    ``src_ext_ids`` (extended)."""
 
     def __init__(self, base: Vocabulary, article_tokens):
         self.base = base
-        self.doc_oovs: list[str] = []
-        seen = set()
+        self._oov_ids: dict[str, int] = {}
+        self.enc_ids: list[int] = []
+        self.src_ext_ids: list[int] = []
         for t in article_tokens:
-            if t not in base and t not in seen:
-                seen.add(t)
-                self.doc_oovs.append(t)
-        self._oov_ids = {t: base.size + k for k, t in enumerate(self.doc_oovs)}
+            if t in base:
+                base_id = ext_id = base.id(t)
+            else:
+                base_id = Vocabulary.UNK
+                ext_id = self._oov_ids.setdefault(t, base.size + len(self._oov_ids))
+            self.enc_ids.append(base_id)
+            self.src_ext_ids.append(ext_id)
+        self.doc_oovs = list(self._oov_ids)
 
     @property
     def size(self) -> int:
@@ -210,12 +218,11 @@ def coverage_penalty(tape: Tape, a_t: int, coverage: int) -> int:
 
 @dataclass
 class PreparedExample:
-    """A pair mapped to ids: encoder input, decoder input (teacher forcing),
-    and extended-vocabulary targets ending in the stop token."""
+    """A pair mapped to ids: decoder input (teacher forcing), extended-vocabulary
+    targets ending in the stop token, and the article's ``ExtendedVocab``,
+    which holds its source ids."""
 
     id: str
-    enc_ids: list[int]
-    src_ext_ids: list[int]
     dec_in_ids: list[int]
     target_ext_ids: list[int]
     ext: ExtendedVocab
@@ -231,20 +238,11 @@ def target_token_sequence(pair: NewsPair) -> list[str]:
 
 def prepare_pair(pair: NewsPair, vocab: Vocabulary) -> PreparedExample:
     ext = ExtendedVocab(vocab, pair.article)
-    enc_ids = vocab.encode(pair.article)
-    src_ext_ids = [ext.id(t) for t in pair.article]
     target_tokens = target_token_sequence(pair)
     target_ext = [ext.id(t) for t in target_tokens] + [Vocabulary.STOP]
     target_base = vocab.encode(target_tokens) + [Vocabulary.STOP]
     dec_in = [Vocabulary.START] + target_base[:-1]
-    return PreparedExample(
-        id=pair.id,
-        enc_ids=enc_ids,
-        src_ext_ids=src_ext_ids,
-        dec_in_ids=dec_in,
-        target_ext_ids=target_ext,
-        ext=ext,
-    )
+    return PreparedExample(id=pair.id, dec_in_ids=dec_in, target_ext_ids=target_ext, ext=ext)
 
 
 @dataclass
@@ -271,25 +269,23 @@ def _step_trace(tape: Tape, a_t: int, p_gen: int, coverage: int | None,
 @dataclass
 class EncodedArticle:
     """Per-article decoder context: encoder states, their attention features,
-    the bridged initial decoder state, and the source ids the copy
-    distribution scatters onto."""
+    the bridged initial decoder state, and the article's ``ExtendedVocab``,
+    whose source ids the copy distribution scatters onto."""
 
     enc: EncoderStates
     enc_features: int
     h0: int
     c0: int
-    src_ext_ids: list[int]
-    n_oov: int
+    ext: ExtendedVocab
 
     def zero_coverage(self, tape: Tape) -> int:
         return tape.leaf(np.zeros((1, self.enc.length), dtype=tape.dtype))
 
 
-def encode_article(tape: Tape, model: SummarizerParams, enc_ids, src_ext_ids,
-                   n_oov: int) -> EncodedArticle:
-    """Run the encoder over base-vocab ``enc_ids`` and bridge its final
-    states to the decoder's initial (h0, c0)."""
-    xs = embed_rows(tape, model.embedding, enc_ids)
+def encode_article(tape: Tape, model: SummarizerParams, ext: ExtendedVocab) -> EncodedArticle:
+    """Run the encoder over the article's base-vocab ``ext.enc_ids`` and
+    bridge its final states to the decoder's initial (h0, c0)."""
+    xs = embed_rows(tape, model.embedding, ext.enc_ids)
     enc = bilstm_encode(tape, model.encoder, xs)
     # must stay h_concat's first reader: the pinned float32 results assume
     # backward adds this node's adjoint to h_concat after every h_star's
@@ -297,7 +293,7 @@ def encode_article(tape: Tape, model: SummarizerParams, enc_ids, src_ext_ids,
     h_final, c_final = enc.final
     h0 = tape.tanh(linear(tape, model.bridge_w_h, model.bridge_b_h, h_final))
     c0 = tape.tanh(linear(tape, model.bridge_w_c, model.bridge_b_c, c_final))
-    return EncodedArticle(enc, enc_features, h0, c0, src_ext_ids, n_oov)
+    return EncodedArticle(enc, enc_features, h0, c0, ext)
 
 
 @dataclass
@@ -349,7 +345,8 @@ def output_distribution(tape: Tape, model: SummarizerParams, art: EncodedArticle
     p_vocab = vocab_distribution(tape, model, rows([s.s_t for s in steps]),
                                  rows([s.h_star for s in steps]))
     return final_distribution(tape, rows([s.p_gen for s in steps]), p_vocab,
-                              rows([s.a_t for s in steps]), art.src_ext_ids, art.n_oov)
+                              rows([s.a_t for s in steps]), art.ext.src_ext_ids,
+                              len(art.ext.doc_oovs))
 
 
 def _teacher_forced(tape: Tape, model: SummarizerParams, ex: PreparedExample,
@@ -362,7 +359,7 @@ def _teacher_forced(tape: Tape, model: SummarizerParams, ex: PreparedExample,
     ``coverages[t]`` the coverage before it and ``penalties[t]`` its
     coverage penalty, both None without coverage.
     """
-    art = encode_article(tape, model, ex.enc_ids, ex.src_ext_ids, len(ex.ext.doc_oovs))
+    art = encode_article(tape, model, ex.ext)
     coverage = art.zero_coverage(tape) if use_coverage else None
     state = (art.h0, art.c0)
     steps, coverages, penalties = [], [], []
@@ -546,8 +543,7 @@ def decode(model: SummarizerParams, article_tokens, vocab: Vocabulary,
     width = 1 if mode == "greedy" else beam_size
     ext = ExtendedVocab(vocab, article_tokens)
     tape = Tape()
-    art = encode_article(tape, model, vocab.encode(article_tokens),
-                         [ext.id(t) for t in article_tokens], len(ext.doc_oovs))
+    art = encode_article(tape, model, ext)
     beams = [Hypothesis(state=(art.h0, art.c0),
                         coverage=art.zero_coverage(tape) if use_coverage else None)]
     finished: list[Hypothesis] = []

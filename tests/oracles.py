@@ -105,7 +105,7 @@ def per_row_teacher_forced(tape, model, ex, use_coverage, force_p_gen):
     pinned golden values, where one stacked (T x hidden) GEMM rounds
     differently from T row products.
     """
-    art = encode_article(tape, model, ex.enc_ids, ex.src_ext_ids, len(ex.ext.doc_oovs))
+    art = encode_article(tape, model, ex.ext)
     coverage = art.zero_coverage(tape) if use_coverage else None
     state = (art.h0, art.c0)
     rows, steps, coverages, penalties = [], [], [], []

@@ -252,7 +252,7 @@ class TestCriterion1GradientCorrectness:
                                s, cov, use_coverage=True)
             p_vocab = vocab_distribution(t, model, s, h_star)
             p_gen = generation_prob(t, model, h_star, s, x)
-            p = final_distribution(t, p_gen, p_vocab, a_t, ex.src_ext_ids, len(ex.ext.doc_oovs))
+            p = final_distribution(t, p_gen, p_vocab, a_t, ex.ext.src_ext_ids, len(ex.ext.doc_oovs))
             oov_id = vocab.size  # the "zz" token
             return t, t.neg_log_pick(p, oov_id)
 
@@ -558,7 +558,6 @@ class TestCriterion8Pipeline:
             sequence_model=seq_model,
             vocab=vocab,
             classifier_vocab=vocab,
-            provenance={"base": base_info["checkpoint_digest"]},
         )
         three = routed = 0
         articles = [p.article for p in pairs[:200]]

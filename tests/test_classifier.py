@@ -1,6 +1,8 @@
 """Structure classifier: encoding, decision rule, training, under-sampling."""
 
+import gc
 import hashlib
+import weakref
 
 import numpy as np
 import pytest
@@ -250,3 +252,22 @@ class TestUndersample:
         one_class = [ex for ex in train if ex.gold == 0]
         with pytest.raises(ValueError, match="both classes"):
             undersample_tune(train, one_class, ClassifierTrainConfig(epochs=1), 10)
+
+    def test_a_sweep_keeps_at_most_three_models_alive(self, monkeypatch):
+        # the model in training plus the running best of each rule
+        trained = weakref.WeakSet()
+        alive = []
+        original = classifier.train_classifier
+
+        def counting(model, *args, **kwargs):
+            trained.add(model)
+            gc.collect()
+            alive.append(len(trained))
+            return original(model, *args, **kwargs)
+
+        monkeypatch.setattr(classifier, "train_classifier", counting)
+        cfg = ClassifierTrainConfig(emb_dim=4, hidden_dim=4, lr=0.5, batch_size=8, epochs=1,
+                                    seed=7)
+        undersample_tune(_token_separable(12, 6), _token_separable(4, 4, seed=1), cfg, 10)
+        assert len(alive) == 10
+        assert max(alive) <= 3

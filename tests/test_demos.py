@@ -1,10 +1,13 @@
-"""The cheap demos run to completion as scripts.
+"""The demos import only names b3sum has, and the cheap ones run to completion.
 
 Demo 01 drives the Tape contract (values, backward, grad check, optimizer
 step) the way a reader first meets it; demo 05 drives the metrics.  The
-slower training demos (02-04) are left to manual runs.
+slower training demos (02-04) are left to manual runs, so a library name
+they import is checked here without running them.
 """
 
+import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -13,6 +16,22 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted(path.name for path in (ROOT / "demos").glob("*.py"))
+
+
+def test_every_demo_is_checked():
+    assert len(DEMOS) == 5
+
+
+@pytest.mark.parametrize("name", DEMOS)
+def test_demo_imports_only_names_b3sum_has(name):
+    tree = ast.parse((ROOT / "demos" / name).read_text(encoding="utf-8"))
+    imports = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+               and node.module and node.module.split(".")[0] == "b3sum"]
+    assert imports
+    missing = [f"{node.module}.{alias.name}" for node in imports for alias in node.names
+               if not hasattr(importlib.import_module(node.module), alias.name)]
+    assert missing == []
 
 
 @pytest.mark.parametrize("name", ["01_autodiff_basics.py", "05_evaluation.py"])

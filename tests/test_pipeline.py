@@ -1,5 +1,7 @@
 """Pretrain/auto-label/fine-tune/route orchestration."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from b3sum.pipeline import (
     finetune,
     new_summarizer,
     pretrain,
-    read_manifest,
+    open_manifest,
     structure_aware_summarize,
     update_manifest,
 )
@@ -115,6 +117,30 @@ def test_pretrain_then_finetune_is_bit_identical_to_the_pinned_run(corpus, tmp_p
     assert checkpoint_digest(tmp_path / "p.ckpt") == PINNED_TUNED_SHA256
 
 
+def test_training_reads_the_first_max_src_len_article_tokens(corpus, tmp_path, monkeypatch):
+    pairs, vocab = corpus
+    cfg = _cfg(max_src_len=9)
+    assert min(len(p.article) for p in pairs) > cfg.max_src_len
+    batches = []
+    original = pipeline.train_batch
+
+    def recording(model, batch, *args, **kwargs):
+        batches.append(batch)
+        return original(model, batch, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "train_batch", recording)
+    cut = [replace(p, article=p.article[: cfg.max_src_len]) for p in pairs]
+    digests = []
+    for run, train in (("long", pairs), ("cut", cut)):
+        pretrain(train, vocab, cfg, steps=2, out_path=tmp_path / f"{run}-b.ckpt")
+        _, info = finetune(tmp_path / f"{run}-b.ckpt", train[:5], "parallel", vocab, cfg,
+                           steps=2, out_path=tmp_path / f"{run}-p.ckpt")
+        digests.append((info["base_digest"], info["checkpoint_digest"]))
+    assert digests[0] == digests[1]
+    # 4 + 4 pretraining and 4 + 1 fine-tuning pairs, twice
+    assert [len(ex.ext.src_ext_ids) for batch in batches for ex in batch] == [9] * 26
+
+
 class TestAutoLabel:
     def _classifier(self, vocab):
         return ClassifierParams(vocab.size, emb_dim=8, hidden_dim=8, seed=2)
@@ -197,7 +223,6 @@ class TestStructureAwareSummarize:
             sequence_model=new_summarizer(vocab.size, _cfg(seed=77)),
             vocab=vocab,
             classifier_vocab=vocab,
-            provenance={"base": "x"},
         )
 
     def test_zero_weight_classifier_always_routes_parallel(self, corpus):
@@ -229,8 +254,11 @@ class TestStructureAwareSummarize:
 class TestManifest:
     def test_update_and_read(self, tmp_path):
         path = tmp_path / "pipeline.json"
-        update_manifest(path, "pretrain", {"steps": 3})
-        manifest = update_manifest(path, "finetune-parallel", {"steps": 1})
-        assert manifest["stages"]["pretrain"]["steps"] == 3
-        assert read_manifest(path)["stages"]["finetune-parallel"]["steps"] == 1
-        assert set(read_manifest(path)) == {"stages"}
+        assert open_manifest(path) == {"stages": {}}
+        update_manifest(path, {"stage": "pretrain", "steps": 3})
+        update_manifest(path, {"stage": "finetune-parallel", "steps": 1})
+        manifest = update_manifest(path, {"stage": "pretrain", "steps": 4})
+        assert manifest == open_manifest(path)
+        assert manifest == {"stages": {"pretrain": {"stage": "pretrain", "steps": 4},
+                                       "finetune-parallel": {"stage": "finetune-parallel",
+                                                             "steps": 1}}}

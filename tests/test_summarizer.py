@@ -62,6 +62,14 @@ class TestExtendedVocab:
         ext = ExtendedVocab(Vocabulary(["a"]), ["a"])
         assert ext.id("mystery") == Vocabulary.UNK
 
+    def test_source_ids_in_both_vocabularies(self):
+        vocab = Vocabulary(["a", "b"])
+        article = ["zz", "a", "qq", "zz", "b", "qq", "zz", "<unk>"]
+        ext = ExtendedVocab(vocab, article)
+        assert ext.enc_ids == vocab.encode(article)
+        assert ext.src_ext_ids == [ext.id(t) for t in article]
+        assert ext.src_ext_ids[:4] == [vocab.size, vocab.id("a"), vocab.size + 1, vocab.size]
+
 
 class TestAttend:
     def test_single_position_attends_fully(self):
@@ -604,7 +612,7 @@ class TestDirectionalGradientAtPaperShape:
             article[pos] = f"oov{k % 3}"
         summary = [list(rng.choice(article, 19)) for _ in range(3)]
         ex = prepare_pair(NewsPair(id="paper", article=article, summary=summary), vocab)
-        assert (vocab.size, len(ex.enc_ids), len(ex.target_ext_ids)) == (20000, 400, 60)
+        assert (vocab.size, len(ex.ext.enc_ids), len(ex.target_ext_ids)) == (20000, 400, 60)
         return SummarizerParams(vocab.size, emb_dim=128, hidden_dim=256, seed=1), ex
 
     @staticmethod
