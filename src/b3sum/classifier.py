@@ -49,7 +49,7 @@ def encode_text(tape: Tape, model: ClassifierParams, ids) -> int:
     """(1 x 2*hidden) node: the encoder's final hidden state."""
     if not ids:
         raise ValueError("encode_text: empty token sequence")
-    return bilstm_encode(tape, model.encoder, embed_rows(tape, model.embedding, ids)).final[0]
+    return bilstm_encode(tape, model.encoder, embed_rows(tape, model.embedding, ids)).final_h
 
 
 def decision_distribution(tape: Tape, model: ClassifierParams, ids) -> int:
@@ -73,7 +73,7 @@ class ClassifyResult:
 
 
 def classify(model: ClassifierParams, ids) -> ClassifyResult:
-    tape = Tape()
+    tape = Tape(record=False)
     probs = tape.value(decision_distribution(tape, model, ids))[0]
     p_par, p_seq = float(probs[0]), float(probs[1])
     label = "parallel" if p_par >= p_seq else "sequence"  # ties -> parallel

@@ -3,8 +3,10 @@
 All layers are parameter containers plus functions that append kernels to a
 Tape.  Weight matrices are stored in (out_dim, in_dim) orientation; forward
 passes multiply by them transposed (``matmul(..., transpose_b=True)``), so no
-transposed copy is made.  Sequence inputs travel as lists of 1-row matrices
-so recurrent steps never need to slice a tape node.
+transposed copy is made.  A sequence travels as one (n x dim) node, one row
+per position: ``embed_rows`` gathers all its ids at once and ``lstm_step``
+runs a cell over all its rows as one ``lstm`` node.  An LSTM state is one
+row ``[h | c]``.
 """
 
 from __future__ import annotations
@@ -40,16 +42,11 @@ class EmbeddingTable:
         return [self.weights]
 
 
-def embed_rows(tape: Tape, table: EmbeddingTable, ids) -> list[int]:
-    """Embed each id as its own 1-row gather of the table (recurrent-step
-    friendly); the adjoint adds into the selected rows only."""
-    for k, i in enumerate(ids):
-        if not 0 <= i < table.vocab_size:
-            raise IndexError(
-                f"embedding id {i} at position {k} out of range (vocab {table.vocab_size})"
-            )
-    w = tape.param(table.weights)
-    return [tape.gather_rows(w, (i,)) for i in ids]
+def embed_rows(tape: Tape, table: EmbeddingTable, ids) -> int:
+    """The (len(ids) x dim) embeddings of ``ids``, one ``gather_rows`` node;
+    the adjoint adds into the selected rows only.  An id outside the table
+    raises IndexError naming its position."""
+    return tape.gather_rows(tape.param(table.weights), ids)
 
 
 class LstmCell:
@@ -70,29 +67,27 @@ class LstmCell:
     def params(self):
         return [self.w[g] for g in self.GATES] + [self.b[g] for g in self.GATES]
 
-    def zero_state(self, tape: Tape) -> tuple[int, int]:
-        z = np.zeros((1, self.hidden_dim), dtype=tape.dtype)
-        return tape.leaf(z), tape.leaf(z.copy())
+    def zero_state(self, tape: Tape) -> int:
+        """The all-zero state row [h | c], (1 x 2*hidden)."""
+        return tape.leaf(np.zeros((1, 2 * self.hidden_dim), dtype=tape.dtype))
 
 
-def lstm_step(tape: Tape, cell: LstmCell, x: int, h_prev: int, c_prev: int) -> tuple[int, int]:
-    """One LSTM step: returns (h_t, c_t), both 1-row nodes."""
-    if tape.value(x).shape != (1, cell.input_dim):
+def lstm_step(tape: Tape, cell: LstmCell, xs: int, s0: int, reverse: bool = False) -> int:
+    """The cell over the rows of ``xs`` (n x input) from the state row
+    ``s0 = [h0 | c0]``: one ``lstm`` node whose row t is [h_t | c_t], the
+    state after reading row t; with ``reverse`` the rows are read last to
+    first.  Decoding calls it on one row per step.
+
+    The four gates are stacked once per tape, so their parameters and the
+    checkpoint keep one tensor per gate.
+    """
+    if tape.value(xs).shape[1] != cell.input_dim:
         raise DimensionError(
-            f"lstm_step: input dims {tape.value(x).shape} != (1, {cell.input_dim})"
+            f"lstm_step: input dims {tape.value(xs).shape} != (n, {cell.input_dim})"
         )
-    xs = tape.concat([x, h_prev], axis=1)
-
-    def gate(name, activation):
-        return activation(linear(tape, cell.w[name], cell.b[name], xs))
-
-    i = gate("i", tape.sigmoid)
-    f = gate("f", tape.sigmoid)
-    o = gate("o", tape.sigmoid)
-    g = gate("g", tape.tanh)
-    c_t = tape.add(tape.mul(f, c_prev), tape.mul(i, g))
-    h_t = tape.mul(o, tape.tanh(c_t))
-    return h_t, c_t
+    w = tape.param_stack([cell.w[g] for g in cell.GATES], axis=0)
+    b = tape.param_stack([cell.b[g] for g in cell.GATES], axis=1)
+    return tape.lstm(xs, s0, w, b, reverse)
 
 
 class BiLstmEncoder:
@@ -107,36 +102,42 @@ class BiLstmEncoder:
 
 @dataclass
 class EncoderStates:
-    """Per-position concatenated states plus the sequence's final state.
+    """Per-position states plus the sequence's final state.
 
-    ``h_concat`` is an (n x 2*hidden) node; ``final`` is the (h, c) pair of
-    (1 x 2*hidden) nodes that join the forward state after the last token
-    and the backward state after the first, each having read the whole
-    sequence.
+    ``h_concat`` is the (n x 2*hidden) node of each position's forward and
+    backward h.  ``final_h`` and ``final_c`` are (1 x 2*hidden) nodes that
+    join the forward state after the last token and the backward state after
+    the first, each having read the whole sequence; ``final_c`` is None
+    unless ``bilstm_encode`` was asked for it.
     """
 
     h_concat: int
-    final: tuple[int, int]
+    final_h: int
+    final_c: int | None
     length: int
 
 
-def bilstm_encode(tape: Tape, enc: BiLstmEncoder, xs: list[int]) -> EncoderStates:
-    if not xs:
+def bilstm_encode(tape: Tape, enc: BiLstmEncoder, xs: int,
+                  final_c: bool = False) -> EncoderStates:
+    """Both directions over the rows of ``xs`` (n x input), one ``lstm_step``
+    each; ``final_c`` also builds the final cell state."""
+    n = tape.value(xs).shape[0]
+    if n == 0:
         raise ValueError("bilstm_encode: empty input sequence")
-    h_f, c_f = enc.forward_cell.zero_state(tape)
-    fwd = []
-    for x in xs:
-        h_f, c_f = lstm_step(tape, enc.forward_cell, x, h_f, c_f)
-        fwd.append(h_f)
-    h_b, c_b = enc.backward_cell.zero_state(tape)
-    bwd = [0] * len(xs)
-    for k in range(len(xs) - 1, -1, -1):
-        h_b, c_b = lstm_step(tape, enc.backward_cell, xs[k], h_b, c_b)
-        bwd[k] = h_b
+    fwd = lstm_step(tape, enc.forward_cell, xs, enc.forward_cell.zero_state(tape))
+    bwd = lstm_step(tape, enc.backward_cell, xs, enc.backward_cell.zero_state(tape),
+                    reverse=True)
+    h, c = (0, enc.hidden_dim), (enc.hidden_dim, 2 * enc.hidden_dim)
+
+    def final(cols):
+        return tape.concat([tape.slice(fwd, (n - 1, n), cols), tape.slice(bwd, (0, 1), cols)],
+                           axis=1)
+
     return EncoderStates(
-        h_concat=tape.concat([tape.concat(fwd, axis=0), tape.concat(bwd, axis=0)], axis=1),
-        final=(tape.concat([fwd[-1], bwd[0]], axis=1), tape.concat([c_f, c_b], axis=1)),
-        length=len(xs),
+        h_concat=tape.concat([tape.slice(fwd, cols=h), tape.slice(bwd, cols=h)], axis=1),
+        final_h=final(h),
+        final_c=final(c) if final_c else None,
+        length=n,
     )
 
 

@@ -127,27 +127,28 @@ class SummarizerParams:
 # -- single decoding step pieces ---------------------------------------------
 
 
-def attend(tape: Tape, model: SummarizerParams, h_all: int, enc_features: int, s_t: int,
+def attend(tape: Tape, model: SummarizerParams, h_all: int, enc_features: int, s: int,
            coverage: int | None, use_coverage: bool) -> tuple[int, int, int]:
-    """Attention scores, distribution, and context vector for one step.
+    """Attention scores, distribution and context vector for R decoder rows.
 
     ``h_all`` is the (n x 2*hidden) encoder-state node and ``enc_features``
     its (n x attn) features h_all·W_hᵀ, which do not depend on the step, so
-    ``encode_article`` computes them once per article.  ``s_t`` is the 1-row
-    decoder state, ``coverage`` a (1 x n) row of summed past attention.
-    Returns node ids (e_t, a_t, h_star).
+    ``encode_article`` computes them once per article.  ``s`` holds R decoder
+    states, one row each, and ``coverage`` each row's (1 x n) summed past
+    attention, stacked (R x n).  Each row's products are one-row products, so
+    a row gets the values it would get alone.  Returns node ids
+    (e, a, h_star), R rows each.
     """
-    terms = [enc_features, tape.matmul(s_t, tape.param(model.attn_w_state), transpose_b=True)]
+    queries = tape.matmul(s, tape.param(model.attn_w_state), transpose_b=True, per_row=True)
+    scored = [enc_features, queries, tape.param(model.attn_v), tape.param(model.attn_bias)]
     if use_coverage:
         if coverage is None:
             raise ValueError("use_coverage=True requires a coverage node")
-        terms.append(tape.matmul(tape.transpose(coverage), tape.param(model.attn_w_cov)))
-    terms.append(tape.param(model.attn_bias))
-    scores = tape.tanh_sum(terms)  # stores only the tanh, one (n x attn) array
-    e_t = tape.transpose(tape.matmul(scores, tape.param(model.attn_v), transpose_b=True))
-    a_t = tape.softmax(e_t)
-    h_star = tape.matmul(a_t, h_all)
-    return e_t, a_t, h_star
+        scored += [coverage, tape.param(model.attn_w_cov)]
+    e = tape.attention_scores(*scored)
+    a = tape.softmax(e)
+    h_star = tape.matmul(a, h_all, per_row=True)
+    return e, a, h_star
 
 
 def vocab_distribution(tape: Tape, model: SummarizerParams, s_t: int, h_star: int) -> int:
@@ -161,14 +162,14 @@ def vocab_distribution(tape: Tape, model: SummarizerParams, s_t: int, h_star: in
 
 def generation_prob(tape: Tape, model: SummarizerParams, h_star: int, s_t: int,
                     x_t: int) -> int:
-    """Soft switch between generating and copying, in (0, 1)."""
+    """Soft switch between generating and copying, in (0, 1), one row per
+    step, each from one-row products."""
+    def dot(x, w):
+        return tape.matmul(x, tape.param(w), transpose_b=True, per_row=True)
+
     pre = tape.add(
-        tape.add(
-            tape.matmul(h_star, tape.param(model.ptr_w_context), transpose_b=True),
-            tape.matmul(s_t, tape.param(model.ptr_w_state), transpose_b=True),
-        ),
-        tape.add(tape.matmul(x_t, tape.param(model.ptr_w_input), transpose_b=True),
-                 tape.param(model.ptr_bias)),
+        tape.add(dot(h_star, model.ptr_w_context), dot(s_t, model.ptr_w_state)),
+        tape.add(dot(x_t, model.ptr_w_input), tape.param(model.ptr_bias)),
     )
     return tape.sigmoid(pre)
 
@@ -253,15 +254,13 @@ class StepTrace:
     penalty: float | None
 
 
-def _step_trace(tape: Tape, a_t: int, p_gen: int, coverage: int | None,
+def _step_trace(attention: np.ndarray, p_gen: float, coverage: np.ndarray | None,
                 penalty: float | None) -> StepTrace:
-    attention = tape.value(a_t)
+    """One step's trace from its (1 x n) attention row, p_gen and coverage row."""
     return StepTrace(
         attention=attention.copy(),
-        coverage_before=(
-            tape.value(coverage).copy() if coverage is not None else np.zeros(attention.shape)
-        ),
-        p_gen=float(tape.value(p_gen)[0, 0]),
+        coverage_before=coverage.copy() if coverage is not None else np.zeros(attention.shape),
+        p_gen=float(p_gen),
         penalty=penalty,
     )
 
@@ -269,13 +268,12 @@ def _step_trace(tape: Tape, a_t: int, p_gen: int, coverage: int | None,
 @dataclass
 class EncodedArticle:
     """Per-article decoder context: encoder states, their attention features,
-    the bridged initial decoder state, and the article's ``ExtendedVocab``,
-    whose source ids the copy distribution scatters onto."""
+    the bridged initial decoder state row s0 = [h0 | c0], and the article's
+    ``ExtendedVocab``, whose source ids the copy distribution scatters onto."""
 
     enc: EncoderStates
     enc_features: int
-    h0: int
-    c0: int
+    s0: int
     ext: ExtendedVocab
 
     def zero_coverage(self, tape: Tape) -> int:
@@ -284,94 +282,98 @@ class EncodedArticle:
 
 def encode_article(tape: Tape, model: SummarizerParams, ext: ExtendedVocab) -> EncodedArticle:
     """Run the encoder over the article's base-vocab ``ext.enc_ids`` and
-    bridge its final states to the decoder's initial (h0, c0)."""
+    bridge its final states to the decoder's initial state row."""
     xs = embed_rows(tape, model.embedding, ext.enc_ids)
-    enc = bilstm_encode(tape, model.encoder, xs)
-    # must stay h_concat's first reader: the pinned float32 results assume
-    # backward adds this node's adjoint to h_concat after every h_star's
+    enc = bilstm_encode(tape, model.encoder, xs, final_c=True)
     enc_features = tape.matmul(enc.h_concat, tape.param(model.attn_w_enc), transpose_b=True)
-    h_final, c_final = enc.final
-    h0 = tape.tanh(linear(tape, model.bridge_w_h, model.bridge_b_h, h_final))
-    c0 = tape.tanh(linear(tape, model.bridge_w_c, model.bridge_b_c, c_final))
-    return EncodedArticle(enc, enc_features, h0, c0, ext)
+    h0 = tape.tanh(linear(tape, model.bridge_w_h, model.bridge_b_h, enc.final_h))
+    c0 = tape.tanh(linear(tape, model.bridge_w_c, model.bridge_b_c, enc.final_c))
+    return EncodedArticle(enc, enc_features, tape.concat([h0, c0], axis=1), ext)
 
 
 @dataclass
 class DecoderStep:
-    """Node ids of one step's recurrent part: the decoder state row s_t = [h_t; c_t],
-    the context h*_t, the attention a_t, the switch p_gen and the LSTM state."""
+    """Node ids of the recurrent part over R decoder rows: the states
+    s = [h | c], the contexts h*, the attention a and the switch p_gen, one
+    row each.  With coverage, ``coverages`` and ``penalties`` hold each row's
+    coverage before it and its coverage penalty (1-row nodes), and
+    ``coverage`` the coverage after the last row; otherwise they are empty
+    and None."""
 
-    s_t: int
+    s: int
     h_star: int
-    a_t: int
+    a: int
     p_gen: int
-    state: tuple[int, int]
+    coverages: list[int]
+    penalties: list[int]
+    coverage: int | None
 
 
-def decoder_step(tape: Tape, model: SummarizerParams, art: EncodedArticle, x_t: int,
-                 state: tuple[int, int], coverage: int | None, use_coverage: bool,
+def decoder_step(tape: Tape, model: SummarizerParams, art: EncodedArticle, xs: int,
+                 s_prev: int, coverage: int | None, use_coverage: bool,
                  force_p_gen: float | None) -> DecoderStep:
-    """The recurrent part of one decoder step from the embedded input
-    ``x_t``: LSTM, attention and p_gen, one row.  Shared by training,
-    teacher-forced evaluation and decoding.
+    """The recurrent part of the decoder from the state row ``s_prev`` on
+    the embedded inputs ``xs``, one row per step: LSTM, attention and p_gen.
+    Shared by training, teacher-forced evaluation (all target rows at once)
+    and decoding (one row).
 
-    The vocabulary output never feeds back into the recurrence, so it is
-    left to ``output_distribution``.  ``force_p_gen`` replaces the learned
-    switch by a constant.  The caller advances the coverage.
+    The LSTM's only input is the previous token, so it runs over all rows
+    as one sequence, and without coverage so does attention.  With coverage,
+    attention runs one row at a time from ``coverage``, each row reading the
+    coverage the rows before it leave.  The vocabulary output never feeds
+    back into the recurrence, so it is left to ``output_distribution``.
+    ``force_p_gen`` replaces the learned switch by a constant.
     """
-    h_t, c_t = lstm_step(tape, model.decoder, x_t, *state)
-    s_t = tape.concat([h_t, c_t], axis=1)
-    _, a_t, h_star = attend(tape, model, art.enc.h_concat, art.enc_features, s_t, coverage,
-                            use_coverage)
-    if force_p_gen is None:
-        p_gen = generation_prob(tape, model, h_star, s_t, x_t)
+    s = lstm_step(tape, model.decoder, xs, s_prev)
+    rows = tape.value(xs).shape[0]
+    h_all, features = art.enc.h_concat, art.enc_features
+    coverages, penalties = [], []
+    if use_coverage:
+        a_rows, h_rows = [], []
+        for r in range(rows):
+            s_r = s if rows == 1 else tape.slice(s, (r, r + 1))
+            _, a_r, h_r = attend(tape, model, h_all, features, s_r, coverage, True)
+            a_rows.append(a_r)
+            h_rows.append(h_r)
+            coverages.append(coverage)
+            penalties.append(coverage_penalty(tape, a_r, coverage))
+            coverage = coverage_update(tape, coverage, a_r)
+        a, h_star = tape.concat(a_rows, axis=0), tape.concat(h_rows, axis=0)
     else:
-        p_gen = tape.leaf(np.full((1, 1), force_p_gen, dtype=tape.dtype))
-    return DecoderStep(s_t, h_star, a_t, p_gen, (h_t, c_t))
+        _, a, h_star = attend(tape, model, h_all, features, s, None, False)
+    if force_p_gen is None:
+        p_gen = generation_prob(tape, model, h_star, s, xs)
+    else:
+        p_gen = tape.leaf(np.full((rows, 1), force_p_gen, dtype=tape.dtype))
+    return DecoderStep(s, h_star, a, p_gen, coverages, penalties, coverage)
 
 
 def output_distribution(tape: Tape, model: SummarizerParams, art: EncodedArticle,
-                        steps: list[DecoderStep]) -> int:
-    """The output part of any number of decoder steps, one row each: vocab
-    projection, softmax, and the copy mix over the extended vocabulary.
+                        step: DecoderStep) -> int:
+    """The output part of a decoder step's rows: vocab projection, softmax,
+    and the copy mix over the extended vocabulary.
 
-    The steps' rows are stacked, so teacher forcing makes one
-    (T x hidden)·V_outᵀ product per sequence and backward one V_out
-    product; ``concat`` of a single step adds no node.
+    Teacher forcing hands it all T target rows, so a sequence makes one
+    (T x hidden)·V_outᵀ product forward and one V_out product backward.
     """
-    def rows(ids):
-        return tape.concat(ids, axis=0)
-
-    p_vocab = vocab_distribution(tape, model, rows([s.s_t for s in steps]),
-                                 rows([s.h_star for s in steps]))
-    return final_distribution(tape, rows([s.p_gen for s in steps]), p_vocab,
-                              rows([s.a_t for s in steps]), art.ext.src_ext_ids,
+    p_vocab = vocab_distribution(tape, model, step.s, step.h_star)
+    return final_distribution(tape, step.p_gen, p_vocab, step.a, art.ext.src_ext_ids,
                               len(art.ext.doc_oovs))
 
 
 def _teacher_forced(tape: Tape, model: SummarizerParams, ex: PreparedExample,
                     use_coverage: bool, force_p_gen: float | None):
     """Feed the reference summary as decoder input: the recurrent part runs
-    once per target position, then the output part once on all of them.
+    on all target positions, then the output part on all of them.
 
-    Returns (p_final, steps, coverages, penalties): ``p_final`` is the
-    (T x extended vocab) node, ``steps[t]`` the recurrent part of step t,
-    ``coverages[t]`` the coverage before it and ``penalties[t]`` its
-    coverage penalty, both None without coverage.
+    Returns (p_final, step): the (T x extended vocab) node and the
+    ``DecoderStep`` over the T target rows.
     """
     art = encode_article(tape, model, ex.ext)
+    xs = embed_rows(tape, model.embedding, ex.dec_in_ids)
     coverage = art.zero_coverage(tape) if use_coverage else None
-    state = (art.h0, art.c0)
-    steps, coverages, penalties = [], [], []
-    for x_t in embed_rows(tape, model.embedding, ex.dec_in_ids):
-        step = decoder_step(tape, model, art, x_t, state, coverage, use_coverage, force_p_gen)
-        state = step.state
-        steps.append(step)
-        coverages.append(coverage)
-        penalties.append(coverage_penalty(tape, step.a_t, coverage) if use_coverage else None)
-        if use_coverage:
-            coverage = coverage_update(tape, coverage, step.a_t)
-    return output_distribution(tape, model, art, steps), steps, coverages, penalties
+    step = decoder_step(tape, model, art, xs, art.s0, coverage, use_coverage, force_p_gen)
+    return output_distribution(tape, model, art, step), step
 
 
 def sequence_loss(tape: Tape, model: SummarizerParams, ex: PreparedExample,
@@ -384,18 +386,19 @@ def sequence_loss(tape: Tape, model: SummarizerParams, ex: PreparedExample,
     assembled as mean(nll) + lambda * mean(penalty) so the two components
     recombine exactly to the reported loss.
     """
-    p_final, steps, coverages, penalties = _teacher_forced(tape, model, ex, use_coverage,
-                                                           force_p_gen)
+    p_final, step = _teacher_forced(tape, model, ex, use_coverage, force_p_gen)
     traces = []
     if collect_traces:
-        traces = [
-            _step_trace(tape, step.a_t, step.p_gen, coverage,
-                        float(tape.value(penalty)[0, 0]) if penalty is not None else None)
-            for step, coverage, penalty in zip(steps, coverages, penalties)
-        ]
+        attention, p_gen = tape.value(step.a), tape.value(step.p_gen)
+        for r in range(attention.shape[0]):
+            coverage = penalty = None
+            if use_coverage:
+                coverage = tape.value(step.coverages[r])
+                penalty = float(tape.value(step.penalties[r])[0, 0])
+            traces.append(_step_trace(attention[r : r + 1], p_gen[r, 0], coverage, penalty))
     nll_mean = tape.reduce_mean(tape.neg_log_pick(p_final, ex.target_ext_ids))
     if use_coverage:
-        pen_mean = tape.reduce_mean(tape.concat(penalties, axis=1))
+        pen_mean = tape.reduce_mean(tape.concat(step.penalties, axis=1))
         loss = tape.add(nll_mean, tape.scale(pen_mean, cov_lambda))
         return loss, nll_mean, pen_mean, traces
     return nll_mean, nll_mean, None, traces
@@ -428,7 +431,7 @@ def corpus_loss(model: SummarizerParams, examples: list[PreparedExample],
         raise ValueError("corpus_loss: no examples")
     total = 0.0
     for ex in examples:
-        tape = Tape()
+        tape = Tape(record=False)
         loss, _, _, _ = sequence_loss(tape, model, ex, use_coverage, cov_lambda)
         total += float(tape.value(loss)[0, 0])
     return total / len(examples)
@@ -441,8 +444,8 @@ def token_prediction_accuracy(model: SummarizerParams, examples: list[PreparedEx
     correct = total = 0
     oov_correct = oov_total = 0
     for ex in examples:
-        tape = Tape()
-        p_final, _, _, _ = _teacher_forced(tape, model, ex, use_coverage, force_p_gen)
+        tape = Tape(record=False)
+        p_final, _ = _teacher_forced(tape, model, ex, use_coverage, force_p_gen)
         for pred, target_id in zip(np.argmax(tape.value(p_final), axis=1), ex.target_ext_ids):
             hit = bool(int(pred) == target_id)
             correct += hit
@@ -465,7 +468,7 @@ def token_prediction_accuracy(model: SummarizerParams, examples: list[PreparedEx
 class Hypothesis:
     tokens: list[int] = field(default_factory=list)
     log_prob: float = 0.0
-    state: tuple[int, int] | None = None
+    state: int | None = None  # the decoder state row [h | c]
     coverage: int | None = None
     sb_count: int = 0
     finished: bool = False
@@ -542,9 +545,9 @@ def decode(model: SummarizerParams, article_tokens, vocab: Vocabulary,
         )
     width = 1 if mode == "greedy" else beam_size
     ext = ExtendedVocab(vocab, article_tokens)
-    tape = Tape()
+    tape = Tape(record=False)  # node handles are arrays: a step is freed once no beam holds it
     art = encode_article(tape, model, ext)
-    beams = [Hypothesis(state=(art.h0, art.c0),
+    beams = [Hypothesis(state=art.s0,
                         coverage=art.zero_coverage(tape) if use_coverage else None)]
     finished: list[Hypothesis] = []
     for t in range(max_decode_len):
@@ -552,22 +555,25 @@ def decode(model: SummarizerParams, article_tokens, vocab: Vocabulary,
         for h_idx, hyp in enumerate(beams):
             prev = hyp.tokens[-1] if hyp.tokens else Vocabulary.START
             x_t = embed_rows(tape, model.embedding,
-                             [prev if prev < model.vocab_size else Vocabulary.UNK])[0]
+                             [prev if prev < model.vocab_size else Vocabulary.UNK])
             step = decoder_step(tape, model, art, x_t, hyp.state, hyp.coverage,
                                 use_coverage, force_p_gen)
-            a_t = step.a_t
-            coverage = coverage_update(tape, hyp.coverage, a_t) if use_coverage else None
-            probs = tape.value(output_distribution(tape, model, art, [step]))[0]
+            probs = tape.value(output_distribution(tape, model, art, step))[0]
             if not np.isfinite(probs).all():
                 raise ValueError(f"decode: non-finite probabilities at step {t}")
             logps = np.log(probs.astype(np.float64) + PGEN_EPS)
             logps[list(_BANNED_STARTS)] = -np.inf
             traces = hyp.traces
             if collect_traces:
-                penalty = None if hyp.coverage is None else float(
-                    np.minimum(tape.value(a_t), tape.value(hyp.coverage)).sum())
-                traces = traces + [_step_trace(tape, a_t, step.p_gen, hyp.coverage, penalty)]
-            steps.append((step.state, coverage, traces))
+                attention = tape.value(step.a)
+                coverage = None if hyp.coverage is None else tape.value(hyp.coverage)
+                # a float32 sum, as decode traces have always been; the loss
+                # reads step.penalties, summed in float64
+                penalty = None if coverage is None else float(
+                    np.minimum(attention, coverage).sum())
+                traces = traces + [_step_trace(attention, tape.value(step.p_gen)[0, 0],
+                                               coverage, penalty)]
+            steps.append((step.s, step.coverage, traces))
             for token in _top_k(logps, 2 * width):
                 candidates.append((-(hyp.log_prob + float(logps[token])), h_idx, int(token)))
         candidates.sort()

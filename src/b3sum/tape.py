@@ -7,7 +7,11 @@ accumulate in float64.
 
 All tensors handled by the kernels are 2-D matrices: "vectors" are 1-row
 matrices and scalars are 1x1.  The tape is topologically ordered by
-construction, so backward is a single reverse sweep.
+construction, so backward is a single reverse sweep.  A recurrent layer
+over a whole sequence is one ``lstm`` node and attention over R rows one
+``attention_scores`` node, each with its own backward rule, so a sequence
+makes a few nodes rather than a few per step.  ``Tape(record=False)``
+records nothing, for evaluation and decoding.
 """
 
 from __future__ import annotations
@@ -40,8 +44,10 @@ class Kernel(enum.Enum):
     both row and column orientations of attention/coverage vectors can be
     formed without general broadcasting.  GATHER_ROWS and SCATTER_ADD move
     rows and columns by integer id, so lookups and the copy distribution
-    need no one-hot constant.  TANH_SUM is tanh of a left-to-right sum that
-    stores only the tanh, so attention keeps one (n x attn) array per step.
+    need no one-hot constant, and SLICE takes a block of rows and columns.
+    LSTM runs a whole sequence through an LSTM cell and ATTENTION_SCORES
+    scores R query rows against n positions; each is one node with its own
+    backward rule, so a sequence makes no per-step nodes.
     """
 
     LEAF = "leaf"
@@ -60,8 +66,10 @@ class Kernel(enum.Enum):
     SCALE = "scale"
     GATHER_ROWS = "gather-rows"
     SCATTER_ADD = "scatter-add"
+    SLICE = "slice"
     TRANSPOSE = "transpose"
-    TANH_SUM = "tanh-sum"
+    LSTM = "lstm"
+    ATTENTION_SCORES = "attention-scores"
 
 
 class TapeNode:
@@ -73,7 +81,19 @@ class TapeNode:
         self.value = value
         self.grad = None
         self.needs_grad = needs_grad
-        self.arg = arg  # kernel-specific: axis, pick or row ids, scale factor or flag
+        self.arg = arg  # kernel-specific: axis, ids, slices, scale factor, flag or saved gates
+
+
+class NodeCount:
+    """``Tape.nodes`` of a tape that records nothing: only how many nodes it made."""
+
+    __slots__ = ("made",)
+
+    def __init__(self):
+        self.made = 0
+
+    def __len__(self):
+        return self.made
 
 
 class Parameter:
@@ -151,6 +171,110 @@ def _checked_ids(kernel, ids, limit: int, what: str) -> np.ndarray:
     return ids
 
 
+def _sigmoid(v):
+    # exp may overflow to inf for very negative inputs; 1/inf -> 0 is fine
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-v))
+
+
+def _lstm_forward(x, s0, w, b, reverse):
+    """Rows [h_t | c_t] of an LSTM over the rows of ``x``, and its gates.
+
+    Each step makes one (1 x (in + H)) product per gate, as the per-step
+    cell did: a product with all four gates stacked rounds differently when
+    H is not a multiple of the BLAS kernel's block of outputs.  Returns the
+    (n x 2H) states and the (n x 4H) activated gates [i | f | o | g].
+    """
+    n, hidden = x.shape[0], s0.shape[1] // 2
+    dtype = np.result_type(x, s0, w, b)
+    out = np.empty((n, 2 * hidden), dtype=dtype)
+    gates = np.empty((n, 4 * hidden), dtype=dtype)
+    h, c = s0[:, :hidden], s0[:, hidden:]
+    w_gates = [w[k * hidden : (k + 1) * hidden].T for k in range(4)]
+    for t in range(n - 1, -1, -1) if reverse else range(n):
+        xh = np.concatenate([x[t : t + 1], h], axis=1)
+        z = np.concatenate([xh @ w_g for w_g in w_gates], axis=1) + b
+        gate = gates[t : t + 1]
+        gate[:, : 3 * hidden] = _sigmoid(z[:, : 3 * hidden])
+        gate[:, 3 * hidden :] = np.tanh(z[:, 3 * hidden :])
+        i, f, o, g = (gate[:, k * hidden : (k + 1) * hidden] for k in range(4))
+        c = f * c + i * g
+        h = o * np.tanh(c)
+        out[t : t + 1, :hidden] = h
+        out[t : t + 1, hidden:] = c
+    return out, gates
+
+
+def _lstm_backward(x, s0, w, out, gates, reverse, grad):
+    """Backpropagation through time for ``_lstm_forward``.
+
+    The recurrence carries (dh, dc) from the last step read to the first;
+    each step's gate adjoints land in one (n x 4H) array, so the input, weight
+    and bias adjoints are one product or sum each.  Returns the adjoints of
+    x, s0, w and b.
+    """
+    n, d_in = x.shape
+    hidden = s0.shape[1] // 2
+    # the state each row starts from: the row read just before it, or s0
+    prev = np.concatenate([out[1:], s0]) if reverse else np.concatenate([s0, out[:-1]])
+    i, f, o, g = (gates[:, k * hidden : (k + 1) * hidden] for k in range(4))
+    tanh_c = np.tanh(out[:, hidden:])
+    # d(gate pre-activation) per unit of dc (i, f, g) or dh (o), and dc per unit of dh
+    k_i = g * i * (1 - i)
+    k_f = prev[:, hidden:] * f * (1 - f)
+    k_o = tanh_c * o * (1 - o)
+    k_g = i * (1 - g * g)
+    k_hc = o * (1 - tanh_c * tanh_c)
+    w_h = w[:, d_in:]
+    dz = np.empty_like(gates)
+    dh_next = np.zeros(hidden, dtype=gates.dtype)
+    dc_next = np.zeros(hidden, dtype=gates.dtype)
+    for t in range(n) if reverse else range(n - 1, -1, -1):
+        dh = grad[t, :hidden] + dh_next
+        dc = grad[t, hidden:] + dc_next + dh * k_hc[t]
+        dz[t, :hidden] = dc * k_i[t]
+        dz[t, hidden : 2 * hidden] = dc * k_f[t]
+        dz[t, 2 * hidden : 3 * hidden] = dh * k_o[t]
+        dz[t, 3 * hidden :] = dc * k_g[t]
+        dh_next = dz[t] @ w_h
+        dc_next = dc * f[t]
+    dw = np.empty_like(w)
+    dw[:, :d_in] = dz.T @ x
+    dw[:, d_in:] = dz.T @ prev[:, :hidden]
+    ds0 = np.concatenate([dh_next, dc_next])[np.newaxis]
+    return dz @ w[:, :d_in], ds0, dw, dz.sum(axis=0, keepdims=True)
+
+
+def _score_tanh(features, queries, bias, coverage, w_c, r):
+    """tanh(features + queries[r] + coverage[r]ᵀ·w_c + bias), added left to right."""
+    total = features + queries[r : r + 1]
+    if coverage is not None:
+        total = total + coverage[r : r + 1].T @ w_c
+    return np.tanh(total + bias)
+
+
+def _attention_backward(features, queries, v, bias, coverage, w_c, grad):
+    """Adjoints of ``Tape.attention_scores``'s inputs, in its input order.
+    Each row's tanh is recomputed, used and dropped before the next row's."""
+    d_features = np.zeros_like(features)
+    d_queries = np.empty_like(queries)
+    d_v = np.zeros_like(v)
+    d_coverage = None if coverage is None else np.empty_like(coverage)
+    d_w_c = None if coverage is None else np.zeros_like(w_c)
+    for r in range(grad.shape[0]):
+        y = _score_tanh(features, queries, bias, coverage, w_c, r)
+        d_v += grad[r : r + 1] @ y
+        d_pre = grad[r : r + 1].T * v
+        d_pre *= 1 - y * y
+        d_features += d_pre
+        d_queries[r] = d_pre.sum(axis=0)
+        if coverage is not None:
+            d_coverage[r] = (d_pre @ w_c.T)[:, 0]
+            d_w_c += coverage[r : r + 1] @ d_pre
+    grads = [d_features, d_queries, d_v, d_queries.sum(axis=0, keepdims=True)]
+    return grads if coverage is None else grads + [d_coverage, d_w_c]
+
+
 class Tape:
     """Append-only computation record.
 
@@ -166,32 +290,47 @@ class Tape:
     ``value`` array, not a copy, so a parameter must not be updated while a
     tape that still has to run backward reads it.  Float64 tapes (the
     finite-difference oracle's) copy.
+
+    ``Tape(record=False)`` records nothing, for code that never runs
+    backward (evaluation and decoding): a node handle is the value array
+    itself, so ``value(x)`` is ``x`` and each intermediate is freed as soon
+    as nothing refers to it.  The kernels compute the same values either
+    way; ``backward`` raises, and ``len(tape)`` counts the nodes made.
     """
 
-    def __init__(self, dtype=DEFAULT_DTYPE):
+    def __init__(self, dtype=DEFAULT_DTYPE, record: bool = True):
         self.dtype = dtype
-        self.nodes: list[TapeNode] = []
+        self.record = record
+        self.nodes: list[TapeNode] | NodeCount = [] if record else NodeCount()
         self._param_nodes: dict[int, tuple[int, Parameter]] = {}
+        self._stacks: dict[tuple, int] = {}
         self._swept = False
 
     def __len__(self):
         return len(self.nodes)
 
-    def value(self, nid: int) -> np.ndarray:
-        return self.nodes[nid].value
+    def value(self, nid) -> np.ndarray:
+        return self.nodes[nid].value if self.record else nid
 
     def grad(self, nid: int) -> np.ndarray | None:
         return self.nodes[nid].grad
 
     # -- node constructors ------------------------------------------------
 
-    def _append(self, kernel, input_ids, value, needs_grad, arg=None) -> int:
+    def _append(self, kernel, input_ids, value, arg=None, needs_grad=None):
+        """A new node's handle: its id, or on a tape that records nothing
+        the value itself.  ``needs_grad`` defaults to any input's."""
+        if not self.record:
+            self.nodes.made += 1
+            return value
+        if needs_grad is None:
+            needs_grad = any(self.nodes[i].needs_grad for i in input_ids)
         self.nodes.append(TapeNode(kernel, input_ids, value, needs_grad, arg))
         return len(self.nodes) - 1
 
     def leaf(self, array, needs_grad=False) -> int:
         value = np.ascontiguousarray(np.atleast_2d(np.asarray(array, dtype=self.dtype)))
-        return self._append(Kernel.LEAF, (), value, needs_grad)
+        return self._append(Kernel.LEAF, (), value, needs_grad=needs_grad)
 
     def param(self, p: Parameter) -> int:
         """Leaf node for a Parameter, shared across uses on this tape."""
@@ -202,19 +341,37 @@ class Tape:
         self._param_nodes[id(p)] = (nid, p)
         return nid
 
-    def matmul(self, a: int, b: int, transpose_b: bool = False) -> int:
-        """``a @ b``, or ``a @ b.T`` with ``transpose_b`` (no transposed copy)."""
-        va, vb = self.nodes[a].value, self.nodes[b].value
+    def param_stack(self, params, axis: int = 0) -> int:
+        """The parameters' leaves joined along ``axis`` by one ``concat``,
+        built once per tape and then shared, as ``param`` shares a leaf."""
+        key = (axis,) + tuple(id(p) for p in params)
+        nid = self._stacks.get(key)
+        if nid is None:
+            nid = self._stacks[key] = self.concat([self.param(p) for p in params], axis=axis)
+        return nid
+
+    def matmul(self, a: int, b: int, transpose_b: bool = False, per_row: bool = False) -> int:
+        """``a @ b``, or ``a @ b.T`` with ``transpose_b`` (no transposed copy).
+
+        With ``per_row`` the forward makes one product per row of ``a``, so
+        each row rounds as a one-row product does; a stacked product may
+        round differently.  Backward is the same either way.
+        """
+        va, vb = self.value(a), self.value(b)
         if transpose_b:
             vb = vb.T
         if va.shape[1] != vb.shape[0]:
             raise DimensionError(f"matmul: inner dims differ: {va.shape} x {vb.shape}")
-        ng = self.nodes[a].needs_grad or self.nodes[b].needs_grad
-        return self._append(Kernel.MATMUL, (a, b), va @ vb, ng, bool(transpose_b))
+        if per_row and va.shape[0] > 1:
+            value = np.empty((va.shape[0], vb.shape[1]), dtype=np.result_type(va, vb))
+            for r in range(va.shape[0]):
+                value[r] = va[r : r + 1] @ vb
+        else:
+            value = va @ vb
+        return self._append(Kernel.MATMUL, (a, b), value, bool(transpose_b))
 
     def _elementwise_binary(self, kernel, a, b, op):
-        na, nb = self.nodes[a], self.nodes[b]
-        va, vb = na.value, nb.value
+        va, vb = self.value(a), self.value(b)
         if va.shape != vb.shape:
             if kernel is Kernel.ELEMENTWISE_MIN:
                 raise DimensionError(
@@ -224,7 +381,7 @@ class Tape:
                 raise DimensionError(
                     f"{kernel.value}: incompatible dims {va.shape} vs {vb.shape}"
                 )
-        return self._append(kernel, (a, b), op(va, vb), na.needs_grad or nb.needs_grad)
+        return self._append(kernel, (a, b), op(va, vb))
 
     def add(self, a: int, b: int) -> int:
         return self._elementwise_binary(Kernel.ADD, a, b, np.add)
@@ -241,7 +398,7 @@ class Tape:
             raise DimensionError(f"concat: axis must be 0 or 1, got {axis}")
         if len(ids) == 1:
             return ids[0]
-        vals = [self.nodes[i].value for i in ids]
+        vals = [self.value(i) for i in ids]
         other = 1 - axis
         base = vals[0].shape[other]
         for v in vals[1:]:
@@ -250,35 +407,16 @@ class Tape:
                     f"concat: mismatched dims along axis {other}: "
                     f"{[v.shape for v in vals]}"
                 )
-        ng = any(self.nodes[i].needs_grad for i in ids)
-        return self._append(Kernel.CONCAT, tuple(ids), np.concatenate(vals, axis=axis), ng, axis)
+        return self._append(Kernel.CONCAT, tuple(ids), np.concatenate(vals, axis=axis), axis)
 
     def _unary(self, kernel, a, op):
-        node = self.nodes[a]
-        return self._append(kernel, (a,), op(node.value), node.needs_grad)
+        return self._append(kernel, (a,), op(self.value(a)))
 
     def tanh(self, a: int) -> int:
         return self._unary(Kernel.TANH, a, np.tanh)
 
-    def tanh_sum(self, ids) -> int:
-        """``tanh(ids[0] + ids[1] + ...)``, added left to right with ``add``'s
-        broadcasting; only the tanh is stored, not the partial sums."""
-        total = self.nodes[ids[0]].value
-        for i in ids[1:]:
-            v = self.nodes[i].value
-            if not _bcast_ok(total.shape, v.shape):
-                raise DimensionError(f"tanh-sum: incompatible dims {total.shape} vs {v.shape}")
-            total = total + v
-        ng = any(self.nodes[i].needs_grad for i in ids)
-        return self._append(Kernel.TANH_SUM, tuple(ids), np.tanh(total), ng)
-
     def sigmoid(self, a: int) -> int:
-        def op(v):
-            # exp may overflow to inf for very negative inputs; 1/inf -> 0 is fine
-            with np.errstate(over="ignore"):
-                return 1.0 / (1.0 + np.exp(-v))
-
-        return self._unary(Kernel.SIGMOID, a, op)
+        return self._unary(Kernel.SIGMOID, a, _sigmoid)
 
     def log(self, a: int) -> int:
         return self._unary(Kernel.LOG, a, np.log)
@@ -293,45 +431,50 @@ class Tape:
         return self._unary(Kernel.SOFTMAX, a, op)
 
     def scale(self, a: int, factor: float) -> int:
-        node = self.nodes[a]
-        value = (node.value * self.dtype(factor)).astype(self.dtype)
-        return self._append(Kernel.SCALE, (a,), value, node.needs_grad, float(factor))
+        value = (self.value(a) * self.dtype(factor)).astype(self.dtype)
+        return self._append(Kernel.SCALE, (a,), value, float(factor))
 
     def gather_rows(self, a: int, ids) -> int:
         """Rows ``ids`` of ``a``, in order; repeated ids are allowed."""
-        node = self.nodes[a]
-        rows = node.value.shape[0]
-        ids = _checked_ids(Kernel.GATHER_ROWS, ids, rows, f"{rows} rows")
-        return self._append(Kernel.GATHER_ROWS, (a,), node.value[ids], node.needs_grad, ids)
+        va = self.value(a)
+        ids = _checked_ids(Kernel.GATHER_ROWS, ids, va.shape[0], f"{va.shape[0]} rows")
+        return self._append(Kernel.GATHER_ROWS, (a,), va[ids], ids)
+
+    def slice(self, a: int, rows=None, cols=None) -> int:
+        """The block of ``a`` at rows ``rows`` and columns ``cols``, each a
+        ``(start, stop)`` pair inside ``a`` or None for all of them."""
+        va = self.value(a)
+        block = []
+        for pair, size in ((rows, va.shape[0]), (cols, va.shape[1])):
+            if pair is None:
+                pair = (0, size)
+            if not 0 <= pair[0] < pair[1] <= size:
+                raise DimensionError(f"slice: {pair} outside {va.shape}")
+            block.append(slice(*pair))
+        block = tuple(block)
+        return self._append(Kernel.SLICE, (a,), np.ascontiguousarray(va[block]), block)
 
     def scatter_add(self, a: int, ids, width: int) -> int:
         """A ``width``-column matrix whose column ``ids[k]`` accumulates
         column k of ``a``; columns no id names are zero."""
-        node = self.nodes[a]
+        va = self.value(a)
         ids = _checked_ids(Kernel.SCATTER_ADD, ids, width, f"width {width}")
-        if ids.size != node.value.shape[1]:
-            raise DimensionError(
-                f"scatter-add: {ids.size} ids for {node.value.shape[1]} columns"
-            )
-        value = np.zeros((node.value.shape[0], width), dtype=node.value.dtype)
-        np.add.at(value, (slice(None), ids), node.value)
-        return self._append(Kernel.SCATTER_ADD, (a,), value, node.needs_grad, ids)
+        if ids.size != va.shape[1]:
+            raise DimensionError(f"scatter-add: {ids.size} ids for {va.shape[1]} columns")
+        value = np.zeros((va.shape[0], width), dtype=va.dtype)
+        np.add.at(value, (slice(None), ids), va)
+        return self._append(Kernel.SCATTER_ADD, (a,), value, ids)
 
     def transpose(self, a: int) -> int:
-        node = self.nodes[a]
-        return self._append(
-            Kernel.TRANSPOSE, (a,), np.ascontiguousarray(node.value.T), node.needs_grad
-        )
+        return self._append(Kernel.TRANSPOSE, (a,), np.ascontiguousarray(self.value(a).T))
 
     def reduce_sum(self, a: int) -> int:
-        node = self.nodes[a]
-        value = np.array([[node.value.sum(dtype=np.float64)]], dtype=self.dtype)
-        return self._append(Kernel.REDUCE_SUM, (a,), value, node.needs_grad)
+        value = np.array([[self.value(a).sum(dtype=np.float64)]], dtype=self.dtype)
+        return self._append(Kernel.REDUCE_SUM, (a,), value)
 
     def reduce_mean(self, a: int) -> int:
-        node = self.nodes[a]
-        value = np.array([[node.value.mean(dtype=np.float64)]], dtype=self.dtype)
-        return self._append(Kernel.REDUCE_MEAN, (a,), value, node.needs_grad)
+        value = np.array([[self.value(a).mean(dtype=np.float64)]], dtype=self.dtype)
+        return self._append(Kernel.REDUCE_MEAN, (a,), value)
 
     def neg_log_pick(self, a: int, ids) -> int:
         """``-log(a[r, ids[r]])`` for each row r, as a (rows x 1) column.
@@ -340,8 +483,8 @@ class Tape:
         1-row input.  An index outside the row raises DimensionError naming
         the row.
         """
-        node = self.nodes[a]
-        rows, cols = node.value.shape
+        va = self.value(a)
+        rows, cols = va.shape
         ids = np.asarray(ids, dtype=np.intp).reshape(-1)
         if ids.size != rows:
             raise DimensionError(f"neg-log-pick: {ids.size} indices for {rows} rows")
@@ -349,13 +492,64 @@ class Tape:
         if bad.size:
             r = int(bad[0])
             raise DimensionError(
-                f"neg-log-pick: index {int(ids[r])} at row {r} out of range "
-                f"for {node.value.shape}"
+                f"neg-log-pick: index {int(ids[r])} at row {r} out of range for {va.shape}"
             )
-        picked = node.value[np.arange(rows), ids].astype(np.float64) + LOG_PICK_EPS
+        picked = va[np.arange(rows), ids].astype(np.float64) + LOG_PICK_EPS
         # math.log, not np.log: the vectorised float64 log may differ in the last bit
         value = np.array([[-math.log(p)] for p in picked.tolist()], dtype=self.dtype)
-        return self._append(Kernel.NEG_LOG_PICK, (a,), value, node.needs_grad, ids)
+        return self._append(Kernel.NEG_LOG_PICK, (a,), value, ids)
+
+    def lstm(self, xs: int, s0: int, w: int, b: int, reverse: bool = False) -> int:
+        """An LSTM over the rows of ``xs`` (n x in), from the state row
+        ``s0 = [h0 | c0]`` (1 x 2H).
+
+        ``w`` (4H x (in + H)) and ``b`` (1 x 4H) hold the gates' weights and
+        biases stacked in the order i, f, o, g.  Row t of the (n x 2H) value
+        is [h_t | c_t], the state after reading row t; with ``reverse`` the
+        rows are read last to first.  The activated gates are kept for
+        backward, which runs backpropagation through time with one weight
+        product per sequence.
+        """
+        vx, vs, vw, vb = (self.value(i) for i in (xs, s0, w, b))
+        hidden = vs.shape[1] // 2
+        if (vx.shape[0] < 1 or vs.shape != (1, 2 * hidden)
+                or vw.shape != (4 * hidden, vx.shape[1] + hidden) or vb.shape != (1, 4 * hidden)):
+            raise DimensionError(
+                f"lstm: inputs {vx.shape}, state {vs.shape}, weights {vw.shape} and "
+                f"bias {vb.shape} do not fit"
+            )
+        out, gates = _lstm_forward(vx, vs, vw, vb, reverse)
+        return self._append(Kernel.LSTM, (xs, s0, w, b), out, (reverse, gates))
+
+    def attention_scores(self, features: int, queries: int, v: int, bias: int,
+                         coverage: int | None = None, w_c: int | None = None) -> int:
+        """Attention scores of R query rows over n positions, (R x n).
+
+        Row r is ``tanh(features + queries[r] + coverage[r]ᵀ·w_c + bias)·vᵀ``,
+        added left to right, the coverage term only with ``coverage``.
+        ``features`` is (n x attn), ``queries`` (R x attn), ``v``, ``bias``
+        and ``w_c`` (1 x attn), ``coverage`` (R x n).  Each row is scored on
+        its own, as a one-row call would be; only the scores are stored, and
+        backward recomputes each row's tanh, so no (n x attn) array outlives
+        its row.
+        """
+        ids = (features, queries, v, bias) + (() if coverage is None else (coverage, w_c))
+        vf, vq, vv, vbias, *rest = (self.value(i) for i in ids)
+        vc, vw = rest or (None, None)
+        attn = vf.shape[1]
+        if (vq.shape[1] != attn or vv.shape != (1, attn) or vbias.shape != (1, attn)
+                or (vc is not None and (vc.shape != (vq.shape[0], vf.shape[0])
+                                        or vw.shape != (1, attn)))):
+            raise DimensionError(
+                f"attention-scores: features {vf.shape}, queries {vq.shape}, v {vv.shape}, "
+                f"bias {vbias.shape}"
+                + ("" if vc is None else f", coverage {vc.shape}, w_c {vw.shape}")
+                + " do not fit"
+            )
+        scores = np.empty((vq.shape[0], vf.shape[0]), dtype=np.result_type(vf, vq))
+        for r in range(vq.shape[0]):
+            scores[r] = (_score_tanh(vf, vq, vbias, vc, vw, r) @ vv.T)[:, 0]
+        return self._append(Kernel.ATTENTION_SCORES, ids, scores)
 
     # -- backward ----------------------------------------------------------
 
@@ -371,6 +565,8 @@ class Tape:
         the leaf and the Parameter then share one array; otherwise the
         adjoint is added into the Parameter's grad.
         """
+        if not self.record:
+            raise ValueError("backward: this tape records nothing")
         root = self.nodes[loss]
         if root.value.size != 1:
             raise DimensionError(
@@ -391,6 +587,7 @@ class Tape:
                 node.grad = None  # nothing reads a pushed adjoint again
             if nid != loss:
                 node.value = None  # its readers are this node and later ones
+                node.arg = None  # the LSTM's gates among them
         for nid, p in self._param_nodes.values():
             g = self.nodes[nid].grad
             if g is None or g is p._grad:
@@ -446,10 +643,6 @@ class Tape:
                 offset += size
         elif k is Kernel.TANH:
             self._add_grad(ids[0], g * (1.0 - node.value * node.value))
-        elif k is Kernel.TANH_SUM:
-            g_pre = g * (1.0 - node.value * node.value)
-            for i in ids:
-                self._add_grad(i, _unbroadcast(g_pre, self.nodes[i].value.shape), view=True)
         elif k is Kernel.SIGMOID:
             self._add_grad(ids[0], g * node.value * (1.0 - node.value))
         elif k is Kernel.SOFTMAX:
@@ -491,6 +684,23 @@ class Tape:
                 if src.grad is None:
                     src.grad = np.zeros_like(src.value)
                 np.add.at(src.grad, node.arg, g)
+        elif k is Kernel.SLICE:
+            src = self.nodes[ids[0]]
+            if src.needs_grad:
+                if src.grad is None:
+                    src.grad = np.zeros_like(src.value)
+                src.grad[node.arg] += g
+        elif k is Kernel.LSTM:
+            reverse, gates = node.arg
+            xs, s0, w, b = (self.nodes[i].value for i in ids)
+            for i, gi in zip(ids, _lstm_backward(xs, s0, w, node.value, gates, reverse, g)):
+                self._add_grad(i, gi)
+        elif k is Kernel.ATTENTION_SCORES:
+            values = [self.nodes[i].value for i in ids]
+            if len(values) == 4:  # no coverage term
+                values += [None, None]
+            for i, gi in zip(ids, _attention_backward(*values, g)):
+                self._add_grad(i, gi)
         elif k is Kernel.SCATTER_ADD:
             self._add_grad(ids[0], g[:, node.arg])
         elif k is Kernel.TRANSPOSE:

@@ -10,13 +10,14 @@ import math
 
 import numpy as np
 
-from b3sum.layers import embed_rows
+from b3sum.layers import EncoderStates, linear
 from b3sum.summarizer import (
+    DecoderStep,
     coverage_penalty,
     coverage_update,
-    decoder_step,
-    encode_article,
-    output_distribution,
+    final_distribution,
+    generation_prob,
+    vocab_distribution,
 )
 from b3sum.tape import ADAGRAD_EPS, Tape
 
@@ -89,36 +90,150 @@ class DenseTape(Tape):
             copy[k, i] = 1.0
         return self.matmul(a, self.leaf(copy))
 
-    def matmul(self, a, b, transpose_b=False):
+    def matmul(self, a, b, transpose_b=False, per_row=False):
         if transpose_b:
             b = self.transpose(b)
-        return super().matmul(a, b)
+        return super().matmul(a, b, per_row=per_row)
+
+
+# -- the per-step composites that the sequence kernels replaced ---------------
+#
+# The recurrent layers and attention as they were before the ``lstm`` and
+# ``attention_scores`` kernels: one LSTM step per token built from the tape's
+# elementwise kernels, and attention's score sum as an add chain under one
+# tanh.  Their nodes come in the order the library made them, so forward
+# values and every adjoint sum match that path bit for bit: the reference
+# that the pinned training runs use.
+
+
+def embed_rows(tape, table, ids):
+    """One 1-row gather per id."""
+    w = tape.param(table.weights)
+    return [tape.gather_rows(w, (i,)) for i in ids]
+
+
+def zero_state(tape, cell):
+    z = np.zeros((1, cell.hidden_dim), dtype=tape.dtype)
+    return tape.leaf(z), tape.leaf(z.copy())
+
+
+def lstm_step(tape, cell, x, h_prev, c_prev):
+    """One LSTM step on 1-row nodes: returns (h_t, c_t)."""
+    xs = tape.concat([x, h_prev], axis=1)
+
+    def gate(name, activation):
+        return activation(linear(tape, cell.w[name], cell.b[name], xs))
+
+    i = gate("i", tape.sigmoid)
+    f = gate("f", tape.sigmoid)
+    o = gate("o", tape.sigmoid)
+    g = gate("g", tape.tanh)
+    c_t = tape.add(tape.mul(f, c_prev), tape.mul(i, g))
+    h_t = tape.mul(o, tape.tanh(c_t))
+    return h_t, c_t
+
+
+def bilstm_encode(tape, enc, xs):
+    """Both directions step by step over a list of 1-row nodes."""
+    h_f, c_f = zero_state(tape, enc.forward_cell)
+    fwd = []
+    for x in xs:
+        h_f, c_f = lstm_step(tape, enc.forward_cell, x, h_f, c_f)
+        fwd.append(h_f)
+    h_b, c_b = zero_state(tape, enc.backward_cell)
+    bwd = [0] * len(xs)
+    for k in range(len(xs) - 1, -1, -1):
+        h_b, c_b = lstm_step(tape, enc.backward_cell, xs[k], h_b, c_b)
+        bwd[k] = h_b
+    return EncoderStates(
+        h_concat=tape.concat([tape.concat(fwd, axis=0), tape.concat(bwd, axis=0)], axis=1),
+        final_h=tape.concat([fwd[-1], bwd[0]], axis=1),
+        final_c=tape.concat([c_f, c_b], axis=1),
+        length=len(xs),
+    )
+
+
+def attend(tape, model, h_all, enc_features, s_t, coverage, use_coverage):
+    """One step's attention: tanh of the score terms added left to right."""
+    terms = [enc_features, tape.matmul(s_t, tape.param(model.attn_w_state), transpose_b=True)]
+    if use_coverage:
+        terms.append(tape.matmul(tape.transpose(coverage), tape.param(model.attn_w_cov)))
+    terms.append(tape.param(model.attn_bias))
+    total = terms[0]
+    for term in terms[1:]:
+        total = tape.add(total, term)
+    scores = tape.tanh(total)
+    e_t = tape.transpose(tape.matmul(scores, tape.param(model.attn_v), transpose_b=True))
+    a_t = tape.softmax(e_t)
+    return e_t, a_t, tape.matmul(a_t, h_all)
+
+
+def _per_step_teacher_forced(tape, model, ex, use_coverage, force_p_gen, output_per_row):
+    """Teacher forcing built from the per-step composites above: encoder and
+    decoder one step per token and attention one step at a time, with the
+    output part once per target row inside the step loop or once on all
+    rows after it.  The rows are stacked into a ``DecoderStep`` for
+    ``sequence_loss`` to read; the loss reads none of the stacks that the
+    output part does not."""
+    xs = embed_rows(tape, model.embedding, ex.ext.enc_ids)
+    enc = bilstm_encode(tape, model.encoder, xs)
+    # h_concat's first reader: backward adds this node's adjoint to h_concat
+    # after every h_star's
+    enc_features = tape.matmul(enc.h_concat, tape.param(model.attn_w_enc), transpose_b=True)
+    h_t = tape.tanh(linear(tape, model.bridge_w_h, model.bridge_b_h, enc.final_h))
+    c_t = tape.tanh(linear(tape, model.bridge_w_c, model.bridge_b_c, enc.final_c))
+    coverage = tape.leaf(np.zeros((1, enc.length), dtype=tape.dtype)) if use_coverage else None
+    rows, states, contexts, attention, switches, coverages, penalties = ([] for _ in range(7))
+
+    def output(s, h_star, a, p_gen):
+        p_vocab = vocab_distribution(tape, model, s, h_star)
+        return final_distribution(tape, p_gen, p_vocab, a, ex.ext.src_ext_ids,
+                                  len(ex.ext.doc_oovs))
+
+    for x_t in embed_rows(tape, model.embedding, ex.dec_in_ids):
+        h_t, c_t = lstm_step(tape, model.decoder, x_t, h_t, c_t)
+        s_t = tape.concat([h_t, c_t], axis=1)
+        _, a_t, h_star = attend(tape, model, enc.h_concat, enc_features, s_t, coverage,
+                                use_coverage)
+        if force_p_gen is None:
+            p_gen = generation_prob(tape, model, h_star, s_t, x_t)
+        else:
+            p_gen = tape.leaf(np.full((1, 1), force_p_gen, dtype=tape.dtype))
+        if output_per_row:
+            rows.append(output(s_t, h_star, a_t, p_gen))
+        for out, node in zip((states, contexts, attention, switches), (s_t, h_star, a_t, p_gen)):
+            out.append(node)
+        if use_coverage:
+            coverages.append(coverage)
+            penalties.append(coverage_penalty(tape, a_t, coverage))
+            coverage = coverage_update(tape, coverage, a_t)
+    if output_per_row:
+        p_final = tape.concat(rows, axis=0)
+        s, h_star, a, p_gen = (tape.concat(nodes, axis=0)
+                               for nodes in (states, contexts, attention, switches))
+    else:
+        s, h_star = tape.concat(states, axis=0), tape.concat(contexts, axis=0)
+        p_vocab = vocab_distribution(tape, model, s, h_star)
+        p_gen, a = tape.concat(switches, axis=0), tape.concat(attention, axis=0)
+        p_final = final_distribution(tape, p_gen, p_vocab, a, ex.ext.src_ext_ids,
+                                     len(ex.ext.doc_oovs))
+    return p_final, DecoderStep(s, h_star, a, p_gen, coverages, penalties, coverage)
 
 
 def per_row_teacher_forced(tape, model, ex, use_coverage, force_p_gen):
-    """Drop-in for ``summarizer._teacher_forced`` that runs the output part
-    once per target row, inside the step loop, as one decoder step did
-    before the rows were stacked.
+    """Drop-in for ``summarizer._teacher_forced`` on the per-step path, with
+    the output part once per target row, as one decoder step made it before
+    the rows were stacked: the reference for the pinned golden values, where
+    one stacked (T x hidden) GEMM also rounds differently from T row
+    products."""
+    return _per_step_teacher_forced(tape, model, ex, use_coverage, force_p_gen, True)
 
-    Its nodes are made in that order too, so forward values and every
-    adjoint sum match the per-step path bit for bit: the reference for the
-    pinned golden values, where one stacked (T x hidden) GEMM rounds
-    differently from T row products.
-    """
-    art = encode_article(tape, model, ex.ext)
-    coverage = art.zero_coverage(tape) if use_coverage else None
-    state = (art.h0, art.c0)
-    rows, steps, coverages, penalties = [], [], [], []
-    for x_t in embed_rows(tape, model.embedding, ex.dec_in_ids):
-        step = decoder_step(tape, model, art, x_t, state, coverage, use_coverage, force_p_gen)
-        state = step.state
-        rows.append(output_distribution(tape, model, art, [step]))
-        steps.append(step)
-        coverages.append(coverage)
-        penalties.append(coverage_penalty(tape, step.a_t, coverage) if use_coverage else None)
-        if use_coverage:
-            coverage = coverage_update(tape, coverage, step.a_t)
-    return tape.concat(rows, axis=0), steps, coverages, penalties
+
+def per_step_teacher_forced(tape, model, ex, use_coverage, force_p_gen):
+    """Drop-in for ``summarizer._teacher_forced`` on the per-step path, with
+    the output part once on all target rows: the reference for the pinned
+    pipeline run."""
+    return _per_step_teacher_forced(tape, model, ex, use_coverage, force_p_gen, False)
 
 
 def reference_clip_global_norm(grads, max_norm):

@@ -109,6 +109,19 @@ class TestCriterion1GradientCorrectness:
         pos = Parameter("pos", rng.uniform(0.5, 1.5, (1, 4)))
         row = Parameter("row", rng.uniform(-0.8, 0.8, (1, 2)))
         bias = Parameter("bias", rng.uniform(-0.8, 0.8, (1, 2)))
+        # an LSTM over 3 rows (in 2, hidden 2) from a non-zero state [h0 | c0]
+        x_seq = Parameter("x_seq", rng.uniform(-0.8, 0.8, (3, 2)))
+        s0 = Parameter("s0", rng.uniform(-0.8, 0.8, (1, 4)))
+        w_gates = Parameter("w_gates", rng.uniform(-0.8, 0.8, (8, 4)))
+        b_gates = Parameter("b_gates", rng.uniform(-0.8, 0.8, (1, 8)))
+        lstm_read = rng.uniform(-1, 1, (3, 4))
+        # attention of 2 query rows over 3 positions, attn 2
+        feats = Parameter("feats", rng.uniform(-0.8, 0.8, (3, 2)))
+        queries = Parameter("queries", rng.uniform(-0.8, 0.8, (2, 2)))
+        v_att = Parameter("v_att", rng.uniform(-0.8, 0.8, (1, 2)))
+        cov_rows = Parameter("cov_rows", rng.uniform(0.0, 1.0, (2, 3)))
+        w_cov = Parameter("w_cov", rng.uniform(-0.8, 0.8, (1, 2)))
+        attn_read = rng.uniform(-1, 1, (2, 3))
 
         def k_matmul(dtype):
             t = Tape(dtype=dtype)
@@ -171,15 +184,40 @@ class TestCriterion1GradientCorrectness:
             mass = t.scatter_add(t.softmax(t.param(pos)), [1, 5, 1, 5], 7)
             return t, t.add(t.neg_log_pick(mass, 1), t.neg_log_pick(mass, 5))
 
-        def k_tanh_sum(dtype):
-            # (n x d) + (1 x d) + (n x d) + (1 x d), attention's score shape
+        def k_slice(dtype):
             t = Tape(dtype=dtype)
-            y = t.tanh_sum([t.param(b), t.param(row), t.transpose(t.param(a)), t.param(bias)])
-            return t, t.reduce_sum(t.mul(y, t.param(b)))
+            x = t.slice(t.param(b), (1, 3), (1, 2))
+            return t, t.reduce_sum(t.mul(x, t.tanh(x)))
 
+        def k_lstm(reverse):
+            def build(dtype):
+                t = Tape(dtype=dtype)
+                out = t.lstm(t.param(x_seq), t.param(s0), t.param(w_gates), t.param(b_gates),
+                             reverse)
+                return t, t.reduce_sum(t.mul(out, t.leaf(lstm_read)))
+
+            return build
+
+        def k_attention(with_coverage):
+            def build(dtype):
+                t = Tape(dtype=dtype)
+                extra = (t.param(cov_rows), t.param(w_cov)) if with_coverage else ()
+                e = t.attention_scores(t.param(feats), t.param(queries), t.param(v_att),
+                                       t.param(bias), *extra)
+                return t, t.reduce_sum(t.mul(e, t.leaf(attn_read)))
+
+            return build
+
+        lstm_params = [x_seq, s0, w_gates, b_gates]
+        attn_kernel_params = [feats, queries, v_att, bias]
         for what, build, params in [
             ("matmul", k_matmul, [a, b]),
-            ("tanh-sum", k_tanh_sum, [a, b, row, bias]),
+            ("lstm", k_lstm(False), lstm_params),
+            ("lstm reversed", k_lstm(True), lstm_params),
+            ("attention-scores", k_attention(False), attn_kernel_params),
+            ("attention-scores with coverage", k_attention(True),
+             attn_kernel_params + [cov_rows, w_cov]),
+            ("slice", k_slice, [b]),
             ("matmul transposed", k_matmul_transposed, [b, c]),
             ("gather-rows", k_gather, [b]),
             ("scatter-add", k_scatter, [pos]),
@@ -207,10 +245,8 @@ class TestCriterion1GradientCorrectness:
         def lstm_build(dtype):
             t = Tape(dtype=dtype)
             xs = embed_rows(t, model.embedding, [1, 2])
-            h, c0 = model.decoder.zero_state(t)
-            h, c0 = lstm_step(t, model.decoder, xs[0], h, c0)
-            h, _ = lstm_step(t, model.decoder, xs[1], h, c0)
-            return t, t.reduce_sum(t.mul(h, h))
+            s = lstm_step(t, model.decoder, xs, model.decoder.zero_state(t))
+            return t, t.reduce_sum(t.mul(s, s))
 
         worst = max(worst, _assert_grad(
             lstm_build, model.decoder.params() + [model.embedding.weights], "lstm cell"))

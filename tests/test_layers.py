@@ -16,6 +16,7 @@ from b3sum.layers import (
 )
 from b3sum.tape import Parameter, Tape, finite_diff_check
 
+import oracles
 from helpers import zero_params
 
 
@@ -27,20 +28,19 @@ class TestEmbedding:
     def test_repeated_ids_give_identical_rows(self):
         table = EmbeddingTable(_rng(), "e", vocab_size=5, dim=3)
         t = Tape()
-        first, second = (t.value(r) for r in embed_rows(t, table, [0, 0]))
+        first, second = t.value(embed_rows(t, table, [0, 0]))
         np.testing.assert_array_equal(first, second)
 
     def test_zero_table_embeds_to_zero(self):
         table = EmbeddingTable(_rng(), "e", 5, 3)
         zero_params(table.params())
         t = Tape()
-        for r in embed_rows(t, table, [1, 4]):
-            np.testing.assert_array_equal(t.value(r), np.zeros((1, 3)))
+        np.testing.assert_array_equal(t.value(embed_rows(t, table, [1, 4])), np.zeros((2, 3)))
 
     def test_lookup_adjoint_is_one_hot_row(self):
         table = EmbeddingTable(_rng(1), "e", 5, 3)
         t = Tape()
-        t.backward(t.reduce_sum(embed_rows(t, table, [3])[0]))
+        t.backward(t.reduce_sum(embed_rows(t, table, [3])))
         expected = np.zeros((5, 3), dtype=np.float32)
         expected[3] = 1.0
         np.testing.assert_array_equal(table.weights.grad, expected)
@@ -60,8 +60,9 @@ class TestEmbedding:
         ids = [2, 5, 1, 5]
         one_hot = np.eye(6, dtype=np.float32)[ids]
         t = Tape()
-        rows = [t.value(r)[0] for r in embed_rows(t, table, ids)]
-        np.testing.assert_array_equal(np.stack(rows), one_hot @ table.weights.value)
+        rows = t.value(embed_rows(t, table, ids))
+        np.testing.assert_array_equal(rows, one_hot @ table.weights.value)
+
 
 class TestLstmStep:
     def test_all_zero_weights_and_state_give_zero(self):
@@ -69,27 +70,23 @@ class TestLstmStep:
         zero_params(cell.params())
         t = Tape()
         x = t.leaf([[0.7, -0.2, 1.0]])
-        h, c = cell.zero_state(t)
-        h1, c1 = lstm_step(t, cell, x, h, c)
-        np.testing.assert_allclose(t.value(h1), np.zeros((1, 4)), atol=1e-7)
-        np.testing.assert_allclose(t.value(c1), np.zeros((1, 4)), atol=1e-7)
+        s1 = lstm_step(t, cell, x, cell.zero_state(t))
+        np.testing.assert_allclose(t.value(s1), np.zeros((1, 8)), atol=1e-7)
 
     def test_zero_weights_halve_previous_cell(self):
         cell = LstmCell(_rng(), "c", 2, 3)
         zero_params(cell.params())
         t = Tape()
         x = t.leaf([[1.0, 2.0]])
-        h = t.leaf(np.zeros((1, 3)))
-        c_prev = t.leaf([[0.4, -0.8, 1.2]])
-        _, c1 = lstm_step(t, cell, x, h, c_prev)
-        np.testing.assert_allclose(t.value(c1), [[0.2, -0.4, 0.6]], atol=1e-7)
+        s0 = t.leaf([[0.0, 0.0, 0.0, 0.4, -0.8, 1.2]])
+        np.testing.assert_allclose(t.value(lstm_step(t, cell, x, s0))[:, 3:],
+                                   [[0.2, -0.4, 0.6]], atol=1e-7)
 
     def test_input_dim_checked(self):
         cell = LstmCell(_rng(), "c", 3, 4)
         t = Tape()
-        h, c = cell.zero_state(t)
         with pytest.raises(Exception, match="lstm_step"):
-            lstm_step(t, cell, t.leaf([[1.0, 2.0]]), h, c)
+            lstm_step(t, cell, t.leaf([[1.0, 2.0]]), cell.zero_state(t))
 
     def test_gradients_match_finite_differences(self):
         cell = LstmCell(_rng(5), "c", 3, 4)
@@ -98,10 +95,9 @@ class TestLstmStep:
         def build(dtype):
             t = Tape(dtype=dtype)
             x = t.leaf(x_val)
-            h, c = cell.zero_state(t)
-            h1, c1 = lstm_step(t, cell, x, h, c)
-            h2, _ = lstm_step(t, cell, x, h1, c1)
-            return t, t.reduce_sum(t.mul(h2, h2))
+            s1 = lstm_step(t, cell, x, cell.zero_state(t))
+            s2 = lstm_step(t, cell, x, s1)
+            return t, t.reduce_sum(t.mul(s2, s2))
 
         report = finite_diff_check(build, cell.params(), h=1e-3, tol=1e-3)
         assert report.ok, report
@@ -112,18 +108,63 @@ class TestLstmStep:
         for p in cell.params():  # exaggerate weights to push toward the bounds
             p.value[...] = rng.uniform(-3, 3, size=p.value.shape).astype(np.float32)
         t = Tape()
-        h, c = cell.zero_state(t)
-        for _ in range(20):
-            x = t.leaf(rng.uniform(-5, 5, size=(1, 3)))
-            h, c = lstm_step(t, cell, x, h, c)
-        assert (np.abs(t.value(h)) < 1.0).all()
+        s = lstm_step(t, cell, t.leaf(rng.uniform(-5, 5, size=(20, 3))), cell.zero_state(t))
+        assert (np.abs(t.value(s)[:, :5]) < 1.0).all()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_rows_are_byte_equal_to_per_gate_steps(self, dtype, reverse):
+        # Each row makes the per-step cell's four gate products, so each row
+        # [h_t | c_t] is the per-step composite's, bit for bit, at a hidden
+        # size where one stacked four-gate product would round differently.
+        cell = LstmCell(_rng(14), "c", 5, 6)
+        vals = _rng(15).uniform(-1, 1, size=(7, 5))
+        state = _rng(16).uniform(-1, 1, size=(1, 12))
+        t = Tape(dtype)
+        rows = t.value(lstm_step(t, cell, t.leaf(vals), t.leaf(state), reverse=reverse))
+        h, c = t.leaf(state[:, :6]), t.leaf(state[:, 6:])
+        expected = [None] * len(vals)
+        for k in reversed(range(len(vals))) if reverse else range(len(vals)):
+            h, c = oracles.lstm_step(t, cell, t.leaf(vals[k : k + 1]), h, c)
+            expected[k] = np.concatenate([t.value(h), t.value(c)], axis=1)
+        assert rows.tobytes() == np.concatenate(expected).tobytes()
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_gradients_match_the_per_step_composite(self, reverse):
+        # backpropagation through time inside the kernel against the
+        # per-step graph's adjoints, every weight and the initial state
+        cell = LstmCell(_rng(17), "c", 3, 4)
+        vals = _rng(18).uniform(-1, 1, size=(5, 3))
+        state = _rng(19).uniform(-1, 1, size=(1, 8))
+        read = _rng(20).uniform(-1, 1, size=(5, 8))
+
+        def grads(per_step):
+            t = Tape(np.float64)
+            xs, s0 = t.leaf(vals, needs_grad=True), t.leaf(state, needs_grad=True)
+            if per_step:
+                h, c = t.slice(s0, cols=(0, 4)), t.slice(s0, cols=(4, 8))
+                rows = [None] * len(vals)
+                for k in reversed(range(len(vals))) if reverse else range(len(vals)):
+                    h, c = oracles.lstm_step(t, cell, t.slice(xs, (k, k + 1)), h, c)
+                    rows[k] = t.concat([h, c], axis=1)
+                out = t.concat(rows, axis=0)
+            else:
+                out = lstm_step(t, cell, xs, s0, reverse=reverse)
+            leaves = {p.name: t.param(p) for p in cell.params()}
+            t.backward(t.reduce_sum(t.mul(out, t.leaf(read))))
+            return {"xs": t.grad(xs), "s0": t.grad(s0),
+                    **{name: t.grad(nid) for name, nid in leaves.items()}}
+
+        kernel, per_step = grads(False), grads(True)
+        for name, ref in per_step.items():
+            np.testing.assert_allclose(kernel[name], ref, rtol=0, atol=1e-12, err_msg=name)
 
 
 class TestBiLstmEncoder:
     def test_single_token_shapes(self):
         enc = BiLstmEncoder(_rng(3), "e", input_dim=3, hidden_dim=4)
         t = Tape()
-        states = bilstm_encode(t, enc, [t.leaf([[0.1, 0.2, 0.3]])])
+        states = bilstm_encode(t, enc, t.leaf([[0.1, 0.2, 0.3]]))
         assert t.value(states.h_concat).shape == (1, 8)
         assert states.length == 1
 
@@ -131,49 +172,56 @@ class TestBiLstmEncoder:
         enc = BiLstmEncoder(_rng(), "e", 2, 3)
         zero_params(enc.params())
         t = Tape()
-        xs = [t.leaf([[1.0, -1.0]]), t.leaf([[0.5, 2.0]])]
-        states = bilstm_encode(t, enc, xs)
+        states = bilstm_encode(t, enc, t.leaf([[1.0, -1.0], [0.5, 2.0]]))
         np.testing.assert_allclose(t.value(states.h_concat), np.zeros((2, 6)), atol=1e-7)
 
     def test_output_length_matches_input(self):
         enc = BiLstmEncoder(_rng(4), "e", 2, 3)
         t = Tape()
-        xs = [t.leaf(_rng(k).uniform(-1, 1, size=(1, 2))) for k in range(5)]
-        states = bilstm_encode(t, enc, xs)
+        states = bilstm_encode(t, enc, t.leaf(_rng(5).uniform(-1, 1, size=(5, 2))))
         assert t.value(states.h_concat).shape == (5, 6)
 
     def test_empty_sequence_rejected(self):
         enc = BiLstmEncoder(_rng(), "e", 2, 3)
+        t = Tape()
         with pytest.raises(ValueError, match="empty"):
-            bilstm_encode(Tape(), enc, [])
+            bilstm_encode(t, enc, t.leaf(np.zeros((0, 2))))
 
     def test_backward_direction_replays_forward_on_reversed_input(self):
         # The backward half at position i equals running that same cell,
         # forward, over the reversed sequence.
         enc = BiLstmEncoder(_rng(8), "e", 2, 3)
-        rng = _rng(11)
-        vals = [rng.uniform(-1, 1, size=(1, 2)) for _ in range(4)]
+        vals = _rng(11).uniform(-1, 1, size=(4, 2))
         t = Tape()
-        xs = [t.leaf(v) for v in vals]
-        states = bilstm_encode(t, enc, xs)
-        bwd_half = t.value(states.h_concat)[:, 3:]
+        bwd_half = t.value(bilstm_encode(t, enc, t.leaf(vals)).h_concat)[:, 3:]
 
         t2 = Tape()
-        h, c = enc.backward_cell.zero_state(t2)
-        replay = []
-        for v in reversed(vals):
-            h, c = lstm_step(t2, enc.backward_cell, t2.leaf(v), h, c)
-            replay.append(t2.value(h)[0])
-        np.testing.assert_array_equal(bwd_half, np.stack(replay[::-1]))
+        replay = t2.value(lstm_step(t2, enc.backward_cell, t2.leaf(vals[::-1]),
+                                    enc.backward_cell.zero_state(t2)))[:, :3]
+        np.testing.assert_array_equal(bwd_half, replay[::-1])
+
+    def test_final_c_is_built_only_when_asked(self):
+        enc = BiLstmEncoder(_rng(9), "e", 2, 3)
+        vals = _rng(12).uniform(-1, 1, size=(4, 2))
+        t_plain = Tape()
+        plain = bilstm_encode(t_plain, enc, t_plain.leaf(vals))
+        t = Tape()
+        with_c = bilstm_encode(t, enc, t.leaf(vals), final_c=True)
+        assert plain.final_c is None and len(t) == len(t_plain) + 3  # two slices and a concat
+        ref = oracles.bilstm_encode(t, enc, [t.leaf(vals[k : k + 1]) for k in range(4)])
+        for got, want in ((with_c.final_h, ref.final_h), (with_c.final_c, ref.final_c),
+                          (with_c.h_concat, ref.h_concat)):
+            assert t.value(got).tobytes() == t.value(want).tobytes()
 
     def test_gradcheck_through_encoder(self):
         enc = BiLstmEncoder(_rng(13), "e", 2, 3)
-        vals = [_rng(20 + k).uniform(-1, 1, size=(1, 2)) for k in range(3)]
+        vals = _rng(20).uniform(-1, 1, size=(3, 2))
 
         def build(dtype):
             t = Tape(dtype=dtype)
-            states = bilstm_encode(t, enc, [t.leaf(v) for v in vals])
-            return t, t.reduce_sum(t.mul(states.h_concat, states.h_concat))
+            states = bilstm_encode(t, enc, t.leaf(vals), final_c=True)
+            loss = t.reduce_sum(t.mul(states.h_concat, states.h_concat))
+            return t, t.add(loss, t.reduce_sum(t.mul(states.final_c, states.final_c)))
 
         report = finite_diff_check(build, enc.params(), h=1e-3, tol=1e-3)
         assert report.ok, report

@@ -32,6 +32,7 @@ from b3sum.summarizer import (
 )
 from b3sum.tape import Kernel, NonFiniteError, Tape, zero_grads
 
+import oracles
 from helpers import tiny_corpus, tiny_summarizer, zero_params
 from oracles import DenseTape, per_row_teacher_forced
 
@@ -107,6 +108,23 @@ class TestAttend:
             h, s, cov = _attention_inputs(t, model, n=6, seed=seed)
             _, a, _ = attend(t, model, h, _features(t, model, h), s, cov, use_coverage=True)
             assert abs(t.value(a).sum() - 1.0) <= 1e-5
+
+    def test_rows_are_byte_equal_to_one_row_and_per_step_calls(self):
+        # R rows in one call give each row the values a call on that row
+        # alone gives, and those of the per-step attention (an add chain
+        # under one tanh) that the attention_scores kernel replaced.
+        model = tiny_summarizer()
+        t = Tape()
+        h, _, _ = _attention_inputs(t, model, n=5, seed=4)
+        feats = _features(t, model, h)
+        s = t.leaf(np.random.default_rng(5).uniform(-1, 1, (4, 2 * model.hidden_dim)))
+        together = [t.value(n) for n in attend(t, model, h, feats, s, None, use_coverage=False)]
+        for r in range(4):
+            s_r = t.slice(s, (r, r + 1))
+            for one_row in (attend(t, model, h, feats, s_r, None, use_coverage=False),
+                            oracles.attend(t, model, h, feats, s_r, None, use_coverage=False)):
+                for rows, one in zip(together, one_row):
+                    assert rows[r : r + 1].tobytes() == t.value(one).tobytes()
 
     def test_coverage_requires_vector(self):
         model = tiny_summarizer()
@@ -507,9 +525,9 @@ def test_sequence_loss_tape_holds_no_vocab_wide_constant():
 
 @pytest.mark.parametrize("use_coverage", [False, True])
 def test_attention_keeps_one_score_array_per_step(use_coverage):
-    # Per step the tape holds the tanh of the scores and, with coverage, the
-    # coverage term; the encoder features are shared.  Storing the partial
-    # sums again would add (n x attn) values.
+    # The tape holds the encoder features, shared by every step, and no
+    # (n x attn) array per step: attention_scores stores only the scores and
+    # recomputes each row's tanh in backward, coverage term included.
     n, attn = 50, 16
     vocab = Vocabulary([f"w{i}" for i in range(20)])
     article = [f"w{i % 17}" for i in range(n)]
@@ -523,7 +541,7 @@ def test_attention_keeps_one_score_array_per_step(use_coverage):
     steps = len(ex.target_ext_ids)
     held = [node for node in t.nodes
             if node.kernel is not Kernel.LEAF and node.value.shape == (n, attn)]
-    assert len(held) == (2 * steps + 1 if use_coverage else steps + 1)
+    assert steps == 8 and len(held) == 1
 
 
 def _wide_example():
@@ -541,9 +559,12 @@ def _repeated_oov_model_and_example():
 
 
 class TestPerRowReferenceEquivalence:
-    """Teacher forcing runs the output part once on all T target rows;
-    oracles.per_row_teacher_forced runs it once per row, as one decoder step
-    did before.  Only the rounding of the stacked products may differ."""
+    """Teacher forcing runs the LSTM and (without coverage) attention as
+    sequence kernels and the output part once on all T target rows;
+    oracles.per_row_teacher_forced runs the LSTM and attention one step at a
+    time and the output part once per row, as one decoder step did before.
+    Only the rounding of the stacked products and of the kernels' backward
+    may differ."""
 
     @staticmethod
     def _loss_and_grads(model, ex, use_coverage, dtype):
@@ -682,6 +703,64 @@ def test_backward_peak_stays_under_one_v_out_and_four_output_blocks():
     rows, ext = len(ex.target_ext_ids), ex.ext.size
     assert rows == 15
     assert peak < model.proj_v_out.value.nbytes + 4 * rows * ext * 4
+
+
+def _mid_shape_example(target_len, n=200):
+    """Vocab 200, emb 32, hidden and attn 64, a 200-token source and a
+    target of ``target_len`` steps, the stop token among them."""
+    rng = np.random.default_rng(0)
+    vocab = Vocabulary([f"w{i}" for i in range(195)])
+    article = [f"w{i}" for i in rng.integers(0, 195, n)]
+    per_slot = (target_len - 3) // 3
+    summary = [[f"w{i}" for i in rng.integers(0, 195, per_slot)] for _ in range(3)]
+    ex = prepare_pair(NewsPair(id="mid", article=article, summary=summary), vocab)
+    assert len(ex.target_ext_ids) == target_len
+    return SummarizerParams(vocab.size, emb_dim=32, hidden_dim=64, seed=1), vocab, ex
+
+
+def test_a_training_tape_keeps_no_array_per_target_step():
+    # Doubling the target from 30 to 60 steps adds no node, and adds less
+    # than half an (n x attn) float32 array per extra step to what the tape
+    # holds after forward and to the traced peak through backward.  Per-step
+    # LSTM nodes and one stored tanh of the attention scores per step added
+    # at least a whole one.
+    traced = []
+    for target_len in (30, 60):
+        model, _, ex = _mid_shape_example(target_len)
+        tracemalloc.start()
+        try:
+            t = Tape()
+            loss, _, _, _ = sequence_loss(t, model, ex)
+            held = tracemalloc.get_traced_memory()[0]
+            t.backward(loss)
+            traced.append((len(t), held, tracemalloc.get_traced_memory()[1]))
+        finally:
+            tracemalloc.stop()
+    (nodes, held, peak), (nodes_2, held_2, peak_2) = traced
+    budget = 30 * 200 * model.attn_dim * 4 // 2
+    assert nodes_2 == nodes
+    assert held_2 - held < budget
+    assert peak_2 - peak < budget
+
+
+def test_a_beam_decode_holds_no_values_of_past_steps():
+    # Copy-only decoding of an article without </s> or <sb> runs to the
+    # length cap with four live beams.  The decode tape records nothing, so
+    # 20 more steps raise the traced peak by less than 64 KiB; a recording
+    # tape kept every step, about 250 KiB of values per step at this shape.
+    model, vocab, ex = _mid_shape_example(30, n=150)
+    article = [ex.ext.token(i) for i in ex.ext.src_ext_ids]
+    peaks = []
+    for steps in (20, 40):
+        tracemalloc.start()
+        try:
+            out = decode(model, article, vocab, mode="beam", beam_size=4, max_decode_len=steps,
+                         force_p_gen=0.0)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert len(out.token_ids) == steps
+    assert peaks[1] - peaks[0] < 64 * 1024
 
 
 @pytest.mark.parametrize("use_coverage", [False, True])

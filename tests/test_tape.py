@@ -2,6 +2,7 @@
 
 import itertools
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -118,11 +119,24 @@ class TestKernelForward:
         with pytest.raises(DimensionError, match="matmul"):
             t.matmul(a, t.leaf(np.ones((3, 3))), transpose_b=True)
 
-    def test_tanh_sum_dim_mismatch_names_kernel(self):
+    def test_sequence_kernels_name_themselves_on_bad_dims(self):
         t = Tape()
-        a, b = t.leaf(np.ones((3, 2))), t.leaf(np.ones((1, 2)))
-        with pytest.raises(DimensionError, match="tanh-sum: incompatible dims"):
-            t.tanh_sum([a, b, t.leaf(np.ones((3, 3)))])
+        x, s0 = t.leaf(np.ones((3, 2))), t.leaf(np.ones((1, 4)))
+        with pytest.raises(DimensionError, match="lstm: inputs"):
+            t.lstm(x, s0, t.leaf(np.ones((8, 3))), t.leaf(np.ones((1, 8))))
+        feats, queries, row = t.leaf(np.ones((3, 2))), t.leaf(np.ones((2, 2))), t.leaf([[1.0, 2.0]])
+        with pytest.raises(DimensionError, match="attention-scores: .*coverage"):
+            t.attention_scores(feats, queries, row, row, t.leaf(np.ones((2, 2))), row)
+        with pytest.raises(DimensionError, match="slice"):
+            t.slice(x, (2, 4))
+
+    def test_slice_takes_a_block_and_its_adjoint_lands_there(self):
+        t = Tape()
+        x = t.leaf(np.arange(12.0).reshape(3, 4), needs_grad=True)
+        block = t.slice(x, (1, 3), (2, 4))
+        np.testing.assert_array_equal(t.value(block), [[6, 7], [10, 11]])
+        t.backward(t.reduce_sum(block))
+        np.testing.assert_array_equal(t.grad(x), [[0, 0, 0, 0], [0, 0, 1, 1], [0, 0, 1, 1]])
 
     def test_gather_rows_repeats_ids_in_order(self):
         t = Tape()
@@ -258,42 +272,64 @@ class TestBackward:
         assert run() == run()
 
 
-def _attention_scores(fused, dtype, coverage):
-    """Two attention-like steps sharing the encoder term and the bias, built
-    with ``tanh_sum`` or with the add/add/tanh chain it replaces.  Returns
-    the step values and the adjoints of every input leaf, as bytes."""
-    rng = np.random.default_rng(7)
-    n, d = 6, 5
-    t = Tape(dtype)
-    enc = t.leaf(rng.uniform(-1, 1, (n, d)), needs_grad=True)
-    bias = t.leaf(rng.uniform(-1, 1, (1, d)), needs_grad=True)
-    read = t.leaf(rng.uniform(-1, 1, (n, d)))
-    inputs, ys, loss = [enc, bias], [], None
-    for _ in range(2):
-        terms = [enc, t.leaf(rng.uniform(-1, 1, (1, d)), needs_grad=True)]
-        if coverage:
-            terms.append(t.leaf(rng.uniform(-1, 1, (n, d)), needs_grad=True))
-        terms.append(bias)
-        inputs += terms[1:-1]
-        if fused:
-            y = t.tanh_sum(terms)
-        else:
-            y = terms[0]
-            for term in terms[1:]:
-                y = t.add(y, term)
-            y = t.tanh(y)
-        ys.append(y)
-        step = t.reduce_sum(t.mul(y, read))
-        loss = step if loss is None else t.add(loss, step)
-    values = [t.value(y).tobytes() for y in ys]  # backward releases them
-    t.backward(loss)
-    return values, [t.grad(i).tobytes() for i in inputs]
-
-
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("coverage", [False, True])
-def test_tanh_sum_is_byte_equal_to_the_add_chain(dtype, coverage):
-    assert _attention_scores(True, dtype, coverage) == _attention_scores(False, dtype, coverage)
+def test_attention_scores_rows_are_byte_equal_to_the_add_chain(dtype, coverage):
+    # Each row is the value that the add/add/tanh chain and the v product of
+    # a one-row attention step give, so scoring R rows in one node moves no
+    # forward value.
+    rng = np.random.default_rng(7)
+    n, d, rows = 6, 5, 3
+    shapes = dict(feats=(n, d), queries=(rows, d), v=(1, d), bias=(1, d), cov=(rows, n),
+                  w_c=(1, d))
+    t = Tape(dtype)
+    leaf = {k: t.leaf(rng.uniform(-1, 1, shape)) for k, shape in shapes.items()}
+    extra = (leaf["cov"], leaf["w_c"]) if coverage else ()
+    scores = t.value(t.attention_scores(leaf["feats"], leaf["queries"], leaf["v"], leaf["bias"],
+                                        *extra))
+    for r in range(rows):
+        terms = [leaf["feats"], t.gather_rows(leaf["queries"], (r,))]
+        if coverage:
+            terms.append(t.matmul(t.transpose(t.gather_rows(leaf["cov"], (r,))), leaf["w_c"]))
+        terms.append(leaf["bias"])
+        total = terms[0]
+        for term in terms[1:]:
+            total = t.add(total, term)
+        e = t.transpose(t.matmul(t.tanh(total), leaf["v"], transpose_b=True))
+        assert t.value(e).tobytes() == scores[r : r + 1].tobytes()
+
+
+class TestRecordFreeTape:
+    @staticmethod
+    def _graph(t, w, x):
+        """A few kernels on two inputs; returns every node's value."""
+        h = t.tanh(t.matmul(t.param(x), t.param(w), transpose_b=True))
+        p = t.softmax(t.concat([h, t.scale(h, -2.0)], axis=0))
+        return [t.value(n) for n in (h, p, t.neg_log_pick(p, [0, 1, 2, 0]))]
+
+    def test_values_match_a_recording_tape(self):
+        rng = np.random.default_rng(3)
+        w = Parameter("w", rng.uniform(-1, 1, (3, 4)))
+        x = Parameter("x", rng.uniform(-1, 1, (2, 4)))
+        recorded = [v.tobytes() for v in self._graph(Tape(), w, x)]
+        assert [v.tobytes() for v in self._graph(Tape(record=False), w, x)] == recorded
+
+    def test_a_handle_is_its_value_and_nothing_is_kept(self):
+        t = Tape(record=False)
+        p = Parameter("p", [[1.0, -2.0]])
+        x = t.param(p)
+        assert x is p.value and t.value(x) is x
+        y = t.tanh(x)
+        assert isinstance(y, np.ndarray) and t.value(y) is y
+        gone = weakref.ref(t.sigmoid(y))  # nothing refers to it once made
+        assert gone() is None
+        assert len(t) == len(t.nodes) == 3  # the leaf, tanh and sigmoid
+
+    def test_backward_raises(self):
+        t = Tape(record=False)
+        loss = t.reduce_sum(t.leaf([[1.0, 2.0]]))
+        with pytest.raises(ValueError, match="records nothing"):
+            t.backward(loss)
 
 
 class TestFiniteDiffCheck:
