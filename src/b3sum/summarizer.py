@@ -28,7 +28,7 @@ from .layers import (
     uniform_param,
     zeros_param,
 )
-from .tape import Parameter, Tape, optimizer_step
+from .tape import CopyIds, Parameter, Tape, optimizer_step
 
 PGEN_EPS = 1e-12
 
@@ -175,28 +175,22 @@ def generation_prob(tape: Tape, model: SummarizerParams, h_star: int, s_t: int,
 
 
 def final_distribution(tape: Tape, p_gen: int, p_vocab: int, a_t: int,
-                       src_ext_ids, n_oov: int) -> int:
+                       copy_ids: CopyIds) -> int:
     """Mix the generation and copy distributions over the extended vocab.
 
-    ``src_ext_ids[i]`` is the extended-vocab id of source position i; the
-    copy distribution puts attention weight i on that id.  Row r of
-    ``p_gen``, ``p_vocab`` and ``a_t`` belongs to one step, and so does row r
-    of the result.
+    ``copy_ids.ids[i]`` is the extended-vocab id of source position i, and
+    ``copy_ids.width`` the extended vocab's size; the copy distribution puts
+    attention weight i on that id.  Row r of ``p_gen``, ``p_vocab`` and
+    ``a_t`` belongs to one step, and so does row r of the result.  One
+    ``copy_mix`` node.
     """
     n_src = tape.value(a_t).shape[1]
-    if len(src_ext_ids) != n_src:
+    if copy_ids.ids.size != n_src:
         raise ValueError(
             f"final_distribution: {n_src} attention weights vs "
-            f"{len(src_ext_ids)} source positions"
+            f"{copy_ids.ids.size} source positions"
         )
-    ext_size = tape.value(p_vocab).shape[1] + n_oov
-    if n_oov > 0:
-        pad = tape.leaf(np.zeros((tape.value(p_vocab).shape[0], n_oov), dtype=tape.dtype))
-        p_vocab = tape.concat([p_vocab, pad], axis=1)
-    p_copy = tape.scatter_add(a_t, src_ext_ids, ext_size)
-    one = tape.leaf(np.ones((1, 1), dtype=tape.dtype))
-    inv_gate = tape.add(one, tape.scale(p_gen, -1.0))
-    return tape.add(tape.mul(p_vocab, p_gen), tape.mul(p_copy, inv_gate))
+    return tape.copy_mix(p_gen, p_vocab, a_t, copy_ids)
 
 
 def coverage_update(tape: Tape, coverage: int, a_t: int) -> int:
@@ -268,13 +262,15 @@ def _step_trace(attention: np.ndarray, p_gen: float, coverage: np.ndarray | None
 @dataclass
 class EncodedArticle:
     """Per-article decoder context: encoder states, their attention features,
-    the bridged initial decoder state row s0 = [h0 | c0], and the article's
-    ``ExtendedVocab``, whose source ids the copy distribution scatters onto."""
+    the bridged initial decoder state row s0 = [h0 | c0], the article's
+    ``ExtendedVocab``, and its source ids as the copy mix reads them,
+    checked and deduplicated once per article rather than once per step."""
 
     enc: EncoderStates
     enc_features: int
     s0: int
     ext: ExtendedVocab
+    copy_ids: CopyIds
 
     def zero_coverage(self, tape: Tape) -> int:
         return tape.leaf(np.zeros((1, self.enc.length), dtype=tape.dtype))
@@ -288,7 +284,8 @@ def encode_article(tape: Tape, model: SummarizerParams, ext: ExtendedVocab) -> E
     enc_features = tape.matmul(enc.h_concat, tape.param(model.attn_w_enc), transpose_b=True)
     h0 = tape.tanh(linear(tape, model.bridge_w_h, model.bridge_b_h, enc.final_h))
     c0 = tape.tanh(linear(tape, model.bridge_w_c, model.bridge_b_c, enc.final_c))
-    return EncodedArticle(enc, enc_features, tape.concat([h0, c0], axis=1), ext)
+    return EncodedArticle(enc, enc_features, tape.concat([h0, c0], axis=1), ext,
+                          CopyIds(ext.src_ext_ids, ext.size))
 
 
 @dataclass
@@ -357,8 +354,7 @@ def output_distribution(tape: Tape, model: SummarizerParams, art: EncodedArticle
     (T x hidden)·V_outᵀ product forward and one V_out product backward.
     """
     p_vocab = vocab_distribution(tape, model, step.s, step.h_star)
-    return final_distribution(tape, step.p_gen, p_vocab, step.a, art.ext.src_ext_ids,
-                              len(art.ext.doc_oovs))
+    return final_distribution(tape, step.p_gen, p_vocab, step.a, art.copy_ids)
 
 
 def _teacher_forced(tape: Tape, model: SummarizerParams, ex: PreparedExample,

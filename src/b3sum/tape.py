@@ -42,12 +42,13 @@ class Kernel(enum.Enum):
 
     LEAF marks tape inputs (constants and parameters); TRANSPOSE exists so
     both row and column orientations of attention/coverage vectors can be
-    formed without general broadcasting.  GATHER_ROWS and SCATTER_ADD move
-    rows and columns by integer id, so lookups and the copy distribution
-    need no one-hot constant, and SLICE takes a block of rows and columns.
-    LSTM runs a whole sequence through an LSTM cell and ATTENTION_SCORES
-    scores R query rows against n positions; each is one node with its own
-    backward rule, so a sequence makes no per-step nodes.
+    formed without general broadcasting.  GATHER_ROWS moves rows by integer
+    id, so lookups need no one-hot constant, and SLICE takes a block of rows
+    and columns.  COPY_MIX is the pointer-generator's output mix, so the
+    copy distribution needs no copy matrix and no chain of vocabulary-wide
+    nodes.  LSTM runs a whole sequence through an LSTM cell and
+    ATTENTION_SCORES scores R query rows against n positions; each is one
+    node with its own backward rule, so a sequence makes no per-step nodes.
     """
 
     LEAF = "leaf"
@@ -65,11 +66,16 @@ class Kernel(enum.Enum):
     ELEMENTWISE_MIN = "elementwise-min"
     SCALE = "scale"
     GATHER_ROWS = "gather-rows"
-    SCATTER_ADD = "scatter-add"
+    COPY_MIX = "copy-mix"
     SLICE = "slice"
     TRANSPOSE = "transpose"
     LSTM = "lstm"
     ATTENTION_SCORES = "attention-scores"
+
+
+# The kernels whose backward rule reads the node's own value; backward drops
+# every other node's value before running its rule.
+READS_OWN_VALUE = frozenset({Kernel.TANH, Kernel.SIGMOID, Kernel.SOFTMAX, Kernel.LSTM})
 
 
 class TapeNode:
@@ -96,12 +102,85 @@ class NodeCount:
         return self.made
 
 
+def _distinct(ids) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct ids and each id's index among them.  With
+    ``return_inverse`` numpy sorts; a bare ``np.unique`` imports ``numpy.ma``."""
+    return np.unique(ids, return_inverse=True)
+
+
+class RowBlock:
+    """An adjoint that is zero outside a few rows: row ``rows[k]`` of the
+    ``shape`` adjoint is ``block[k]``, and ``rows`` is sorted and distinct.
+
+    A leaf that only ``gather_rows`` reads (an embedding table) gets one, so
+    backward, the norm, the clip and Adagrad touch only the rows a batch
+    gathered; ``dense()`` is the full adjoint.  During the backward sweep
+    such a leaf holds the gathers' (ids, adjoint) pairs, and the sweep makes
+    them one block when it reaches the leaf.
+    """
+
+    __slots__ = ("rows", "block", "shape")
+
+    def __init__(self, rows: np.ndarray, block: np.ndarray, shape):
+        self.rows = rows
+        self.block = block
+        self.shape = shape
+
+    @property
+    def dtype(self):
+        return self.block.dtype
+
+    def dense(self) -> np.ndarray:
+        out = np.zeros(self.shape, dtype=self.block.dtype)
+        out[self.rows] = self.block
+        return out
+
+    def flat_chunk(self, start: int, n: int) -> np.ndarray | None:
+        """Elements ``start .. start + n`` of the dense adjoint in C order, as
+        a new float64 array, or None when no stored row reaches them."""
+        width = self.shape[1]
+        first, last = start // width, (start + n - 1) // width
+        lo, hi = np.searchsorted(self.rows, (first, last + 1))
+        if lo == hi:
+            return None
+        span = np.zeros((last + 1 - first, width), dtype=np.float64)
+        span[self.rows[lo:hi] - first] = self.block[lo:hi]
+        offset = start - first * width
+        return span.reshape(-1)[offset : offset + n].copy()
+
+
+def _gathered_rows(pairs, like: np.ndarray) -> RowBlock:
+    """The ``RowBlock`` of a ``like``-shaped adjoint that ``gather_rows``
+    pairs (ids, g) added into, row k of g into row ids[k]: one block over
+    their distinct ids, summed in the order ``np.add.at`` would add the
+    pairs into a dense adjoint one after another."""
+    rows, inverse = _distinct(np.concatenate([ids for ids, _ in pairs]))
+    block = np.zeros((rows.size, like.shape[1]), dtype=like.dtype)
+    np.add.at(block, inverse, np.concatenate([g for _, g in pairs]))
+    return RowBlock(rows, block, like.shape)
+
+
+class CopyIds:
+    """The column each source position's attention is copied to, for
+    ``Tape.copy_mix``: ``ids`` checked against ``width`` and their distinct
+    ``cols``, with ``ids == cols[inverse]``.  An article derives them once."""
+
+    __slots__ = ("ids", "cols", "inverse", "width")
+
+    def __init__(self, ids, width: int):
+        self.ids = _checked_ids(Kernel.COPY_MIX, ids, width, f"width {width}")
+        self.cols, self.inverse = _distinct(self.ids)
+        self.width = width
+
+
 class Parameter:
     """A named trainable tensor with gradient and Adagrad accumulator state.
 
     ``grad`` (zeros) and ``adagrad_acc`` (``ADAGRAD_INIT_ACC``) are created
     on first use, so a model that only evaluates or decodes holds just its
-    values.
+    values.  Backward may leave a ``RowBlock`` in ``_grad`` (the adjoint of
+    a table only ``gather_rows`` reads), which the optimizer functions use
+    as it is; reading ``grad`` makes it dense.
     ``zero_grad`` releases the grad; the next read of ``grad`` sees zeros.
     """
 
@@ -125,6 +204,8 @@ class Parameter:
     def grad(self) -> np.ndarray:
         if self._grad is None:
             self._grad = np.zeros_like(self.value)
+        elif isinstance(self._grad, RowBlock):
+            self._grad = self._grad.dense()
         return self._grad
 
     @property
@@ -275,6 +356,40 @@ def _attention_backward(features, queries, v, bias, coverage, w_c, grad):
     return grads if coverage is None else grads + [d_coverage, d_w_c]
 
 
+def _inv_gate(p_gen, dtype):
+    """1 + (−p_gen), as a ``one`` leaf plus ``scale(p_gen, -1.0)`` made it."""
+    return np.ones((1, 1), dtype=dtype) + (p_gen * dtype(-1.0)).astype(dtype)
+
+
+def _copy_columns(a, ids: CopyIds):
+    """The copy distribution's columns ``ids.cols``: column k of ``a`` added
+    into column ``ids.inverse[k]``, in order, onto zeros."""
+    out = np.zeros((a.shape[0], ids.cols.size), dtype=a.dtype)
+    np.add.at(out, (slice(None), ids.inverse), a)
+    return out
+
+
+def _gate_sums(g, p_vocab, copy, ids: CopyIds):
+    """Per row, the sums of ``g·[p_vocab | 0]`` and ``g·copy`` (``copy``
+    holding the columns ``ids.cols``), each over all ``ids.width`` columns
+    as the chain's (T x width) products were summed: a few rows at a time,
+    at most SUM_CHUNK elements, since a row's sum does not depend on the
+    rows around it."""
+    rows, vocab = p_vocab.shape
+    sums = np.empty((2, rows, 1), dtype=np.result_type(g, p_vocab, copy))
+    step = max(1, SUM_CHUNK // ids.width)
+    for r in range(0, rows, step):
+        block = np.zeros((min(step, rows - r), ids.width), dtype=sums.dtype)
+        block[:, :vocab] = p_vocab[r : r + step]
+        sums[0, r : r + step] = np.multiply(g[r : r + step], block, out=block).sum(
+            axis=1, keepdims=True)
+        block[...] = 0
+        block[:, ids.cols] = copy[r : r + step]
+        sums[1, r : r + step] = np.multiply(g[r : r + step], block, out=block).sum(
+            axis=1, keepdims=True)
+    return sums
+
+
 class Tape:
     """Append-only computation record.
 
@@ -283,8 +398,11 @@ class Tape:
     per tape; repeated uses share the leaf node so gradients accumulate there.
     Adjoints are kept on leaves only: backward drops a computed node's grad
     as soon as it has been pushed to that node's inputs, and its value as
-    soon as the sweep has passed it.  So a tape runs backward once; read any
-    intermediate value before calling it.
+    soon as nothing is left to read it (before its own rule runs, unless
+    that rule reads it).  So a tape runs backward once; read any
+    intermediate value before calling it.  A leaf that only ``gather_rows``
+    reads keeps a ``RowBlock`` adjoint, the rows it gathered; ``grad``
+    returns it dense.
 
     On a float32 tape a parameter leaf's value is the Parameter's own
     ``value`` array, not a copy, so a parameter must not be updated while a
@@ -313,7 +431,9 @@ class Tape:
         return self.nodes[nid].value if self.record else nid
 
     def grad(self, nid: int) -> np.ndarray | None:
-        return self.nodes[nid].grad
+        """The node's adjoint, or None; a ``RowBlock`` is returned dense."""
+        g = self.nodes[nid].grad
+        return g.dense() if isinstance(g, RowBlock) else g
 
     # -- node constructors ------------------------------------------------
 
@@ -454,16 +574,35 @@ class Tape:
         block = tuple(block)
         return self._append(Kernel.SLICE, (a,), np.ascontiguousarray(va[block]), block)
 
-    def scatter_add(self, a: int, ids, width: int) -> int:
-        """A ``width``-column matrix whose column ``ids[k]`` accumulates
-        column k of ``a``; columns no id names are zero."""
-        va = self.value(a)
-        ids = _checked_ids(Kernel.SCATTER_ADD, ids, width, f"width {width}")
-        if ids.size != va.shape[1]:
-            raise DimensionError(f"scatter-add: {ids.size} ids for {va.shape[1]} columns")
-        value = np.zeros((va.shape[0], width), dtype=va.dtype)
-        np.add.at(value, (slice(None), ids), va)
-        return self._append(Kernel.SCATTER_ADD, (a,), value, ids)
+    def copy_mix(self, p_gen: int, p_vocab: int, a: int, ids: CopyIds) -> int:
+        """The pointer-generator mix ``[p_vocab | 0]·p_gen + copy·(1 − p_gen)``
+        over ``ids.width`` columns, one row per step.
+
+        ``p_vocab`` (T x V) is zero-padded to the width, ``copy`` adds column
+        k of the attention ``a`` (T x n) into column ``ids.ids[k]``, and
+        ``p_gen`` is (T x 1).  Each value and adjoint is the one the chain of
+        pad, concat, scatter, scale, add, mul, mul and add nodes made, summed
+        in the same order, but only the result is stored: the copy columns
+        are rebuilt from ``a`` in backward, and no other (T x width) array
+        outlives the call.
+        """
+        vg, vv, va = (self.value(i) for i in (p_gen, p_vocab, a))
+        rows, vocab = vv.shape
+        if vg.shape != (rows, 1) or va.shape != (rows, ids.ids.size) or ids.width < vocab:
+            raise DimensionError(
+                f"copy-mix: p_gen {vg.shape}, p_vocab {vv.shape} and attention {va.shape} "
+                f"do not fit {ids.ids.size} ids of width {ids.width}"
+            )
+        inv_gate = _inv_gate(vg, self.dtype)
+        out = np.empty((rows, ids.width), dtype=np.result_type(vv, vg, va))
+        np.multiply(vv, vg, out=out[:, :vocab])
+        out[:, vocab:] = np.zeros((1, 1), dtype=out.dtype) * vg
+        kept = out[:, ids.cols]
+        # The chain added a copy part of 0·(1 − p_gen) in every column no id
+        # names; adding it keeps the sign of a zero as the chain left it.
+        out += np.zeros((1, 1), dtype=out.dtype) * inv_gate
+        out[:, ids.cols] = kept + _copy_columns(va, ids) * inv_gate
+        return self._append(Kernel.COPY_MIX, (p_gen, p_vocab, a), out, ids)
 
     def transpose(self, a: int) -> int:
         return self._append(Kernel.TRANSPOSE, (a,), np.ascontiguousarray(self.value(a).T))
@@ -557,13 +696,18 @@ class Tape:
         """Fill the gradients of the leaves (and Parameters) the loss depends on.
 
         The sweep releases what it has used: a computed node's adjoint once it
-        has been pushed to the node's inputs, and its value once the sweep has
-        passed it (every reader of a value comes later on the tape).  After
-        backward only leaves hold a ``grad``, and only leaves and the loss
-        node hold a ``value``; the tape cannot run backward again.  A
-        Parameter holding no grad takes a float32 leaf adjoint as it is, so
-        the leaf and the Parameter then share one array; otherwise the
-        adjoint is added into the Parameter's grad.
+        has been pushed to the node's inputs, and its value as the sweep
+        reaches it (every other reader of a value comes later on the tape),
+        before its rule runs unless the rule reads it (``tanh``,
+        ``sigmoid``, ``softmax`` and ``lstm``).  So the logits are gone
+        before their rule makes the output weights' adjoint.  After backward
+        only leaves hold a ``grad``, and only leaves and the loss node hold a
+        ``value``; the tape cannot run backward again.  A leaf adjoint may be
+        a ``RowBlock``: while only ``gather_rows`` has added into a leaf, its
+        adjoint holds just the gathered rows, filled out to a dense array if
+        another kernel adds in.  A Parameter holding no grad takes a float32
+        leaf adjoint as it is, so the leaf and the Parameter then share it;
+        otherwise the adjoint is added into the Parameter's dense grad.
         """
         if not self.record:
             raise ValueError("backward: this tape records nothing")
@@ -581,12 +725,16 @@ class Tape:
         for nid in range(loss, -1, -1):
             node = self.nodes[nid]
             if node.kernel is Kernel.LEAF:
+                if isinstance(node.grad, list):  # every reader has added in
+                    node.grad = _gathered_rows(node.grad, node.value)
                 continue
+            if nid != loss and node.kernel not in READS_OWN_VALUE:
+                node.value = None  # read only by later nodes, whose rules have run
             if node.grad is not None:
                 self._accumulate_input_grads(node, node.grad)
                 node.grad = None  # nothing reads a pushed adjoint again
             if nid != loss:
-                node.value = None  # its readers are this node and later ones
+                node.value = None
                 node.arg = None  # the LSTM's gates among them
         for nid, p in self._param_nodes.values():
             g = self.nodes[nid].grad
@@ -595,6 +743,8 @@ class Tape:
             if p._grad is None and g.dtype == np.float32:
                 p._grad = g
             else:
+                if isinstance(g, RowBlock):
+                    g = g.dense()
                 np.add(p.grad, g.astype(np.float32, copy=False), out=p._grad)
 
     def _add_grad(self, nid: int, g, view: bool = False):
@@ -607,7 +757,21 @@ class Tape:
         if node.grad is None:
             node.grad = g.copy() if view else g
         else:
+            self._dense_grad(node)
             node.grad += g
+
+    @staticmethod
+    def _dense_grad(node: TapeNode) -> np.ndarray:
+        """The node's adjoint as a dense array it keeps: zeros when it has
+        none yet, and a leaf's gathered rows added in once another kernel
+        adds in too."""
+        if node.grad is None:
+            node.grad = np.zeros_like(node.value)
+        elif isinstance(node.grad, list):
+            pairs, node.grad = node.grad, np.zeros_like(node.value)
+            for ids, g in pairs:
+                np.add.at(node.grad, ids, g)
+        return node.grad
 
     def _accumulate_input_grads(self, node: TapeNode, g: np.ndarray):
         k = node.kernel
@@ -680,16 +844,18 @@ class Tape:
             self._add_grad(ids[0], g * self.dtype(node.arg))
         elif k is Kernel.GATHER_ROWS:
             src = self.nodes[ids[0]]
-            if src.needs_grad:
+            if not src.needs_grad:
+                pass
+            elif src.kernel is Kernel.LEAF and not isinstance(src.grad, np.ndarray):
                 if src.grad is None:
-                    src.grad = np.zeros_like(src.value)
-                np.add.at(src.grad, node.arg, g)
+                    src.grad = []
+                src.grad.append((node.arg, g))
+            else:
+                np.add.at(self._dense_grad(src), node.arg, g)
         elif k is Kernel.SLICE:
             src = self.nodes[ids[0]]
             if src.needs_grad:
-                if src.grad is None:
-                    src.grad = np.zeros_like(src.value)
-                src.grad[node.arg] += g
+                self._dense_grad(src)[node.arg] += g
         elif k is Kernel.LSTM:
             reverse, gates = node.arg
             xs, s0, w, b = (self.nodes[i].value for i in ids)
@@ -701,8 +867,18 @@ class Tape:
                 values += [None, None]
             for i, gi in zip(ids, _attention_backward(*values, g)):
                 self._add_grad(i, gi)
-        elif k is Kernel.SCATTER_ADD:
-            self._add_grad(ids[0], g[:, node.arg])
+        elif k is Kernel.COPY_MIX:
+            p_gen, p_vocab, a = (self.nodes[i] for i in ids)
+            inv_gate = _inv_gate(p_gen.value, self.dtype)
+            if p_vocab.needs_grad:
+                self._add_grad(ids[1], g[:, : p_vocab.value.shape[1]] * p_gen.value)
+            if p_gen.needs_grad:
+                from_vocab, from_copy = _gate_sums(
+                    g, p_vocab.value, _copy_columns(a.value, node.arg), node.arg)
+                self._add_grad(ids[0], from_vocab)
+                self._add_grad(ids[0], from_copy * self.dtype(-1.0))
+            if a.needs_grad:
+                self._add_grad(ids[2], g[:, node.arg.ids] * inv_gate)
         elif k is Kernel.TRANSPOSE:
             self._add_grad(ids[0], g.T, view=True)
         else:
@@ -717,28 +893,33 @@ def zero_grads(params):
 SUM_CHUNK = 1 << 16
 
 
-def _pairwise_sum_of_squares(flat, start: int, n: int) -> float:
+def _pairwise_sum_of_squares(chunk_of, start: int, n: int) -> float:
     # numpy's float64 sum is a pairwise tree that splits n elements at
     # n//2 rounded down to a multiple of 8.  Splitting at the same points
     # makes each chunk's sum a subtree of that tree, so the result is
-    # byte-identical to squaring one float64 copy of the whole grad.  Each
-    # chunk is cast, then squared in place: a casting ufunc would add its
-    # own 64 KiB buffer.
+    # byte-identical to squaring one float64 copy of the whole grad.
+    # ``chunk_of(start, n)`` gives each chunk as a new float64 array, squared
+    # here in place (a casting ufunc would add its own 64 KiB buffer), or
+    # None for a chunk of zeros, which adds exactly 0.0.
     if n <= SUM_CHUNK:
-        chunk = flat[start : start + n].astype(np.float64)
-        return float(np.square(chunk, out=chunk).sum())
+        chunk = chunk_of(start, n)
+        return 0.0 if chunk is None else float(np.square(chunk, out=chunk).sum())
     n2 = n // 2
     n2 -= n2 % 8
-    return _pairwise_sum_of_squares(flat, start, n2) + _pairwise_sum_of_squares(
-        flat, start + n2, n - n2
+    return _pairwise_sum_of_squares(chunk_of, start, n2) + _pairwise_sum_of_squares(
+        chunk_of, start + n2, n - n2
     )
 
 
 def _sum_of_squares(g) -> float:
     """Float64 sum of squares in memory order, with one float64 chunk of at
-    most SUM_CHUNK elements alive at a time."""
+    most SUM_CHUNK elements alive at a time.  A ``RowBlock`` sums as its
+    dense adjoint would, building only the chunks its rows reach."""
+    if isinstance(g, RowBlock):
+        return _pairwise_sum_of_squares(g.flat_chunk, 0, g.shape[0] * g.shape[1])
     flat = g.ravel(order="K")  # a view for C- and F-ordered grads
-    return _pairwise_sum_of_squares(flat, 0, flat.size)
+    return _pairwise_sum_of_squares(
+        lambda start, n: flat[start : start + n].astype(np.float64), 0, flat.size)
 
 
 def global_grad_norm(params) -> float:
@@ -770,9 +951,21 @@ def clip_global_norm(params, max_norm: float) -> float:
         return 1.0
     factor = max_norm / norm
     for p in params:
-        if p._grad is not None:
-            p._grad *= np.float32(factor)
+        g = p._grad
+        if g is not None:
+            scaled = g.block if isinstance(g, RowBlock) else g
+            scaled *= np.float32(factor)
     return factor
+
+
+def _adagrad_update(g, acc, lr, eps):
+    """acc += g²; g becomes lr·g / (sqrt(acc) + eps), the step; both in place."""
+    tmp = np.multiply(g, g)
+    acc += tmp
+    g *= lr
+    np.sqrt(acc, out=tmp)
+    tmp += eps
+    g /= tmp
 
 
 def adagrad_step(params, lr: float):
@@ -781,25 +974,28 @@ def adagrad_step(params, lr: float):
     Runs in place, SUM_CHUNK elements at a time: the grad is overwritten
     with the step, and the only temporary is one float32 chunk, so no
     parameter-sized array is made while the grads are alive.  A parameter
-    holding no grad has a zero step and is left as it is.
+    holding no grad has a zero step and is left as it is, and so are the
+    rows a ``RowBlock`` grad does not hold.
     """
     lr, eps = np.float32(lr), np.float32(ADAGRAD_EPS)
     for p in params:
         g = p._grad
         if g is None:
             continue
+        if isinstance(g, RowBlock):
+            acc = p.adagrad_acc[g.rows]
+            _adagrad_update(g.block, acc, lr, eps)
+            p.adagrad_acc[g.rows] = acc
+            p.value[g.rows] -= g.block
+            p.zero_grad()
+            continue
         # C order for all three, whatever the grad's layout: reshape copies
         # a grad that is not C-contiguous, and the step is then made on that copy.
         flat_g, flat_acc, flat_value = (a.reshape(-1) for a in (g, p.adagrad_acc, p.value))
         for start in range(0, flat_g.size, SUM_CHUNK):
             chunk = slice(start, start + SUM_CHUNK)
-            gc, acc = flat_g[chunk], flat_acc[chunk]
-            tmp = np.multiply(gc, gc)
-            acc += tmp
-            gc *= lr
-            np.sqrt(acc, out=tmp)
-            tmp += eps
-            gc /= tmp
+            gc = flat_g[chunk]
+            _adagrad_update(gc, flat_acc[chunk], lr, eps)
             flat_value[chunk] -= gc
         p.zero_grad()
 
@@ -887,10 +1083,8 @@ def finite_diff_check(build, params, h: float = 1e-3, tol: float = 1e-3) -> Grad
     tape.backward(loss)
     analytic = {}
     for nid, p in tape._param_nodes.values():
-        node = tape.nodes[nid]
-        analytic[p.name] = (
-            node.grad.copy() if node.grad is not None else np.zeros_like(node.value)
-        )
+        g = tape.grad(nid)
+        analytic[p.name] = g.copy() if g is not None else np.zeros_like(tape.value(nid))
 
     max_rel = 0.0
     worst = ""

@@ -5,6 +5,7 @@ implementations under test (list scans instead of Counters, full DP tables,
 explicit permutation enumeration).
 """
 
+import enum
 import itertools
 import math
 
@@ -19,7 +20,7 @@ from b3sum.summarizer import (
     generation_prob,
     vocab_distribution,
 )
-from b3sum.tape import ADAGRAD_EPS, Tape
+from b3sum.tape import ADAGRAD_EPS, CopyIds, Tape
 
 
 def oracle_rouge_n(sys_t, ref_t, n):
@@ -69,13 +70,51 @@ def oracle_align(sys_sents, ref_sents):
     return best[1], best[2]
 
 
-class DenseTape(Tape):
+class OracleKernel(enum.Enum):
+    SCATTER_ADD = "scatter-add"
+
+
+class MixChainTape(Tape):
+    """A Tape whose ``copy_mix`` is the chain of nodes the kernel replaced:
+    pad, concat, scatter-add, one, scale, add, mul, mul, add.
+
+    ``scatter_add`` is the kernel that chain used: a ``width``-column matrix
+    whose column ``ids[k]`` accumulates column k of ``a``, its adjoint a
+    column gather.
+    """
+
+    def scatter_add(self, a, ids, width):
+        va = self.value(a)
+        ids = np.asarray(ids, dtype=np.intp)
+        value = np.zeros((va.shape[0], width), dtype=va.dtype)
+        np.add.at(value, (slice(None), ids), va)
+        return self._append(OracleKernel.SCATTER_ADD, (a,), value, ids)
+
+    def _accumulate_input_grads(self, node, g):
+        if node.kernel is OracleKernel.SCATTER_ADD:
+            self._add_grad(node.input_ids[0], g[:, node.arg])
+        else:
+            super()._accumulate_input_grads(node, g)
+
+    def copy_mix(self, p_gen, p_vocab, a, ids):
+        rows, vocab = self.value(p_vocab).shape
+        if ids.width > vocab:
+            pad = self.leaf(np.zeros((rows, ids.width - vocab), dtype=self.dtype))
+            p_vocab = self.concat([p_vocab, pad], axis=1)
+        p_copy = self.scatter_add(a, ids.ids, ids.width)
+        one = self.leaf(np.ones((1, 1), dtype=self.dtype))
+        inv_gate = self.add(one, self.scale(p_gen, -1.0))
+        return self.add(self.mul(p_vocab, p_gen), self.mul(p_copy, inv_gate))
+
+
+class DenseTape(MixChainTape):
     """The dense formulation that the sparse kernels replaced.
 
-    Gathers are one-hot constants times the table, scatters are the
-    attention row times an (n x width) copy matrix, and a transposed weight
-    is an explicit transpose node.  Running the library's own loss and
-    decoder on this tape gives the dense reference path.
+    Gathers are one-hot constants times the table, the copy mix is the chain
+    of nodes with the attention row times an (n x width) copy matrix as its
+    scatter, and a transposed weight is an explicit transpose node.  Running
+    the library's own loss and decoder on this tape gives the dense
+    reference path.
     """
 
     def gather_rows(self, a, ids):
@@ -183,12 +222,12 @@ def _per_step_teacher_forced(tape, model, ex, use_coverage, force_p_gen, output_
     h_t = tape.tanh(linear(tape, model.bridge_w_h, model.bridge_b_h, enc.final_h))
     c_t = tape.tanh(linear(tape, model.bridge_w_c, model.bridge_b_c, enc.final_c))
     coverage = tape.leaf(np.zeros((1, enc.length), dtype=tape.dtype)) if use_coverage else None
+    copy_ids = CopyIds(ex.ext.src_ext_ids, ex.ext.size)
     rows, states, contexts, attention, switches, coverages, penalties = ([] for _ in range(7))
 
     def output(s, h_star, a, p_gen):
         p_vocab = vocab_distribution(tape, model, s, h_star)
-        return final_distribution(tape, p_gen, p_vocab, a, ex.ext.src_ext_ids,
-                                  len(ex.ext.doc_oovs))
+        return final_distribution(tape, p_gen, p_vocab, a, copy_ids)
 
     for x_t in embed_rows(tape, model.embedding, ex.dec_in_ids):
         h_t, c_t = lstm_step(tape, model.decoder, x_t, h_t, c_t)
@@ -215,8 +254,7 @@ def _per_step_teacher_forced(tape, model, ex, use_coverage, force_p_gen, output_
         s, h_star = tape.concat(states, axis=0), tape.concat(contexts, axis=0)
         p_vocab = vocab_distribution(tape, model, s, h_star)
         p_gen, a = tape.concat(switches, axis=0), tape.concat(attention, axis=0)
-        p_final = final_distribution(tape, p_gen, p_vocab, a, ex.ext.src_ext_ids,
-                                     len(ex.ext.doc_oovs))
+        p_final = final_distribution(tape, p_gen, p_vocab, a, copy_ids)
     return p_final, DecoderStep(s, h_star, a, p_gen, coverages, penalties, coverage)
 
 

@@ -54,7 +54,7 @@ from b3sum.summarizer import (
     train_batch,
     vocab_distribution,
 )
-from b3sum.tape import Parameter, Tape, finite_diff_check
+from b3sum.tape import CopyIds, Parameter, Tape, finite_diff_check
 
 from oracles import oracle_align, oracle_lcs, oracle_rouge_n
 
@@ -122,6 +122,11 @@ class TestCriterion1GradientCorrectness:
         cov_rows = Parameter("cov_rows", rng.uniform(0.0, 1.0, (2, 3)))
         w_cov = Parameter("w_cov", rng.uniform(-0.8, 0.8, (1, 2)))
         attn_read = rng.uniform(-1, 1, (2, 3))
+        # a copy mix of 2 rows: vocab 3, 4 source positions, width 5
+        gen = Parameter("gen", rng.uniform(-0.8, 0.8, (2, 3)))
+        att = Parameter("att", rng.uniform(-0.8, 0.8, (2, 4)))
+        gate = Parameter("gate", rng.uniform(-0.8, 0.8, (2, 1)))
+        mix_read = rng.uniform(-1, 1, (2, 5))
 
         def k_matmul(dtype):
             t = Tape(dtype=dtype)
@@ -178,11 +183,13 @@ class TestCriterion1GradientCorrectness:
             rows = t.gather_rows(t.param(b), [2, 0, 2, 1, 2])  # id 2 three times
             return t, t.reduce_sum(t.mul(rows, t.tanh(rows)))
 
-        def k_scatter(dtype):
-            # base width 5 plus OOV ids 5 and 6; ids 1 and 5 repeat
+        def k_copy_mix(dtype):
+            # OOV ids 3 and 4 past the vocab of 3; id 1 repeats
             t = Tape(dtype=dtype)
-            mass = t.scatter_add(t.softmax(t.param(pos)), [1, 5, 1, 5], 7)
-            return t, t.add(t.neg_log_pick(mass, 1), t.neg_log_pick(mass, 5))
+            mix = t.copy_mix(t.sigmoid(t.param(gate)), t.softmax(t.param(gen)),
+                             t.softmax(t.param(att)), CopyIds([1, 4, 1, 3], 5))
+            picked = t.reduce_mean(t.neg_log_pick(mix, [1, 4]))
+            return t, t.add(picked, t.reduce_sum(t.mul(mix, t.leaf(mix_read))))
 
         def k_slice(dtype):
             t = Tape(dtype=dtype)
@@ -220,7 +227,7 @@ class TestCriterion1GradientCorrectness:
             ("slice", k_slice, [b]),
             ("matmul transposed", k_matmul_transposed, [b, c]),
             ("gather-rows", k_gather, [b]),
-            ("scatter-add", k_scatter, [pos]),
+            ("copy-mix", k_copy_mix, [gen, att, gate]),
             ("add/mul/scale", k_add_mul_scale, [c]),
             ("concat/transpose", k_concat_transpose, [a, b]),
             ("tanh/sigmoid", k_activations, [c]),
@@ -288,7 +295,8 @@ class TestCriterion1GradientCorrectness:
                                s, cov, use_coverage=True)
             p_vocab = vocab_distribution(t, model, s, h_star)
             p_gen = generation_prob(t, model, h_star, s, x)
-            p = final_distribution(t, p_gen, p_vocab, a_t, ex.ext.src_ext_ids, len(ex.ext.doc_oovs))
+            p = final_distribution(t, p_gen, p_vocab, a_t,
+                                   CopyIds(ex.ext.src_ext_ids, ex.ext.size))
             oov_id = vocab.size  # the "zz" token
             return t, t.neg_log_pick(p, oov_id)
 
@@ -334,7 +342,7 @@ class TestCriterion2Normalization:
                     s, cov, use_coverage=True)
                 p_vocab = vocab_distribution(t, model, s, h_star)
                 p_gen = generation_prob(t, model, h_star, s, x)
-                p = final_distribution(t, p_gen, p_vocab, a_t, src_ext, n_oov)
+                p = final_distribution(t, p_gen, p_vocab, a_t, CopyIds(src_ext, ext_size))
                 assert abs(t.value(a_t).sum() - 1.0) <= 1e-5
                 assert abs(t.value(p_vocab).sum() - 1.0) <= 1e-5
                 assert abs(t.value(p).sum() - 1.0) <= 1e-5
@@ -354,7 +362,7 @@ class TestCriterion2Normalization:
         src_ext = [2, 10, 5, 10]
         a_t = t.softmax(t.leaf(rng.uniform(-1, 1, (1, 4))))
         p_vocab = t.softmax(t.leaf(rng.uniform(-1, 1, (1, 9))))
-        p = final_distribution(t, t.leaf([[0.0]]), p_vocab, a_t, src_ext, 2)
+        p = final_distribution(t, t.leaf([[0.0]]), p_vocab, a_t, CopyIds(src_ext, 11))
         pv = t.value(p)[0]
         for i, mass in enumerate(pv):
             if i in src_ext:

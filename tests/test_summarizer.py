@@ -2,7 +2,12 @@
 
 import hashlib
 import itertools
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,7 +35,7 @@ from b3sum.summarizer import (
     train_batch,
     vocab_distribution,
 )
-from b3sum.tape import Kernel, NonFiniteError, Tape, zero_grads
+from b3sum.tape import CopyIds, Kernel, NonFiniteError, RowBlock, Tape, zero_grads
 
 import oracles
 from helpers import tiny_corpus, tiny_summarizer, zero_params
@@ -197,7 +202,7 @@ class TestFinalDistribution:
         pv = t.leaf([p_vocab])
         a = t.leaf([attn])
         pg = t.leaf([[p_gen]])
-        out = final_distribution(t, pg, pv, a, src_ext_ids, ext_size - len(p_vocab))
+        out = final_distribution(t, pg, pv, a, CopyIds(src_ext_ids, ext_size))
         return t.value(out)[0]
 
     def test_pure_generation_pads_vocab_distribution(self):
@@ -449,17 +454,27 @@ def _repeated_oov_example():
     return pair, vocab, prepare_pair(pair, vocab)
 
 
+def _leaf_grads(tape, loss, params):
+    """Run backward and return each parameter's leaf adjoint in the tape's
+    dtype (a float64 tape's, not the float32 copy added into ``p.grad``),
+    dense; zeros for a parameter the loss does not reach."""
+    leaves = {p.name: tape.param(p) for p in params}
+    tape.backward(loss)
+    zero_grads(params)
+    return {name: (tape.grad(nid) if tape.grad(nid) is not None
+                   else np.zeros_like(tape.value(nid)))
+            for name, nid in leaves.items()}
+
+
 class TestDenseReferenceEquivalence:
-    """Gather/scatter kernels and transposed matmuls against the dense
+    """Gather kernels, the copy mix and transposed matmuls against the dense
     one-hot path run on oracles.DenseTape."""
 
     @staticmethod
     def _loss_and_grads(tape, model, ex, use_coverage):
-        zero_grads(model.params())
         loss, _, _, _ = sequence_loss(tape, model, ex, use_coverage=use_coverage,
                                       cov_lambda=1.0)
-        tape.backward(loss)
-        return float(tape.value(loss)[0, 0]), {p.name: p.grad.copy() for p in model.params()}
+        return float(tape.value(loss)[0, 0]), _leaf_grads(tape, loss, model.params())
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("use_coverage", [False, True])
@@ -568,11 +583,9 @@ class TestPerRowReferenceEquivalence:
 
     @staticmethod
     def _loss_and_grads(model, ex, use_coverage, dtype):
-        zero_grads(model.params())
         tape = Tape(dtype)
         loss, _, _, _ = sequence_loss(tape, model, ex, use_coverage=use_coverage)
-        tape.backward(loss)
-        return float(tape.value(loss)[0, 0]), {p.name: p.grad.copy() for p in model.params()}
+        return float(tape.value(loss)[0, 0]), _leaf_grads(tape, loss, model.params())
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("use_coverage", [False, True])
@@ -679,11 +692,13 @@ class TestDirectionalGradientAtPaperShape:
                 p.value[...] = theta[p.name]
 
 
-def test_backward_peak_stays_under_one_v_out_and_four_output_blocks():
+def test_backward_peak_stays_under_one_v_out_less_one_output_block():
     # Backward makes one stacked V_out product, not T outer products added
     # into a parameter-sized adjoint (two V_out-sized arrays alive at once),
-    # and the sweep hands back the (T x V') values it has used.  Vocab-heavy: V_out
-    # (5,000 x 64) outweighs four (T x V') blocks at T = 15.
+    # and the sweep hands back each (T x V') value as it reaches it, the
+    # copy mix's and the logits' before their rules run.  Vocab-heavy: V_out
+    # (5,000 x 64) outweighs four (T x V') blocks at T = 15.  Measured: V_out
+    # less 1.8 blocks; the mix as a chain of nodes peaked at V_out less 1.26.
     vocab = Vocabulary([f"w{i}" for i in range(4995)])
     rng = np.random.default_rng(0)
     article = [f"w{i}" for i in rng.integers(0, 4995, 40)] + ["zz", "qq"]
@@ -702,7 +717,58 @@ def test_backward_peak_stays_under_one_v_out_and_four_output_blocks():
         tracemalloc.stop()
     rows, ext = len(ex.target_ext_ids), ex.ext.size
     assert rows == 15
-    assert peak < model.proj_v_out.value.nbytes + 4 * rows * ext * 4
+    assert peak < model.proj_v_out.value.nbytes - rows * ext * 4
+
+
+def test_a_training_tape_holds_three_output_blocks_and_the_gathered_rows():
+    # After sequence_loss the tape holds three (T x V)-or-wider arrays: the
+    # logits, the vocabulary softmax and the copy mix (the mix as a chain of
+    # nodes kept seven).  After backward the embedding's adjoint holds just
+    # the rows the encoder and the decoder gathered.
+    vocab = Vocabulary([f"w{i}" for i in range(995)])
+    pair = NewsPair(id="wide", article=["w1", "zz", "w2", "zz", "qq", "w1", "w9"],
+                    summary=[["zz", "w7"], ["w2"], ["qq"]])
+    ex = prepare_pair(pair, vocab)
+    model = tiny_summarizer(vocab_size=vocab.size, seed=1)
+    t = Tape()
+    loss, _, _, _ = sequence_loss(t, model, ex, use_coverage=True)
+    rows = len(ex.target_ext_ids)
+    wide = [node.kernel for node in t.nodes
+            if node.value.shape[0] == rows and node.value.shape[1] >= vocab.size]
+    assert wide == [Kernel.MATMUL, Kernel.SOFTMAX, Kernel.COPY_MIX]
+    emb = t.param(model.embedding.weights)
+    t.backward(loss)
+    adjoint = t.nodes[emb].grad
+    assert isinstance(adjoint, RowBlock) and adjoint.block.shape[1] == model.emb_dim
+    assert adjoint.rows.tolist() == sorted(set(ex.ext.enc_ids + ex.dec_in_ids))
+
+
+def test_training_evaluation_and_decoding_never_import_numpy_ma():
+    # A bare np.unique imports numpy.ma on first use (numpy 2.4), which then
+    # holds about 1 MiB for the rest of the process; the distinct ids of the
+    # copy mix and the row-sparse adjoints are taken without it.
+    code = textwrap.dedent("""
+        import sys
+        from b3sum.config import RunConfig
+        from b3sum.corpus import build_vocab, synth_generate
+        from b3sum.summarizer import (SummarizerParams, corpus_loss, decode, prepare_pair,
+                                      train_batch)
+        pairs = synth_generate(seed=7, n=3, oov_rate=0.3)
+        vocab = build_vocab(pairs[1:], mode="cap", size=60)
+        prepared = [prepare_pair(p, vocab) for p in pairs]
+        model = SummarizerParams(vocab.size, emb_dim=4, hidden_dim=8, seed=3)
+        train_batch(model, prepared, RunConfig(batch_size=3), use_coverage=True)
+        corpus_loss(model, prepared, use_coverage=True)
+        decode(model, pairs[0].article, vocab, mode="beam", beam_size=3, max_decode_len=5)
+        print("numpy.ma" in sys.modules)
+    """)
+    env = dict(os.environ)
+    src = str(Path(summarizer.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def _mid_shape_example(target_len, n=200):

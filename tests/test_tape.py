@@ -13,22 +13,25 @@ from hypothesis.extra import numpy as hnp
 from b3sum.tape import (
     ADAGRAD_INIT_ACC,
     SUM_CHUNK,
+    CopyIds,
     DimensionError,
     GradCheckReport,
     NonFiniteError,
     Parameter,
+    RowBlock,
     Tape,
     _sum_of_squares,
     adagrad_step,
     batch_order,
     clip_global_norm,
     finite_diff_check,
+    global_grad_norm,
     optimizer_step,
     train_steps,
     zero_grads,
 )
 
-from oracles import reference_adagrad_step, reference_clip_global_norm
+from oracles import MixChainTape, reference_adagrad_step, reference_clip_global_norm
 
 
 class TestKernelForward:
@@ -152,18 +155,23 @@ class TestKernelForward:
         with pytest.raises(IndexError, match="gather-rows: id -1 at position 0"):
             t.gather_rows(x, [-1])
 
-    def test_scatter_add_accumulates_repeated_ids(self):
+    def test_copy_mix_accumulates_repeated_ids(self):
+        # p_gen 0.5: half of [0.6, 0.4] padded to width 5, plus half the
+        # attention [0.1, 0.2, 0.3, 0.4] copied onto ids [3, 0, 3, 1]
         t = Tape()
-        out = t.scatter_add(t.leaf([[0.1, 0.2, 0.3, 0.4]]), [3, 0, 3, 1], 5)
-        np.testing.assert_allclose(t.value(out), [[0.2, 0.4, 0.0, 0.4, 0.0]], atol=1e-7)
+        out = t.copy_mix(t.leaf([[0.5]]), t.leaf([[0.6, 0.4]]), t.leaf([[0.1, 0.2, 0.3, 0.4]]),
+                         CopyIds([3, 0, 3, 1], 5))
+        np.testing.assert_allclose(t.value(out), [[0.4, 0.4, 0.0, 0.2, 0.0]], atol=1e-7)
 
-    def test_scatter_add_rejects_bad_ids(self):
+    def test_copy_mix_rejects_bad_ids(self):
+        with pytest.raises(IndexError, match="copy-mix: id 4 at position 1"):
+            CopyIds([0, 4], 4)
+        with pytest.raises(IndexError, match="copy-mix: id -1 at position 0"):
+            CopyIds([-1, 0], 4)
         t = Tape()
-        a = t.leaf([[0.5, 0.5]])
-        with pytest.raises(IndexError, match="scatter-add: id 4 at position 1"):
-            t.scatter_add(a, [0, 4], 4)
-        with pytest.raises(DimensionError, match="scatter-add: 3 ids for 2 columns"):
-            t.scatter_add(a, [0, 1, 2], 4)
+        with pytest.raises(DimensionError, match="copy-mix: .* do not fit 3 ids of width 4"):
+            t.copy_mix(t.leaf([[1.0]]), t.leaf([[1.0, 0.0]]), t.leaf([[0.5, 0.5]]),
+                       CopyIds([0, 1, 2], 4))
 
 
 @settings(max_examples=60, deadline=None)
@@ -254,7 +262,8 @@ class TestBackward:
         w = t.param(p)
         rows = t.gather_rows(w, [2, 0, 2])
         scores = t.tanh(t.matmul(rows, x, transpose_b=True))
-        mass = t.scatter_add(t.softmax(t.transpose(scores)), [1, 0, 1], 3)
+        mass = t.copy_mix(t.leaf([[0.0]]), t.leaf([[0.5, 0.5]]), t.softmax(t.transpose(scores)),
+                          CopyIds([1, 0, 1], 3))
         t.backward(t.neg_log_pick(mass, 1))
         held = [nid for nid, node in enumerate(t.nodes) if node.grad is not None]
         assert held == [x, w]
@@ -297,6 +306,118 @@ def test_attention_scores_rows_are_byte_equal_to_the_add_chain(dtype, coverage):
             total = t.add(total, term)
         e = t.transpose(t.matmul(t.tanh(total), leaf["v"], transpose_b=True))
         assert t.value(e).tobytes() == scores[r : r + 1].tobytes()
+
+
+def _copy_mix_run(tape_cls, dtype, p_gen, rows, vocab, n, width, seed):
+    """Value and input adjoints of one copy mix on softmax inputs, read
+    through a random weighting of every output column."""
+    rng = np.random.default_rng(seed)
+    t = tape_cls(dtype)
+    logits = [t.leaf(rng.standard_normal(shape), needs_grad=True)
+              for shape in ((rows, vocab), (rows, n), (rows, 1))]
+    gate = t.sigmoid(logits[2]) if p_gen is None else t.leaf(np.full((rows, 1), p_gen))
+    pool = np.concatenate([rng.choice(vocab, n // 2, replace=False), np.arange(vocab, width)])
+    src = rng.choice(pool, n)
+    src[0], src[1] = width - 1, src[2]  # an OOV id, and a repeated one
+    mix = t.copy_mix(gate, t.softmax(logits[0]), t.softmax(logits[1]), CopyIds(src, width))
+    value = t.value(mix).tobytes()
+    t.backward(t.reduce_sum(t.mul(mix, t.leaf(rng.standard_normal((rows, width))))))
+    return value, [None if t.grad(x) is None else t.grad(x).tobytes() for x in logits]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("p_gen", [None, 0.0, 1.0, 0.3], ids=["learned", "0", "1", "0.3"])
+@pytest.mark.parametrize("rows, vocab, n, width", [(4, 9, 7, 12), (5, 3000, 40, 3004)],
+                         ids=["small", "wide"])
+def test_copy_mix_is_byte_equal_to_the_chain_it_replaced(dtype, p_gen, rows, vocab, n, width):
+    # oracles.MixChainTape builds the pad, concat, scatter-add, scale, add,
+    # mul, mul, add chain; the kernel's value and every input adjoint are
+    # the same bytes.
+    for seed in range(3):
+        got = _copy_mix_run(Tape, dtype, p_gen, rows, vocab, n, width, seed)
+        assert got == _copy_mix_run(MixChainTape, dtype, p_gen, rows, vocab, n, width, seed)
+
+
+class TestRowSparseAdjoints:
+    def test_gather_only_leaf_keeps_its_distinct_rows(self):
+        rng = np.random.default_rng(3)
+        table = rng.standard_normal((50, 4))
+        t = Tape()
+        w = t.leaf(table, needs_grad=True)
+        first, second = [7, 3, 7, 41], [3, 0, 3, 3]
+        loss = t.add(t.reduce_sum(t.tanh(t.gather_rows(w, first))),
+                     t.reduce_sum(t.mul(t.gather_rows(w, second), t.gather_rows(w, second))))
+        t.backward(loss)
+        adjoint = t.nodes[w].grad
+        assert isinstance(adjoint, RowBlock)
+        assert adjoint.rows.tolist() == [0, 3, 7, 41]
+        # the dense rule added the second gather's rows, then the first's
+        want = np.zeros_like(t.value(w))
+        np.add.at(want, second, 2 * t.value(w)[second])
+        np.add.at(want, first, 1 - np.tanh(t.value(w)[first]) ** 2)
+        np.testing.assert_allclose(t.grad(w), want, rtol=1e-6)
+
+    @pytest.mark.parametrize("dense_reader_first", [False, True])
+    def test_a_table_read_by_another_kernel_stays_dense(self, dense_reader_first):
+        p = Parameter("table", np.arange(12.0).reshape(6, 2) / 10)
+        t = Tape()
+        w = t.param(p)
+        terms = [t.reduce_sum(t.gather_rows(w, [1, 4, 1])),
+                 t.reduce_sum(t.matmul(t.leaf([[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]]), w))]
+        if dense_reader_first:
+            terms.reverse()
+        t.backward(t.add(*terms))
+        assert isinstance(t.nodes[w].grad, np.ndarray)
+        want = np.repeat([[1.0], [2.0], [3.0], [4.0], [5.0], [6.0]], 2, axis=1)
+        want[1] += 2.0
+        want[4] += 1.0
+        np.testing.assert_array_equal(p.grad, want)
+
+    def test_parameter_and_tape_return_the_dense_adjoint(self):
+        p = Parameter("table", np.ones((5, 3)))
+        t = Tape()
+        w = t.param(p)
+        t.backward(t.reduce_sum(t.gather_rows(w, [4, 2, 4])))
+        assert isinstance(p._grad, RowBlock)
+        want = np.zeros((5, 3), dtype=np.float32)
+        want[2], want[4] = 1.0, 2.0
+        np.testing.assert_array_equal(t.grad(w), want)
+        assert isinstance(p.grad, np.ndarray) and p.grad.dtype == np.float32
+        np.testing.assert_array_equal(p.grad, want)
+
+    @pytest.mark.parametrize("shape, n_rows", [((3000, 50), 40), ((2000, 128), 460),
+                                               ((7, 3), 7), ((5000, 1), 3)],
+                             ids=["straddling", "paper-like", "all-rows", "column"])
+    def test_norm_clip_and_adagrad_match_the_dense_path(self, shape, n_rows):
+        # Magnitudes spread over e^-4..e^4, so a change in the float64 sum's
+        # order shows in the norm; rows sit anywhere, across chunk bounds too.
+        rng = np.random.default_rng(n_rows)
+        rows = np.sort(rng.choice(shape[0], n_rows, replace=False))
+        block = (rng.standard_normal((n_rows, shape[1]))
+                 * np.exp(rng.uniform(-4, 4, (n_rows, shape[1])))).astype(np.float32)
+        other = rng.standard_normal((2, 3)).astype(np.float32)
+        value = rng.standard_normal(shape).astype(np.float32)
+        acc = rng.uniform(0.1, 5.0, shape).astype(np.float32)
+        runs = []
+        for sparse in (True, False):
+            table, bias = Parameter("table", value), Parameter("bias", np.zeros((2, 3)))
+            table.adagrad_acc[...] = acc
+            grad = RowBlock(rows, block.copy(), shape)
+            table._grad = grad if sparse else grad.dense()
+            bias._grad = other.copy()
+            norm = global_grad_norm([table, bias])
+            factor = clip_global_norm([table, bias], 1.0)
+            adagrad_step([table, bias], 0.15)
+            runs.append((norm, factor, table.value.tobytes(), table.adagrad_acc.tobytes(),
+                         bias.value.tobytes()))
+        assert runs[0] == runs[1]
+        assert runs[0][1] < 1.0
+
+    def test_non_finite_row_is_named(self):
+        p = Parameter("emb", np.zeros((4, 2)))
+        p._grad = RowBlock(np.array([2]), np.array([[1.0, np.inf]], dtype=np.float32), (4, 2))
+        with pytest.raises(NonFiniteError, match="'emb'"):
+            global_grad_norm([p])
 
 
 class TestRecordFreeTape:
