@@ -17,11 +17,12 @@ from b3sum.pipeline import (
     StructureAwareModel,
     auto_label_corpus,
     finetune,
+    prepare_pairs,
     pretrain,
     structure_aware_summarize,
     update_manifest,
 )
-from b3sum.summarizer import corpus_loss, prepare_pair
+from b3sum.summarizer import corpus_loss
 
 workdir = Path(tempfile.mkdtemp(prefix="b3sum_demo_"))
 cfg = RunConfig(hidden_dim=32, emb_dim=32, classifier_emb_dim=32,
@@ -53,7 +54,7 @@ seq_model, seq_info = finetune(workdir / "base.ckpt", seq, "sequence", vocab, cf
 update_manifest(workdir / "manifest.json", par_info)
 update_manifest(workdir / "manifest.json", seq_info)
 for name, sub in (("parallel", par_model), ("sequence", seq_model)):
-    subset = [prepare_pair(p, vocab) for p in heldout if p.label.binary == name]
+    subset = prepare_pairs([p for p in heldout if p.label.binary == name], vocab, cfg)
     print(f"   {name}: held-out loss {corpus_loss(base, subset):.3f} (base) -> "
           f"{corpus_loss(sub, subset):.3f} (fine-tuned)")
 

@@ -127,18 +127,36 @@ class Vocabulary:
 # -- JSON and JSONL ingestion --------------------------------------------
 
 
+def _parse_id(obj: dict) -> str:
+    """``obj["id"]``, a string or an integer (not a bool), as a string."""
+    doc_id = obj["id"]
+    if isinstance(doc_id, bool) or not isinstance(doc_id, (str, int)):
+        raise CorpusError(f"id must be a string or an integer, got {type(doc_id).__name__}")
+    return str(doc_id)
+
+
+def _tokens(text, what: str) -> list[str]:
+    if not isinstance(text, str):
+        raise CorpusError(f"{what} must be a string, got {type(text).__name__}")
+    return text.split()
+
+
+def _parse_sentences(sents) -> list[list[str]]:
+    return [_tokens(s, f"summary sentence {k + 1}") for k, s in enumerate(sents)]
+
+
 def _parse_pair(obj: dict) -> NewsPair:
     for key in ("id", "article", "summary"):
         if key not in obj:
             raise CorpusError(f"missing required field {key!r}")
-    article = str(obj["article"]).split()
+    article = _tokens(obj["article"], "article")
     if not article:
         raise CorpusError("article is empty")
     summary_raw = obj["summary"]
     if not isinstance(summary_raw, list) or len(summary_raw) != 3:
         got = len(summary_raw) if isinstance(summary_raw, list) else type(summary_raw).__name__
         raise CorpusError(f"summary must have exactly 3 sentences, got {got}")
-    summary = [str(s).split() for s in summary_raw]
+    summary = _parse_sentences(summary_raw)
     if any(not s for s in summary):
         raise CorpusError("summary sentence is empty")
     label = None
@@ -148,7 +166,7 @@ def _parse_pair(obj: dict) -> NewsPair:
         except ValueError:
             raise CorpusError(f"invalid label string {obj['label']!r}") from None
     return NewsPair(
-        id=str(obj["id"]),
+        id=_parse_id(obj),
         article=article,
         summary=summary,
         label=label,
@@ -212,7 +230,7 @@ def _parse_summary(obj: dict) -> tuple[str, list[list[str]]]:
     sents = obj["summary"]
     if not isinstance(sents, list) or len(sents) != 3:
         raise CorpusError("summary must have 3 sentences")
-    return str(obj["id"]), [str(s).split() for s in sents]
+    return _parse_id(obj), _parse_sentences(sents)
 
 
 def load_summary_file(path) -> dict[str, list[list[str]]]:
@@ -220,9 +238,19 @@ def load_summary_file(path) -> dict[str, list[list[str]]]:
 
     Unlike training corpora, system outputs may contain empty sentences
     (padded short decodes), so only the sentence count is enforced.  A bad
-    line raises CorpusError naming the file and the line.
+    line, or an id an earlier line holds, raises CorpusError naming the file
+    and the line.
     """
-    return dict(read_jsonl(path, _parse_summary))
+    summaries: dict[str, list[list[str]]] = {}
+
+    def parse(obj):
+        doc_id, sents = _parse_summary(obj)
+        if doc_id in summaries:
+            raise CorpusError(f"repeated id {doc_id!r}")
+        summaries[doc_id] = sents
+
+    read_jsonl(path, parse)
+    return summaries
 
 
 def save_summary_file(summaries: dict, path, extra: dict | None = None) -> None:

@@ -76,18 +76,15 @@ def lstm_step(tape: Tape, cell: LstmCell, xs: int, s0: int, reverse: bool = Fals
     """The cell over the rows of ``xs`` (n x input) from the state row
     ``s0 = [h0 | c0]``: one ``lstm`` node whose row t is [h_t | c_t], the
     state after reading row t; with ``reverse`` the rows are read last to
-    first.  Decoding calls it on one row per step.
-
-    The four gates are stacked once per tape, so their parameters and the
-    checkpoint keep one tensor per gate.
+    first.  Decoding calls it on one row per step.  The kernel reads each
+    gate's weight and bias leaf as it is stored.
     """
     if tape.value(xs).shape[1] != cell.input_dim:
         raise DimensionError(
             f"lstm_step: input dims {tape.value(xs).shape} != (n, {cell.input_dim})"
         )
-    w = tape.param_stack([cell.w[g] for g in cell.GATES], axis=0)
-    b = tape.param_stack([cell.b[g] for g in cell.GATES], axis=1)
-    return tape.lstm(xs, s0, w, b, reverse)
+    return tape.lstm(xs, s0, [tape.param(cell.w[g]) for g in cell.GATES],
+                     [tape.param(cell.b[g]) for g in cell.GATES], reverse)
 
 
 class BiLstmEncoder:

@@ -84,6 +84,14 @@ def decode_article(model: SummarizerParams, article_tokens, vocab: Vocabulary,
                   use_coverage=cfg.coverage_from_step is not None)
 
 
+def prepare_pairs(pairs: list[NewsPair], vocab: Vocabulary,
+                  cfg: RunConfig) -> list[PreparedExample]:
+    """Each pair prepared for training or loss, its article read, as
+    decoding reads it, up to its first ``max_src_len`` tokens."""
+    return [prepare_pair(replace(p, article=p.article[: cfg.max_src_len]), vocab)
+            for p in pairs]
+
+
 def coverage_at(cfg: RunConfig, step: int) -> bool:
     """Whether training step ``step`` (from 0) adds the coverage loss."""
     return cfg.coverage_from_step is not None and step >= cfg.coverage_from_step
@@ -100,16 +108,13 @@ def _train_steps(model: SummarizerParams, prepared: list[PreparedExample],
 def _train_stage(model: SummarizerParams, pairs: list[NewsPair], vocab: Vocabulary,
                  cfg: RunConfig, steps: int, info: dict,
                  out_path) -> tuple[SummarizerParams, dict]:
-    """Train ``model`` for ``steps`` steps on ``pairs``, each read, as
-    decoding reads it, up to its first ``max_src_len`` article tokens.
+    """Train ``model`` for ``steps`` steps on ``prepare_pairs(pairs, ...)``.
 
     Returns the model and ``info`` plus the step and pair counts, the config
     hash and the last loss, and, with an ``out_path``, the checkpoint
     written there and its digest.
     """
-    prepared = [prepare_pair(replace(p, article=p.article[: cfg.max_src_len]), vocab)
-                for p in pairs]
-    losses = _train_steps(model, prepared, cfg, steps)
+    losses = _train_steps(model, prepare_pairs(pairs, vocab, cfg), cfg, steps)
     info |= {"steps": steps, "pairs": len(pairs), "config_hash": cfg.hash_hex(),
              "final_loss": losses[-1] if losses else None}
     if out_path is not None:
@@ -185,10 +190,10 @@ def structure_aware_summarize(model: StructureAwareModel, article_tokens,
     the three sentences with the routing decision attached."""
     if not article_tokens:
         raise ValueError("structure_aware_summarize: empty article")
-    truncated = article_tokens[: cfg.max_src_len]
-    res = classify(model.article_classifier, model.classifier_vocab.encode(truncated))
+    res = classify(model.article_classifier,
+                   model.classifier_vocab.encode(article_tokens[: cfg.max_src_len]))
     sub = model.parallel_model if res.label == "parallel" else model.sequence_model
-    out = decode_article(sub, truncated, model.vocab, cfg, mode)
+    out = decode_article(sub, article_tokens, model.vocab, cfg, mode)
     return {
         "summary": out.sentences,
         "chosen_label": res.label,

@@ -261,20 +261,21 @@ def _sigmoid(v):
 def _lstm_forward(x, s0, w, b, reverse):
     """Rows [h_t | c_t] of an LSTM over the rows of ``x``, and its gates.
 
-    Each step makes one (1 x (in + H)) product per gate, as the per-step
-    cell did: a product with all four gates stacked rounds differently when
-    H is not a multiple of the BLAS kernel's block of outputs.  Returns the
-    (n x 2H) states and the (n x 4H) activated gates [i | f | o | g].
+    Each step makes one (1 x (in + H)) product with each gate's stored
+    weights ``w`` (i, f, o, g), as the per-step cell did: a product with all
+    four gates stacked rounds differently when H is not a multiple of the
+    BLAS kernel's block of outputs.  Returns the (n x 2H) states and the
+    (n x 4H) activated gates [i | f | o | g].
     """
     n, hidden = x.shape[0], s0.shape[1] // 2
-    dtype = np.result_type(x, s0, w, b)
+    dtype = np.result_type(x, s0, *w, *b)
     out = np.empty((n, 2 * hidden), dtype=dtype)
     gates = np.empty((n, 4 * hidden), dtype=dtype)
     h, c = s0[:, :hidden], s0[:, hidden:]
-    w_gates = [w[k * hidden : (k + 1) * hidden].T for k in range(4)]
+    b = np.concatenate(b, axis=1)
     for t in range(n - 1, -1, -1) if reverse else range(n):
         xh = np.concatenate([x[t : t + 1], h], axis=1)
-        z = np.concatenate([xh @ w_g for w_g in w_gates], axis=1) + b
+        z = np.concatenate([xh @ w_k.T for w_k in w], axis=1) + b
         gate = gates[t : t + 1]
         gate[:, : 3 * hidden] = _sigmoid(z[:, : 3 * hidden])
         gate[:, 3 * hidden :] = np.tanh(z[:, 3 * hidden :])
@@ -291,11 +292,14 @@ def _lstm_backward(x, s0, w, out, gates, reverse, grad):
 
     The recurrence carries (dh, dc) from the last step read to the first;
     each step's gate adjoints land in one (n x 4H) array, so the input, weight
-    and bias adjoints are one product or sum each.  Returns the adjoints of
-    x, s0, w and b.
+    and bias adjoints are one product or sum each.  The gate weights are
+    stacked only here, for the input and per-step h products.  Returns the
+    adjoints of x and s0, then each gate's weight and bias adjoint, a block
+    of the stacked one.
     """
     n, d_in = x.shape
     hidden = s0.shape[1] // 2
+    w = np.concatenate(w)
     # the state each row starts from: the row read just before it, or s0
     prev = np.concatenate([out[1:], s0]) if reverse else np.concatenate([s0, out[:-1]])
     i, f, o, g = (gates[:, k * hidden : (k + 1) * hidden] for k in range(4))
@@ -323,7 +327,9 @@ def _lstm_backward(x, s0, w, out, gates, reverse, grad):
     dw[:, :d_in] = dz.T @ x
     dw[:, d_in:] = dz.T @ prev[:, :hidden]
     ds0 = np.concatenate([dh_next, dc_next])[np.newaxis]
-    return dz @ w[:, :d_in], ds0, dw, dz.sum(axis=0, keepdims=True)
+    db = dz.sum(axis=0, keepdims=True)
+    blocks = [slice(k * hidden, (k + 1) * hidden) for k in range(4)]
+    return (dz @ w[:, :d_in], ds0, *(dw[k] for k in blocks), *(db[:, k] for k in blocks))
 
 
 def _score_tanh(features, queries, bias, coverage, w_c, r):
@@ -421,7 +427,6 @@ class Tape:
         self.record = record
         self.nodes: list[TapeNode] | NodeCount = [] if record else NodeCount()
         self._param_nodes: dict[int, tuple[int, Parameter]] = {}
-        self._stacks: dict[tuple, int] = {}
         self._swept = False
 
     def __len__(self):
@@ -459,15 +464,6 @@ class Tape:
             return entry[0]
         nid = self.leaf(p.value, needs_grad=True)  # no copy when dtypes match
         self._param_nodes[id(p)] = (nid, p)
-        return nid
-
-    def param_stack(self, params, axis: int = 0) -> int:
-        """The parameters' leaves joined along ``axis`` by one ``concat``,
-        built once per tape and then shared, as ``param`` shares a leaf."""
-        key = (axis,) + tuple(id(p) for p in params)
-        nid = self._stacks.get(key)
-        if nid is None:
-            nid = self._stacks[key] = self.concat([self.param(p) for p in params], axis=axis)
         return nid
 
     def matmul(self, a: int, b: int, transpose_b: bool = False, per_row: bool = False) -> int:
@@ -638,27 +634,28 @@ class Tape:
         value = np.array([[-math.log(p)] for p in picked.tolist()], dtype=self.dtype)
         return self._append(Kernel.NEG_LOG_PICK, (a,), value, ids)
 
-    def lstm(self, xs: int, s0: int, w: int, b: int, reverse: bool = False) -> int:
+    def lstm(self, xs: int, s0: int, w, b, reverse: bool = False) -> int:
         """An LSTM over the rows of ``xs`` (n x in), from the state row
         ``s0 = [h0 | c0]`` (1 x 2H).
 
-        ``w`` (4H x (in + H)) and ``b`` (1 x 4H) hold the gates' weights and
-        biases stacked in the order i, f, o, g.  Row t of the (n x 2H) value
-        is [h_t | c_t], the state after reading row t; with ``reverse`` the
-        rows are read last to first.  The activated gates are kept for
-        backward, which runs backpropagation through time with one weight
-        product per sequence.
+        ``w`` is the four gates' (H x (in + H)) weight nodes and ``b`` their
+        (1 x H) bias nodes, each in the order i, f, o, g.  Row t of the
+        (n x 2H) value is [h_t | c_t], the state after reading row t; with
+        ``reverse`` the rows are read last to first.  The activated gates
+        are kept for backward, which runs backpropagation through time with
+        one weight product per sequence.
         """
-        vx, vs, vw, vb = (self.value(i) for i in (xs, s0, w, b))
+        vx, vs, *vwb = (self.value(i) for i in (xs, s0, *w, *b))
         hidden = vs.shape[1] // 2
+        shapes = [v.shape for v in vwb]
         if (vx.shape[0] < 1 or vs.shape != (1, 2 * hidden)
-                or vw.shape != (4 * hidden, vx.shape[1] + hidden) or vb.shape != (1, 4 * hidden)):
+                or shapes != [(hidden, vx.shape[1] + hidden)] * 4 + [(1, hidden)] * 4):
             raise DimensionError(
-                f"lstm: inputs {vx.shape}, state {vs.shape}, weights {vw.shape} and "
-                f"bias {vb.shape} do not fit"
+                f"lstm: inputs {vx.shape}, state {vs.shape}, gate weights and biases "
+                f"{shapes} do not fit"
             )
-        out, gates = _lstm_forward(vx, vs, vw, vb, reverse)
-        return self._append(Kernel.LSTM, (xs, s0, w, b), out, (reverse, gates))
+        out, gates = _lstm_forward(vx, vs, vwb[:4], vwb[4:], reverse)
+        return self._append(Kernel.LSTM, (xs, s0, *w, *b), out, (reverse, gates))
 
     def attention_scores(self, features: int, queries: int, v: int, bias: int,
                          coverage: int | None = None, w_c: int | None = None) -> int:
@@ -858,8 +855,8 @@ class Tape:
                 self._dense_grad(src)[node.arg] += g
         elif k is Kernel.LSTM:
             reverse, gates = node.arg
-            xs, s0, w, b = (self.nodes[i].value for i in ids)
-            for i, gi in zip(ids, _lstm_backward(xs, s0, w, node.value, gates, reverse, g)):
+            xs, s0, *w = (self.nodes[i].value for i in ids)
+            for i, gi in zip(ids, _lstm_backward(xs, s0, w[:4], node.value, gates, reverse, g)):
                 self._add_grad(i, gi)
         elif k is Kernel.ATTENTION_SCORES:
             values = [self.nodes[i].value for i in ids]

@@ -112,8 +112,9 @@ class TestCriterion1GradientCorrectness:
         # an LSTM over 3 rows (in 2, hidden 2) from a non-zero state [h0 | c0]
         x_seq = Parameter("x_seq", rng.uniform(-0.8, 0.8, (3, 2)))
         s0 = Parameter("s0", rng.uniform(-0.8, 0.8, (1, 4)))
-        w_gates = Parameter("w_gates", rng.uniform(-0.8, 0.8, (8, 4)))
-        b_gates = Parameter("b_gates", rng.uniform(-0.8, 0.8, (1, 8)))
+        w_draw, b_draw = rng.uniform(-0.8, 0.8, (8, 4)), rng.uniform(-0.8, 0.8, (1, 8))
+        w_gates = [Parameter(f"W_{g}", w_draw[2 * k : 2 * k + 2]) for k, g in enumerate("ifog")]
+        b_gates = [Parameter(f"b_{g}", b_draw[:, 2 * k : 2 * k + 2]) for k, g in enumerate("ifog")]
         lstm_read = rng.uniform(-1, 1, (3, 4))
         # attention of 2 query rows over 3 positions, attn 2
         feats = Parameter("feats", rng.uniform(-0.8, 0.8, (3, 2)))
@@ -199,8 +200,8 @@ class TestCriterion1GradientCorrectness:
         def k_lstm(reverse):
             def build(dtype):
                 t = Tape(dtype=dtype)
-                out = t.lstm(t.param(x_seq), t.param(s0), t.param(w_gates), t.param(b_gates),
-                             reverse)
+                out = t.lstm(t.param(x_seq), t.param(s0), [t.param(p) for p in w_gates],
+                             [t.param(p) for p in b_gates], reverse)
                 return t, t.reduce_sum(t.mul(out, t.leaf(lstm_read)))
 
             return build
@@ -215,7 +216,7 @@ class TestCriterion1GradientCorrectness:
 
             return build
 
-        lstm_params = [x_seq, s0, w_gates, b_gates]
+        lstm_params = [x_seq, s0, *w_gates, *b_gates]
         attn_kernel_params = [feats, queries, v_att, bias]
         for what, build, params in [
             ("matmul", k_matmul, [a, b]),

@@ -376,6 +376,17 @@ class TestModelCommands:
         assert f"error: manifest {manifest}: not a JSON object" in err
         assert not out.exists()
 
+    def test_summarize_names_a_non_string_article(self, pretrained, tmp_path, capsys):
+        articles, out = tmp_path / "articles.jsonl", tmp_path / "sys.jsonl"
+        articles.write_text(json.dumps({"id": "a", "article": ["x", "y"],
+                                        "summary": ["s one", {"k": 1}, 5]}) + "\n")
+        code, _, err = run(capsys, "summarize", "--articles", str(articles),
+                           "--vocab", str(pretrained[0]), "--checkpoint", str(pretrained[1]),
+                           "--summaries-out", str(out), *TINY)
+        assert code == 1
+        assert f"error: {articles}: line 1: article must be a string, got list" in err
+        assert not out.exists()
+
     def test_summarize_requires_model_flags(self, workspace, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["summarize", "--articles", "x.jsonl", "--vocab", "v.json",
@@ -462,6 +473,16 @@ class TestEvaluationCommands:
                            "--reference", str(ref_path))
         assert code == 1
         assert f"error: {sys_path}: {message}" in err
+
+    def test_evaluate_rejects_a_repeated_system_id(self, tmp_path, capsys, reference):
+        ref_path, pairs = reference
+        sys_path = self._write_system(tmp_path, pairs)
+        lines = sys_path.read_bytes().splitlines(keepends=True)
+        sys_path.write_bytes(b"".join(lines) + lines[0])
+        code, _, err = run(capsys, "evaluate", "--system", str(sys_path),
+                           "--reference", str(ref_path))
+        assert code == 1
+        assert f"error: {sys_path}: line {len(lines) + 1}: repeated id {pairs[0].id!r}" in err
 
     def test_evaluate_names_the_bad_reference_line(self, tmp_path, capsys, reference):
         ref_path, pairs = reference

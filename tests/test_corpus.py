@@ -91,6 +91,39 @@ class TestJsonl:
         out = load_summary_file(path)
         assert out["d1"] == [["a", "b"], [], ["c"]]
 
+    @pytest.mark.parametrize("load, field, message", [
+        (load_jsonl, {"id": None}, "id must be a string or an integer, got NoneType"),
+        (load_jsonl, {"id": True}, "id must be a string or an integer, got bool"),
+        (load_jsonl, {"article": ["x", "y"]}, "article must be a string, got list"),
+        (load_jsonl, {"summary": ["s one", {"k": 1}, 5]},
+         "summary sentence 2 must be a string, got dict"),
+        (load_summary_file, {"id": None}, "id must be a string or an integer, got NoneType"),
+        (load_summary_file, {"id": False}, "id must be a string or an integer, got bool"),
+        (load_summary_file, {"summary": ["a", 5, "c"]},
+         "summary sentence 2 must be a string, got int"),
+    ], ids=["corpus-id-null", "corpus-id-bool", "corpus-article-list", "corpus-sentence-object",
+            "summaries-id-null", "summaries-id-bool", "summaries-sentence-int"])
+    def test_fields_are_not_coerced(self, tmp_path, load, field, message):
+        path = tmp_path / "c.jsonl"
+        record = {"id": "a", "article": "x y", "summary": ["a", "b", "c"]} | field
+        path.write_text(json.dumps(_pair().to_json()) + "\n" + json.dumps(record) + "\n")
+        with pytest.raises(CorpusError, match=f"{re.escape(str(path))}: line 2: {message}"):
+            load(path)
+
+    def test_integer_ids_are_read_as_strings(self, tmp_path):
+        corpus, summaries = tmp_path / "c.jsonl", tmp_path / "s.jsonl"
+        corpus.write_text(json.dumps(_pair().to_json() | {"id": 7}) + "\n")
+        summaries.write_text(json.dumps({"id": 7, "summary": ["a", "b", "c"]}) + "\n")
+        assert load_jsonl(corpus)[0].id == "7"
+        assert list(load_summary_file(summaries)) == ["7"]
+
+    def test_summary_file_rejects_a_repeated_id(self, tmp_path):
+        path = tmp_path / "s.jsonl"
+        path.write_text("".join(json.dumps({"id": i, "summary": [i, "b", "c"]}) + "\n"
+                                for i in ("a", "b", "a")))
+        with pytest.raises(CorpusError, match=f"{re.escape(str(path))}: line 3: repeated id 'a'"):
+            load_summary_file(path)
+
 
 class TestStructureLabel:
     def test_binary_projection_total(self):

@@ -14,10 +14,13 @@ from b3sum.layers import (
     uniform_param,
     zeros_param,
 )
-from b3sum.tape import Parameter, Tape, finite_diff_check
+from b3sum import classifier, summarizer
+from b3sum.classifier import ClassifierParams, ClassifierTrainConfig, LabeledExample
+from b3sum.config import RunConfig
+from b3sum.tape import Kernel, Parameter, Tape, finite_diff_check, optimizer_step
 
 import oracles
-from helpers import zero_params
+from helpers import tiny_corpus, tiny_summarizer, zero_params
 
 
 def _rng(seed=0):
@@ -158,6 +161,33 @@ class TestLstmStep:
         kernel, per_step = grads(False), grads(True)
         for name, ref in per_step.items():
             np.testing.assert_allclose(kernel[name], ref, rtol=0, atol=1e-12, err_msg=name)
+
+    def test_training_tapes_hold_no_stacked_gate_copy(self, monkeypatch):
+        # The kernel reads each gate's weight and bias leaf as stored, so no
+        # computed node of a training tape holds a cell's four gates joined.
+        _, vocab, prepared = tiny_corpus(n=2)
+        summ = tiny_summarizer(vocab.size, emb=3, hidden=5)
+        cls = ClassifierParams(vocab.size, emb_dim=4, hidden_dim=6, seed=1)
+        shapes = []
+
+        def recording(tape, loss, *args, **kwargs):
+            shapes.append({n.value.shape for n in tape.nodes if n.kernel is not Kernel.LEAF})
+            return optimizer_step(tape, loss, *args, **kwargs)
+
+        monkeypatch.setattr(summarizer, "optimizer_step", recording)
+        monkeypatch.setattr(classifier, "optimizer_step", recording)
+        summarizer.train_batch(summ, prepared, RunConfig())
+        classifier.train_classifier(
+            cls, [LabeledExample([5, 6, 7], 0), LabeledExample([8, 9], 1)], None,
+            ClassifierTrainConfig(batch_size=2, epochs=1))
+        assert len(shapes) == 2
+        for cells, seen in (
+            ([summ.encoder.forward_cell, summ.encoder.backward_cell, summ.decoder], shapes[0]),
+            ([cls.encoder.forward_cell, cls.encoder.backward_cell], shapes[1]),
+        ):
+            for cell in cells:
+                stacked_w = (4 * cell.hidden_dim, cell.input_dim + cell.hidden_dim)
+                assert stacked_w not in seen and (1, 4 * cell.hidden_dim) not in seen
 
 
 class TestBiLstmEncoder:

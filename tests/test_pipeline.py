@@ -16,6 +16,7 @@ from b3sum.pipeline import (
     auto_label_corpus,
     finetune,
     new_summarizer,
+    prepare_pairs,
     pretrain,
     open_manifest,
     structure_aware_summarize,
@@ -146,6 +147,17 @@ def test_training_reads_the_first_max_src_len_article_tokens(corpus, tmp_path, m
     assert digests[0] == digests[1]
     # 4 + 4 pretraining and 4 + 1 fine-tuning pairs, twice
     assert [len(ex.ext.src_ext_ids) for batch in batches for ex in batch] == [9] * 26
+
+
+def test_held_out_loss_reads_the_first_max_src_len_article_tokens(corpus):
+    pairs, vocab = corpus
+    pairs, cfg = pairs[:4], _cfg(max_src_len=9)
+    assert {len(p.article) for p in pairs} == {40}
+    model = new_summarizer(vocab.size, cfg)
+    cut = [replace(p, article=p.article[: cfg.max_src_len]) for p in pairs]
+    loss = summarizer.corpus_loss(model, prepare_pairs(pairs, vocab, cfg))
+    assert loss == summarizer.corpus_loss(model, [prepare_pair(p, vocab) for p in cut])
+    assert loss != summarizer.corpus_loss(model, [prepare_pair(p, vocab) for p in pairs])
 
 
 class TestAutoLabel:

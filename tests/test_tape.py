@@ -126,7 +126,7 @@ class TestKernelForward:
         t = Tape()
         x, s0 = t.leaf(np.ones((3, 2))), t.leaf(np.ones((1, 4)))
         with pytest.raises(DimensionError, match="lstm: inputs"):
-            t.lstm(x, s0, t.leaf(np.ones((8, 3))), t.leaf(np.ones((1, 8))))
+            t.lstm(x, s0, [t.leaf(np.ones((2, 3)))] * 4, [t.leaf(np.ones((1, 2)))] * 4)
         feats, queries, row = t.leaf(np.ones((3, 2))), t.leaf(np.ones((2, 2))), t.leaf([[1.0, 2.0]])
         with pytest.raises(DimensionError, match="attention-scores: .*coverage"):
             t.attention_scores(feats, queries, row, row, t.leaf(np.ones((2, 2))), row)
