@@ -145,12 +145,14 @@ def train_classifier(model: ClassifierParams, train: list[LabeledExample],
     params = model.params()
 
     def step(_, idx):
-        tape = Tape()
-        losses = [
-            tape.neg_log_pick(decision_distribution(tape, model, train[i].ids), train[i].gold)
-            for i in idx
-        ]
-        return optimizer_step(tape, tape.reduce_mean(tape.concat(losses, axis=1)), params, cfg.lr)
+        def build(tape):
+            losses = [
+                tape.neg_log_pick(decision_distribution(tape, model, train[i].ids), train[i].gold)
+                for i in idx
+            ]
+            return tape.reduce_mean(tape.concat(losses, axis=1))
+
+        return optimizer_step(build, params, cfg.lr)
 
     per_epoch = len(range(0, len(train), cfg.batch_size))
     step_losses = train_steps(step, len(train), cfg.batch_size, cfg.seed,

@@ -165,12 +165,15 @@ def _parse_pair(obj: dict) -> NewsPair:
             label = StructureLabel(obj["label"])
         except ValueError:
             raise CorpusError(f"invalid label string {obj['label']!r}") from None
+    category = obj.get("category")
+    if category is not None and not isinstance(category, str):
+        raise CorpusError(f"category must be a string or null, got {type(category).__name__}")
     return NewsPair(
         id=_parse_id(obj),
         article=article,
         summary=summary,
         label=label,
-        category=obj.get("category"),
+        category=category,
     )
 
 
@@ -212,9 +215,25 @@ def read_jsonl(path, parse) -> list:
     return results
 
 
+def _distinct_ids(parse, id_of):
+    """``parse`` for ``read_jsonl`` that also rejects an id an earlier line held."""
+    seen: set[str] = set()
+
+    def checked(obj):
+        item = parse(obj)
+        doc_id = id_of(item)
+        if doc_id in seen:
+            raise CorpusError(f"repeated id {doc_id!r}")
+        seen.add(doc_id)
+        return item
+
+    return checked
+
+
 def load_jsonl(path) -> list[NewsPair]:
-    """The pairs in a corpus file; a bad line raises as ``read_jsonl`` says."""
-    return read_jsonl(path, _parse_pair)
+    """The pairs in a corpus file.  A bad line, or an id an earlier line
+    holds, raises CorpusError naming the file and the line."""
+    return read_jsonl(path, _distinct_ids(_parse_pair, lambda pair: pair.id))
 
 
 def save_jsonl(pairs, path):
@@ -241,16 +260,7 @@ def load_summary_file(path) -> dict[str, list[list[str]]]:
     line, or an id an earlier line holds, raises CorpusError naming the file
     and the line.
     """
-    summaries: dict[str, list[list[str]]] = {}
-
-    def parse(obj):
-        doc_id, sents = _parse_summary(obj)
-        if doc_id in summaries:
-            raise CorpusError(f"repeated id {doc_id!r}")
-        summaries[doc_id] = sents
-
-    read_jsonl(path, parse)
-    return summaries
+    return dict(read_jsonl(path, _distinct_ids(_parse_summary, lambda item: item[0])))
 
 
 def save_summary_file(summaries: dict, path, extra: dict | None = None) -> None:

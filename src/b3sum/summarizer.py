@@ -410,14 +410,16 @@ def train_batch(model: SummarizerParams, batch: list[PreparedExample],
     loss, or raises NonFiniteError with every value unchanged."""
     if not batch:
         raise ValueError("train_batch: empty batch")
-    tape = Tape()
-    losses = [
-        sequence_loss(tape, model, ex, use_coverage=use_coverage,
-                      cov_lambda=cfg.coverage_lambda)[0]
-        for ex in batch
-    ]
-    total = tape.reduce_mean(tape.concat(losses, axis=1))
-    return optimizer_step(tape, total, model.params(), cfg.lr, cfg.clip_norm)
+
+    def build(tape):
+        losses = [
+            sequence_loss(tape, model, ex, use_coverage=use_coverage,
+                          cov_lambda=cfg.coverage_lambda)[0]
+            for ex in batch
+        ]
+        return tape.reduce_mean(tape.concat(losses, axis=1))
+
+    return optimizer_step(build, model.params(), cfg.lr, cfg.clip_norm)
 
 
 def corpus_loss(model: SummarizerParams, examples: list[PreparedExample],

@@ -176,11 +176,13 @@ class CopyIds:
 class Parameter:
     """A named trainable tensor with gradient and Adagrad accumulator state.
 
-    ``grad`` (zeros) and ``adagrad_acc`` (``ADAGRAD_INIT_ACC``) are created
-    on first use, so a model that only evaluates or decodes holds just its
-    values.  Backward may leave a ``RowBlock`` in ``_grad`` (the adjoint of
-    a table only ``gather_rows`` reads), which the optimizer functions use
-    as it is; reading ``grad`` makes it dense.
+    ``grad`` (zeros) is created on first use.  The accumulator
+    (``ADAGRAD_INIT_ACC``) is made by ``optimizer_step`` before it builds the
+    step's tape, and dropped again if that step raises; a direct read of
+    ``adagrad_acc`` makes it too.  So a model that only evaluates or decodes
+    holds just its values.  Backward may leave a ``RowBlock`` in ``_grad``
+    (the adjoint of a table only ``gather_rows`` reads), which the optimizer
+    functions use as it is; reading ``grad`` makes it dense.
     ``zero_grad`` releases the grad; the next read of ``grad`` sees zeros.
     """
 
@@ -997,23 +999,35 @@ def adagrad_step(params, lr: float):
         p.zero_grad()
 
 
-def optimizer_step(tape: Tape, loss: int, params, lr: float,
-                   clip_norm: float | None = None) -> float:
-    """Backward, clip to ``clip_norm`` (None: only check), Adagrad; returns the loss.
+def optimizer_step(build, params, lr: float, clip_norm: float | None = None) -> float:
+    """One training update: ``build(tape)`` returns the loss node on a new
+    ``Tape``; then backward, clip to ``clip_norm`` (None: only check) and
+    Adagrad.  Returns the loss.
 
-    A non-finite loss (before backward) or grad (naming the parameter, with
-    every grad released) raises NonFiniteError, and no value changes."""
-    value = float(tape.value(loss)[0, 0])
-    if not math.isfinite(value):
-        raise NonFiniteError(f"non-finite loss {value}")
-    tape.backward(loss)
+    Every Adagrad accumulator a parameter lacks is made before the tape, so
+    the optimizer's long-lived state sits below the step's temporaries and
+    their space can be reused by the next step.  A non-finite loss (before
+    backward) or grad (naming the parameter) raises NonFiniteError; that, or
+    any exception from ``build``, releases every grad and drops the
+    accumulators this call made, so no value or accumulator changes."""
+    made = [p for p in params if p._acc is None]
+    for p in made:
+        p._acc = np.full_like(p.value, ADAGRAD_INIT_ACC)
     try:
+        tape = Tape()
+        loss = build(tape)
+        value = float(tape.value(loss)[0, 0])
+        if not math.isfinite(value):
+            raise NonFiniteError(f"non-finite loss {value}")
+        tape.backward(loss)
         if clip_norm is None:
             global_grad_norm(params)
         else:
             clip_global_norm(params, clip_norm)
-    except NonFiniteError:
+    except BaseException:
         zero_grads(params)  # leave no half-made step behind
+        for p in made:
+            p._acc = None
         raise
     adagrad_step(params, lr)
     return value

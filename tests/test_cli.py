@@ -387,6 +387,20 @@ class TestModelCommands:
         assert f"error: {articles}: line 1: article must be a string, got list" in err
         assert not out.exists()
 
+    def test_summarize_rejects_a_repeated_article_id(self, workspace, pretrained, tmp_path,
+                                                     capsys):
+        # summaries are keyed by id, so a repeated article would be decoded and then dropped
+        articles, out = tmp_path / "articles.jsonl", tmp_path / "sys.jsonl"
+        lines = (workspace / "heldout.jsonl").read_bytes().splitlines(keepends=True)
+        articles.write_bytes(b"".join(lines) + lines[0])
+        code, _, err = run(capsys, "summarize", "--articles", str(articles),
+                           "--vocab", str(pretrained[0]), "--checkpoint", str(pretrained[1]),
+                           "--summaries-out", str(out), *TINY)
+        assert code == 1
+        first = json.loads(lines[0])["id"]
+        assert f"error: {articles}: line {len(lines) + 1}: repeated id {first!r}" in err
+        assert not out.exists()
+
     def test_summarize_requires_model_flags(self, workspace, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["summarize", "--articles", "x.jsonl", "--vocab", "v.json",

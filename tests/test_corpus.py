@@ -97,12 +97,14 @@ class TestJsonl:
         (load_jsonl, {"article": ["x", "y"]}, "article must be a string, got list"),
         (load_jsonl, {"summary": ["s one", {"k": 1}, 5]},
          "summary sentence 2 must be a string, got dict"),
+        (load_jsonl, {"category": {"k": [1]}}, "category must be a string or null, got dict"),
         (load_summary_file, {"id": None}, "id must be a string or an integer, got NoneType"),
         (load_summary_file, {"id": False}, "id must be a string or an integer, got bool"),
         (load_summary_file, {"summary": ["a", 5, "c"]},
          "summary sentence 2 must be a string, got int"),
     ], ids=["corpus-id-null", "corpus-id-bool", "corpus-article-list", "corpus-sentence-object",
-            "summaries-id-null", "summaries-id-bool", "summaries-sentence-int"])
+            "corpus-category-object", "summaries-id-null", "summaries-id-bool",
+            "summaries-sentence-int"])
     def test_fields_are_not_coerced(self, tmp_path, load, field, message):
         path = tmp_path / "c.jsonl"
         record = {"id": "a", "article": "x y", "summary": ["a", "b", "c"]} | field
@@ -116,6 +118,12 @@ class TestJsonl:
         summaries.write_text(json.dumps({"id": 7, "summary": ["a", "b", "c"]}) + "\n")
         assert load_jsonl(corpus)[0].id == "7"
         assert list(load_summary_file(summaries)) == ["7"]
+
+    def test_corpus_rejects_a_repeated_id(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        save_jsonl([_pair("a"), _pair("b"), _pair("a")], path)
+        with pytest.raises(CorpusError, match=f"{re.escape(str(path))}: line 3: repeated id 'a'"):
+            load_jsonl(path)
 
     def test_summary_file_rejects_a_repeated_id(self, tmp_path):
         path = tmp_path / "s.jsonl"

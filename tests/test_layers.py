@@ -170,9 +170,13 @@ class TestLstmStep:
         cls = ClassifierParams(vocab.size, emb_dim=4, hidden_dim=6, seed=1)
         shapes = []
 
-        def recording(tape, loss, *args, **kwargs):
-            shapes.append({n.value.shape for n in tape.nodes if n.kernel is not Kernel.LEAF})
-            return optimizer_step(tape, loss, *args, **kwargs)
+        def recording(build, *args, **kwargs):
+            def traced(tape):
+                loss = build(tape)
+                shapes.append({n.value.shape for n in tape.nodes if n.kernel is not Kernel.LEAF})
+                return loss
+
+            return optimizer_step(traced, *args, **kwargs)
 
         monkeypatch.setattr(summarizer, "optimizer_step", recording)
         monkeypatch.setattr(classifier, "optimizer_step", recording)

@@ -1038,6 +1038,27 @@ class TestCallThrough:
         losses = pipeline._train_steps(tiny_summarizer(vocab_size=vocab.size), prepared, cfg, 3)
         assert len(losses) == 3 and seen == [2, 2, 2]
 
+    def test_both_trainers_make_every_accumulator_before_their_tape(self, monkeypatch):
+        # The step's temporaries then sit above the long-lived optimizer
+        # state, so the space they free can be reused by the next step.
+        pairs, vocab = _golden_pairs()
+        summ = tiny_summarizer(vocab_size=vocab.size)
+        cls = ClassifierParams(10, emb_dim=4, hidden_dim=3)
+        training, ready = [], []
+        original_init = Tape.__init__
+
+        def init(tape_self, *args, **kwargs):
+            original_init(tape_self, *args, **kwargs)
+            ready.append([p._acc is not None for p in training[-1].params()])
+
+        monkeypatch.setattr(Tape, "__init__", init)
+        training.append(summ)
+        train_batch(summ, [prepare_pair(pairs[0], vocab)], RunConfig())
+        training.append(cls)
+        examples = [LabeledExample(ids=[5, 7], gold=0), LabeledExample(ids=[6, 7], gold=1)]
+        train_classifier(cls, examples, None, ClassifierTrainConfig(batch_size=1, epochs=1))
+        assert len(ready) == 3 and all(all(r) for r in ready)
+
     def test_both_trainers_step_through_the_tape_module_attributes(self, monkeypatch):
         fired = []
         for name in ("global_grad_norm", "clip_global_norm", "adagrad_step"):

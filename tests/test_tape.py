@@ -561,40 +561,70 @@ class TestAdagrad:
 
 class TestOptimizerStep:
     @staticmethod
-    def _linear_loss(params, coefs):
-        """sum(coef * param) over the pairs: each param's grad is its coef."""
-        t = Tape()
-        terms = [t.reduce_sum(t.mul(t.param(p), t.leaf(c))) for p, c in zip(params, coefs)]
-        return t, t.reduce_sum(t.concat(terms, axis=1))
+    def _linear_loss(params, coefs, built=None):
+        """A builder of sum(coef * param) over the pairs: each param's grad is
+        its coef.  Each (tape, loss) it builds is appended to ``built``."""
+        def build(t):
+            terms = [t.reduce_sum(t.mul(t.param(p), t.leaf(c))) for p, c in zip(params, coefs)]
+            loss = t.reduce_sum(t.concat(terms, axis=1))
+            if built is not None:
+                built.append((t, loss))
+            return loss
+
+        return build
 
     def test_non_finite_loss_raises_before_any_grad_exists(self):
         w = Parameter("w", [[1.0, 2.0]])
-        t, loss = self._linear_loss([w], [[[np.nan, 1.0]]])
+        built = []
         with pytest.raises(NonFiniteError, match=r"^non-finite loss nan$"):
-            optimizer_step(t, loss, [w], lr=0.1, clip_norm=1.0)
+            optimizer_step(self._linear_loss([w], [[[np.nan, 1.0]]], built), [w],
+                           lr=0.1, clip_norm=1.0)
         assert w._grad is None and w._acc is None
-        assert all(node.grad is None for node in t.nodes)  # backward never ran
+        assert all(node.grad is None for node in built[0][0].nodes)  # backward never ran
         np.testing.assert_array_equal(w.value, [[1.0, 2.0]])
 
     @pytest.mark.parametrize("clip_norm", [None, 1.0])
     def test_non_finite_grad_releases_every_grad_and_names_the_parameter(self, clip_norm):
         ok, bad = Parameter("ok", [[1.0]]), Parameter("bad", [[1.0, 2.0]])
         bad.grad[0, 1] = np.inf  # backward adds into it
-        t, loss = self._linear_loss([ok, bad], [[[3.0]], [[1.0, 1.0]]])
+        build = self._linear_loss([ok, bad], [[[3.0]], [[1.0, 1.0]]])
         with pytest.raises(NonFiniteError, match=r"^non-finite gradient in parameter 'bad'$"):
-            optimizer_step(t, loss, [ok, bad], lr=0.1, clip_norm=clip_norm)
+            optimizer_step(build, [ok, bad], lr=0.1, clip_norm=clip_norm)
         assert all(p._grad is None and p._acc is None for p in (ok, bad))
         np.testing.assert_array_equal(ok.value, [[1.0]])
         np.testing.assert_array_equal(bad.value, [[1.0, 2.0]])
+
+    @pytest.mark.parametrize("where", ["loss", "gradient", "build"])
+    def test_a_raising_step_drops_only_the_accumulators_it_made(self, where):
+        trained, fresh = Parameter("trained", [[1.0, 2.0]]), Parameter("fresh", [[3.0]])
+        optimizer_step(self._linear_loss([trained], [[[1.0, -2.0]]]), [trained], lr=0.1)
+        acc = trained._acc.tobytes()
+        assert acc != np.full((1, 2), ADAGRAD_INIT_ACC, np.float32).tobytes()
+        values = [trained.value.tobytes(), fresh.value.tobytes()]
+        build = self._linear_loss(
+            [trained, fresh], [[[1.0, 1.0]], [[np.nan if where == "loss" else 2.0]]])
+        if where == "gradient":
+            fresh.grad[0, 0] = np.inf  # backward adds into it
+        elif where == "build":
+            def build(t, _inner=build):
+                _inner(t)
+                raise RuntimeError("build failed")
+        with pytest.raises(RuntimeError if where == "build" else NonFiniteError):
+            optimizer_step(build, [trained, fresh], lr=0.1, clip_norm=1.0)
+        assert trained._acc.tobytes() == acc and fresh._acc is None
+        assert [trained.value.tobytes(), fresh.value.tobytes()] == values
+        assert trained._grad is None and fresh._grad is None
 
     @pytest.mark.parametrize("clip_norm", [None, 1.0])
     def test_grads_are_unscaled_without_clip_norm_and_clipped_with_it(self, clip_norm):
         start = np.array([[0.5, -0.25]], dtype=np.float32)
         grad = np.array([[30.0, 40.0]], dtype=np.float32)  # norm 50
         w = Parameter("w", start)
-        t, loss = self._linear_loss([w], [grad])
-        assert optimizer_step(t, loss, [w], lr=0.1, clip_norm=clip_norm) == float(
-            t.value(loss)[0, 0])
+        built = []
+        got = optimizer_step(self._linear_loss([w], [grad], built), [w], lr=0.1,
+                             clip_norm=clip_norm)
+        t, loss = built[0]
+        assert got == float(t.value(loss)[0, 0])
         if clip_norm is not None:
             _, (grad,) = reference_clip_global_norm([grad], clip_norm)
         want_value, want_acc = reference_adagrad_step(
