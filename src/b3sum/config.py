@@ -30,6 +30,10 @@ def _int_at_least(lo: int):
     return f"an integer >= {lo}", lambda v: _is_int(v) and v >= lo
 
 
+def _int_in(lo: int, hi: int):
+    return f"an integer in [{lo}, {hi}]", lambda v: _is_int(v) and lo <= v <= hi
+
+
 def _or_null(rule):
     desc, ok = rule
     return f"null or {desc}", lambda v: v is None or ok(v)
@@ -41,13 +45,19 @@ DECODE_KEYS = frozenset({"beam_size", "max_decode_len", "tau"})
 
 _POSITIVE = "a finite number > 0", lambda v: _is_real(v) and v > 0
 
+# Largest model width a config may ask for: 16x the paper's hidden size of
+# 256.  A wider model's vocabulary-wide tensors run to gigabytes, so such a
+# value fails here by name instead of in an allocation.
+MAX_DIM = 4096
+_DIM = _int_in(1, MAX_DIM)
+
 # key -> (what the value must be, check)
 _RULES = {
-    "hidden_dim": _int_at_least(1),
-    "emb_dim": _int_at_least(1),
-    "attn_dim": _or_null(_int_at_least(1)),
-    "classifier_emb_dim": _int_at_least(1),
-    "classifier_hidden_dim": _int_at_least(1),
+    "hidden_dim": _DIM,
+    "emb_dim": _DIM,
+    "attn_dim": _or_null(_DIM),
+    "classifier_emb_dim": _DIM,
+    "classifier_hidden_dim": _DIM,
     "lr": _POSITIVE,
     "classifier_lr": _POSITIVE,
     "clip_norm": _POSITIVE,

@@ -11,6 +11,8 @@ row ``[h | c]``.
 
 from __future__ import annotations
 
+import copy
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,8 +23,69 @@ INIT_SCALE = 0.1
 FORGET_BIAS = 1.0
 
 
+# Element counts: a tensor of SPLIT_MIN or more is drawn on two threads (see
+# uniform_param); CHUNK float64 draws are 128 KiB, which stay in cache from
+# the draw through the scale to the float32 cast.
+SPLIT_MIN = 1 << 16
+CHUNK = 1 << 14
+
+
+def _fill_uniform(gen: np.random.Generator, work: np.ndarray, out: np.ndarray) -> None:
+    """Fill the flat float32 ``out`` with ``gen``'s next ``len(out)`` draws of
+    ``uniform(-INIT_SCALE, INIT_SCALE)``, using the float64 ``work`` (same
+    length) a chunk at a time.  Each value is numpy's ``low + (high - low) * u``
+    cast to float32, so the bytes are those of one ``gen.uniform`` call."""
+    for lo in range(0, len(out), CHUNK):
+        chunk = work[lo:lo + CHUNK]
+        gen.random(out=chunk)
+        chunk *= 2 * INIT_SCALE
+        chunk += -INIT_SCALE
+        out[lo:lo + CHUNK] = chunk
+
+
 def uniform_param(rng: np.random.Generator, name: str, shape) -> Parameter:
-    value = rng.uniform(-INIT_SCALE, INIT_SCALE, size=shape).astype(np.float32)
+    """A Parameter of ``rng.uniform(-INIT_SCALE, INIT_SCALE, size=shape)`` as
+    float32, leaving ``rng`` in the state that call leaves it in.
+
+    A PCG64 tensor of at least ``SPLIT_MIN`` elements is drawn in two halves
+    at once: ``rng`` draws the first, and a helper thread draws the second
+    from a copy of the stream advanced past the first.  After the join,
+    ``rng`` takes the copy's position; ``advance`` clears PCG64's buffered
+    32-bit word, which is put back.  An error in the helper is raised here,
+    and no thread outlives the call.  Arrays are made in the order of
+    ``rng.uniform(...).astype(np.float32)``, so the heap keeps its layout.
+    """
+    work = np.empty(shape, dtype=np.float64)
+    value = np.empty(shape, dtype=np.float32)
+    w, v = work.reshape(-1), value.reshape(-1)
+    bits = rng.bit_generator
+    if v.size < SPLIT_MIN or not isinstance(bits, np.random.PCG64):
+        _fill_uniform(rng, w, v)
+    else:
+        half = v.size // 2
+        ahead = copy.deepcopy(bits)
+        ahead.advance(half)
+        errors = []
+
+        def second_half():
+            try:
+                _fill_uniform(np.random.Generator(ahead), w[half:], v[half:])
+            except BaseException as exc:  # re-raised by the caller after the join
+                errors.append(exc)
+
+        helper = threading.Thread(target=second_half, name=f"uniform_param {name}")
+        helper.start()
+        try:
+            _fill_uniform(rng, w[:half], v[:half])
+        finally:
+            helper.join()
+        if errors:
+            raise errors[0]
+        state = ahead.state
+        buffered = bits.state
+        state["has_uint32"], state["uinteger"] = buffered["has_uint32"], buffered["uinteger"]
+        bits.state = state
+    del work, w, v  # the float64 draws go before Parameter copies, as in the serial call
     return Parameter(name, value)
 
 

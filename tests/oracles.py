@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from b3sum.layers import EncoderStates, linear
+from b3sum.layers import INIT_SCALE, EncoderStates, linear
 from b3sum.summarizer import (
     DecoderStep,
     coverage_penalty,
@@ -20,7 +20,7 @@ from b3sum.summarizer import (
     generation_prob,
     vocab_distribution,
 )
-from b3sum.tape import ADAGRAD_EPS, CopyIds, Tape
+from b3sum.tape import ADAGRAD_EPS, CopyIds, Parameter, Tape
 
 
 def oracle_rouge_n(sys_t, ref_t, n):
@@ -294,3 +294,9 @@ def reference_adagrad_step(value, grad, acc, lr):
     acc = acc + grad * grad
     value = value - np.float32(lr) * grad / (np.sqrt(acc) + np.float32(ADAGRAD_EPS))
     return value, acc
+
+
+def uniform_param(rng, name, shape):
+    """Drop-in for ``layers.uniform_param``: one serial ``rng.uniform`` call
+    cast to float32, the reference for the two-part draw."""
+    return Parameter(name, rng.uniform(-INIT_SCALE, INIT_SCALE, size=shape).astype(np.float32))

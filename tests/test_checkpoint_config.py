@@ -218,6 +218,8 @@ class TestRunConfig:
 
     @pytest.mark.parametrize("key, value", [
         ("hidden_dim", 0), ("hidden_dim", 8.0), ("emb_dim", True), ("attn_dim", 0),
+        ("hidden_dim", 4097), ("emb_dim", 10**8), ("attn_dim", 4097),
+        ("classifier_emb_dim", 4097), ("classifier_hidden_dim", 10**8),
         ("lr", 0), ("lr", float("nan")), ("tau", 10**400), ("classifier_lr", -0.1), ("clip_norm", "2"),
         ("coverage_lambda", -1.0), ("coverage_from_step", -1), ("beam_size", None),
         ("max_decode_len", 0), ("max_src_len", 0), ("min_summary_len", -1),
@@ -230,6 +232,8 @@ class TestRunConfig:
     def test_edge_values_accepted(self, tmp_path):
         cfg = RunConfig(attn_dim=None, coverage_from_step=0, min_summary_len=0, tau=0,
                         coverage_lambda=0, lr=1, seed=0)
+        RunConfig(hidden_dim=4096, emb_dim=1, attn_dim=4096, classifier_emb_dim=4096,
+                  classifier_hidden_dim=1)
         assert cfg.tau == 0 and cfg.lr == 1  # ints stay ints, so the hash is unchanged
         path = tmp_path / "c.json"
         path.write_text('{"tau": 1.0, "batch_size": -2}')

@@ -14,6 +14,7 @@ import pytest
 from b3sum import metrics
 from b3sum.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from b3sum.cli import _config, build_parser, main
+from b3sum.config import MAX_DIM
 from b3sum.corpus import load_jsonl, save_jsonl, synth_generate
 
 
@@ -374,6 +375,20 @@ class TestModelCommands:
                            "--manifest", str(manifest), *TINY)
         assert code == 1
         assert f"error: manifest {manifest}: not a JSON object" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["hidden_dim", "emb_dim", "attn_dim",
+                                     "classifier_emb_dim", "classifier_hidden_dim"])
+    def test_an_oversized_model_dim_fails_by_name(self, workspace, pretrained, tmp_path,
+                                                  capsys, key):
+        out = tmp_path / "base.ckpt"
+        code, _, err = run(capsys, "pretrain", "--corpus", str(workspace / "train.jsonl"),
+                           "--vocab", str(pretrained[0]), "--steps", "1",
+                           "--checkpoint-out", str(out), *TINY, "--set", f"{key}=100000000")
+        assert code == 1
+        assert f"config key '{key}' must be " in err
+        assert f"an integer in [1, {MAX_DIM}], got 100000000" in err
+        assert "Traceback" not in err
         assert not out.exists()
 
     def test_summarize_names_a_non_string_article(self, pretrained, tmp_path, capsys):

@@ -1,8 +1,11 @@
 """Embedding, LSTM cell, bidirectional encoder, and linear-layer contracts."""
 
+import threading
+
 import numpy as np
 import pytest
 
+from b3sum import layers
 from b3sum.layers import (
     BiLstmEncoder,
     EmbeddingTable,
@@ -302,3 +305,115 @@ class TestInit:
     def test_gate_matrix_orientation(self):
         cell = LstmCell(_rng(), "c", input_dim=5, hidden_dim=3)
         assert cell.w["i"].value.shape == (3, 8)  # (hidden, input + hidden)
+
+
+def _buffered_pcg64(seed):
+    """A PCG64 generator holding a buffered 32-bit word, which
+    ``PCG64.advance`` clears."""
+    rng = np.random.default_rng(seed)
+    rng.random(dtype=np.float32)
+    assert rng.bit_generator.state["has_uint32"] == 1
+    return rng
+
+
+GENERATORS = {
+    "pcg64": np.random.default_rng,
+    "pcg64-buffered-word": _buffered_pcg64,
+    "mt19937": lambda s: np.random.Generator(np.random.MT19937(s)),
+    "philox": lambda s: np.random.Generator(np.random.Philox(s)),
+}
+
+
+def _same_state(a, b) -> bool:
+    """Equality of two ``bit_generator.state`` values, whose MT19937 and
+    Philox forms hold arrays."""
+    if isinstance(a, dict):
+        return (isinstance(b, dict) and a.keys() == b.keys()
+                and all(_same_state(a[k], b[k]) for k in a))
+    if isinstance(a, np.ndarray):
+        return isinstance(b, np.ndarray) and a.dtype == b.dtype and np.array_equal(a, b)
+    return type(a) is type(b) and a == b
+
+
+def _count_thread_starts(monkeypatch):
+    starts = []
+    start = threading.Thread.start
+
+    def counting_start(thread):
+        starts.append(thread.name)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counting_start)
+    return starts
+
+
+class TestUniformParam:
+    """``uniform_param`` against the one serial ``rng.uniform`` call it
+    replaces (``oracles.uniform_param``)."""
+
+    @pytest.mark.parametrize("gen", sorted(GENERATORS))
+    @pytest.mark.parametrize("shape", [
+        (1, 1),
+        (7, 300),                      # below SPLIT_MIN
+        (256, 256),                    # exactly SPLIT_MIN
+        (3, 21847),                    # 65541, odd, above it
+        (20000, 256),                  # the paper-shape output layer
+    ])
+    @pytest.mark.parametrize("seed", [1, 13])
+    def test_bytes_and_generator_state_match_one_serial_draw(self, gen, shape, seed):
+        rng, ref = GENERATORS[gen](seed), GENERATORS[gen](seed)
+        got = uniform_param(rng, "w", shape)
+        want = oracles.uniform_param(ref, "w", shape)
+        assert got.name == "w" and got.value.dtype == np.float32
+        assert got.value.shape == want.value.shape == shape
+        assert got.value.tobytes() == want.value.tobytes()
+        assert _same_state(rng.bit_generator.state, ref.bit_generator.state)
+        assert rng.random(3).tobytes() == ref.random(3).tobytes()
+
+    def test_float64_draws_match_before_the_cast(self):
+        """A float64 change of one ulp seldom moves the float32 cast, so the
+        arithmetic is checked before it."""
+        n = 3 * layers.CHUNK + 5
+        work, out = np.empty(n), np.empty(n, dtype=np.float32)
+        layers._fill_uniform(_rng(4), work, out)
+        assert work.tobytes() == _rng(4).uniform(-0.1, 0.1, size=n).tobytes()
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_vocab_20k_models_match_the_serial_reference(self, monkeypatch, seed):
+        fast_s = summarizer.SummarizerParams(20000, 128, 256, seed=seed)
+        fast_c = ClassifierParams(20000, 128, 256, seed=seed)
+        for module in (layers, summarizer, classifier):
+            monkeypatch.setattr(module, "uniform_param", oracles.uniform_param)
+        ref_s = summarizer.SummarizerParams(20000, 128, 256, seed=seed)
+        ref_c = ClassifierParams(20000, 128, 256, seed=seed)
+        for fast, ref in ((fast_s, ref_s), (fast_c, ref_c)):
+            assert [p.name for p in fast.params()] == [p.name for p in ref.params()]
+            for p, q in zip(fast.params(), ref.params()):
+                assert p.value.tobytes() == q.value.tobytes(), p.name
+
+    def test_helper_error_is_raised_in_the_caller(self, monkeypatch):
+        fill = layers._fill_uniform
+
+        def failing_in_helper(gen, work, out):
+            if threading.current_thread() is not threading.main_thread():
+                raise RuntimeError("helper part failed")
+            fill(gen, work, out)
+
+        monkeypatch.setattr(layers, "_fill_uniform", failing_in_helper)
+        before = set(threading.enumerate())
+        with pytest.raises(RuntimeError, match="helper part failed"):
+            uniform_param(_rng(3), "w", (256, 256))
+        assert set(threading.enumerate()) == before
+
+    def test_tiny_model_starts_no_thread(self, monkeypatch):
+        starts = _count_thread_starts(monkeypatch)
+        tiny_summarizer()
+        summarizer.SummarizerParams(300, 32, 32, seed=1)
+        ClassifierParams(300, 32, 32, seed=1)
+        assert starts == []
+
+    def test_vocab_20k_model_starts_helper_threads(self, monkeypatch):
+        starts = _count_thread_starts(monkeypatch)
+        summarizer.SummarizerParams(20000, 128, 256, seed=1)
+        assert "uniform_param proj.V_out" in starts
+        assert "uniform_param emb" in starts
