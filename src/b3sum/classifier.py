@@ -10,6 +10,7 @@ three sentences joined by the boundary token) or the truncated article.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -21,9 +22,13 @@ from .tape import Parameter, Tape, optimizer_step, train_steps
 
 
 class ClassifierParams:
+    """The classifier's tensors, drawn from ``seed``; with ``seed=None``
+    every tensor is zeros, made without a draw, for a checkpoint to fill."""
+
     def __init__(self, vocab_size: int, emb_dim: int = 256, hidden_dim: int = 256,
-                 seed: int = 13):
-        rng = np.random.default_rng(seed)
+                 seed: int | None = 13):
+        rng = None if seed is None else np.random.default_rng(seed)
+        draw = zeros_param if rng is None else partial(uniform_param, rng)
         self.vocab_size = vocab_size
         self.emb_dim = emb_dim
         self.hidden_dim = hidden_dim
@@ -31,9 +36,9 @@ class ClassifierParams:
         self.encoder = BiLstmEncoder(rng, "cls.enc", emb_dim, hidden_dim)
         # One head per structure type; the decision softmax reads the first
         # logit of each, so both heads stay distinct parameters.
-        self.head_parallel_w = uniform_param(rng, "cls.W_p", (2, 2 * hidden_dim))
+        self.head_parallel_w = draw("cls.W_p", (2, 2 * hidden_dim))
         self.head_parallel_b = zeros_param("cls.b_p", (1, 2))
-        self.head_sequence_w = uniform_param(rng, "cls.W_s", (2, 2 * hidden_dim))
+        self.head_sequence_w = draw("cls.W_s", (2, 2 * hidden_dim))
         self.head_sequence_b = zeros_param("cls.b_s", (1, 2))
 
     def params(self) -> list[Parameter]:

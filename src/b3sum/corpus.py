@@ -19,6 +19,7 @@ import enum
 import json
 from collections import Counter
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -81,13 +82,14 @@ class Vocabulary:
     SPECIALS = ("<pad>", "<unk>", "<s>", "</s>", "<sb>")
 
     def __init__(self, tokens):
-        self._id_to_token = list(self.SPECIALS)
-        self._token_to_id = {t: i for i, t in enumerate(self._id_to_token)}
-        for t in tokens:
-            if t in self._token_to_id:
-                raise CorpusError(f"duplicate vocabulary token {t!r}")
-            self._token_to_id[t] = len(self._id_to_token)
-            self._id_to_token.append(t)
+        self._id_to_token = [*self.SPECIALS, *tokens]
+        self._token_to_id = dict(zip(self._id_to_token, range(len(self._id_to_token))))
+        if len(self._token_to_id) < len(self._id_to_token):
+            seen: set[str] = set()
+            for t in self._id_to_token:
+                if t in seen:
+                    raise CorpusError(f"duplicate vocabulary token {t!r}")
+                seen.add(t)
 
     @property
     def size(self) -> int:
@@ -103,7 +105,7 @@ class Vocabulary:
         return self._id_to_token[i]
 
     def encode(self, tokens) -> list[int]:
-        return [self.id(t) for t in tokens]
+        return list(map(self._token_to_id.get, tokens, repeat(self.UNK)))
 
     def content_tokens(self) -> list[str]:
         return self._id_to_token[len(self.SPECIALS):]
@@ -322,23 +324,15 @@ def build_vocab(pairs, mode: str = "cap", size: int = 50000, min_count: int = 2)
     """
     if not pairs:
         raise CorpusError("cannot build vocabulary from an empty corpus")
-    counts: Counter[str] = Counter()
-    first_seen: dict[str, int] = {}
-
-    def feed(tokens):
-        for t in tokens:
-            counts[t] += 1
-            if t not in first_seen:
-                first_seen[t] = len(first_seen)
-
+    counts: Counter[str] = Counter()  # in order of first occurrence
     for p in pairs:
-        feed(p.article)
+        counts.update(p.article)
         for s in p.summary:
-            feed(s)
+            counts.update(s)
     for special in Vocabulary.SPECIALS:
         counts.pop(special, None)
 
-    ordered = sorted(counts, key=lambda t: (-counts[t], first_seen[t]))
+    ordered = sorted(counts, key=counts.__getitem__, reverse=True)  # stable: ties keep that order
     if mode == "cap":
         if size < 0:
             raise CorpusError(f"vocabulary size must be >= 0, got {size}")
@@ -384,8 +378,62 @@ _CATEGORIES = ["national", "it", "sports"]
 _OOV_STEMS = ["zorv", "vexl", "quam", "kyrr"]
 
 
-def _fresh_oov_name(rng: np.random.Generator) -> str:
-    return f"{_OOV_STEMS[rng.integers(len(_OOV_STEMS))]}{rng.integers(100, 1000)}"
+_RAW_BLOCK = 4096  # words per random_raw call, whatever the corpus size
+
+
+def _raw_words(bits):
+    while True:
+        yield from bits.random_raw(_RAW_BLOCK).tolist()
+
+
+class _Draws:
+    """``Generator(bits)``'s ``random()``, ``integers(0, excl)`` (for
+    2 <= excl <= 2**32) and ``choice(pop, k, replace=False)`` (for
+    k < pop <= 10000) as ``random``, ``below`` and ``sample``, replayed from
+    the PCG64 ``bits``' raw words.  A double is ``(w >> 11) * 2**-53`` of a
+    fresh word; 32-bit draws are a fresh word's low half, then its buffered
+    high half (PCG64's ``next_uint32``).  ``below`` is Lemire's
+    multiply-and-reject; ``sample`` is Floyd's sampling, then a Fisher-Yates
+    shuffle, as numpy does them.
+    """
+
+    def __init__(self, bits):
+        self._word = _raw_words(bits).__next__
+        self._high = None
+
+    def random(self) -> float:
+        return (self._word() >> 11) * 2.0**-53
+
+    def _u32(self) -> int:
+        high = self._high
+        if high is None:
+            word = self._word()
+            self._high = word >> 32
+            return word & 0xFFFFFFFF
+        self._high = None
+        return high
+
+    def below(self, excl: int) -> int:
+        m = self._u32() * excl
+        if m & 0xFFFFFFFF < excl:
+            threshold = (0x100000000 - excl) % excl
+            while m & 0xFFFFFFFF < threshold:
+                m = self._u32() * excl
+        return m >> 32
+
+    def sample(self, pop: int, k: int) -> list[int]:
+        picked: list[int] = []
+        for j in range(pop - k, pop):
+            v = self.below(j + 1)
+            picked.append(j if v in picked else v)
+        for i in range(k - 1, 0, -1):
+            s = self.below(i + 1)
+            picked[i], picked[s] = picked[s], picked[i]
+        return picked
+
+
+def _fresh_oov_name(draws: _Draws) -> str:
+    return f"{_OOV_STEMS[draws.below(len(_OOV_STEMS))]}{100 + draws.below(900)}"
 
 
 def synth_generate(
@@ -398,23 +446,24 @@ def synth_generate(
     parallel pairs, e2 for sequence pairs.  Articles contain all three fact
     sentences verbatim plus distractors.  With probability oov_rate each
     entity is a fresh name outside the closed lexicon, so pairs exercise the
-    copy path once a vocabulary is built over the corpus.
+    copy path once a vocabulary is built over the corpus.  ``_Draws``
+    replays the draws of ``np.random.default_rng(seed)``.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    rng = np.random.default_rng(seed)
+    draws = _Draws(np.random.default_rng(seed).bit_generator)
     pairs = []
     for k in range(n):
-        e1, e2, e3, e4 = (_ENTITIES[i] for i in rng.choice(len(_ENTITIES), size=4, replace=False))
-        if rng.random() < oov_rate:
-            e1 = _fresh_oov_name(rng)
-        if rng.random() < oov_rate:
-            e2 = _fresh_oov_name(rng)
-        obj, obj2, obj3 = (_OBJECTS[i] for i in rng.choice(len(_OBJECTS), size=3, replace=False))
-        place, place2, place3 = (_PLACES[i] for i in rng.choice(len(_PLACES), size=3, replace=False))
-        day, day2 = (_DAYS[i] for i in rng.choice(len(_DAYS), size=2, replace=False))
-        time = _TIMES[rng.integers(len(_TIMES))]
-        parallel = bool(rng.random() < structure_mix)
+        e1, e2, e3, e4 = (_ENTITIES[i] for i in draws.sample(len(_ENTITIES), 4))
+        if draws.random() < oov_rate:
+            e1 = _fresh_oov_name(draws)
+        if draws.random() < oov_rate:
+            e2 = _fresh_oov_name(draws)
+        obj, obj2, obj3 = (_OBJECTS[i] for i in draws.sample(len(_OBJECTS), 3))
+        place, place2, place3 = (_PLACES[i] for i in draws.sample(len(_PLACES), 3))
+        day, day2 = (_DAYS[i] for i in draws.sample(len(_DAYS), 2))
+        time = _TIMES[draws.below(len(_TIMES))]
+        parallel = draws.random() < structure_mix
 
         s1 = [e1, "announced", "the", obj, "plan", "in", place, "on", day]
         s2 = [e2, "backed", "the", obj, "effort", "from", place2]
@@ -437,7 +486,7 @@ def synth_generate(
                 article=article,
                 summary=[s1, s2, s3],
                 label=StructureLabel.PARALLEL if parallel else StructureLabel.SEQUENCE,
-                category=_CATEGORIES[int(rng.integers(len(_CATEGORIES)))],
+                category=_CATEGORIES[draws.below(len(_CATEGORIES))],
             )
         )
     return pairs

@@ -94,12 +94,14 @@ def zeros_param(name: str, shape) -> Parameter:
 
 
 class EmbeddingTable:
-    """Token-id to vector lookup; row k of the weight matrix embeds id k."""
+    """Token-id to vector lookup; row k of the weight matrix embeds id k.
+    With ``rng=None`` the weights are zeros, made without a draw."""
 
-    def __init__(self, rng: np.random.Generator, name: str, vocab_size: int, dim: int):
+    def __init__(self, rng: np.random.Generator | None, name: str, vocab_size: int, dim: int):
         self.vocab_size = vocab_size
         self.dim = dim
-        self.weights = uniform_param(rng, name, (vocab_size, dim))
+        shape = (vocab_size, dim)
+        self.weights = zeros_param(name, shape) if rng is None else uniform_param(rng, name, shape)
 
     def params(self):
         return [self.weights]
@@ -113,15 +115,19 @@ def embed_rows(tape: Tape, table: EmbeddingTable, ids) -> int:
 
 
 class LstmCell:
-    """Standard LSTM cell; gate matrices are (hidden x (input + hidden))."""
+    """Standard LSTM cell; gate matrices are (hidden x (input + hidden)).
+    With ``rng=None`` they are zeros, made without a draw."""
 
     GATES = ("i", "f", "o", "g")
 
-    def __init__(self, rng: np.random.Generator, name: str, input_dim: int, hidden_dim: int):
+    def __init__(self, rng: np.random.Generator | None, name: str, input_dim: int,
+                 hidden_dim: int):
         self.input_dim = input_dim
         self.hidden_dim = hidden_dim
+        shape = (hidden_dim, input_dim + hidden_dim)
         self.w = {
-            gate: uniform_param(rng, f"{name}.W_{gate}", (hidden_dim, input_dim + hidden_dim))
+            gate: zeros_param(f"{name}.W_{gate}", shape) if rng is None
+            else uniform_param(rng, f"{name}.W_{gate}", shape)
             for gate in self.GATES
         }
         self.b = {gate: zeros_param(f"{name}.b_{gate}", (1, hidden_dim)) for gate in self.GATES}
@@ -151,7 +157,8 @@ def lstm_step(tape: Tape, cell: LstmCell, xs: int, s0: int, reverse: bool = Fals
 
 
 class BiLstmEncoder:
-    def __init__(self, rng: np.random.Generator, name: str, input_dim: int, hidden_dim: int):
+    def __init__(self, rng: np.random.Generator | None, name: str, input_dim: int,
+                 hidden_dim: int):
         self.forward_cell = LstmCell(rng, f"{name}.fwd", input_dim, hidden_dim)
         self.backward_cell = LstmCell(rng, f"{name}.bwd", input_dim, hidden_dim)
         self.hidden_dim = hidden_dim

@@ -30,16 +30,21 @@ from .tape import train_steps
 log = logging.getLogger("b3sum.pipeline")
 
 
+def _summarizer(vocab_size: int, cfg: RunConfig, seed: int | None) -> SummarizerParams:
+    return SummarizerParams(vocab_size, cfg.emb_dim, cfg.hidden_dim, cfg.attn_dim, seed=seed)
+
+
+def _classifier(vocab_size: int, cfg: RunConfig, seed: int | None) -> ClassifierParams:
+    return ClassifierParams(vocab_size, cfg.classifier_emb_dim, cfg.classifier_hidden_dim,
+                            seed=seed)
+
+
 def new_summarizer(vocab_size: int, cfg: RunConfig) -> SummarizerParams:
-    return SummarizerParams(
-        vocab_size, cfg.emb_dim, cfg.hidden_dim, cfg.attn_dim, seed=cfg.seed
-    )
+    return _summarizer(vocab_size, cfg, cfg.seed)
 
 
 def new_classifier(vocab_size: int, cfg: RunConfig) -> ClassifierParams:
-    return ClassifierParams(
-        vocab_size, cfg.classifier_emb_dim, cfg.classifier_hidden_dim, seed=cfg.seed
-    )
+    return _classifier(vocab_size, cfg, cfg.seed)
 
 
 def classifier_trainer_config(cfg: RunConfig, epochs: int) -> ClassifierTrainConfig:
@@ -66,12 +71,14 @@ def restore_model(model, path, cfg: RunConfig):
     return model
 
 
+# A loaded model is built with seed=None: its tensors are zeros, not drawn,
+# until restore_model fills them.
 def load_summarizer(path, vocab: Vocabulary, cfg: RunConfig) -> SummarizerParams:
-    return restore_model(new_summarizer(vocab.size, cfg), path, cfg)
+    return restore_model(_summarizer(vocab.size, cfg, None), path, cfg)
 
 
 def load_classifier(path, vocab: Vocabulary, cfg: RunConfig) -> ClassifierParams:
-    return restore_model(new_classifier(vocab.size, cfg), path, cfg)
+    return restore_model(_classifier(vocab.size, cfg, None), path, cfg)
 
 
 def decode_article(model: SummarizerParams, article_tokens, vocab: Vocabulary,

@@ -11,6 +11,7 @@ into the attention scores and penalizes re-attended positions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -70,11 +71,14 @@ class ExtendedVocab:
 
 
 class SummarizerParams:
-    """All learnable tensors of the summarization model."""
+    """All learnable tensors of the summarization model, drawn from ``seed``;
+    with ``seed=None`` every tensor is zeros, made without a draw, for a
+    checkpoint to fill."""
 
     def __init__(self, vocab_size: int, emb_dim: int, hidden_dim: int,
-                 attn_dim: int | None = None, seed: int = 13):
-        rng = np.random.default_rng(seed)
+                 attn_dim: int | None = None, seed: int | None = 13):
+        rng = None if seed is None else np.random.default_rng(seed)
+        draw = zeros_param if rng is None else partial(uniform_param, rng)
         attn_dim = attn_dim or hidden_dim
         self.vocab_size = vocab_size
         self.emb_dim = emb_dim
@@ -88,25 +92,25 @@ class SummarizerParams:
         self.encoder = BiLstmEncoder(rng, "enc", emb_dim, hidden_dim)
         self.decoder = LstmCell(rng, "dec", emb_dim, hidden_dim)
 
-        self.attn_v = uniform_param(rng, "attn.v", (1, attn_dim))
-        self.attn_w_enc = uniform_param(rng, "attn.W_h", (attn_dim, enc_dim))
-        self.attn_w_state = uniform_param(rng, "attn.W_s", (attn_dim, state_dim))
+        self.attn_v = draw("attn.v", (1, attn_dim))
+        self.attn_w_enc = draw("attn.W_h", (attn_dim, enc_dim))
+        self.attn_w_state = draw("attn.W_s", (attn_dim, state_dim))
         self.attn_bias = zeros_param("attn.b_a", (1, attn_dim))
-        self.attn_w_cov = uniform_param(rng, "attn.w_c", (1, attn_dim))
+        self.attn_w_cov = draw("attn.w_c", (1, attn_dim))
 
         self.proj_b_in = zeros_param("proj.b_in", (1, feat_dim))
-        self.proj_v = uniform_param(rng, "proj.V", (hidden_dim, feat_dim))
+        self.proj_v = draw("proj.V", (hidden_dim, feat_dim))
         self.proj_b_mid = zeros_param("proj.b_mid", (1, hidden_dim))
-        self.proj_v_out = uniform_param(rng, "proj.V_out", (vocab_size, hidden_dim))
+        self.proj_v_out = draw("proj.V_out", (vocab_size, hidden_dim))
 
-        self.ptr_w_context = uniform_param(rng, "ptr.w_context", (1, enc_dim))
-        self.ptr_w_state = uniform_param(rng, "ptr.w_state", (1, state_dim))
-        self.ptr_w_input = uniform_param(rng, "ptr.w_input", (1, emb_dim))
+        self.ptr_w_context = draw("ptr.w_context", (1, enc_dim))
+        self.ptr_w_state = draw("ptr.w_state", (1, state_dim))
+        self.ptr_w_input = draw("ptr.w_input", (1, emb_dim))
         self.ptr_bias = zeros_param("ptr.b_g", (1, 1))
 
-        self.bridge_w_h = uniform_param(rng, "bridge.W_h", (hidden_dim, enc_dim))
+        self.bridge_w_h = draw("bridge.W_h", (hidden_dim, enc_dim))
         self.bridge_b_h = zeros_param("bridge.b_h", (1, hidden_dim))
-        self.bridge_w_c = uniform_param(rng, "bridge.W_c", (hidden_dim, enc_dim))
+        self.bridge_w_c = draw("bridge.W_c", (hidden_dim, enc_dim))
         self.bridge_b_c = zeros_param("bridge.b_c", (1, hidden_dim))
 
     def params(self) -> list[Parameter]:

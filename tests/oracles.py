@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 
+from b3sum import corpus
 from b3sum.layers import INIT_SCALE, EncoderStates, linear
 from b3sum.summarizer import (
     DecoderStep,
@@ -300,3 +301,84 @@ def uniform_param(rng, name, shape):
     """Drop-in for ``layers.uniform_param``: one serial ``rng.uniform`` call
     cast to float32, the reference for the two-part draw."""
     return Parameter(name, rng.uniform(-INIT_SCALE, INIT_SCALE, size=shape).astype(np.float32))
+
+
+def _fresh_oov_name(rng):
+    return f"{corpus._OOV_STEMS[rng.integers(len(corpus._OOV_STEMS))]}{rng.integers(100, 1000)}"
+
+
+def synth_generate(seed, n, oov_rate=0.2, structure_mix=0.8):
+    """``corpus.synth_generate`` drawing through ``np.random.Generator``'s
+    own ``choice``, ``random`` and ``integers``: the reference for the
+    replayed draws."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for k in range(n):
+        e1, e2, e3, e4 = (corpus._ENTITIES[i]
+                          for i in rng.choice(len(corpus._ENTITIES), size=4, replace=False))
+        if rng.random() < oov_rate:
+            e1 = _fresh_oov_name(rng)
+        if rng.random() < oov_rate:
+            e2 = _fresh_oov_name(rng)
+        obj, obj2, obj3 = (corpus._OBJECTS[i]
+                           for i in rng.choice(len(corpus._OBJECTS), size=3, replace=False))
+        place, place2, place3 = (corpus._PLACES[i]
+                                 for i in rng.choice(len(corpus._PLACES), size=3, replace=False))
+        day, day2 = (corpus._DAYS[i] for i in rng.choice(len(corpus._DAYS), size=2, replace=False))
+        time = corpus._TIMES[rng.integers(len(corpus._TIMES))]
+        parallel = bool(rng.random() < structure_mix)
+
+        s1 = [e1, "announced", "the", obj, "plan", "in", place, "on", day]
+        s2 = [e2, "backed", "the", obj, "effort", "from", place2]
+        if parallel:
+            s3 = [e1, "outlined", "further", obj2, "steps", "for", time]
+        else:
+            s3 = [e2, "detailed", "the", obj, "terms", "this", time]
+
+        article = (
+            s1
+            + [e3, "visited", "the", place3, "fair", "yesterday"]
+            + s2
+            + [e4, "reviewed", "a", obj3, "proposal", "overnight"]
+            + s3
+            + ["officials", "expect", "updates", "after", day2]
+        )
+        pairs.append(
+            corpus.NewsPair(
+                id=f"synth-{seed}-{k:05d}",
+                article=article,
+                summary=[s1, s2, s3],
+                label=corpus.StructureLabel.PARALLEL if parallel else corpus.StructureLabel.SEQUENCE,
+                category=corpus._CATEGORIES[int(rng.integers(len(corpus._CATEGORIES)))],
+            )
+        )
+    return pairs
+
+
+def build_vocab(pairs, mode="cap", size=50000, min_count=2):
+    """The content tokens ``corpus.build_vocab`` keeps, counted token by
+    token and sorted on ``(-count, first occurrence)``: the reference for
+    the Counter path."""
+    if not pairs:
+        raise corpus.CorpusError("cannot build vocabulary from an empty corpus")
+    counts = {}
+    first_seen = {}
+    for p in pairs:
+        for tokens in [p.article, *p.summary]:
+            for t in tokens:
+                counts[t] = counts.get(t, 0) + 1
+                first_seen.setdefault(t, len(first_seen))
+    for special in corpus.Vocabulary.SPECIALS:
+        counts.pop(special, None)
+    ordered = sorted(counts, key=lambda t: (-counts[t], first_seen[t]))
+    if mode == "cap":
+        if size < 0:
+            raise corpus.CorpusError(f"vocabulary size must be >= 0, got {size}")
+        kept = ordered[:size]
+    elif mode == "min_count":
+        kept = [t for t in ordered if counts[t] >= min_count]
+    else:
+        raise ValueError(f"unknown vocab mode {mode!r}")
+    return kept

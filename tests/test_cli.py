@@ -11,9 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from b3sum import metrics
+from b3sum import cli, metrics
 from b3sum.checkpoint import MAGIC, load_checkpoint, save_checkpoint
-from b3sum.cli import _config, build_parser, main
+from b3sum.cli import MAX_SYNTH_PAIRS, _config, build_parser, main
 from b3sum.config import MAX_DIM
 from b3sum.corpus import load_jsonl, save_jsonl, synth_generate
 
@@ -50,6 +50,23 @@ class TestGenSynth:
                  "--corpus-out", str(path))
         pairs = load_jsonl(path)
         assert all(p.label.value == "parallel" for p in pairs)
+
+    def test_n_above_the_bound_fails_by_name_before_generating(self, tmp_path, monkeypatch,
+                                                              capsys):
+        """Generation is stubbed out, so a bound that failed to hold would not
+        start a run of millions of pairs."""
+        calls = []
+        monkeypatch.setattr(cli.corpus_mod, "synth_generate",
+                            lambda **kwargs: calls.append(kwargs["n"]) or [])
+        path = tmp_path / "c.jsonl"
+        run_json(capsys, "gen-synth", "--n", str(MAX_SYNTH_PAIRS), "--corpus-out", str(path))
+        assert calls == [MAX_SYNTH_PAIRS] and path.read_text() == ""
+        path.unlink()
+        for n in (MAX_SYNTH_PAIRS + 1, 10**13):
+            code, out, err = run(capsys, "gen-synth", "--n", str(n), "--corpus-out", str(path))
+            assert (code, out) == (1, "")
+            assert err == f"error: --n must be an integer in [1, {MAX_SYNTH_PAIRS}], got {n}\n"
+        assert calls == [MAX_SYNTH_PAIRS] and not path.exists()
 
 
 class TestUsageAndFailures:
@@ -104,7 +121,7 @@ class TestUsageAndFailures:
         (["gen-synth", "--n", "2", "--mix", "7", "--corpus-out", "c.jsonl"],
          "--mix must be a number in [0, 1], got 7.0"),
         (["gen-synth", "--n", "0", "--corpus-out", "c.jsonl"],
-         "--n must be an integer >= 1, got 0"),
+         "--n must be an integer in [1, 1000000], got 0"),
         (["build-vocab", "--corpus", "c.jsonl", "--size", "-3", "--vocab-out", "v.json"],
          "--size must be an integer >= 0, got -3"),
         (["build-vocab", "--corpus", "c.jsonl", "--mode", "min_count", "--min-count", "-4",

@@ -1,14 +1,18 @@
 """JSONL ingestion, preprocessing, vocabulary, splits, synthetic generator."""
 
+import hashlib
 import json
 import re
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
+from b3sum import corpus
 from b3sum.corpus import (
     CorpusError,
     NewsPair,
@@ -188,6 +192,23 @@ class TestVocabulary:
         w = Vocabulary.load(tmp_path / "v.json")
         assert w.size == v.size and w.id("beta") == v.id("beta")
 
+    @pytest.mark.parametrize("tokens, first_repeat", [
+        (["x", "y", "y", "x"], "y"),
+        (["x", "y", "x", "y", "y"], "x"),
+        (["x", "<sb>", "x"], "<sb>"),
+        ((t for t in ["a", "b", "<pad>", "a"]), "<pad>"),
+        ((t for t in ["a", "b", "c", "b"]), "b"),
+    ])
+    def test_duplicate_error_names_the_first_repeated_token(self, tokens, first_repeat):
+        with pytest.raises(CorpusError) as exc:
+            Vocabulary(tokens)
+        assert str(exc.value) == f"duplicate vocabulary token {first_repeat!r}"
+
+    def test_tokens_from_a_generator_are_read_once(self):
+        v = Vocabulary(t for t in ["a", "b"])
+        assert v.content_tokens() == ["a", "b"] and v.id("b") == 6
+        assert v.encode(["b", "zz", "<s>", "a"]) == [6, Vocabulary.UNK, Vocabulary.START, 5]
+
 
 def _counting_corpus(text_tokens):
     return [
@@ -226,6 +247,26 @@ class TestBuildVocab:
     def test_unknown_mode(self):
         with pytest.raises(ValueError, match="mode"):
             build_vocab(_counting_corpus(["a"]), mode="top")
+
+
+# A few tokens, specials among them, so frequencies tie often.
+_TIED_TOKENS = st.lists(st.sampled_from(["a", "b", "c", "d", "e", *Vocabulary.SPECIALS]),
+                        min_size=1, max_size=12)
+_TIED_PAIRS = st.lists(st.builds(lambda art, s1, s2, s3: NewsPair("p", art, [s1, s2, s3]),
+                                 _TIED_TOKENS, _TIED_TOKENS, _TIED_TOKENS, _TIED_TOKENS),
+                       min_size=1, max_size=5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pairs=_TIED_PAIRS, size=st.integers(0, 7), min_count=st.integers(1, 6))
+def test_build_vocab_keeps_the_reference_order(pairs, size, min_count):
+    for mode in ("cap", "min_count"):
+        v = build_vocab(pairs, mode=mode, size=size, min_count=min_count)
+        want = oracles.build_vocab(pairs, mode=mode, size=size, min_count=min_count)
+        assert v.content_tokens() == want
+        ids = {t: i for i, t in enumerate([*Vocabulary.SPECIALS, *want])}
+        for p in pairs:
+            assert v.encode(p.article) == [ids.get(t, Vocabulary.UNK) for t in p.article]
 
 
 class TestSplit:
@@ -286,6 +327,103 @@ class TestSynthGenerate:
     def test_n_must_be_positive(self):
         with pytest.raises(ValueError):
             synth_generate(seed=1, n=0)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "7"])
+    def test_a_bad_seed_fails_as_default_rng_fails(self, seed):
+        with pytest.raises((ValueError, TypeError)) as want:
+            np.random.default_rng(seed)
+        with pytest.raises(type(want.value), match=re.escape(str(want.value))):
+            synth_generate(seed=seed, n=1)
+
+    # sha256 of save_jsonl's bytes; a numpy change to choice or integers
+    # moves the reference and the replay together, and these catch it
+    PINNED = [
+        ((1, 300, 0.1, 0.7), "53e5ffb2828c1e1e8892a520f39d7b4fdfa1ec8efda7262261e941566050d7e0"),
+        ((7, 50, 0.5, 0.5), "468567af5466630c7a3913f7e036481b538f2d5688f5509ada7399e6979e175b"),
+        ((0, 20, 1.0, 0.0), "044e015211cb0934d7e56bbb5d799dafe5044c523bfe5376a1a7dc7a53744ccb"),
+    ]
+
+    @pytest.mark.parametrize("args, digest", PINNED)
+    def test_corpus_bytes_are_pinned(self, tmp_path, args, digest):
+        save_jsonl(synth_generate(*args), tmp_path / "c.jsonl")
+        assert hashlib.sha256((tmp_path / "c.jsonl").read_bytes()).hexdigest() == digest
+
+
+_RATES = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**64), n=st.integers(1, 400), oov_rate=_RATES,
+       structure_mix=_RATES)
+def test_synth_generate_matches_the_generator_reference(seed, n, oov_rate, structure_mix):
+    got = synth_generate(seed, n, oov_rate, structure_mix)
+    want = oracles.synth_generate(seed, n, oov_rate, structure_mix)
+    assert [p.to_json() for p in got] == [p.to_json() for p in want]
+
+
+class TestDraws:
+    """``corpus._Draws`` against ``np.random.Generator`` on the same seed."""
+
+    # Lemire rejects about half the first draws at 2**31 + 1, and at
+    # 2**32 - 1 rejects only a leftover of 0
+    BOUNDS = [2, 3, 4, 5, 6, 7, 16, 900, 2**31 - 1, 2**31, 2**31 + 1, 2**32 - 1, 2**32]
+    CALL = st.one_of(
+        st.tuples(st.just("below"), st.sampled_from(BOUNDS) | st.integers(2, 2**32)),
+        st.tuples(st.just("random")),
+        st.integers(2, 40).flatmap(
+            lambda pop: st.tuples(st.just("sample"), st.just(pop), st.integers(1, pop - 1))),
+    )
+
+    @staticmethod
+    def replay(draws, call):
+        return getattr(draws, call[0])(*call[1:])
+
+    @staticmethod
+    def generator(rng, call):
+        if call[0] == "below":
+            return int(rng.integers(0, call[1]))
+        if call[0] == "random":
+            return float(rng.random())
+        return rng.choice(call[1], call[2], replace=False).tolist()
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32), calls=st.lists(CALL, max_size=60),
+           block=st.sampled_from([1, 2, 3, 5, 4096]))
+    def test_interleaved_calls_match(self, seed, calls, block):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(corpus, "_RAW_BLOCK", block)
+            draws, rng = corpus._Draws(np.random.default_rng(seed).bit_generator), \
+                np.random.default_rng(seed)
+            for call in [*calls, ("random",)]:
+                assert self.replay(draws, call) == self.generator(rng, call), call
+
+    def test_rejections_are_replayed(self):
+        """2**31 + 1 rejects about half its draws; each rejection must read
+        the next 32 bits, also across a block boundary."""
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(corpus, "_RAW_BLOCK", 3)
+            draws = corpus._Draws(np.random.default_rng(11).bit_generator)
+            rng = np.random.default_rng(11)
+            for excl in [2**31 + 1] * 500 + [2**32 - 1] * 50:
+                assert draws.below(excl) == rng.integers(0, excl)
+            assert draws.random() == rng.random()
+
+    def test_a_large_corpus_reads_one_block_at_a_time(self, monkeypatch):
+        sizes = []
+        replay = corpus._Draws
+
+        class Recording:
+            def __init__(self, bits):
+                self.bits = bits
+
+            def random_raw(self, size):
+                sizes.append(size)
+                return self.bits.random_raw(size)
+
+        monkeypatch.setattr(corpus, "_Draws", lambda bits: replay(Recording(bits)))
+        monkeypatch.setattr(corpus, "NewsPair", lambda **fields: None)  # keep no pairs
+        assert len(synth_generate(seed=3, n=10**5)) == 10**5
+        assert len(sizes) > 1 and set(sizes) == {corpus._RAW_BLOCK}
 
 
 _SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)

@@ -9,7 +9,7 @@ from b3sum.checkpoint import checkpoint_digest, load_checkpoint
 from b3sum.classifier import ClassifierParams
 from b3sum.config import RunConfig
 from b3sum.corpus import build_vocab, synth_generate
-from b3sum import pipeline
+from b3sum import classifier, layers, pipeline
 from b3sum.pipeline import (
     StructureAwareModel,
     _train_steps,
@@ -193,6 +193,34 @@ class TestAutoLabel:
         for p in seq:
             res = classify(model, vocab.encode(classifier_input_tokens(p, "summary")))
             assert res.label == "sequence"
+
+
+def test_loading_draws_nothing_and_restores_every_byte(corpus, tmp_path, monkeypatch):
+    _, vocab = corpus
+    cfg = _cfg(attn_dim=6, classifier_emb_dim=5, classifier_hidden_dim=7)
+    rng = np.random.default_rng(4)
+    saved = {"s": pipeline.new_summarizer(vocab.size, cfg),
+             "c": pipeline.new_classifier(vocab.size, cfg)}
+    for key, model in saved.items():
+        for p in model.params():  # values no fresh model holds, so each must come from the file
+            p.value[...] = rng.standard_normal(p.value.shape)
+        pipeline.save_model(model, tmp_path / f"{key}.ckpt", cfg)
+    # the parent commit's load: a drawn model, then restore_model
+    drawn = {"s": pipeline.restore_model(pipeline.new_summarizer(vocab.size, cfg),
+                                         tmp_path / "s.ckpt", cfg),
+             "c": pipeline.restore_model(pipeline.new_classifier(vocab.size, cfg),
+                                         tmp_path / "c.ckpt", cfg)}
+    calls = []
+    for module in (layers, summarizer, classifier):
+        monkeypatch.setattr(module, "uniform_param", lambda rng, name, shape: calls.append(name))
+    loaded = {"s": pipeline.load_summarizer(tmp_path / "s.ckpt", vocab, cfg),
+              "c": pipeline.load_classifier(tmp_path / "c.ckpt", vocab, cfg)}
+    assert calls == []
+    for key in saved:
+        for p, q, r in zip(loaded[key].params(), drawn[key].params(), saved[key].params(),
+                           strict=True):
+            assert p.name == q.name == r.name
+            assert p.value.tobytes() == q.value.tobytes() == r.value.tobytes(), p.name
 
 
 class TestFinetune:
