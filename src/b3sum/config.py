@@ -51,6 +51,14 @@ _POSITIVE = "a finite number > 0", lambda v: _is_real(v) and v > 0
 MAX_DIM = 4096
 _DIM = _int_in(1, MAX_DIM)
 
+# Largest beam and decode length a config may ask for: 16x the paper's beam
+# of 4 and its 120-token decode.  Each hypothesis scores a vocabulary-wide
+# row at every step, so a beam of a million runs to gigabytes, and an
+# untrained model that never emits the stop token decodes for
+# max_decode_len steps: such values fail here by name.
+MAX_BEAM_SIZE = 64
+MAX_DECODE_LEN = 1920
+
 # key -> (what the value must be, check)
 _RULES = {
     "hidden_dim": _DIM,
@@ -63,8 +71,8 @@ _RULES = {
     "clip_norm": _POSITIVE,
     "coverage_lambda": ("a finite number >= 0", lambda v: _is_real(v) and v >= 0),
     "coverage_from_step": _or_null(_int_at_least(0)),
-    "beam_size": _int_at_least(1),
-    "max_decode_len": _int_at_least(1),
+    "beam_size": _int_in(1, MAX_BEAM_SIZE),
+    "max_decode_len": _int_in(1, MAX_DECODE_LEN),
     "max_src_len": _int_at_least(1),
     "min_summary_len": _int_at_least(0),
     "batch_size": _int_at_least(1),

@@ -25,42 +25,45 @@ FORGET_BIAS = 1.0
 
 # Element counts: a tensor of SPLIT_MIN or more is drawn on two threads (see
 # uniform_param); CHUNK float64 draws are 128 KiB, which stay in cache from
-# the draw through the scale to the float32 cast.
+# the draw through the scale to the float32 result.
 SPLIT_MIN = 1 << 16
 CHUNK = 1 << 14
 
 
-def _fill_uniform(gen: np.random.Generator, work: np.ndarray, out: np.ndarray) -> None:
-    """Fill the flat float32 ``out`` with ``gen``'s next ``len(out)`` draws of
-    ``uniform(-INIT_SCALE, INIT_SCALE)``, using the float64 ``work`` (same
-    length) a chunk at a time.  Each value is numpy's ``low + (high - low) * u``
-    cast to float32, so the bytes are those of one ``gen.uniform`` call."""
+def _fill_uniform(gen: np.random.Generator, out: np.ndarray) -> None:
+    """Fill the flat ``out`` with ``gen``'s next ``len(out)`` draws of
+    ``uniform(-INIT_SCALE, INIT_SCALE)`` through one float64 buffer of at
+    most CHUNK draws.  Each value is numpy's ``low + (high - low) * u``,
+    computed in float64 and rounded once into ``out``: a float64 ``out``
+    holds the bytes of one ``gen.uniform`` call, a float32 one their cast."""
+    work = np.empty(min(CHUNK, len(out)), dtype=np.float64)
     for lo in range(0, len(out), CHUNK):
-        chunk = work[lo:lo + CHUNK]
+        dst = out[lo:lo + CHUNK]
+        chunk = work[:len(dst)]
         gen.random(out=chunk)
         chunk *= 2 * INIT_SCALE
         chunk += -INIT_SCALE
-        out[lo:lo + CHUNK] = chunk
+        dst[...] = chunk  # a plain cast; a ufunc writing float32 would add a 64 KiB buffer
 
 
 def uniform_param(rng: np.random.Generator, name: str, shape) -> Parameter:
     """A Parameter of ``rng.uniform(-INIT_SCALE, INIT_SCALE, size=shape)`` as
     float32, leaving ``rng`` in the state that call leaves it in.
 
-    A PCG64 tensor of at least ``SPLIT_MIN`` elements is drawn in two halves
-    at once: ``rng`` draws the first, and a helper thread draws the second
-    from a copy of the stream advanced past the first.  After the join,
-    ``rng`` takes the copy's position; ``advance`` clears PCG64's buffered
-    32-bit word, which is put back.  An error in the helper is raised here,
-    and no thread outlives the call.  Arrays are made in the order of
-    ``rng.uniform(...).astype(np.float32)``, so the heap keeps its layout.
+    The draws go straight into the float32 array the Parameter keeps, a
+    chunk at a time, so no tensor-sized float64 array is made.  A PCG64
+    tensor of at least ``SPLIT_MIN`` elements is drawn in two halves at
+    once, each through its own chunk buffer: ``rng`` draws the first, and a
+    helper thread draws the second from a copy of the stream advanced past
+    the first.  After the join, ``rng`` takes the copy's position;
+    ``advance`` clears PCG64's buffered 32-bit word, which is put back.  An
+    error in the helper is raised here, and no thread outlives the call.
     """
-    work = np.empty(shape, dtype=np.float64)
     value = np.empty(shape, dtype=np.float32)
-    w, v = work.reshape(-1), value.reshape(-1)
+    v = value.reshape(-1)
     bits = rng.bit_generator
     if v.size < SPLIT_MIN or not isinstance(bits, np.random.PCG64):
-        _fill_uniform(rng, w, v)
+        _fill_uniform(rng, v)
     else:
         half = v.size // 2
         ahead = copy.deepcopy(bits)
@@ -69,14 +72,14 @@ def uniform_param(rng: np.random.Generator, name: str, shape) -> Parameter:
 
         def second_half():
             try:
-                _fill_uniform(np.random.Generator(ahead), w[half:], v[half:])
+                _fill_uniform(np.random.Generator(ahead), v[half:])
             except BaseException as exc:  # re-raised by the caller after the join
                 errors.append(exc)
 
         helper = threading.Thread(target=second_half, name=f"uniform_param {name}")
         helper.start()
         try:
-            _fill_uniform(rng, w[:half], v[:half])
+            _fill_uniform(rng, v[:half])
         finally:
             helper.join()
         if errors:
@@ -85,23 +88,25 @@ def uniform_param(rng: np.random.Generator, name: str, shape) -> Parameter:
         buffered = bits.state
         state["has_uint32"], state["uinteger"] = buffered["has_uint32"], buffered["uinteger"]
         bits.state = state
-    del work, w, v  # the float64 draws go before Parameter copies, as in the serial call
-    return Parameter(name, value)
+    return Parameter(name, value, copy=False)
 
 
 def zeros_param(name: str, shape) -> Parameter:
-    return Parameter(name, np.zeros(shape, dtype=np.float32))
+    return Parameter(name, np.zeros(shape, dtype=np.float32), copy=False)
 
 
 class EmbeddingTable:
     """Token-id to vector lookup; row k of the weight matrix embeds id k.
-    With ``rng=None`` the weights are zeros, made without a draw."""
+    With ``rng=None`` the weights are zeros, made without a draw.  Only
+    ``embed_rows`` reads the weights, so they are ``row_sparse``: Adagrad
+    keeps state only for the rows training has gathered."""
 
     def __init__(self, rng: np.random.Generator | None, name: str, vocab_size: int, dim: int):
         self.vocab_size = vocab_size
         self.dim = dim
         shape = (vocab_size, dim)
         self.weights = zeros_param(name, shape) if rng is None else uniform_param(rng, name, shape)
+        self.weights.row_sparse = True
 
     def params(self):
         return [self.weights]

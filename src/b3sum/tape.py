@@ -176,25 +176,41 @@ class CopyIds:
 class Parameter:
     """A named trainable tensor with gradient and Adagrad accumulator state.
 
+    ``value`` is a float32 copy of what it is handed; with ``copy=False``
+    it is the handed float32 array itself, which the caller then gives up
+    (``uniform_param`` and ``zeros_param`` hand over what they made, so a
+    model's tensors are never copied).
+
     ``grad`` (zeros) is created on first use.  The accumulator
     (``ADAGRAD_INIT_ACC``) is made by ``optimizer_step`` before it builds the
     step's tape, and dropped again if that step raises; a direct read of
     ``adagrad_acc`` makes it too.  So a model that only evaluates or decodes
-    holds just its values.  Backward may leave a ``RowBlock`` in ``_grad``
-    (the adjoint of a table only ``gather_rows`` reads), which the optimizer
-    functions use as it is; reading ``grad`` makes it dense.
+    holds just its values.  A ``row_sparse`` parameter (an embedding table,
+    which only ``gather_rows`` reads) gets no accumulator in advance:
+    ``adagrad_step`` keeps a row state for it, a ``RowBlock`` of the rows it
+    has updated, and every other row holds ``ADAGRAD_INIT_ACC``, as Adagrad
+    leaves a coordinate that never had a gradient.  Reading ``adagrad_acc``,
+    or a dense grad reaching ``adagrad_step``, fills it out to a dense array.
+    Backward may leave a ``RowBlock`` in ``_grad`` (the adjoint of a table
+    only ``gather_rows`` reads), which the optimizer functions use as it is;
+    reading ``grad`` makes it dense.
     ``zero_grad`` releases the grad; the next read of ``grad`` sees zeros.
     """
 
-    __slots__ = ("name", "value", "_grad", "_acc")
+    __slots__ = ("name", "value", "row_sparse", "_grad", "_acc")
 
-    def __init__(self, name: str, value):
+    def __init__(self, name: str, value, copy: bool = True):
         self.name = name
-        self.value = np.array(value, dtype=np.float32)
+        self.value = np.array(value, dtype=np.float32, copy=copy)
         if self.value.ndim != 2:
             self.value = np.atleast_2d(self.value)
-        if not np.all(np.isfinite(self.value)):
+        # A float64 sum of float32 values cannot overflow, so it is finite
+        # exactly when every value is; it makes no value-sized mask.
+        with np.errstate(invalid="ignore"):  # inf + -inf: a nan, rejected below
+            total = self.value.sum(dtype=np.float64)
+        if not math.isfinite(total):
             raise ValueError(f"parameter {name!r} has non-finite values")
+        self.row_sparse = False
         self._grad = None
         self._acc = None
 
@@ -212,8 +228,11 @@ class Parameter:
 
     @property
     def adagrad_acc(self) -> np.ndarray:
-        if self._acc is None:
-            self._acc = np.full_like(self.value, ADAGRAD_INIT_ACC)
+        if not isinstance(self._acc, np.ndarray):
+            acc = np.full_like(self.value, ADAGRAD_INIT_ACC)
+            if self._acc is not None:  # the row state
+                acc[self._acc.rows] = self._acc.block
+            self._acc = acc
         return self._acc
 
     def zero_grad(self):
@@ -811,7 +830,9 @@ class Tape:
         elif k is Kernel.SOFTMAX:
             y = node.value
             dot = (g * y).sum(axis=-1, keepdims=True)
-            self._add_grad(ids[0], y * (g - dot))
+            g -= dot  # y * (g - dot) in g itself, which nothing reads after this rule
+            g *= y
+            self._add_grad(ids[0], g)
         elif k is Kernel.LOG:
             self._add_grad(ids[0], g / self.nodes[ids[0]].value)
         elif k is Kernel.NEG_LOG_PICK:
@@ -967,6 +988,26 @@ def _adagrad_update(g, acc, lr, eps):
     g /= tmp
 
 
+def _acc_rows(p: Parameter, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where ``p``'s accumulator keeps ``rows`` (sorted, distinct): the dense
+    accumulator and ``rows`` itself, or a row state's block and the rows'
+    positions in it.  A parameter with no dense accumulator gets or grows
+    its row state, new rows at ``ADAGRAD_INIT_ACC``."""
+    state = p._acc
+    if isinstance(state, np.ndarray):
+        return state, rows
+    if state is None:
+        state = RowBlock(rows[:0], np.empty((0, p.shape[1]), dtype=np.float32), p.shape)
+    held = state.rows.size
+    merged, inverse = _distinct(np.concatenate([state.rows, rows]))
+    if merged.size > held:
+        block = np.full((merged.size, p.shape[1]), ADAGRAD_INIT_ACC, dtype=np.float32)
+        block[inverse[:held]] = state.block
+        state = RowBlock(merged, block, p.shape)
+    p._acc = state
+    return state.block, inverse[held:]
+
+
 def adagrad_step(params, lr: float):
     """acc += g^2; value -= lr * g / (sqrt(acc) + eps); grads are then released.
 
@@ -974,7 +1015,10 @@ def adagrad_step(params, lr: float):
     with the step, and the only temporary is one float32 chunk, so no
     parameter-sized array is made while the grads are alive.  A parameter
     holding no grad has a zero step and is left as it is, and so are the
-    rows a ``RowBlock`` grad does not hold.
+    rows a ``RowBlock`` grad does not hold.  A ``RowBlock`` grad on a
+    parameter with no dense accumulator updates its row state (see
+    ``Parameter``), grown by the rows it did not hold yet; a dense grad
+    fills the row state out first.
     """
     lr, eps = np.float32(lr), np.float32(ADAGRAD_EPS)
     for p in params:
@@ -982,9 +1026,10 @@ def adagrad_step(params, lr: float):
         if g is None:
             continue
         if isinstance(g, RowBlock):
-            acc = p.adagrad_acc[g.rows]
+            store, at = _acc_rows(p, g.rows)
+            acc = store[at]
             _adagrad_update(g.block, acc, lr, eps)
-            p.adagrad_acc[g.rows] = acc
+            store[at] = acc
             p.value[g.rows] -= g.block
             p.zero_grad()
             continue
@@ -1004,13 +1049,15 @@ def optimizer_step(build, params, lr: float, clip_norm: float | None = None) -> 
     ``Tape``; then backward, clip to ``clip_norm`` (None: only check) and
     Adagrad.  Returns the loss.
 
-    Every Adagrad accumulator a parameter lacks is made before the tape, so
-    the optimizer's long-lived state sits below the step's temporaries and
-    their space can be reused by the next step.  A non-finite loss (before
+    Every dense Adagrad accumulator a parameter lacks is made before the
+    tape, so the optimizer's long-lived state sits below the step's
+    temporaries and their space can be reused by the next step; a
+    ``row_sparse`` parameter's row state is left to ``adagrad_step``, which
+    makes only the rows the step gathered.  A non-finite loss (before
     backward) or grad (naming the parameter) raises NonFiniteError; that, or
     any exception from ``build``, releases every grad and drops the
     accumulators this call made, so no value or accumulator changes."""
-    made = [p for p in params if p._acc is None]
+    made = [p for p in params if p._acc is None and not p.row_sparse]
     for p in made:
         p._acc = np.full_like(p.value, ADAGRAD_INIT_ACC)
     try:

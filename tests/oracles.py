@@ -297,6 +297,14 @@ def reference_adagrad_step(value, grad, acc, lr):
     return value, acc
 
 
+def dense_acc_row_step(value, acc, grad, lr):
+    """Adagrad from a ``RowBlock`` grad on a dense accumulator, as
+    ``adagrad_step`` made it before tables kept row states: the grad's rows
+    of ``value`` and ``acc`` are updated in place."""
+    rows = grad.rows
+    value[rows], acc[rows] = reference_adagrad_step(value[rows], grad.block, acc[rows], lr)
+
+
 def uniform_param(rng, name, shape):
     """Drop-in for ``layers.uniform_param``: one serial ``rng.uniform`` call
     cast to float32, the reference for the two-part draw."""

@@ -20,7 +20,7 @@ from b3sum.checkpoint import (
     save_checkpoint,
     tensor_map,
 )
-from b3sum.config import RunConfig
+from b3sum.config import MAX_BEAM_SIZE, MAX_DECODE_LEN, RunConfig
 from b3sum.corpus import read_json
 from b3sum.tape import Parameter
 
@@ -224,6 +224,8 @@ class TestRunConfig:
         ("coverage_lambda", -1.0), ("coverage_from_step", -1), ("beam_size", None),
         ("max_decode_len", 0), ("max_src_len", 0), ("min_summary_len", -1),
         ("batch_size", 0), ("tau", -0.1), ("tau", 1.5), ("seed", -1),
+        ("beam_size", 65), ("beam_size", 10**6), ("max_decode_len", 1921),
+        ("max_decode_len", 10**9),
     ])
     def test_bad_value_names_the_key(self, key, value):
         with pytest.raises(ValueError, match=f"config key '{key}' must be "):
@@ -239,6 +241,11 @@ class TestRunConfig:
         path.write_text('{"tau": 1.0, "batch_size": -2}')
         with pytest.raises(ValueError, match="config key 'batch_size'"):
             RunConfig.from_dict(read_json(path, "config file"))
+
+    def test_decode_bounds_are_accepted_and_stay_out_of_the_hash(self):
+        widest = RunConfig(beam_size=MAX_BEAM_SIZE, max_decode_len=MAX_DECODE_LEN)
+        assert (MAX_BEAM_SIZE, MAX_DECODE_LEN) == (64, 1920)
+        assert widest.hash_hex() == RunConfig().hash_hex()
 
     def test_non_object_config_file_rejected(self, tmp_path):
         path = tmp_path / "c.json"

@@ -11,10 +11,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from b3sum import cli, metrics
+from b3sum import cli, metrics, pipeline
 from b3sum.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from b3sum.cli import MAX_SYNTH_PAIRS, _config, build_parser, main
-from b3sum.config import MAX_DIM
+from b3sum.config import MAX_BEAM_SIZE, MAX_DECODE_LEN, MAX_DIM
 from b3sum.corpus import load_jsonl, save_jsonl, synth_generate
 
 
@@ -101,7 +101,7 @@ class TestUsageAndFailures:
         assert "unknown config keys" in err
 
     @pytest.mark.parametrize("setting, message", [
-        ("beam_size=abc", "config key 'beam_size' must be an integer >= 1, got 'abc'"),
+        ("beam_size=abc", "config key 'beam_size' must be an integer in [1, 64], got 'abc'"),
         ("batch_size=0", "config key 'batch_size' must be an integer >= 1, got 0"),
         ("tau=1.5", "config key 'tau' must be a number in [0, 1], got 1.5"),
         ("lr=null", "config key 'lr' must be a finite number > 0, got None"),
@@ -407,6 +407,23 @@ class TestModelCommands:
         assert f"an integer in [1, {MAX_DIM}], got 100000000" in err
         assert "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("key, bound", [("beam_size", MAX_BEAM_SIZE),
+                                            ("max_decode_len", MAX_DECODE_LEN)])
+    @pytest.mark.parametrize("value", ["bound + 1", "1000000"])
+    def test_an_oversized_decode_fails_by_name(self, workspace, pretrained, tmp_path, capsys,
+                                               monkeypatch, key, bound, value):
+        value = bound + 1 if value == "bound + 1" else int(value)
+        decoded = []
+        monkeypatch.setattr(pipeline, "decode", lambda *a, **k: decoded.append(1))
+        out = tmp_path / "sys.jsonl"
+        code, _, err = run(capsys, "summarize", "--articles", str(workspace / "heldout.jsonl"),
+                           "--vocab", str(pretrained[0]), "--checkpoint", str(pretrained[1]),
+                           "--summaries-out", str(out), *TINY, "--set", f"{key}={value}")
+        assert code == 1
+        assert f"config key '{key}' must be an integer in [1, {bound}], got {value}" in err
+        assert "Traceback" not in err
+        assert not out.exists() and decoded == []
 
     def test_summarize_names_a_non_string_article(self, pretrained, tmp_path, capsys):
         articles, out = tmp_path / "articles.jsonl", tmp_path / "sys.jsonl"

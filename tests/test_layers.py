@@ -1,6 +1,7 @@
 """Embedding, LSTM cell, bidirectional encoder, and linear-layer contracts."""
 
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -374,9 +375,9 @@ class TestUniformParam:
         """A float64 change of one ulp seldom moves the float32 cast, so the
         arithmetic is checked before it."""
         n = 3 * layers.CHUNK + 5
-        work, out = np.empty(n), np.empty(n, dtype=np.float32)
-        layers._fill_uniform(_rng(4), work, out)
-        assert work.tobytes() == _rng(4).uniform(-0.1, 0.1, size=n).tobytes()
+        out = np.empty(n, dtype=np.float64)
+        layers._fill_uniform(_rng(4), out)
+        assert out.tobytes() == _rng(4).uniform(-0.1, 0.1, size=n).tobytes()
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_vocab_20k_models_match_the_serial_reference(self, monkeypatch, seed):
@@ -394,16 +395,36 @@ class TestUniformParam:
     def test_helper_error_is_raised_in_the_caller(self, monkeypatch):
         fill = layers._fill_uniform
 
-        def failing_in_helper(gen, work, out):
+        def failing_in_helper(gen, out):
             if threading.current_thread() is not threading.main_thread():
                 raise RuntimeError("helper part failed")
-            fill(gen, work, out)
+            fill(gen, out)
 
         monkeypatch.setattr(layers, "_fill_uniform", failing_in_helper)
         before = set(threading.enumerate())
         with pytest.raises(RuntimeError, match="helper part failed"):
             uniform_param(_rng(3), "w", (256, 256))
         assert set(threading.enumerate()) == before
+
+    def test_a_vocab_20k_table_is_drawn_into_the_array_it_keeps(self, monkeypatch):
+        # No tensor-sized float64 buffer and no copy: the float32 tensor,
+        # one float64 chunk per thread and a little slack.
+        filled = []
+        fill = layers._fill_uniform
+
+        def recording(gen, out):
+            filled.append(out)
+            fill(gen, out)
+
+        monkeypatch.setattr(layers, "_fill_uniform", recording)
+        tracemalloc.start()
+        try:
+            p = uniform_param(_rng(5), "emb", (20000, 256))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 20000 * 256 + 2 * 8 * layers.CHUNK + 64 * 1024
+        assert len(filled) == 2 and all(out.base is p.value for out in filled)
 
     def test_tiny_model_starts_no_thread(self, monkeypatch):
         starts = _count_thread_starts(monkeypatch)

@@ -743,12 +743,35 @@ def test_a_training_tape_holds_three_output_blocks_and_the_gathered_rows():
     assert adjoint.rows.tolist() == sorted(set(ex.ext.enc_ids + ex.dec_in_ids))
 
 
+def test_a_vocab_20k_step_keeps_the_tables_accumulator_by_row():
+    # Adagrad leaves a row no batch gathered at its initial value, so the
+    # embedding keeps a row state of the gathered rows, made after the
+    # step's tape; every other accumulator is dense.
+    vocab = Vocabulary([f"w{i}" for i in range(19995)])
+    rng = np.random.default_rng(0)
+    article = [f"w{i}" for i in rng.integers(0, 19995, 30)] + ["zz"]
+    summary = [[f"w{i}" for i in rng.integers(0, 19995, 3)] for _ in range(3)]
+    ex = prepare_pair(NewsPair(id="wide", article=article, summary=summary), vocab)
+    model = SummarizerParams(vocab.size, emb_dim=8, hidden_dim=8, seed=1)
+    train_batch(model, [ex], RunConfig())
+    table = model.embedding.weights
+    assert table.shape == (20000, 8) and isinstance(table._acc, RowBlock)
+    assert table._acc.rows.tolist() == sorted(set(ex.ext.enc_ids + ex.dec_in_ids))
+    assert table._acc.block.shape == (len(table._acc.rows), 8)
+    assert all(isinstance(p._acc, np.ndarray) and p._acc.shape == p.shape
+               for p in model.params() if p is not table)
+
+
 def test_training_evaluation_and_decoding_never_import_numpy_ma():
     # A bare np.unique imports numpy.ma on first use (numpy 2.4), which then
     # holds about 1 MiB for the rest of the process; the distinct ids of the
     # copy mix and the row-sparse adjoints are taken without it.
+    # Two summarizer steps and a classifier epoch of two steps: each table's
+    # second step merges new rows into its row state.
     code = textwrap.dedent("""
         import sys
+        from b3sum.classifier import (ClassifierParams, ClassifierTrainConfig,
+                                      LabeledExample, train_classifier)
         from b3sum.config import RunConfig
         from b3sum.corpus import build_vocab, synth_generate
         from b3sum.summarizer import (SummarizerParams, corpus_loss, decode, prepare_pair,
@@ -757,7 +780,12 @@ def test_training_evaluation_and_decoding_never_import_numpy_ma():
         vocab = build_vocab(pairs[1:], mode="cap", size=60)
         prepared = [prepare_pair(p, vocab) for p in pairs]
         model = SummarizerParams(vocab.size, emb_dim=4, hidden_dim=8, seed=3)
-        train_batch(model, prepared, RunConfig(batch_size=3), use_coverage=True)
+        train_batch(model, prepared[:2], RunConfig(batch_size=2), use_coverage=True)
+        train_batch(model, prepared[2:], RunConfig(batch_size=1), use_coverage=True)
+        assert model.embedding.weights._acc.rows.size > 0
+        examples = [LabeledExample(ids=[5, 7, 9], gold=0), LabeledExample(ids=[6, 7, 2], gold=1)]
+        train_classifier(ClassifierParams(10, emb_dim=4, hidden_dim=3, seed=1), examples, None,
+                         ClassifierTrainConfig(batch_size=1, epochs=1))
         corpus_loss(model, prepared, use_coverage=True)
         decode(model, pairs[0].article, vocab, mode="beam", beam_size=3, max_decode_len=5)
         print("numpy.ma" in sys.modules)
@@ -1040,16 +1068,19 @@ class TestCallThrough:
 
     def test_both_trainers_make_every_accumulator_before_their_tape(self, monkeypatch):
         # The step's temporaries then sit above the long-lived optimizer
-        # state, so the space they free can be reused by the next step.
+        # state, so the space they free can be reused by the next step.  An
+        # embedding table's row state is made after the tape, by Adagrad.
         pairs, vocab = _golden_pairs()
         summ = tiny_summarizer(vocab_size=vocab.size)
         cls = ClassifierParams(10, emb_dim=4, hidden_dim=3)
-        training, ready = [], []
+        training, ready, tables = [], [], []
         original_init = Tape.__init__
 
         def init(tape_self, *args, **kwargs):
             original_init(tape_self, *args, **kwargs)
-            ready.append([p._acc is not None for p in training[-1].params()])
+            params = training[-1].params()
+            ready.append([isinstance(p._acc, np.ndarray) for p in params if not p.row_sparse])
+            tables.append([type(p._acc) for p in params if p.row_sparse])
 
         monkeypatch.setattr(Tape, "__init__", init)
         training.append(summ)
@@ -1058,6 +1089,9 @@ class TestCallThrough:
         examples = [LabeledExample(ids=[5, 7], gold=0), LabeledExample(ids=[6, 7], gold=1)]
         train_classifier(cls, examples, None, ClassifierTrainConfig(batch_size=1, epochs=1))
         assert len(ready) == 3 and all(all(r) for r in ready)
+        # the classifier's second tape comes after its first step's Adagrad
+        assert tables == [[type(None)], [type(None)], [RowBlock]]
+        assert isinstance(summ.embedding.weights._acc, RowBlock)
 
     def test_both_trainers_step_through_the_tape_module_attributes(self, monkeypatch):
         fired = []

@@ -31,7 +31,8 @@ from b3sum.tape import (
     zero_grads,
 )
 
-from oracles import MixChainTape, reference_adagrad_step, reference_clip_global_norm
+from oracles import (MixChainTape, dense_acc_row_step, reference_adagrad_step,
+                     reference_clip_global_norm)
 
 
 class TestKernelForward:
@@ -181,6 +182,23 @@ def test_softmax_rows_sum_to_one_and_positive(logits):
     out = t.value(t.softmax(t.leaf([logits])))
     assert abs(out.sum() - 1.0) <= 1e-6
     assert (out > 0).all()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_softmax_adjoint_is_written_into_its_incoming_adjoint(dtype):
+    # y * (g - dot) formed in place in g, the softmax's own adjoint, keeps
+    # the bytes of the formula.
+    rng = np.random.default_rng(4)
+    logits, weights = rng.standard_normal((2, 3, 7))
+    t = Tape(dtype=dtype)
+    x = t.leaf(logits, needs_grad=True)
+    y = t.softmax(x)
+    w = t.leaf(weights)
+    yv = t.value(y).copy()
+    t.backward(t.reduce_sum(t.mul(y, w)))
+    g = t.value(w)  # the mul's adjoint of y
+    want = yv * (g - (g * yv).sum(axis=-1, keepdims=True))
+    assert t.grad(x).dtype == dtype and t.grad(x).tobytes() == want.tobytes()
 
 
 class TestBackward:
@@ -418,6 +436,102 @@ class TestRowSparseAdjoints:
         p._grad = RowBlock(np.array([2]), np.array([[1.0, np.inf]], dtype=np.float32), (4, 2))
         with pytest.raises(NonFiniteError, match="'emb'"):
             global_grad_norm([p])
+
+
+class TestRowState:
+    """A ``row_sparse`` table's Adagrad row state against the dense
+    accumulator it replaces (``oracles.dense_acc_row_step``)."""
+
+    SHAPE = (20, 4)
+    # repeated, overlapping and new rows; the last step grows nothing
+    STEPS = ([3, 7, 10], [3, 5, 7], [0, 10, 19], [5, 7])
+
+    @staticmethod
+    def _table(value):
+        table = Parameter("table", value)
+        table.row_sparse = True
+        return table
+
+    @pytest.mark.parametrize("clip_norm", [None, 0.5], ids=["unclipped", "clipped"])
+    def test_steps_match_the_dense_accumulator(self, clip_norm):
+        rng = np.random.default_rng(11)
+        start = rng.standard_normal(self.SHAPE).astype(np.float32)
+        table, bias = self._table(start), Parameter("bias", np.zeros((1, 3)))
+        want_value, want_acc = start.copy(), np.full(self.SHAPE, ADAGRAD_INIT_ACC, np.float32)
+        seen = set()
+        for rows in self.STEPS:
+            block = rng.standard_normal((len(rows), self.SHAPE[1])).astype(np.float32)
+            other = rng.standard_normal((1, 3)).astype(np.float32)
+            table._grad = RowBlock(np.array(rows), block.copy(), self.SHAPE)
+            bias._grad = other.copy()
+            factor = 1.0
+            if clip_norm is not None:
+                factor = clip_global_norm([table, bias], clip_norm)
+                want_factor, _ = reference_clip_global_norm(
+                    [RowBlock(np.array(rows), block, self.SHAPE).dense(), other], clip_norm)
+                assert factor == want_factor < 1.0
+            adagrad_step([table, bias], 0.15)
+            grad = RowBlock(np.array(rows), block * np.float32(factor) if clip_norm else block,
+                            self.SHAPE)
+            dense_acc_row_step(want_value, want_acc, grad, 0.15)
+            seen.update(rows)
+            assert isinstance(table._acc, RowBlock)
+            assert table._acc.rows.tolist() == sorted(seen)
+            assert table._acc.block.tobytes() == want_acc[sorted(seen)].tobytes()
+            assert table.value.tobytes() == want_value.tobytes()
+        assert table.adagrad_acc.tobytes() == want_acc.tobytes()
+        assert isinstance(table._acc, np.ndarray)
+
+    def test_a_table_a_matmul_also_reads_fills_out_with_the_same_bytes(self):
+        rng = np.random.default_rng(12)
+        start = rng.standard_normal(self.SHAPE).astype(np.float32)
+        x = rng.standard_normal((2, self.SHAPE[1])).astype(np.float32)
+        sparse, dense = self._table(start), Parameter("table", start)
+
+        def gathers(p, rows):
+            return lambda t: t.reduce_sum(t.tanh(t.gather_rows(t.param(p), rows)))
+
+        def gathers_and_matmul(p, rows):
+            def build(t):
+                w = t.param(p)
+                return t.add(t.reduce_sum(t.tanh(t.gather_rows(w, rows))),
+                             t.reduce_sum(t.tanh(t.matmul(t.leaf(x), w, transpose_b=True))))
+            return build
+
+        for make, rows in ((gathers, [2, 9, 2]), (gathers_and_matmul, [9, 4]),
+                           (gathers, [4, 17])):
+            for p in (sparse, dense):
+                optimizer_step(make(p, rows), [p], lr=0.1, clip_norm=1.0)
+            assert sparse.value.tobytes() == dense.value.tobytes()
+        assert isinstance(sparse._acc, np.ndarray)  # the matmul's dense grad filled it out
+        assert sparse._acc.tobytes() == dense._acc.tobytes()
+
+    @pytest.mark.parametrize("where", ["loss", "gradient", "build"])
+    def test_a_raising_step_leaves_the_row_state_as_it_was(self, where):
+        table, bias = self._table(np.ones(self.SHAPE)), Parameter("bias", [[1.0]])
+
+        def step(rows, fail):
+            def build(t):
+                loss = t.add(t.reduce_sum(t.gather_rows(t.param(table), rows)),
+                             t.reduce_sum(t.param(bias)))
+                if fail and where == "build":
+                    raise RuntimeError("build failed")
+                return t.scale(loss, np.nan) if fail and where == "loss" else loss
+
+            if fail and where == "gradient":
+                bias.grad[0, 0] = np.inf  # backward adds into it
+            with pytest.raises(RuntimeError if where == "build" else NonFiniteError):
+                optimizer_step(build, [table, bias], lr=0.1, clip_norm=1.0)
+
+        step([1, 4], fail=True)
+        assert table._acc is None and table._grad is None
+        optimizer_step(lambda t: t.reduce_sum(t.gather_rows(t.param(table), [1, 4])), [table],
+                       lr=0.1, clip_norm=1.0)
+        state = (table._acc.rows.tobytes(), table._acc.block.tobytes(), table.value.tobytes())
+        step([2, 4], fail=True)
+        assert (table._acc.rows.tobytes(), table._acc.block.tobytes(),
+                table.value.tobytes()) == state
+        assert table._grad is None
 
 
 class TestRecordFreeTape:
@@ -699,6 +813,25 @@ class TestParameterState:
         np.testing.assert_array_equal(p.adagrad_acc, np.full((1, 2), ADAGRAD_INIT_ACC, np.float32))
         p.zero_grad()
         assert p._grad is None
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_value_is_rejected_by_name(self, bad):
+        big = np.full((300, 300), np.finfo(np.float32).max, dtype=np.float32)
+        Parameter("big", big)  # accepted: finite, though its float32 sum is not
+        for value in (big, -big):
+            value = value.copy()
+            value[7, 9] = bad
+            with pytest.raises(ValueError, match="parameter 'w' has non-finite values"):
+                Parameter("w", value, copy=False)
+        mixed = np.zeros((2, 2), dtype=np.float32)
+        mixed[0] = [np.inf, -np.inf]
+        with pytest.raises(ValueError, match="'w' has non-finite"):
+            Parameter("w", mixed)
+
+    def test_value_is_a_copy_unless_handed_over(self):
+        handed = np.ones((2, 3), dtype=np.float32)
+        assert not np.shares_memory(Parameter("w", handed).value, handed)
+        assert Parameter("w", handed, copy=False).value is handed
 
     def test_backward_moves_a_float32_adjoint_and_adds_the_rest(self):
         p = Parameter("w", [[2.0, -1.0]])
