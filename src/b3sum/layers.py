@@ -88,11 +88,11 @@ def uniform_param(rng: np.random.Generator, name: str, shape) -> Parameter:
         buffered = bits.state
         state["has_uint32"], state["uinteger"] = buffered["has_uint32"], buffered["uinteger"]
         bits.state = state
-    return Parameter(name, value, copy=False)
+    return Parameter(name, value)
 
 
 def zeros_param(name: str, shape) -> Parameter:
-    return Parameter(name, np.zeros(shape, dtype=np.float32), copy=False)
+    return Parameter(name, np.zeros(shape, dtype=np.float32))
 
 
 class EmbeddingTable:

@@ -176,10 +176,10 @@ class CopyIds:
 class Parameter:
     """A named trainable tensor with gradient and Adagrad accumulator state.
 
-    ``value`` is a float32 copy of what it is handed; with ``copy=False``
-    it is the handed float32 array itself, which the caller then gives up
-    (``uniform_param`` and ``zeros_param`` hand over what they made, so a
-    model's tensors are never copied).
+    ``value`` is the C-contiguous float32 array it is handed, kept rather
+    than copied, so the caller gives that array up (``uniform_param`` and
+    ``zeros_param`` hand over what they made, and a model's tensors are
+    never copied); a list, another dtype or another layout is converted.
 
     ``grad`` (zeros) is created on first use.  The accumulator
     (``ADAGRAD_INIT_ACC``) is made by ``optimizer_step`` before it builds the
@@ -190,7 +190,8 @@ class Parameter:
     ``adagrad_step`` keeps a row state for it, a ``RowBlock`` of the rows it
     has updated, and every other row holds ``ADAGRAD_INIT_ACC``, as Adagrad
     leaves a coordinate that never had a gradient.  Reading ``adagrad_acc``,
-    or a dense grad reaching ``adagrad_step``, fills it out to a dense array.
+    a dense grad reaching ``adagrad_step``, or a row state growing past half
+    the rows fills it out to a dense array.
     Backward may leave a ``RowBlock`` in ``_grad`` (the adjoint of a table
     only ``gather_rows`` reads), which the optimizer functions use as it is;
     reading ``grad`` makes it dense.
@@ -199,9 +200,10 @@ class Parameter:
 
     __slots__ = ("name", "value", "row_sparse", "_grad", "_acc")
 
-    def __init__(self, name: str, value, copy: bool = True):
+    def __init__(self, name: str, value):
         self.name = name
-        self.value = np.array(value, dtype=np.float32, copy=copy)
+        # C order, so adagrad_step's flat views write into the value itself.
+        self.value = np.ascontiguousarray(value, dtype=np.float32)
         if self.value.ndim != 2:
             self.value = np.atleast_2d(self.value)
         # A float64 sum of float32 values cannot overflow, so it is finite
@@ -992,7 +994,10 @@ def _acc_rows(p: Parameter, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Where ``p``'s accumulator keeps ``rows`` (sorted, distinct): the dense
     accumulator and ``rows`` itself, or a row state's block and the rows'
     positions in it.  A parameter with no dense accumulator gets or grows
-    its row state, new rows at ``ADAGRAD_INIT_ACC``."""
+    its row state, new rows at ``ADAGRAD_INIT_ACC``.  A row state that would
+    hold more than half the rows is filled out dense instead: growing it
+    past that would hold old and new blocks larger than the dense array, and
+    copy that much on every step that adds a row."""
     state = p._acc
     if isinstance(state, np.ndarray):
         return state, rows
@@ -1000,6 +1005,8 @@ def _acc_rows(p: Parameter, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         state = RowBlock(rows[:0], np.empty((0, p.shape[1]), dtype=np.float32), p.shape)
     held = state.rows.size
     merged, inverse = _distinct(np.concatenate([state.rows, rows]))
+    if 2 * merged.size > p.shape[0]:
+        return p.adagrad_acc, rows
     if merged.size > held:
         block = np.full((merged.size, p.shape[1]), ADAGRAD_INIT_ACC, dtype=np.float32)
         block[inverse[:held]] = state.block
@@ -1017,8 +1024,9 @@ def adagrad_step(params, lr: float):
     holding no grad has a zero step and is left as it is, and so are the
     rows a ``RowBlock`` grad does not hold.  A ``RowBlock`` grad on a
     parameter with no dense accumulator updates its row state (see
-    ``Parameter``), grown by the rows it did not hold yet; a dense grad
-    fills the row state out first.
+    ``Parameter``), grown by the rows it did not hold yet, and filled out
+    dense once it would hold more than half the rows; a dense grad fills
+    the row state out first.
     """
     lr, eps = np.float32(lr), np.float32(ADAGRAD_EPS)
     for p in params:

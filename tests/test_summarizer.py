@@ -767,25 +767,29 @@ def test_training_evaluation_and_decoding_never_import_numpy_ma():
     # holds about 1 MiB for the rest of the process; the distinct ids of the
     # copy mix and the row-sparse adjoints are taken without it.
     # Two summarizer steps and a classifier epoch of two steps: each table's
-    # second step merges new rows into its row state.
+    # second step merges new rows into its row state.  The summarizer's
+    # vocabulary is padded with unused words, so its table stays by row.
     code = textwrap.dedent("""
         import sys
         from b3sum.classifier import (ClassifierParams, ClassifierTrainConfig,
                                       LabeledExample, train_classifier)
         from b3sum.config import RunConfig
-        from b3sum.corpus import build_vocab, synth_generate
+        from b3sum.corpus import Vocabulary, build_vocab, synth_generate
         from b3sum.summarizer import (SummarizerParams, corpus_loss, decode, prepare_pair,
                                       train_batch)
         pairs = synth_generate(seed=7, n=3, oov_rate=0.3)
-        vocab = build_vocab(pairs[1:], mode="cap", size=60)
+        words = build_vocab(pairs[1:], mode="cap", size=60)
+        vocab = Vocabulary([words.token(i) for i in range(5, words.size)]
+                           + [f"unused{i}" for i in range(200)])
         prepared = [prepare_pair(p, vocab) for p in pairs]
         model = SummarizerParams(vocab.size, emb_dim=4, hidden_dim=8, seed=3)
         train_batch(model, prepared[:2], RunConfig(batch_size=2), use_coverage=True)
         train_batch(model, prepared[2:], RunConfig(batch_size=1), use_coverage=True)
         assert model.embedding.weights._acc.rows.size > 0
         examples = [LabeledExample(ids=[5, 7, 9], gold=0), LabeledExample(ids=[6, 7, 2], gold=1)]
-        train_classifier(ClassifierParams(10, emb_dim=4, hidden_dim=3, seed=1), examples, None,
-                         ClassifierTrainConfig(batch_size=1, epochs=1))
+        classifier = ClassifierParams(10, emb_dim=4, hidden_dim=3, seed=1)
+        train_classifier(classifier, examples, None, ClassifierTrainConfig(batch_size=1, epochs=1))
+        assert classifier.embedding.weights._acc.rows.size == 5
         corpus_loss(model, prepared, use_coverage=True)
         decode(model, pairs[0].article, vocab, mode="beam", beam_size=3, max_decode_len=5)
         print("numpy.ma" in sys.modules)
@@ -1070,7 +1074,8 @@ class TestCallThrough:
         # The step's temporaries then sit above the long-lived optimizer
         # state, so the space they free can be reused by the next step.  An
         # embedding table's row state is made after the tape, by Adagrad.
-        pairs, vocab = _golden_pairs()
+        pairs, _ = _golden_pairs()
+        vocab = Vocabulary([f"t{i}" for i in range(40)])  # the step gathers under half its rows
         summ = tiny_summarizer(vocab_size=vocab.size)
         cls = ClassifierParams(10, emb_dim=4, hidden_dim=3)
         training, ready, tables = [], [], []

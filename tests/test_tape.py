@@ -418,7 +418,7 @@ class TestRowSparseAdjoints:
         acc = rng.uniform(0.1, 5.0, shape).astype(np.float32)
         runs = []
         for sparse in (True, False):
-            table, bias = Parameter("table", value), Parameter("bias", np.zeros((2, 3)))
+            table, bias = Parameter("table", value.copy()), Parameter("bias", np.zeros((2, 3)))
             table.adagrad_acc[...] = acc
             grad = RowBlock(rows, block.copy(), shape)
             table._grad = grad if sparse else grad.dense()
@@ -482,11 +482,30 @@ class TestRowState:
         assert table.adagrad_acc.tobytes() == want_acc.tobytes()
         assert isinstance(table._acc, np.ndarray)
 
+    def test_a_table_holding_most_rows_goes_dense_with_the_same_bytes(self):
+        rng = np.random.default_rng(13)
+        start = rng.standard_normal(self.SHAPE).astype(np.float32)
+        table = self._table(start.copy())
+        want_value, want_acc = start.copy(), np.full(self.SHAPE, ADAGRAD_INIT_ACC, np.float32)
+        # 6, then 10 of the 20 rows (half: still by row), then 11 (dense)
+        steps = (([1, 4, 6, 9, 12, 15], RowBlock), ([0, 2, 4, 8, 9, 19], RowBlock),
+                 ([3, 19], np.ndarray), ([5, 7, 19], np.ndarray))
+        for rows, kind in steps:
+            grad = RowBlock(np.array(rows),
+                            rng.standard_normal((len(rows), self.SHAPE[1])).astype(np.float32),
+                            self.SHAPE)
+            table._grad = RowBlock(grad.rows, grad.block.copy(), self.SHAPE)
+            adagrad_step([table], 0.15)
+            dense_acc_row_step(want_value, want_acc, grad, 0.15)
+            assert isinstance(table._acc, kind)
+            assert table.value.tobytes() == want_value.tobytes()
+        assert table._acc.tobytes() == want_acc.tobytes()
+
     def test_a_table_a_matmul_also_reads_fills_out_with_the_same_bytes(self):
         rng = np.random.default_rng(12)
         start = rng.standard_normal(self.SHAPE).astype(np.float32)
         x = rng.standard_normal((2, self.SHAPE[1])).astype(np.float32)
-        sparse, dense = self._table(start), Parameter("table", start)
+        sparse, dense = self._table(start.copy()), Parameter("table", start.copy())
 
         def gathers(p, rows):
             return lambda t: t.reduce_sum(t.tanh(t.gather_rows(t.param(p), rows)))
@@ -733,7 +752,7 @@ class TestOptimizerStep:
     def test_grads_are_unscaled_without_clip_norm_and_clipped_with_it(self, clip_norm):
         start = np.array([[0.5, -0.25]], dtype=np.float32)
         grad = np.array([[30.0, 40.0]], dtype=np.float32)  # norm 50
-        w = Parameter("w", start)
+        w = Parameter("w", start.copy())
         built = []
         got = optimizer_step(self._linear_loss([w], [grad], built), [w], lr=0.1,
                              clip_norm=clip_norm)
@@ -822,16 +841,19 @@ class TestParameterState:
             value = value.copy()
             value[7, 9] = bad
             with pytest.raises(ValueError, match="parameter 'w' has non-finite values"):
-                Parameter("w", value, copy=False)
+                Parameter("w", value)
         mixed = np.zeros((2, 2), dtype=np.float32)
         mixed[0] = [np.inf, -np.inf]
         with pytest.raises(ValueError, match="'w' has non-finite"):
             Parameter("w", mixed)
 
-    def test_value_is_a_copy_unless_handed_over(self):
+    def test_value_is_the_handed_float32_array(self):
         handed = np.ones((2, 3), dtype=np.float32)
-        assert not np.shares_memory(Parameter("w", handed).value, handed)
-        assert Parameter("w", handed, copy=False).value is handed
+        assert Parameter("w", handed).value is handed
+        for other in (handed.astype(np.float64), np.ones((3, 2), np.float32).T, [[1.0, 1.0]]):
+            value = Parameter("w", other).value
+            assert value.dtype == np.float32 and value.flags.c_contiguous
+            assert not np.shares_memory(value, other)
 
     def test_backward_moves_a_float32_adjoint_and_adds_the_rest(self):
         p = Parameter("w", [[2.0, -1.0]])
@@ -909,7 +931,7 @@ def test_chunked_adagrad_matches_reference_bytes(shape, layout):
         grad = grad.T
     value = rng.standard_normal(grad.shape).astype(np.float32)
     acc = rng.uniform(0.1, 5.0, grad.shape).astype(np.float32)
-    p = Parameter("w", value)
+    p = Parameter("w", value.copy())
     p.adagrad_acc[...] = acc
     p._grad = grad.copy(order="K")
     adagrad_step([p], 0.15)
@@ -982,7 +1004,7 @@ class TestOptimizerMatchesReference:
         value = data.draw(hnp.arrays(np.float32, shape, elements=_GRAD_VALUES))
         acc = data.draw(hnp.arrays(np.float32, shape, elements=st.floats(0.0, 1e6, width=32)))
         lr = data.draw(st.floats(1e-4, 1.0))
-        p = Parameter("w", value)
+        p = Parameter("w", value.copy())
         p.adagrad_acc[...] = acc
         p.grad[...] = grad
         with np.errstate(over="ignore", invalid="ignore"):
