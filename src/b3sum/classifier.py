@@ -62,8 +62,8 @@ def decision_distribution(tape: Tape, model: ClassifierParams, ids) -> int:
     logit_parallel = linear(tape, model.head_parallel_w, model.head_parallel_b, h)
     logit_sequence = linear(tape, model.head_sequence_w, model.head_sequence_b, h)
     # first logit of each head -> shared 2-way softmax
-    heads = tape.transpose(tape.concat([logit_parallel, logit_sequence], axis=0))
-    return tape.softmax(tape.gather_rows(heads, (0,)))
+    first = [tape.slice(logit, cols=(0, 1)) for logit in (logit_parallel, logit_sequence)]
+    return tape.softmax(tape.concat(first, axis=1))
 
 
 @dataclass

@@ -197,6 +197,9 @@ def _score_from_json(pos, metric: str) -> RougeScore:
     if not (isinstance(vals, list) and len(vals) == 3
             and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in vals)):
         raise ValueError(f"each position needs {metric!r} as 3 numbers")
+    for name, v in zip(("precision", "recall", "f1"), vals):
+        if not 0.0 <= v <= 1.0:  # false for NaN too
+            raise ValueError(f"{metric!r} {name} must be a finite number in [0, 1], got {v!r}")
     return RougeScore(*vals)
 
 

@@ -40,26 +40,23 @@ class NonFiniteError(ValueError):
 class Kernel(enum.Enum):
     """Compute kernels a tape node can hold.
 
-    LEAF marks tape inputs (constants and parameters); TRANSPOSE exists so
-    both row and column orientations of attention/coverage vectors can be
-    formed without general broadcasting.  GATHER_ROWS moves rows by integer
-    id, so lookups need no one-hot constant, and SLICE takes a block of rows
-    and columns.  COPY_MIX is the pointer-generator's output mix, so the
-    copy distribution needs no copy matrix and no chain of vocabulary-wide
-    nodes.  LSTM runs a whole sequence through an LSTM cell and
-    ATTENTION_SCORES scores R query rows against n positions; each is one
-    node with its own backward rule, so a sequence makes no per-step nodes.
+    LEAF marks tape inputs (constants and parameters).  GATHER_ROWS moves
+    rows by integer id, so lookups need no one-hot constant, and SLICE takes
+    a block of rows and columns.  COPY_MIX is the pointer-generator's output
+    mix, so the copy distribution needs no copy matrix and no chain of
+    vocabulary-wide nodes.  LSTM runs a whole sequence through an LSTM cell
+    and ATTENTION_SCORES scores R query rows against n positions; each is
+    one node with its own backward rule, so a sequence makes no per-step
+    nodes.  Every kernel here is one the models make.
     """
 
     LEAF = "leaf"
     MATMUL = "matmul"
     ADD = "add"
-    MUL = "mul"
     CONCAT = "concat"
     TANH = "tanh"
     SIGMOID = "sigmoid"
     SOFTMAX = "softmax"
-    LOG = "log"
     NEG_LOG_PICK = "neg-log-pick"
     REDUCE_SUM = "reduce-sum"
     REDUCE_MEAN = "reduce-mean"
@@ -68,7 +65,6 @@ class Kernel(enum.Enum):
     GATHER_ROWS = "gather-rows"
     COPY_MIX = "copy-mix"
     SLICE = "slice"
-    TRANSPOSE = "transpose"
     LSTM = "lstm"
     ATTENTION_SCORES = "attention-scores"
 
@@ -525,9 +521,6 @@ class Tape:
     def add(self, a: int, b: int) -> int:
         return self._elementwise_binary(Kernel.ADD, a, b, np.add)
 
-    def mul(self, a: int, b: int) -> int:
-        return self._elementwise_binary(Kernel.MUL, a, b, np.multiply)
-
     def elementwise_min(self, a: int, b: int) -> int:
         return self._elementwise_binary(Kernel.ELEMENTWISE_MIN, a, b, np.minimum)
 
@@ -556,9 +549,6 @@ class Tape:
 
     def sigmoid(self, a: int) -> int:
         return self._unary(Kernel.SIGMOID, a, _sigmoid)
-
-    def log(self, a: int) -> int:
-        return self._unary(Kernel.LOG, a, np.log)
 
     def softmax(self, a: int) -> int:
         # Per-row, with max subtraction for stability.
@@ -622,9 +612,6 @@ class Tape:
         out += np.zeros((1, 1), dtype=out.dtype) * inv_gate
         out[:, ids.cols] = kept + _copy_columns(va, ids) * inv_gate
         return self._append(Kernel.COPY_MIX, (p_gen, p_vocab, a), out, ids)
-
-    def transpose(self, a: int) -> int:
-        return self._append(Kernel.TRANSPOSE, (a,), np.ascontiguousarray(self.value(a).T))
 
     def reduce_sum(self, a: int) -> int:
         value = np.array([[self.value(a).sum(dtype=np.float64)]], dtype=self.dtype)
@@ -770,7 +757,7 @@ class Tape:
     def _add_grad(self, nid: int, g, view: bool = False):
         """Accumulate adjoint ``g`` into node ``nid``.  A first adjoint is
         kept as it is, so ``view`` must be set when ``g`` may share memory
-        with another node's grad (add, concat and transpose pass views)."""
+        with another node's grad (add and concat pass views)."""
         node = self.nodes[nid]
         if not node.needs_grad:
             return
@@ -806,13 +793,6 @@ class Tape:
         elif k is Kernel.ADD:
             for i in ids:
                 self._add_grad(i, _unbroadcast(g, self.nodes[i].value.shape), view=True)
-        elif k is Kernel.MUL:
-            a, b = ids
-            va, vb = self.nodes[a].value, self.nodes[b].value
-            if self.nodes[a].needs_grad:
-                self._add_grad(a, _unbroadcast(g * vb, va.shape))
-            if self.nodes[b].needs_grad:
-                self._add_grad(b, _unbroadcast(g * va, vb.shape))
         elif k is Kernel.CONCAT:
             axis = node.arg
             offset = 0
@@ -835,8 +815,6 @@ class Tape:
             g -= dot  # y * (g - dot) in g itself, which nothing reads after this rule
             g *= y
             self._add_grad(ids[0], g)
-        elif k is Kernel.LOG:
-            self._add_grad(ids[0], g / self.nodes[ids[0]].value)
         elif k is Kernel.NEG_LOG_PICK:
             src = self.nodes[ids[0]]
             if src.needs_grad:
@@ -901,8 +879,6 @@ class Tape:
                 self._add_grad(ids[0], from_copy * self.dtype(-1.0))
             if a.needs_grad:
                 self._add_grad(ids[2], g[:, node.arg.ids] * inv_gate)
-        elif k is Kernel.TRANSPOSE:
-            self._add_grad(ids[0], g.T, view=True)
         else:
             raise ValueError(f"no backward rule for kernel {k}")
 

@@ -3,6 +3,12 @@
 These are deliberately written with different algorithms/styles than the
 implementations under test (list scans instead of Counters, full DP tables,
 explicit permutation enumeration).
+
+``OracleTape`` is a ``Tape`` with the kernels that only these references
+and the tests' own readouts build: elementwise ``mul``, ``log`` and
+``transpose``, each with its backward rule.  The per-step references below
+call them, so a test that runs one through production code first swaps the
+library's tape for it with ``use_oracle_tape``.
 """
 
 import enum
@@ -11,7 +17,8 @@ import math
 
 import numpy as np
 
-from b3sum import corpus
+from b3sum import classifier, corpus, summarizer
+from b3sum import tape as tape_mod
 from b3sum.layers import INIT_SCALE, EncoderStates, linear
 from b3sum.summarizer import (
     DecoderStep,
@@ -21,7 +28,7 @@ from b3sum.summarizer import (
     generation_prob,
     vocab_distribution,
 )
-from b3sum.tape import ADAGRAD_EPS, CopyIds, Parameter, Tape
+from b3sum.tape import ADAGRAD_EPS, CopyIds, Parameter, Tape, _unbroadcast
 
 
 def oracle_rouge_n(sys_t, ref_t, n):
@@ -72,10 +79,51 @@ def oracle_align(sys_sents, ref_sents):
 
 
 class OracleKernel(enum.Enum):
+    MUL = "mul"
+    LOG = "log"
+    TRANSPOSE = "transpose"
     SCATTER_ADD = "scatter-add"
 
 
-class MixChainTape(Tape):
+class OracleTape(Tape):
+    """A Tape with ``mul`` (broadcasting as ``add`` does), ``log`` and
+    ``transpose`` as well as the library's kernels."""
+
+    def mul(self, a, b):
+        return self._elementwise_binary(OracleKernel.MUL, a, b, np.multiply)
+
+    def log(self, a):
+        return self._unary(OracleKernel.LOG, a, np.log)
+
+    def transpose(self, a):
+        return self._append(OracleKernel.TRANSPOSE, (a,), np.ascontiguousarray(self.value(a).T))
+
+    def _accumulate_input_grads(self, node, g):
+        k, ids = node.kernel, node.input_ids
+        if k is OracleKernel.MUL:
+            a, b = ids
+            va, vb = self.nodes[a].value, self.nodes[b].value
+            if self.nodes[a].needs_grad:
+                self._add_grad(a, _unbroadcast(g * vb, va.shape))
+            if self.nodes[b].needs_grad:
+                self._add_grad(b, _unbroadcast(g * va, vb.shape))
+        elif k is OracleKernel.LOG:
+            self._add_grad(ids[0], g / self.nodes[ids[0]].value)
+        elif k is OracleKernel.TRANSPOSE:
+            self._add_grad(ids[0], g.T, view=True)
+        else:
+            super()._accumulate_input_grads(node, g)
+
+
+def use_oracle_tape(monkeypatch):
+    """Make every tape the library builds an ``OracleTape``, so a reference
+    that calls ``mul``, ``log`` or ``transpose`` runs through production
+    training, evaluation, decoding and classification."""
+    for module in (tape_mod, summarizer, classifier):
+        monkeypatch.setattr(module, "Tape", OracleTape)
+
+
+class MixChainTape(OracleTape):
     """A Tape whose ``copy_mix`` is the chain of nodes the kernel replaced:
     pad, concat, scatter-add, one, scale, add, mul, mul, add.
 

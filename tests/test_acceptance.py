@@ -56,7 +56,7 @@ from b3sum.summarizer import (
 )
 from b3sum.tape import CopyIds, Parameter, Tape, finite_diff_check
 
-from oracles import oracle_align, oracle_lcs, oracle_rouge_n
+from oracles import OracleTape, oracle_align, oracle_lcs, oracle_rouge_n
 
 
 def _ok(name: str, detail: str = ""):
@@ -130,22 +130,22 @@ class TestCriterion1GradientCorrectness:
         mix_read = rng.uniform(-1, 1, (2, 5))
 
         def k_matmul(dtype):
-            t = Tape(dtype=dtype)
+            t = OracleTape(dtype=dtype)
             out = t.matmul(t.param(a), t.param(b))
             return t, t.reduce_sum(t.mul(out, out))
 
         def k_add_mul_scale(dtype):
-            t = Tape(dtype=dtype)
+            t = OracleTape(dtype=dtype)
             x = t.add(t.param(c), t.scale(t.param(c), -0.3))
             return t, t.reduce_sum(t.mul(x, t.param(c)))
 
         def k_concat_transpose(dtype):
-            t = Tape(dtype=dtype)
+            t = OracleTape(dtype=dtype)
             x = t.concat([t.param(a), t.transpose(t.param(b))], axis=0)
             return t, t.reduce_mean(t.mul(x, x))
 
         def k_activations(dtype):
-            t = Tape(dtype=dtype)
+            t = OracleTape(dtype=dtype)
             x = t.tanh(t.param(c))
             y = t.sigmoid(t.param(c))
             return t, t.reduce_sum(t.mul(x, y))
@@ -162,44 +162,44 @@ class TestCriterion1GradientCorrectness:
             return t, t.reduce_mean(t.neg_log_pick(p, [1, 0, 1]))
 
         def k_log(dtype):
-            t = Tape(dtype=dtype)
+            t = OracleTape(dtype=dtype)
             return t, t.reduce_sum(t.log(t.param(pos)))
 
         def k_min(dtype):
-            t = Tape(dtype=dtype)
+            t = OracleTape(dtype=dtype)
             x = t.elementwise_min(t.param(c), t.transpose(t.scale(t.param(c), -1.0)))
             return t, t.reduce_sum(x)
 
         def k_mean(dtype):
-            t = Tape(dtype=dtype)
+            t = OracleTape(dtype=dtype)
             return t, t.reduce_mean(t.mul(t.param(a), t.param(a)))
 
         def k_matmul_transposed(dtype):
-            t = Tape(dtype=dtype)
+            t = OracleTape(dtype=dtype)
             out = t.matmul(t.param(b), t.param(c), transpose_b=True)
             return t, t.reduce_sum(t.mul(out, out))
 
         def k_gather(dtype):
-            t = Tape(dtype=dtype)
+            t = OracleTape(dtype=dtype)
             rows = t.gather_rows(t.param(b), [2, 0, 2, 1, 2])  # id 2 three times
             return t, t.reduce_sum(t.mul(rows, t.tanh(rows)))
 
         def k_copy_mix(dtype):
             # OOV ids 3 and 4 past the vocab of 3; id 1 repeats
-            t = Tape(dtype=dtype)
+            t = OracleTape(dtype=dtype)
             mix = t.copy_mix(t.sigmoid(t.param(gate)), t.softmax(t.param(gen)),
                              t.softmax(t.param(att)), CopyIds([1, 4, 1, 3], 5))
             picked = t.reduce_mean(t.neg_log_pick(mix, [1, 4]))
             return t, t.add(picked, t.reduce_sum(t.mul(mix, t.leaf(mix_read))))
 
         def k_slice(dtype):
-            t = Tape(dtype=dtype)
+            t = OracleTape(dtype=dtype)
             x = t.slice(t.param(b), (1, 3), (1, 2))
             return t, t.reduce_sum(t.mul(x, t.tanh(x)))
 
         def k_lstm(reverse):
             def build(dtype):
-                t = Tape(dtype=dtype)
+                t = OracleTape(dtype=dtype)
                 out = t.lstm(t.param(x_seq), t.param(s0), [t.param(p) for p in w_gates],
                              [t.param(p) for p in b_gates], reverse)
                 return t, t.reduce_sum(t.mul(out, t.leaf(lstm_read)))
@@ -208,7 +208,7 @@ class TestCriterion1GradientCorrectness:
 
         def k_attention(with_coverage):
             def build(dtype):
-                t = Tape(dtype=dtype)
+                t = OracleTape(dtype=dtype)
                 extra = (t.param(cov_rows), t.param(w_cov)) if with_coverage else ()
                 e = t.attention_scores(t.param(feats), t.param(queries), t.param(v_att),
                                        t.param(bias), *extra)
@@ -251,7 +251,7 @@ class TestCriterion1GradientCorrectness:
 
         # LSTM cell (two chained steps)
         def lstm_build(dtype):
-            t = Tape(dtype=dtype)
+            t = OracleTape(dtype=dtype)
             xs = embed_rows(t, model.embedding, [1, 2])
             s = lstm_step(t, model.decoder, xs, model.decoder.zero_state(t))
             return t, t.reduce_sum(t.mul(s, s))

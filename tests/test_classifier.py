@@ -213,6 +213,7 @@ PINNED_PARAMS_SHA256 = "5c23acc20bff8ce5a12f6831f1716a5f3ba9176ab12c0138d4702ccc
 
 
 def _per_step_encoder(monkeypatch):
+    oracles.use_oracle_tape(monkeypatch)
     monkeypatch.setattr(classifier, "embed_rows", oracles.embed_rows)
     monkeypatch.setattr(classifier, "bilstm_encode", oracles.bilstm_encode)
 
@@ -223,7 +224,7 @@ def test_encoder_grads_match_the_per_step_reference(dtype, monkeypatch):
     model = ClassifierParams(vocab.size, emb_dim=8, hidden_dim=8, seed=4)
 
     def loss_and_grads():
-        tape = Tape(dtype)
+        tape = classifier.Tape(dtype)  # an OracleTape under the per-step encoder
         losses = [tape.neg_log_pick(decision_distribution(tape, model, ex.ids), ex.gold)
                   for ex in train[:7]]
         loss = tape.reduce_mean(tape.concat(losses, axis=1))

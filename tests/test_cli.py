@@ -2,6 +2,7 @@
 
 import json
 import logging
+import math
 import os
 import struct
 import subprocess
@@ -564,7 +565,17 @@ class TestEvaluationCommands:
          "needs an 'id' and a list of 3 'positions'"),
         (lambda rec: rec | {"positions": rec["positions"][:2]},
          "needs an 'id' and a list of 3 'positions'"),
-    ], ids=["not-an-object", "no-positions", "two-positions"])
+        (lambda rec: rec | {"positions": [rec["positions"][0] | {"rouge_1": [math.nan, 0.5, 0.5]}]
+                            + rec["positions"][1:]},
+         "'rouge_1' precision must be a finite number in [0, 1], got nan"),
+        (lambda rec: rec | {"positions": rec["positions"][:2]
+                            + [rec["positions"][2] | {"rouge_l": [0.5, math.inf, 0.5]}]},
+         "'rouge_l' recall must be a finite number in [0, 1], got inf"),
+        (lambda rec: rec | {"positions": [rec["positions"][0] | {"rouge_2": [0, 0, 1.5]}]
+                            + rec["positions"][1:]},
+         "'rouge_2' f1 must be a finite number in [0, 1], got 1.5"),
+    ], ids=["not-an-object", "no-positions", "two-positions", "nan-score", "1e999-score",
+            "score-above-one"])
     def test_report_names_the_bad_scores_line(self, tmp_path, capsys, reference, edit, message):
         ref_path, pairs = reference
         sys_path = self._write_system(tmp_path, pairs)
@@ -572,7 +583,8 @@ class TestEvaluationCommands:
         run_json(capsys, "evaluate", "--system", str(sys_path), "--reference", str(ref_path),
                  "--per-doc", str(scores))
         lines = scores.read_bytes().splitlines(keepends=True)
-        bad = json.dumps(edit(json.loads(lines[1]))).encode() + b"\n"
+        # json writes inf as Infinity; 1e999 is standard JSON that reads as inf
+        bad = json.dumps(edit(json.loads(lines[1]))).replace("Infinity", "1e999").encode() + b"\n"
         scores.write_bytes(lines[0] + bad + b"".join(lines[2:]))
         code, out, err = run(capsys, "report", "--scores", str(scores))
         assert code == 1 and out == ""

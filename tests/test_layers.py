@@ -100,7 +100,7 @@ class TestLstmStep:
         x_val = _rng(6).uniform(-1, 1, size=(1, 3))
 
         def build(dtype):
-            t = Tape(dtype=dtype)
+            t = oracles.OracleTape(dtype=dtype)
             x = t.leaf(x_val)
             s1 = lstm_step(t, cell, x, cell.zero_state(t))
             s2 = lstm_step(t, cell, x, s1)
@@ -127,7 +127,7 @@ class TestLstmStep:
         cell = LstmCell(_rng(14), "c", 5, 6)
         vals = _rng(15).uniform(-1, 1, size=(7, 5))
         state = _rng(16).uniform(-1, 1, size=(1, 12))
-        t = Tape(dtype)
+        t = oracles.OracleTape(dtype)
         rows = t.value(lstm_step(t, cell, t.leaf(vals), t.leaf(state), reverse=reverse))
         h, c = t.leaf(state[:, :6]), t.leaf(state[:, 6:])
         expected = [None] * len(vals)
@@ -146,7 +146,7 @@ class TestLstmStep:
         read = _rng(20).uniform(-1, 1, size=(5, 8))
 
         def grads(per_step):
-            t = Tape(np.float64)
+            t = oracles.OracleTape(np.float64)
             xs, s0 = t.leaf(vals, needs_grad=True), t.leaf(state, needs_grad=True)
             if per_step:
                 h, c = t.slice(s0, cols=(0, 4)), t.slice(s0, cols=(4, 8))
@@ -243,7 +243,7 @@ class TestBiLstmEncoder:
         vals = _rng(12).uniform(-1, 1, size=(4, 2))
         t_plain = Tape()
         plain = bilstm_encode(t_plain, enc, t_plain.leaf(vals))
-        t = Tape()
+        t = oracles.OracleTape()
         with_c = bilstm_encode(t, enc, t.leaf(vals), final_c=True)
         assert plain.final_c is None and len(t) == len(t_plain) + 3  # two slices and a concat
         ref = oracles.bilstm_encode(t, enc, [t.leaf(vals[k : k + 1]) for k in range(4)])
@@ -256,7 +256,7 @@ class TestBiLstmEncoder:
         vals = _rng(20).uniform(-1, 1, size=(3, 2))
 
         def build(dtype):
-            t = Tape(dtype=dtype)
+            t = oracles.OracleTape(dtype=dtype)
             states = bilstm_encode(t, enc, t.leaf(vals), final_c=True)
             loss = t.reduce_sum(t.mul(states.h_concat, states.h_concat))
             return t, t.add(loss, t.reduce_sum(t.mul(states.final_c, states.final_c)))

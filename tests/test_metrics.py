@@ -1,6 +1,7 @@
 """ROUGE fixtures and oracles, alignment search, classification metrics."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -276,8 +277,19 @@ class TestBreakdownReport:
         ({"positions": [{"rouge_1": [0, 0, 0]}] * 3}, "'rouge_2' as 3 numbers"),
         ({"positions": [5] * 3}, "'rouge_1' as 3 numbers"),
         ({"pattern": [1]}, "'pattern' must be strings or null"),
+        ({"positions": [{m: [math.nan, 0.5, 0.5] for m in ("rouge_1", "rouge_2", "rouge_l")}] * 3},
+         r"'rouge_1' precision must be a finite number in \[0, 1\], got nan"),
+        ({"positions": [{"rouge_1": [0.5, 0.5, 0.5], "rouge_2": [0.5, math.inf, 0.5],
+                         "rouge_l": [0.5, 0.5, 0.5]}] * 3},
+         r"'rouge_2' recall must be a finite number in \[0, 1\], got inf"),
+        ({"positions": [{"rouge_1": [0.5, 0.5, 0.5], "rouge_2": [0.5, 0.5, 0.5],
+                         "rouge_l": [0, 0, 1.5]}] * 3},
+         r"'rouge_l' f1 must be a finite number in \[0, 1\], got 1.5"),
+        ({"positions": [{m: [-1, 0, 0] for m in ("rouge_1", "rouge_2", "rouge_l")}] * 3},
+         r"'rouge_1' precision must be a finite number in \[0, 1\], got -1"),
     ], ids=["no-positions", "two-positions", "missing-metric", "position-not-object",
-            "pattern-not-a-string"])
+            "pattern-not-a-string", "nan-score", "inf-score", "score-above-one",
+            "negative-score"])
     def test_from_json_rejects_other_shapes(self, change, message):
         obj = self._doc("d", 0.5, "parallel", "123").to_json() | change
         with pytest.raises(ValueError, match=message):

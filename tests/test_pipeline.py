@@ -28,7 +28,7 @@ from b3sum.summarizer import prepare_pair
 from b3sum.tape import NonFiniteError
 
 from helpers import zero_params
-from oracles import per_step_teacher_forced
+from oracles import per_step_teacher_forced, use_oracle_tape
 
 
 def _cfg(**kw):
@@ -116,6 +116,7 @@ def test_pretrain_then_finetune_is_bit_identical_to_the_pinned_run(corpus, tmp_p
         return losses[-1]
 
     monkeypatch.setattr(pipeline, "train_batch", recording)
+    use_oracle_tape(monkeypatch)
     monkeypatch.setattr(summarizer, "_teacher_forced", per_step_teacher_forced)
     pretrain(pairs, vocab, cfg, steps=5, out_path=tmp_path / "b.ckpt")
     finetune(tmp_path / "b.ckpt", pairs[:5], "parallel", vocab, cfg, steps=3,

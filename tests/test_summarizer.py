@@ -39,7 +39,7 @@ from b3sum.tape import CopyIds, Kernel, NonFiniteError, RowBlock, Tape, zero_gra
 
 import oracles
 from helpers import tiny_corpus, tiny_summarizer, zero_params
-from oracles import DenseTape, per_row_teacher_forced
+from oracles import DenseTape, OracleTape, per_row_teacher_forced, use_oracle_tape
 
 
 def _attention_inputs(tape, model, n=4, seed=0):
@@ -119,7 +119,7 @@ class TestAttend:
         # alone gives, and those of the per-step attention (an add chain
         # under one tanh) that the attention_scores kernel replaced.
         model = tiny_summarizer()
-        t = Tape()
+        t = OracleTape()
         h, _, _ = _attention_inputs(t, model, n=5, seed=4)
         feats = _features(t, model, h)
         s = t.leaf(np.random.default_rng(5).uniform(-1, 1, (4, 2 * model.hidden_dim)))
@@ -583,7 +583,7 @@ class TestPerRowReferenceEquivalence:
 
     @staticmethod
     def _loss_and_grads(model, ex, use_coverage, dtype):
-        tape = Tape(dtype)
+        tape = summarizer.Tape(dtype)  # an OracleTape on the reference
         loss, _, _, _ = sequence_loss(tape, model, ex, use_coverage=use_coverage)
         return float(tape.value(loss)[0, 0]), _leaf_grads(tape, loss, model.params())
 
@@ -593,6 +593,7 @@ class TestPerRowReferenceEquivalence:
     def test_sequence_loss_and_grads_match(self, make, use_coverage, dtype, monkeypatch):
         model, ex = make()
         loss, grads = self._loss_and_grads(model, ex, use_coverage, dtype)
+        use_oracle_tape(monkeypatch)
         monkeypatch.setattr(summarizer, "_teacher_forced", per_row_teacher_forced)
         ref_loss, ref_grads = self._loss_and_grads(model, ex, use_coverage, dtype)
         assert abs(loss - ref_loss) <= 1e-5 * abs(ref_loss)
@@ -608,13 +609,14 @@ class TestPerRowReferenceEquivalence:
         model, ex = _wide_example()
 
         def run():
-            _, _, _, traces = sequence_loss(Tape(), model, ex, use_coverage=True,
-                                            collect_traces=True)
+            _, _, _, traces = sequence_loss(summarizer.Tape(), model, ex, use_coverage=True,
+                                                       collect_traces=True)
             return (token_prediction_accuracy(model, [ex], use_coverage=True),
                     [(tr.attention.tobytes(), tr.coverage_before.tobytes(), tr.p_gen, tr.penalty)
                      for tr in traces])
 
         stacked = run()
+        use_oracle_tape(monkeypatch)
         monkeypatch.setattr(summarizer, "_teacher_forced", per_row_teacher_forced)
         assert run() == stacked
 
@@ -651,7 +653,7 @@ class TestDirectionalGradientAtPaperShape:
 
     @staticmethod
     def _loss(model, ex, use_coverage, grads=False):
-        tape = Tape(np.float64)
+        tape = summarizer.Tape(np.float64)  # an OracleTape on the per-row reference
         loss, _, _, _ = sequence_loss(tape, model, ex, use_coverage=use_coverage)
         value = float(tape.value(loss)[0, 0])
         if not grads:
@@ -666,6 +668,7 @@ class TestDirectionalGradientAtPaperShape:
     def test_loss_change_matches_the_gradient(self, paper, per_row, use_coverage, monkeypatch):
         model, ex = paper
         if per_row:
+            use_oracle_tape(monkeypatch)
             monkeypatch.setattr(summarizer, "_teacher_forced", per_row_teacher_forced)
         _, grads = self._loss(model, ex, use_coverage, grads=True)
         theta = {p.name: p.value.copy() for p in model.params()}
@@ -968,6 +971,7 @@ def test_golden_values_are_unchanged(monkeypatch):
     # GEMM, which rounds differently (the losses move in the 6th significant
     # digit), so the pins are checked on the per-row reference; decoding
     # runs one row per hypothesis either way.
+    use_oracle_tape(monkeypatch)
     monkeypatch.setattr(summarizer, "_teacher_forced", per_row_teacher_forced)
     assert _golden_values(*_train_golden()) == GOLDEN
 

@@ -10,12 +10,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from b3sum import classifier, summarizer
+from b3sum.classifier import ClassifierParams, ClassifierTrainConfig, LabeledExample
+from b3sum.config import RunConfig
 from b3sum.tape import (
     ADAGRAD_INIT_ACC,
     SUM_CHUNK,
     CopyIds,
     DimensionError,
     GradCheckReport,
+    Kernel,
     NonFiniteError,
     Parameter,
     RowBlock,
@@ -31,7 +35,8 @@ from b3sum.tape import (
     zero_grads,
 )
 
-from oracles import (MixChainTape, dense_acc_row_step, reference_adagrad_step,
+from helpers import tiny_corpus, tiny_summarizer
+from oracles import (MixChainTape, OracleTape, dense_acc_row_step, reference_adagrad_step,
                      reference_clip_global_norm)
 
 
@@ -112,7 +117,7 @@ class TestKernelForward:
             t.neg_log_pick(p, 1)
 
     def test_transpose(self):
-        t = Tape()
+        t = OracleTape()
         out = t.transpose(t.leaf([[1.0, 2.0], [3.0, 4.0]]))
         np.testing.assert_array_equal(t.value(out), [[1, 3], [2, 4]])
 
@@ -190,7 +195,7 @@ def test_softmax_adjoint_is_written_into_its_incoming_adjoint(dtype):
     # the bytes of the formula.
     rng = np.random.default_rng(4)
     logits, weights = rng.standard_normal((2, 3, 7))
-    t = Tape(dtype=dtype)
+    t = OracleTape(dtype=dtype)
     x = t.leaf(logits, needs_grad=True)
     y = t.softmax(x)
     w = t.leaf(weights)
@@ -203,7 +208,7 @@ def test_softmax_adjoint_is_written_into_its_incoming_adjoint(dtype):
 
 class TestBackward:
     def test_quadratic(self):
-        t = Tape()
+        t = OracleTape()
         x = t.leaf([[1.0, 2.0]], needs_grad=True)
         t.backward(t.reduce_sum(t.mul(x, x)))
         np.testing.assert_allclose(t.grad(x), [[2.0, 4.0]])
@@ -215,14 +220,14 @@ class TestBackward:
         np.testing.assert_allclose(t.grad(x), [[1.0]])
 
     def test_non_scalar_loss_rejected(self):
-        t = Tape()
+        t = OracleTape()
         x = t.leaf([[1.0, 2.0]], needs_grad=True)
         with pytest.raises(DimensionError, match="scalar"):
             t.backward(t.mul(x, x))
 
     def test_parameter_grads_accumulate_across_uses(self):
         p = Parameter("w", [[2.0]])
-        t = Tape()
+        t = OracleTape()
         n = t.param(p)
         # w*w + 3*w -> d/dw = 2w + 3 = 7
         loss = t.reduce_sum(t.add(t.mul(n, n), t.scale(n, 3.0)))
@@ -245,7 +250,7 @@ class TestBackward:
         h = rng.uniform(-1, 1, size=(5, 3))
 
         def build(dtype):
-            t = Tape(dtype=dtype)
+            t = OracleTape(dtype=dtype)
             hn = t.leaf(h)
             pre = t.add(t.matmul(hn, t.param(w), transpose_b=True), t.param(b))
             scores = t.matmul(t.tanh(pre), t.param(v), transpose_b=True)
@@ -264,7 +269,7 @@ class TestBackward:
         y = Parameter("y", rng.uniform(-1, 1, size=(1, 3)))
 
         def build(dtype):
-            t = Tape(dtype=dtype)
+            t = OracleTape(dtype=dtype)
             xn, yn = t.param(x), t.param(y)
             side = t.tanh(xn)
             z = t.add(xn, yn)
@@ -275,7 +280,7 @@ class TestBackward:
 
     def test_only_leaves_keep_grads(self):
         p = Parameter("w", [[0.5, -0.2], [0.1, 0.3], [0.7, 0.4]])
-        t = Tape()
+        t = OracleTape()
         x = t.leaf([[1.0, -1.0]], needs_grad=True)
         w = t.param(p)
         rows = t.gather_rows(w, [2, 0, 2])
@@ -309,7 +314,7 @@ def test_attention_scores_rows_are_byte_equal_to_the_add_chain(dtype, coverage):
     n, d, rows = 6, 5, 3
     shapes = dict(feats=(n, d), queries=(rows, d), v=(1, d), bias=(1, d), cov=(rows, n),
                   w_c=(1, d))
-    t = Tape(dtype)
+    t = OracleTape(dtype)
     leaf = {k: t.leaf(rng.uniform(-1, 1, shape)) for k, shape in shapes.items()}
     extra = (leaf["cov"], leaf["w_c"]) if coverage else ()
     scores = t.value(t.attention_scores(leaf["feats"], leaf["queries"], leaf["v"], leaf["bias"],
@@ -352,15 +357,38 @@ def test_copy_mix_is_byte_equal_to_the_chain_it_replaced(dtype, p_gen, rows, voc
     # mul, mul, add chain; the kernel's value and every input adjoint are
     # the same bytes.
     for seed in range(3):
-        got = _copy_mix_run(Tape, dtype, p_gen, rows, vocab, n, width, seed)
+        got = _copy_mix_run(OracleTape, dtype, p_gen, rows, vocab, n, width, seed)
         assert got == _copy_mix_run(MixChainTape, dtype, p_gen, rows, vocab, n, width, seed)
+
+
+def test_every_kernel_is_made_by_production_code(monkeypatch):
+    # A kernel only tests build belongs on oracles.OracleTape: coverage-on
+    # training, a greedy decode and a classifier epoch between them make
+    # every kernel the library's tape defines.
+    made = set()
+    append = Tape._append
+
+    def recording(self, kernel, *args, **kwargs):
+        made.add(kernel)
+        return append(self, kernel, *args, **kwargs)
+
+    monkeypatch.setattr(Tape, "_append", recording)
+    pairs, vocab, prepared = tiny_corpus(n=2)
+    model = tiny_summarizer(vocab.size)
+    summarizer.train_batch(model, prepared, RunConfig(), use_coverage=True)
+    summarizer.decode(model, pairs[0].article, vocab, max_decode_len=6)
+    classifier.train_classifier(
+        ClassifierParams(vocab.size, emb_dim=4, hidden_dim=6, seed=1),
+        [LabeledExample([5, 6, 7], 0), LabeledExample([8, 9], 1)], None,
+        ClassifierTrainConfig(batch_size=2, epochs=1))
+    assert [k.value for k in Kernel if k is not Kernel.LEAF and k not in made] == []
 
 
 class TestRowSparseAdjoints:
     def test_gather_only_leaf_keeps_its_distinct_rows(self):
         rng = np.random.default_rng(3)
         table = rng.standard_normal((50, 4))
-        t = Tape()
+        t = OracleTape()
         w = t.leaf(table, needs_grad=True)
         first, second = [7, 3, 7, 41], [3, 0, 3, 3]
         loss = t.add(t.reduce_sum(t.tanh(t.gather_rows(w, first))),
@@ -591,7 +619,7 @@ class TestFiniteDiffCheck:
         p = Parameter("x", [[3.0]])
 
         def build(dtype):
-            t = Tape(dtype=dtype)
+            t = OracleTape(dtype=dtype)
             n = t.param(p)
             return t, t.reduce_sum(t.mul(n, n))
 
@@ -616,7 +644,7 @@ class TestFiniteDiffCheck:
         p = Parameter("bad", [[0.0005]])
 
         def build(dtype):
-            t = Tape(dtype=dtype)
+            t = OracleTape(dtype=dtype)
             return t, t.reduce_sum(t.log(t.param(p)))
 
         report = finite_diff_check(build, [p], h=1e-3)
@@ -695,10 +723,12 @@ class TestAdagrad:
 class TestOptimizerStep:
     @staticmethod
     def _linear_loss(params, coefs, built=None):
-        """A builder of sum(coef * param) over the pairs: each param's grad is
-        its coef.  Each (tape, loss) it builds is appended to ``built``."""
+        """A builder of sum(coef * param) over the pairs of 1-row params, each
+        term param·coefᵀ: each param's grad is its coef.  Each (tape, loss) it
+        builds is appended to ``built``."""
         def build(t):
-            terms = [t.reduce_sum(t.mul(t.param(p), t.leaf(c))) for p, c in zip(params, coefs)]
+            terms = [t.matmul(t.param(p), t.leaf(c), transpose_b=True)
+                     for p, c in zip(params, coefs)]
             loss = t.reduce_sum(t.concat(terms, axis=1))
             if built is not None:
                 built.append((t, loss))
@@ -857,7 +887,7 @@ class TestParameterState:
 
     def test_backward_moves_a_float32_adjoint_and_adds_the_rest(self):
         p = Parameter("w", [[2.0, -1.0]])
-        t = Tape()
+        t = OracleTape()
         w = t.param(p)
         t.backward(t.reduce_sum(t.mul(w, w)))
         assert p.grad is t.grad(w)
