@@ -341,11 +341,16 @@ def cmd_report(args):
 
 
 def cmd_stats(args):
-    splits = {}
+    paths = {}
     for item in args.splits:
         if "=" not in item:
             raise ValueError(f"stats expects NAME=FILE arguments, got {item!r}")
         name, path = item.split("=", 1)
+        if name in paths:
+            raise ValueError(f"stats: split {name!r} is named twice")
+        paths[name] = path
+    splits = {}
+    for name, path in paths.items():
         pairs = load_jsonl(path)
         unlabeled = [p.id for p in pairs if p.label is None]
         if unlabeled:

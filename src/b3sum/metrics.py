@@ -10,7 +10,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 
-from .corpus import BINARY_CLASSES, StructureLabel
+from .corpus import BINARY_CLASSES, StructureLabel, _parse_id
 
 
 @dataclass(frozen=True)
@@ -182,14 +182,20 @@ class DocumentScores:
 
     @classmethod
     def from_json(cls, obj: dict) -> "DocumentScores":
-        """Inverse of ``to_json``; a record of any other shape raises ValueError."""
+        """Inverse of ``to_json``; a record of any other shape raises
+        ValueError naming the field.  The id is read as a corpus id is: a
+        string or an integer, kept as a string."""
         positions = obj.get("positions")
         if "id" not in obj or not isinstance(positions, list) or len(positions) != 3:
             raise ValueError("needs an 'id' and a list of 3 'positions'")
-        if not all(isinstance(obj.get(k), (str, type(None))) for k in ("gold_class", "pattern")):
-            raise ValueError("'gold_class' and 'pattern' must be strings or null")
+        gold_class, pattern = obj.get("gold_class"), obj.get("pattern")
+        if gold_class is not None and gold_class not in BINARY_CLASSES:
+            raise ValueError(f"'gold_class' must be null or one of {BINARY_CLASSES}, "
+                             f"got {gold_class!r}")
+        if pattern is not None and pattern not in _PATTERNS:
+            raise ValueError(f"'pattern' must be null or a permutation of '123', got {pattern!r}")
         per_position = [{m: _score_from_json(pos, m) for m in _METRICS} for pos in positions]
-        return cls(obj["id"], per_position, obj.get("gold_class"), obj.get("pattern"))
+        return cls(_parse_id(obj), per_position, gold_class, pattern)
 
 
 def _score_from_json(pos, metric: str) -> RougeScore:
@@ -220,6 +226,7 @@ def score_summary_positions(sys_sents, ref_sents) -> list[dict[str, RougeScore]]
 
 
 _METRICS = ("rouge_1", "rouge_2", "rouge_l")
+_PATTERNS = tuple("".join(p) for p in itertools.permutations("123"))
 _POSITIONS = ("1st", "2nd", "3rd")
 
 

@@ -132,27 +132,31 @@ class SummarizerParams:
 
 
 def attend(tape: Tape, model: SummarizerParams, h_all: int, enc_features: int, s: int,
-           coverage: int | None, use_coverage: bool) -> tuple[int, int, int]:
-    """Attention scores, distribution and context vector for R decoder rows.
+           coverage: int | None) -> tuple[int, int, int | None]:
+    """Attention distribution, context vector and coverage penalties for R
+    decoder rows, from one ``attention`` node.
 
     ``h_all`` is the (n x 2*hidden) encoder-state node and ``enc_features``
     its (n x attn) features h_all·W_hᵀ, which do not depend on the step, so
     ``encode_article`` computes them once per article.  ``s`` holds R decoder
-    states, one row each, and ``coverage`` each row's (1 x n) summed past
-    attention, stacked (R x n).  Each row's products are one-row products, so
-    a row gets the values it would get alone.  Returns node ids
-    (e, a, h_star), R rows each.
+    states, one row each.  ``coverage`` is the (1 x n) summed past attention
+    before the first row, or None for no coverage; with it each row reads
+    the coverage the rows before it leave.  Each row's products are one-row
+    products, so a row gets the values it would get alone.  Returns node
+    ids (a, h_star, penalties): R rows each, the penalties (R x 1), or None
+    without coverage.
     """
     queries = tape.matmul(s, tape.param(model.attn_w_state), transpose_b=True, per_row=True)
     scored = [enc_features, queries, tape.param(model.attn_v), tape.param(model.attn_bias)]
-    if use_coverage:
-        if coverage is None:
-            raise ValueError("use_coverage=True requires a coverage node")
-        scored += [coverage, tape.param(model.attn_w_cov)]
-    e = tape.attention_scores(*scored)
-    a = tape.softmax(e)
+    penalties = None
+    if coverage is None:
+        a = tape.attention(*scored)
+    else:
+        out = tape.attention(*scored, coverage, tape.param(model.attn_w_cov))
+        n = tape.value(coverage).shape[1]
+        a, penalties = tape.slice(out, cols=(0, n)), tape.slice(out, cols=(n, n + 1))
     h_star = tape.matmul(a, h_all, per_row=True)
-    return e, a, h_star
+    return a, h_star, penalties
 
 
 def vocab_distribution(tape: Tape, model: SummarizerParams, s_t: int, h_star: int) -> int:
@@ -195,21 +199,6 @@ def final_distribution(tape: Tape, p_gen: int, p_vocab: int, a_t: int,
             f"{copy_ids.ids.size} source positions"
         )
     return tape.copy_mix(p_gen, p_vocab, a_t, copy_ids)
-
-
-def coverage_update(tape: Tape, coverage: int, a_t: int) -> int:
-    """c^{t+1} = c^t + a^t (both 1 x n rows)."""
-    if tape.value(coverage).shape != tape.value(a_t).shape:
-        raise ValueError(
-            f"coverage_update: shape mismatch {tape.value(coverage).shape} "
-            f"vs {tape.value(a_t).shape}"
-        )
-    return tape.add(coverage, a_t)
-
-
-def coverage_penalty(tape: Tape, a_t: int, coverage: int) -> int:
-    """sum_i min(a_i, c_i); bounded by 1 because attention sums to 1."""
-    return tape.reduce_sum(tape.elementwise_min(a_t, coverage))
 
 
 # -- prepared examples and the teacher-forced loss ----------------------------
@@ -296,57 +285,38 @@ def encode_article(tape: Tape, model: SummarizerParams, ext: ExtendedVocab) -> E
 class DecoderStep:
     """Node ids of the recurrent part over R decoder rows: the states
     s = [h | c], the contexts h*, the attention a and the switch p_gen, one
-    row each.  With coverage, ``coverages`` and ``penalties`` hold each row's
-    coverage before it and its coverage penalty (1-row nodes), and
-    ``coverage`` the coverage after the last row; otherwise they are empty
-    and None."""
+    row each, and with coverage the (R x 1) coverage penalties, otherwise
+    None."""
 
     s: int
     h_star: int
     a: int
     p_gen: int
-    coverages: list[int]
-    penalties: list[int]
-    coverage: int | None
+    penalties: int | None
 
 
 def decoder_step(tape: Tape, model: SummarizerParams, art: EncodedArticle, xs: int,
-                 s_prev: int, coverage: int | None, use_coverage: bool,
-                 force_p_gen: float | None) -> DecoderStep:
+                 s_prev: int, coverage: int | None, force_p_gen: float | None) -> DecoderStep:
     """The recurrent part of the decoder from the state row ``s_prev`` on
     the embedded inputs ``xs``, one row per step: LSTM, attention and p_gen.
     Shared by training, teacher-forced evaluation (all target rows at once)
     and decoding (one row).
 
     The LSTM's only input is the previous token, so it runs over all rows
-    as one sequence, and without coverage so does attention.  With coverage,
-    attention runs one row at a time from ``coverage``, each row reading the
-    coverage the rows before it leave.  The vocabulary output never feeds
-    back into the recurrence, so it is left to ``output_distribution``.
-    ``force_p_gen`` replaces the learned switch by a constant.
+    as one sequence, and attention over all rows is one ``attend`` call,
+    with coverage from the (1 x n) ``coverage`` before the first row, or
+    without it when ``coverage`` is None.  The vocabulary output never
+    feeds back into the recurrence, so it is left to
+    ``output_distribution``.  ``force_p_gen`` replaces the learned switch
+    by a constant.
     """
     s = lstm_step(tape, model.decoder, xs, s_prev)
-    rows = tape.value(xs).shape[0]
-    h_all, features = art.enc.h_concat, art.enc_features
-    coverages, penalties = [], []
-    if use_coverage:
-        a_rows, h_rows = [], []
-        for r in range(rows):
-            s_r = s if rows == 1 else tape.slice(s, (r, r + 1))
-            _, a_r, h_r = attend(tape, model, h_all, features, s_r, coverage, True)
-            a_rows.append(a_r)
-            h_rows.append(h_r)
-            coverages.append(coverage)
-            penalties.append(coverage_penalty(tape, a_r, coverage))
-            coverage = coverage_update(tape, coverage, a_r)
-        a, h_star = tape.concat(a_rows, axis=0), tape.concat(h_rows, axis=0)
-    else:
-        _, a, h_star = attend(tape, model, h_all, features, s, None, False)
+    a, h_star, penalties = attend(tape, model, art.enc.h_concat, art.enc_features, s, coverage)
     if force_p_gen is None:
         p_gen = generation_prob(tape, model, h_star, s, xs)
     else:
-        p_gen = tape.leaf(np.full((rows, 1), force_p_gen, dtype=tape.dtype))
-    return DecoderStep(s, h_star, a, p_gen, coverages, penalties, coverage)
+        p_gen = tape.leaf(np.full((tape.value(xs).shape[0], 1), force_p_gen, dtype=tape.dtype))
+    return DecoderStep(s, h_star, a, p_gen, penalties)
 
 
 def output_distribution(tape: Tape, model: SummarizerParams, art: EncodedArticle,
@@ -372,7 +342,7 @@ def _teacher_forced(tape: Tape, model: SummarizerParams, ex: PreparedExample,
     art = encode_article(tape, model, ex.ext)
     xs = embed_rows(tape, model.embedding, ex.dec_in_ids)
     coverage = art.zero_coverage(tape) if use_coverage else None
-    step = decoder_step(tape, model, art, xs, art.s0, coverage, use_coverage, force_p_gen)
+    step = decoder_step(tape, model, art, xs, art.s0, coverage, force_p_gen)
     return output_distribution(tape, model, art, step), step
 
 
@@ -390,15 +360,18 @@ def sequence_loss(tape: Tape, model: SummarizerParams, ex: PreparedExample,
     traces = []
     if collect_traces:
         attention, p_gen = tape.value(step.a), tape.value(step.p_gen)
+        penalties = coverage = None
+        if use_coverage:  # each row's coverage is rebuilt with the attention kernel's adds
+            penalties = tape.value(step.penalties)
+            coverage = np.zeros((1, attention.shape[1]), dtype=attention.dtype)
         for r in range(attention.shape[0]):
-            coverage = penalty = None
-            if use_coverage:
-                coverage = tape.value(step.coverages[r])
-                penalty = float(tape.value(step.penalties[r])[0, 0])
+            penalty = None if penalties is None else float(penalties[r, 0])
             traces.append(_step_trace(attention[r : r + 1], p_gen[r, 0], coverage, penalty))
+            if coverage is not None:
+                coverage = coverage + attention[r : r + 1]
     nll_mean = tape.reduce_mean(tape.neg_log_pick(p_final, ex.target_ext_ids))
     if use_coverage:
-        pen_mean = tape.reduce_mean(tape.concat(step.penalties, axis=1))
+        pen_mean = tape.reduce_mean(step.penalties)
         loss = tape.add(nll_mean, tape.scale(pen_mean, cov_lambda))
         return loss, nll_mean, pen_mean, traces
     return nll_mean, nll_mean, None, traces
@@ -558,8 +531,7 @@ def decode(model: SummarizerParams, article_tokens, vocab: Vocabulary,
             prev = hyp.tokens[-1] if hyp.tokens else Vocabulary.START
             x_t = embed_rows(tape, model.embedding,
                              [prev if prev < model.vocab_size else Vocabulary.UNK])
-            step = decoder_step(tape, model, art, x_t, hyp.state, hyp.coverage,
-                                use_coverage, force_p_gen)
+            step = decoder_step(tape, model, art, x_t, hyp.state, hyp.coverage, force_p_gen)
             probs = tape.value(output_distribution(tape, model, art, step))[0]
             if not np.isfinite(probs).all():
                 raise ValueError(f"decode: non-finite probabilities at step {t}")
@@ -575,7 +547,8 @@ def decode(model: SummarizerParams, article_tokens, vocab: Vocabulary,
                     np.minimum(attention, coverage).sum())
                 traces = traces + [_step_trace(attention, tape.value(step.p_gen)[0, 0],
                                                coverage, penalty)]
-            steps.append((step.s, step.coverage, traces))
+            coverage = None if hyp.coverage is None else tape.add(hyp.coverage, step.a)
+            steps.append((step.s, coverage, traces))
             for token in _top_k(logps, 2 * width):
                 candidates.append((-(hyp.log_prob + float(logps[token])), h_idx, int(token)))
         candidates.sort()

@@ -9,9 +9,10 @@ All tensors handled by the kernels are 2-D matrices: "vectors" are 1-row
 matrices and scalars are 1x1.  The tape is topologically ordered by
 construction, so backward is a single reverse sweep.  A recurrent layer
 over a whole sequence is one ``lstm`` node and attention over R rows one
-``attention_scores`` node, each with its own backward rule, so a sequence
-makes a few nodes rather than a few per step.  ``Tape(record=False)``
-records nothing, for evaluation and decoding.
+``attention`` node (scores, softmax and, with coverage, the coverage chain),
+each with its own backward rule, so a sequence makes a few nodes rather
+than a few per step.  ``Tape(record=False)`` records nothing, for
+evaluation and decoding.
 """
 
 from __future__ import annotations
@@ -45,9 +46,10 @@ class Kernel(enum.Enum):
     a block of rows and columns.  COPY_MIX is the pointer-generator's output
     mix, so the copy distribution needs no copy matrix and no chain of
     vocabulary-wide nodes.  LSTM runs a whole sequence through an LSTM cell
-    and ATTENTION_SCORES scores R query rows against n positions; each is
-    one node with its own backward rule, so a sequence makes no per-step
-    nodes.  Every kernel here is one the models make.
+    and ATTENTION gives R query rows their attention over n positions, with
+    coverage running each row's penalty and coverage update in the same
+    node; each is one node with its own backward rule, so a sequence makes
+    no per-step nodes.  Every kernel here is one the models make.
     """
 
     LEAF = "leaf"
@@ -58,20 +60,19 @@ class Kernel(enum.Enum):
     SIGMOID = "sigmoid"
     SOFTMAX = "softmax"
     NEG_LOG_PICK = "neg-log-pick"
-    REDUCE_SUM = "reduce-sum"
     REDUCE_MEAN = "reduce-mean"
-    ELEMENTWISE_MIN = "elementwise-min"
     SCALE = "scale"
     GATHER_ROWS = "gather-rows"
     COPY_MIX = "copy-mix"
     SLICE = "slice"
     LSTM = "lstm"
-    ATTENTION_SCORES = "attention-scores"
+    ATTENTION = "attention"
 
 
 # The kernels whose backward rule reads the node's own value; backward drops
 # every other node's value before running its rule.
-READS_OWN_VALUE = frozenset({Kernel.TANH, Kernel.SIGMOID, Kernel.SOFTMAX, Kernel.LSTM})
+READS_OWN_VALUE = frozenset({Kernel.TANH, Kernel.SIGMOID, Kernel.SOFTMAX, Kernel.LSTM,
+                             Kernel.ATTENTION})
 
 
 class TapeNode:
@@ -351,34 +352,71 @@ def _lstm_backward(x, s0, w, out, gates, reverse, grad):
     return (dz @ w[:, :d_in], ds0, *(dw[k] for k in blocks), *(db[:, k] for k in blocks))
 
 
-def _score_tanh(features, queries, bias, coverage, w_c, r):
-    """tanh(features + queries[r] + coverage[r]ᵀ·w_c + bias), added left to right."""
-    total = features + queries[r : r + 1]
+def _softmax(v):
+    """Per row, with max subtraction for stability."""
+    shifted = v - v.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _softmax_backward(y, g):
+    """y·(g − Σ g·y) per row, formed in ``g`` itself."""
+    dot = (g * y).sum(axis=-1, keepdims=True)
+    g -= dot
+    g *= y
+    return g
+
+
+def _score_tanh(features, query, bias, coverage, w_c):
+    """tanh(features + query + coverageᵀ·w_c + bias) for one row, added left to right."""
+    total = features + query
     if coverage is not None:
-        total = total + coverage[r : r + 1].T @ w_c
+        total = total + coverage.T @ w_c
     return np.tanh(total + bias)
 
 
-def _attention_backward(features, queries, v, bias, coverage, w_c, grad):
-    """Adjoints of ``Tape.attention_scores``'s inputs, in its input order.
-    Each row's tanh is recomputed, used and dropped before the next row's."""
-    d_features = np.zeros_like(features)
-    d_queries = np.empty_like(queries)
-    d_v = np.zeros_like(v)
-    d_coverage = None if coverage is None else np.empty_like(coverage)
-    d_w_c = None if coverage is None else np.zeros_like(w_c)
-    for r in range(grad.shape[0]):
-        y = _score_tanh(features, queries, bias, coverage, w_c, r)
-        d_v += grad[r : r + 1] @ y
-        d_pre = grad[r : r + 1].T * v
+def _attention_backward(features, queries, v, bias, coverage, w_c, value, grad):
+    """Adjoints of ``Tape.attention``'s inputs, in its input order, from its
+    value and adjoint.  Each row's tanh is recomputed, used and dropped
+    before the next row's.  Without coverage the rows are independent and
+    run first to last.  With coverage the coverage before each row is
+    rebuilt with the forward's adds, and the adjoint of the coverage after
+    a row runs from the last row to the first: backpropagation through time
+    over c_{r+1} = c_r + a_r, with the penalty's ties routed to a_r."""
+    rows, n = queries.shape[0], features.shape[0]
+    a = value[:, :n]
+    d_features, d_queries, d_v = np.zeros_like(features), np.empty_like(queries), np.zeros_like(v)
+    if coverage is None:
+        d_scores, order = _softmax_backward(a, grad), range(rows)
+    else:
+        before = np.empty_like(a)
+        for r in range(rows):
+            before[r] = coverage
+            coverage = coverage + a[r : r + 1]
+        # d_c is the adjoint of the coverage after row r
+        d_c, d_w_c = np.zeros_like(coverage), np.zeros_like(w_c)
+        order = range(rows - 1, -1, -1)
+    for r in order:
+        if coverage is None:
+            c, d_e = None, d_scores[r : r + 1]
+        else:
+            c = before[r : r + 1]
+            take_a = a[r : r + 1] <= c
+            d_a = grad[r : r + 1, :n] + d_c
+            d_a += grad[r, n] * take_a
+            d_c = d_c + grad[r, n] * ~take_a
+            d_e = _softmax_backward(a[r : r + 1], d_a)
+        y = _score_tanh(features, queries[r : r + 1], bias, c, w_c)
+        d_v += d_e @ y
+        d_pre = d_e.T * v
         d_pre *= 1 - y * y
         d_features += d_pre
         d_queries[r] = d_pre.sum(axis=0)
-        if coverage is not None:
-            d_coverage[r] = (d_pre @ w_c.T)[:, 0]
-            d_w_c += coverage[r : r + 1] @ d_pre
+        if c is not None:
+            d_c += (d_pre @ w_c.T).T
+            d_w_c += c @ d_pre
     grads = [d_features, d_queries, d_v, d_queries.sum(axis=0, keepdims=True)]
-    return grads if coverage is None else grads + [d_coverage, d_w_c]
+    return grads if coverage is None else grads + [d_c, d_w_c]
 
 
 def _inv_gate(p_gen, dtype):
@@ -507,22 +545,12 @@ class Tape:
 
     def _elementwise_binary(self, kernel, a, b, op):
         va, vb = self.value(a), self.value(b)
-        if va.shape != vb.shape:
-            if kernel is Kernel.ELEMENTWISE_MIN:
-                raise DimensionError(
-                    f"{kernel.value}: dims must match: {va.shape} vs {vb.shape}"
-                )
-            if not _bcast_ok(va.shape, vb.shape):
-                raise DimensionError(
-                    f"{kernel.value}: incompatible dims {va.shape} vs {vb.shape}"
-                )
+        if va.shape != vb.shape and not _bcast_ok(va.shape, vb.shape):
+            raise DimensionError(f"{kernel.value}: incompatible dims {va.shape} vs {vb.shape}")
         return self._append(kernel, (a, b), op(va, vb))
 
     def add(self, a: int, b: int) -> int:
         return self._elementwise_binary(Kernel.ADD, a, b, np.add)
-
-    def elementwise_min(self, a: int, b: int) -> int:
-        return self._elementwise_binary(Kernel.ELEMENTWISE_MIN, a, b, np.minimum)
 
     def concat(self, ids, axis: int = 1) -> int:
         """Join nodes along ``axis``; a single node is returned as it is."""
@@ -551,13 +579,7 @@ class Tape:
         return self._unary(Kernel.SIGMOID, a, _sigmoid)
 
     def softmax(self, a: int) -> int:
-        # Per-row, with max subtraction for stability.
-        def op(v):
-            shifted = v - v.max(axis=-1, keepdims=True)
-            e = np.exp(shifted)
-            return e / e.sum(axis=-1, keepdims=True)
-
-        return self._unary(Kernel.SOFTMAX, a, op)
+        return self._unary(Kernel.SOFTMAX, a, _softmax)
 
     def scale(self, a: int, factor: float) -> int:
         value = (self.value(a) * self.dtype(factor)).astype(self.dtype)
@@ -613,10 +635,6 @@ class Tape:
         out[:, ids.cols] = kept + _copy_columns(va, ids) * inv_gate
         return self._append(Kernel.COPY_MIX, (p_gen, p_vocab, a), out, ids)
 
-    def reduce_sum(self, a: int) -> int:
-        value = np.array([[self.value(a).sum(dtype=np.float64)]], dtype=self.dtype)
-        return self._append(Kernel.REDUCE_SUM, (a,), value)
-
     def reduce_mean(self, a: int) -> int:
         value = np.array([[self.value(a).mean(dtype=np.float64)]], dtype=self.dtype)
         return self._append(Kernel.REDUCE_MEAN, (a,), value)
@@ -667,35 +685,39 @@ class Tape:
         out, gates = _lstm_forward(vx, vs, vwb[:4], vwb[4:], reverse)
         return self._append(Kernel.LSTM, (xs, s0, *w, *b), out, (reverse, gates))
 
-    def attention_scores(self, features: int, queries: int, v: int, bias: int,
-                         coverage: int | None = None, w_c: int | None = None) -> int:
-        """Attention scores of R query rows over n positions, (R x n).
+    def attention(self, features: int, queries: int, v: int, bias: int,
+                  coverage: int | None = None, w_c: int | None = None) -> int:
+        """Attention weights of R query rows over n positions, (R x n).
 
-        Row r is ``tanh(features + queries[r] + coverage[r]ᵀ·w_c + bias)·vᵀ``,
+        Row r is ``softmax(tanh(features + queries[r] + c_rᵀ·w_c + bias)·vᵀ)``,
         added left to right, the coverage term only with ``coverage``.
         ``features`` is (n x attn), ``queries`` (R x attn), ``v``, ``bias``
-        and ``w_c`` (1 x attn), ``coverage`` (R x n).  Each row is scored on
-        its own, as a one-row call would be; only the scores are stored, and
-        backward recomputes each row's tanh, so no (n x attn) array outlives
-        its row.
+        and ``w_c`` (1 x attn), and ``coverage`` (1 x n) is c_0, the
+        coverage before row 0.  With it the rows run as one chain: row r
+        reads c_r, its penalty is Σ min(a_r, c_r), and c_{r+1} = c_r + a_r;
+        the value is then (R x (n + 1)), the penalties in column n.  Each
+        row is scored with one-row products, as a one-row call would be;
+        only the value is stored, and backward recomputes each row's tanh and
+        coverage, so no (n x attn) array outlives its row.
         """
         ids = (features, queries, v, bias) + (() if coverage is None else (coverage, w_c))
         vf, vq, vv, vbias, *rest = (self.value(i) for i in ids)
         vc, vw = rest or (None, None)
-        attn = vf.shape[1]
+        rows, (n, attn) = vq.shape[0], vf.shape
         if (vq.shape[1] != attn or vv.shape != (1, attn) or vbias.shape != (1, attn)
-                or (vc is not None and (vc.shape != (vq.shape[0], vf.shape[0])
-                                        or vw.shape != (1, attn)))):
-            raise DimensionError(
-                f"attention-scores: features {vf.shape}, queries {vq.shape}, v {vv.shape}, "
-                f"bias {vbias.shape}"
-                + ("" if vc is None else f", coverage {vc.shape}, w_c {vw.shape}")
-                + " do not fit"
-            )
-        scores = np.empty((vq.shape[0], vf.shape[0]), dtype=np.result_type(vf, vq))
-        for r in range(vq.shape[0]):
-            scores[r] = (_score_tanh(vf, vq, vbias, vc, vw, r) @ vv.T)[:, 0]
-        return self._append(Kernel.ATTENTION_SCORES, ids, scores)
+                or (vc is not None and (vc.shape != (1, n) or vw.shape != (1, attn)))):
+            cov = "" if vc is None else f", coverage {vc.shape}, w_c {vw.shape}"
+            raise DimensionError(f"attention: features {vf.shape}, queries {vq.shape}, "
+                                 f"v {vv.shape}, bias {vbias.shape}{cov} do not fit")
+        out = np.empty((rows, n + (vc is not None)), dtype=np.result_type(vf, vq))
+        for r in range(rows):
+            out[r, :n] = (_score_tanh(vf, vq[r : r + 1], vbias, vc, vw) @ vv.T)[:, 0]
+            if vc is not None:
+                a = _softmax(out[r : r + 1, :n])
+                out[r, :n], out[r, n] = a, np.minimum(a, vc).sum(dtype=np.float64)
+                vc = vc + a
+        value = _softmax(out) if coverage is None else out
+        return self._append(Kernel.ATTENTION, ids, value)
 
     # -- backward ----------------------------------------------------------
 
@@ -706,15 +728,16 @@ class Tape:
         has been pushed to the node's inputs, and its value as the sweep
         reaches it (every other reader of a value comes later on the tape),
         before its rule runs unless the rule reads it (``tanh``,
-        ``sigmoid``, ``softmax`` and ``lstm``).  So the logits are gone
-        before their rule makes the output weights' adjoint.  After backward
-        only leaves hold a ``grad``, and only leaves and the loss node hold a
-        ``value``; the tape cannot run backward again.  A leaf adjoint may be
-        a ``RowBlock``: while only ``gather_rows`` has added into a leaf, its
-        adjoint holds just the gathered rows, filled out to a dense array if
-        another kernel adds in.  A Parameter holding no grad takes a float32
-        leaf adjoint as it is, so the leaf and the Parameter then share it;
-        otherwise the adjoint is added into the Parameter's dense grad.
+        ``sigmoid``, ``softmax``, ``lstm`` and ``attention``).  So the logits
+        are gone before their rule makes the output weights' adjoint.  After
+        backward only leaves hold a ``grad``, and only leaves and the loss
+        node hold a ``value``; the tape cannot run backward again.  A leaf
+        adjoint may be a ``RowBlock``: while only ``gather_rows`` has added
+        into a leaf, its adjoint holds just the gathered rows, filled out to
+        a dense array if another kernel adds in.  A Parameter holding no
+        grad takes a float32 leaf adjoint as it is, so the leaf and the
+        Parameter then share it; otherwise the adjoint is added into the
+        Parameter's dense grad.
         """
         if not self.record:
             raise ValueError("backward: this tape records nothing")
@@ -810,11 +833,8 @@ class Tape:
         elif k is Kernel.SIGMOID:
             self._add_grad(ids[0], g * node.value * (1.0 - node.value))
         elif k is Kernel.SOFTMAX:
-            y = node.value
-            dot = (g * y).sum(axis=-1, keepdims=True)
-            g -= dot  # y * (g - dot) in g itself, which nothing reads after this rule
-            g *= y
-            self._add_grad(ids[0], g)
+            # formed in g itself, which nothing reads after this rule
+            self._add_grad(ids[0], _softmax_backward(node.value, g))
         elif k is Kernel.NEG_LOG_PICK:
             src = self.nodes[ids[0]]
             if src.needs_grad:
@@ -824,22 +844,11 @@ class Tape:
                     src.value[rows, node.arg].astype(np.float64) + LOG_PICK_EPS
                 )
                 self._add_grad(ids[0], gi)
-        elif k is Kernel.REDUCE_SUM:
-            src = self.nodes[ids[0]]
-            self._add_grad(ids[0], np.full_like(src.value, float(g[0, 0])))
         elif k is Kernel.REDUCE_MEAN:
             src = self.nodes[ids[0]]
             self._add_grad(
                 ids[0], np.full_like(src.value, float(g[0, 0]) / src.value.size)
             )
-        elif k is Kernel.ELEMENTWISE_MIN:
-            a, b = ids
-            va, vb = self.nodes[a].value, self.nodes[b].value
-            take_a = va <= vb  # ties route to the first input
-            if self.nodes[a].needs_grad:
-                self._add_grad(a, g * take_a)
-            if self.nodes[b].needs_grad:
-                self._add_grad(b, g * ~take_a)
         elif k is Kernel.SCALE:
             self._add_grad(ids[0], g * self.dtype(node.arg))
         elif k is Kernel.GATHER_ROWS:
@@ -861,11 +870,11 @@ class Tape:
             xs, s0, *w = (self.nodes[i].value for i in ids)
             for i, gi in zip(ids, _lstm_backward(xs, s0, w[:4], node.value, gates, reverse, g)):
                 self._add_grad(i, gi)
-        elif k is Kernel.ATTENTION_SCORES:
+        elif k is Kernel.ATTENTION:
             values = [self.nodes[i].value for i in ids]
-            if len(values) == 4:  # no coverage term
+            if len(values) == 4:  # no coverage
                 values += [None, None]
-            for i, gi in zip(ids, _attention_backward(*values, g)):
+            for i, gi in zip(ids, _attention_backward(*values, node.value, g)):
                 self._add_grad(i, gi)
         elif k is Kernel.COPY_MIX:
             p_gen, p_vocab, a = (self.nodes[i] for i in ids)

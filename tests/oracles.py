@@ -5,10 +5,13 @@ implementations under test (list scans instead of Counters, full DP tables,
 explicit permutation enumeration).
 
 ``OracleTape`` is a ``Tape`` with the kernels that only these references
-and the tests' own readouts build: elementwise ``mul``, ``log`` and
-``transpose``, each with its backward rule.  The per-step references below
-call them, so a test that runs one through production code first swaps the
-library's tape for it with ``use_oracle_tape``.
+and the tests' own readouts build: elementwise ``mul``, ``log``,
+``transpose``, ``elementwise_min`` and ``reduce_sum``, each with its
+backward rule, and ``attention_scores``, the scores that the library's
+``attention`` kernel now forms with the softmax and coverage chain.  The
+per-step references below call them, so a test that runs one through
+production code first swaps the library's tape for it with
+``use_oracle_tape``.
 """
 
 import enum
@@ -20,15 +23,8 @@ import numpy as np
 from b3sum import classifier, corpus, summarizer
 from b3sum import tape as tape_mod
 from b3sum.layers import INIT_SCALE, EncoderStates, linear
-from b3sum.summarizer import (
-    DecoderStep,
-    coverage_penalty,
-    coverage_update,
-    final_distribution,
-    generation_prob,
-    vocab_distribution,
-)
-from b3sum.tape import ADAGRAD_EPS, CopyIds, Parameter, Tape, _unbroadcast
+from b3sum.summarizer import DecoderStep, final_distribution, generation_prob, vocab_distribution
+from b3sum.tape import ADAGRAD_EPS, CopyIds, DimensionError, Parameter, Tape, _unbroadcast
 
 
 def oracle_rouge_n(sys_t, ref_t, n):
@@ -82,12 +78,46 @@ class OracleKernel(enum.Enum):
     MUL = "mul"
     LOG = "log"
     TRANSPOSE = "transpose"
+    ELEMENTWISE_MIN = "elementwise-min"
+    REDUCE_SUM = "reduce-sum"
+    ATTENTION_SCORES = "attention-scores"
     SCATTER_ADD = "scatter-add"
 
 
+def _score_tanh(features, queries, bias, coverage, w_c, r):
+    """tanh(features + queries[r] + coverage[r]ᵀ·w_c + bias), added left to right."""
+    total = features + queries[r : r + 1]
+    if coverage is not None:
+        total = total + coverage[r : r + 1].T @ w_c
+    return np.tanh(total + bias)
+
+
+def _attention_backward(features, queries, v, bias, coverage, w_c, grad):
+    """Adjoints of ``OracleTape.attention_scores``'s inputs, in its input order.
+    Each row's tanh is recomputed, used and dropped before the next row's."""
+    d_features = np.zeros_like(features)
+    d_queries = np.empty_like(queries)
+    d_v = np.zeros_like(v)
+    d_coverage = None if coverage is None else np.empty_like(coverage)
+    d_w_c = None if coverage is None else np.zeros_like(w_c)
+    for r in range(grad.shape[0]):
+        y = _score_tanh(features, queries, bias, coverage, w_c, r)
+        d_v += grad[r : r + 1] @ y
+        d_pre = grad[r : r + 1].T * v
+        d_pre *= 1 - y * y
+        d_features += d_pre
+        d_queries[r] = d_pre.sum(axis=0)
+        if coverage is not None:
+            d_coverage[r] = (d_pre @ w_c.T)[:, 0]
+            d_w_c += coverage[r : r + 1] @ d_pre
+    grads = [d_features, d_queries, d_v, d_queries.sum(axis=0, keepdims=True)]
+    return grads if coverage is None else grads + [d_coverage, d_w_c]
+
+
 class OracleTape(Tape):
-    """A Tape with ``mul`` (broadcasting as ``add`` does), ``log`` and
-    ``transpose`` as well as the library's kernels."""
+    """A Tape with ``mul`` (broadcasting as ``add`` does), ``log``,
+    ``transpose``, ``elementwise_min``, ``reduce_sum`` and
+    ``attention_scores`` as well as the library's kernels."""
 
     def mul(self, a, b):
         return self._elementwise_binary(OracleKernel.MUL, a, b, np.multiply)
@@ -97,6 +127,33 @@ class OracleTape(Tape):
 
     def transpose(self, a):
         return self._append(OracleKernel.TRANSPOSE, (a,), np.ascontiguousarray(self.value(a).T))
+
+    def elementwise_min(self, a, b):
+        va, vb = self.value(a), self.value(b)
+        if va.shape != vb.shape:
+            raise DimensionError(f"elementwise-min: dims must match: {va.shape} vs {vb.shape}")
+        return self._append(OracleKernel.ELEMENTWISE_MIN, (a, b), np.minimum(va, vb))
+
+    def reduce_sum(self, a):
+        value = np.array([[self.value(a).sum(dtype=np.float64)]], dtype=self.dtype)
+        return self._append(OracleKernel.REDUCE_SUM, (a,), value)
+
+    def attention_scores(self, features, queries, v, bias, coverage=None, w_c=None):
+        """Attention scores of R query rows over n positions, (R x n).
+
+        Row r is ``tanh(features + queries[r] + coverage[r]ᵀ·w_c + bias)·vᵀ``,
+        added left to right, the coverage term only with ``coverage``.
+        ``features`` is (n x attn), ``queries`` (R x attn), ``v``, ``bias``
+        and ``w_c`` (1 x attn), ``coverage`` (R x n), one coverage row per
+        query row.
+        """
+        ids = (features, queries, v, bias) + (() if coverage is None else (coverage, w_c))
+        vf, vq, vv, vbias, *rest = (self.value(i) for i in ids)
+        vc, vw = rest or (None, None)
+        scores = np.empty((vq.shape[0], vf.shape[0]), dtype=np.result_type(vf, vq))
+        for r in range(vq.shape[0]):
+            scores[r] = (_score_tanh(vf, vq, vbias, vc, vw, r) @ vv.T)[:, 0]
+        return self._append(OracleKernel.ATTENTION_SCORES, ids, scores)
 
     def _accumulate_input_grads(self, node, g):
         k, ids = node.kernel, node.input_ids
@@ -111,14 +168,32 @@ class OracleTape(Tape):
             self._add_grad(ids[0], g / self.nodes[ids[0]].value)
         elif k is OracleKernel.TRANSPOSE:
             self._add_grad(ids[0], g.T, view=True)
+        elif k is OracleKernel.ELEMENTWISE_MIN:
+            a, b = ids
+            va, vb = self.nodes[a].value, self.nodes[b].value
+            take_a = va <= vb  # ties route to the first input
+            if self.nodes[a].needs_grad:
+                self._add_grad(a, g * take_a)
+            if self.nodes[b].needs_grad:
+                self._add_grad(b, g * ~take_a)
+        elif k is OracleKernel.REDUCE_SUM:
+            src = self.nodes[ids[0]]
+            self._add_grad(ids[0], np.full_like(src.value, float(g[0, 0])))
+        elif k is OracleKernel.ATTENTION_SCORES:
+            values = [self.nodes[i].value for i in ids]
+            if len(values) == 4:  # no coverage term
+                values += [None, None]
+            for i, gi in zip(ids, _attention_backward(*values, g)):
+                self._add_grad(i, gi)
         else:
             super()._accumulate_input_grads(node, g)
 
 
 def use_oracle_tape(monkeypatch):
     """Make every tape the library builds an ``OracleTape``, so a reference
-    that calls ``mul``, ``log`` or ``transpose`` runs through production
-    training, evaluation, decoding and classification."""
+    that calls ``mul``, ``log``, ``transpose``, ``elementwise_min`` or
+    ``reduce_sum`` runs through production training, evaluation, decoding
+    and classification."""
     for module in (tape_mod, summarizer, classifier):
         monkeypatch.setattr(module, "Tape", OracleTape)
 
@@ -187,9 +262,9 @@ class DenseTape(MixChainTape):
 # -- the per-step composites that the sequence kernels replaced ---------------
 #
 # The recurrent layers and attention as they were before the ``lstm`` and
-# ``attention_scores`` kernels: one LSTM step per token built from the tape's
-# elementwise kernels, and attention's score sum as an add chain under one
-# tanh.  Their nodes come in the order the library made them, so forward
+# attention kernels: one LSTM step per token built from the tape's
+# elementwise kernels, attention's score sum as an add chain under one tanh,
+# and the coverage penalty and update as min, sum and add nodes per step.  Their nodes come in the order the library made them, so forward
 # values and every adjoint sum match that path bit for bit: the reference
 # that the pinned training runs use.
 
@@ -272,7 +347,7 @@ def _per_step_teacher_forced(tape, model, ex, use_coverage, force_p_gen, output_
     c_t = tape.tanh(linear(tape, model.bridge_w_c, model.bridge_b_c, enc.final_c))
     coverage = tape.leaf(np.zeros((1, enc.length), dtype=tape.dtype)) if use_coverage else None
     copy_ids = CopyIds(ex.ext.src_ext_ids, ex.ext.size)
-    rows, states, contexts, attention, switches, coverages, penalties = ([] for _ in range(7))
+    rows, states, contexts, attention, switches, penalties = ([] for _ in range(6))
 
     def output(s, h_star, a, p_gen):
         p_vocab = vocab_distribution(tape, model, s, h_star)
@@ -292,9 +367,8 @@ def _per_step_teacher_forced(tape, model, ex, use_coverage, force_p_gen, output_
         for out, node in zip((states, contexts, attention, switches), (s_t, h_star, a_t, p_gen)):
             out.append(node)
         if use_coverage:
-            coverages.append(coverage)
-            penalties.append(coverage_penalty(tape, a_t, coverage))
-            coverage = coverage_update(tape, coverage, a_t)
+            penalties.append(tape.reduce_sum(tape.elementwise_min(a_t, coverage)))
+            coverage = tape.add(coverage, a_t)
     if output_per_row:
         p_final = tape.concat(rows, axis=0)
         s, h_star, a, p_gen = (tape.concat(nodes, axis=0)
@@ -304,7 +378,8 @@ def _per_step_teacher_forced(tape, model, ex, use_coverage, force_p_gen, output_
         p_vocab = vocab_distribution(tape, model, s, h_star)
         p_gen, a = tape.concat(switches, axis=0), tape.concat(attention, axis=0)
         p_final = final_distribution(tape, p_gen, p_vocab, a, copy_ids)
-    return p_final, DecoderStep(s, h_star, a, p_gen, coverages, penalties, coverage)
+    penalties = tape.concat(penalties, axis=0) if use_coverage else None
+    return p_final, DecoderStep(s, h_star, a, p_gen, penalties)
 
 
 def per_row_teacher_forced(tape, model, ex, use_coverage, force_p_gen):

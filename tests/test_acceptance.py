@@ -116,13 +116,15 @@ class TestCriterion1GradientCorrectness:
         w_gates = [Parameter(f"W_{g}", w_draw[2 * k : 2 * k + 2]) for k, g in enumerate("ifog")]
         b_gates = [Parameter(f"b_{g}", b_draw[:, 2 * k : 2 * k + 2]) for k, g in enumerate("ifog")]
         lstm_read = rng.uniform(-1, 1, (3, 4))
-        # attention of 2 query rows over 3 positions, attn 2
+        # attention of 3 query rows over 3 positions, attn 2, and with
+        # coverage its chain from a non-zero coverage row; the last column
+        # of the read weights the penalties
         feats = Parameter("feats", rng.uniform(-0.8, 0.8, (3, 2)))
-        queries = Parameter("queries", rng.uniform(-0.8, 0.8, (2, 2)))
+        queries = Parameter("queries", rng.uniform(-0.8, 0.8, (3, 2)))
         v_att = Parameter("v_att", rng.uniform(-0.8, 0.8, (1, 2)))
-        cov_rows = Parameter("cov_rows", rng.uniform(0.0, 1.0, (2, 3)))
+        cov0 = Parameter("cov0", rng.uniform(0.0, 1.0, (1, 3)))
         w_cov = Parameter("w_cov", rng.uniform(-0.8, 0.8, (1, 2)))
-        attn_read = rng.uniform(-1, 1, (2, 3))
+        attn_read = rng.uniform(-1, 1, (3, 4))
         # a copy mix of 2 rows: vocab 3, 4 source positions, width 5
         gen = Parameter("gen", rng.uniform(-0.8, 0.8, (2, 3)))
         att = Parameter("att", rng.uniform(-0.8, 0.8, (2, 4)))
@@ -209,10 +211,11 @@ class TestCriterion1GradientCorrectness:
         def k_attention(with_coverage):
             def build(dtype):
                 t = OracleTape(dtype=dtype)
-                extra = (t.param(cov_rows), t.param(w_cov)) if with_coverage else ()
-                e = t.attention_scores(t.param(feats), t.param(queries), t.param(v_att),
-                                       t.param(bias), *extra)
-                return t, t.reduce_sum(t.mul(e, t.leaf(attn_read)))
+                extra = (t.param(cov0), t.param(w_cov)) if with_coverage else ()
+                out = t.attention(t.param(feats), t.param(queries), t.param(v_att),
+                                  t.param(bias), *extra)
+                read = attn_read if with_coverage else attn_read[:, :3]
+                return t, t.reduce_sum(t.mul(out, t.leaf(read)))
 
             return build
 
@@ -222,9 +225,8 @@ class TestCriterion1GradientCorrectness:
             ("matmul", k_matmul, [a, b]),
             ("lstm", k_lstm(False), lstm_params),
             ("lstm reversed", k_lstm(True), lstm_params),
-            ("attention-scores", k_attention(False), attn_kernel_params),
-            ("attention-scores with coverage", k_attention(True),
-             attn_kernel_params + [cov_rows, w_cov]),
+            ("attention", k_attention(False), attn_kernel_params),
+            ("attention with coverage", k_attention(True), attn_kernel_params + [cov0, w_cov]),
             ("slice", k_slice, [b]),
             ("matmul transposed", k_matmul_transposed, [b, c]),
             ("gather-rows", k_gather, [b]),
@@ -265,9 +267,9 @@ class TestCriterion1GradientCorrectness:
             h_all = t.leaf(h_const)
             s = t.leaf(s_const)
             cov = t.leaf(cov_const)
-            _, a_t, h_star = attend(t, model, h_all,
+            a_t, h_star, _ = attend(t, model, h_all,
                                     t.matmul(h_all, t.param(model.attn_w_enc), transpose_b=True),
-                                    s, cov, use_coverage=True)
+                                    s, cov)
             score = t.matmul(h_star, t.leaf(read))
             return t, t.add(score, t.neg_log_pick(a_t, 1))
 
@@ -291,9 +293,9 @@ class TestCriterion1GradientCorrectness:
             h_star = t.leaf(h_const[:1])
             x = t.leaf(x_const)
             cov = t.leaf(cov_const)
-            _, a_t, _ = attend(t, model, h_all := t.leaf(h_const),
+            a_t, _, _ = attend(t, model, h_all := t.leaf(h_const),
                                t.matmul(h_all, t.param(model.attn_w_enc), transpose_b=True),
-                               s, cov, use_coverage=True)
+                               s, cov)
             p_vocab = vocab_distribution(t, model, s, h_star)
             p_gen = generation_prob(t, model, h_star, s, x)
             p = final_distribution(t, p_gen, p_vocab, a_t,
@@ -338,9 +340,9 @@ class TestCriterion2Normalization:
                 s = t.leaf(rng.uniform(-2, 2, (1, 8)))
                 x = t.leaf(rng.uniform(-2, 2, (1, 3)))
                 cov = t.leaf(np.abs(rng.uniform(0, 2, (1, n_src))))
-                _, a_t, h_star = attend(
+                a_t, h_star, _ = attend(
                     t, model, h_all, t.matmul(h_all, t.param(model.attn_w_enc), transpose_b=True),
-                    s, cov, use_coverage=True)
+                    s, cov)
                 p_vocab = vocab_distribution(t, model, s, h_star)
                 p_gen = generation_prob(t, model, h_star, s, x)
                 p = final_distribution(t, p_gen, p_vocab, a_t, CopyIds(src_ext, ext_size))

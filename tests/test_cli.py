@@ -226,6 +226,11 @@ class TestCorpusCommands:
     def test_stats_rejects_bad_argument(self, workspace, capsys):
         code, _, err = run(capsys, "stats", "just-a-path.jsonl")
         assert code == 1
+        # a repeated split is named before any file is read
+        code, out, err = run(capsys, "stats", f"train={workspace / 'train.jsonl'}",
+                             f"train={workspace / 'no-such-file.jsonl'}")
+        assert code == 1 and out == ""
+        assert err.splitlines() == ["error: stats: split 'train' is named twice"]
 
 
 class TestModelCommands:
@@ -574,8 +579,13 @@ class TestEvaluationCommands:
         (lambda rec: rec | {"positions": [rec["positions"][0] | {"rouge_2": [0, 0, 1.5]}]
                             + rec["positions"][1:]},
          "'rouge_2' f1 must be a finite number in [0, 1], got 1.5"),
+        (lambda rec: rec | {"gold_class": "bogus"},
+         "'gold_class' must be null or one of ('parallel', 'sequence'), got 'bogus'"),
+        (lambda rec: rec | {"pattern": "xyz"},
+         "'pattern' must be null or a permutation of '123', got 'xyz'"),
+        (lambda rec: rec | {"id": [1, 2]}, "id must be a string or an integer, got list"),
     ], ids=["not-an-object", "no-positions", "two-positions", "nan-score", "1e999-score",
-            "score-above-one"])
+            "score-above-one", "unknown-gold-class", "unknown-pattern", "id-a-list"])
     def test_report_names_the_bad_scores_line(self, tmp_path, capsys, reference, edit, message):
         ref_path, pairs = reference
         sys_path = self._write_system(tmp_path, pairs)

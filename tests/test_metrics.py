@@ -270,13 +270,21 @@ class TestBreakdownReport:
         doc = DocumentScores("d", score_summary_positions(sys_s, ref_s), "sequence", "132")
         assert DocumentScores.from_json(doc.to_json()) == doc
         assert DocumentScores.from_json(self._doc("e", 0.5, None, None).to_json()).gold_class is None
+        assert DocumentScores.from_json(doc.to_json() | {"id": 7}).doc_id == "7"
 
     @pytest.mark.parametrize("change, message", [
         ({"positions": None}, "list of 3 'positions'"),
         ({"positions": [{}] * 2}, "list of 3 'positions'"),
         ({"positions": [{"rouge_1": [0, 0, 0]}] * 3}, "'rouge_2' as 3 numbers"),
         ({"positions": [5] * 3}, "'rouge_1' as 3 numbers"),
-        ({"pattern": [1]}, "'pattern' must be strings or null"),
+        ({"pattern": [1]}, r"'pattern' must be null or a permutation of '123', got \[1\]"),
+        ({"pattern": "xyz"}, "'pattern' must be null or a permutation of '123', got 'xyz'"),
+        ({"pattern": "112"}, "'pattern' must be null or a permutation of '123', got '112'"),
+        ({"gold_class": "bogus"},
+         r"'gold_class' must be null or one of \('parallel', 'sequence'\), got 'bogus'"),
+        ({"gold_class": 1}, r"'gold_class' must be null or one of .*, got 1"),
+        ({"id": [1, 2]}, "id must be a string or an integer, got list"),
+        ({"id": True}, "id must be a string or an integer, got bool"),
         ({"positions": [{m: [math.nan, 0.5, 0.5] for m in ("rouge_1", "rouge_2", "rouge_l")}] * 3},
          r"'rouge_1' precision must be a finite number in \[0, 1\], got nan"),
         ({"positions": [{"rouge_1": [0.5, 0.5, 0.5], "rouge_2": [0.5, math.inf, 0.5],
@@ -288,7 +296,8 @@ class TestBreakdownReport:
         ({"positions": [{m: [-1, 0, 0] for m in ("rouge_1", "rouge_2", "rouge_l")}] * 3},
          r"'rouge_1' precision must be a finite number in \[0, 1\], got -1"),
     ], ids=["no-positions", "two-positions", "missing-metric", "position-not-object",
-            "pattern-not-a-string", "nan-score", "inf-score", "score-above-one",
+            "pattern-not-a-string", "pattern-not-a-permutation", "pattern-repeats-a-slot",
+            "unknown-gold-class", "gold-class-not-a-string", "id-a-list", "id-a-bool", "nan-score", "inf-score", "score-above-one",
             "negative-score"])
     def test_from_json_rejects_other_shapes(self, change, message):
         obj = self._doc("d", 0.5, "parallel", "123").to_json() | change

@@ -93,7 +93,7 @@ def test_non_finite_training_step_is_named(corpus):
 # batches of 4, so it starts a second pass, and switches coverage on at
 # step 3; fine-tuning takes 3 steps over 5 pairs, a short batch among them.
 # The run uses oracles.per_step_teacher_forced, the per-step path these
-# were computed on: the lstm and attention_scores kernels keep every forward
+# were computed on: the lstm and attention kernels keep every forward
 # value but add adjoints in another order, so the checkpoints round
 # differently.  test_summarizer's TestPerRowReferenceEquivalence bounds that.
 PINNED_LOSSES = [

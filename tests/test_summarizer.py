@@ -24,8 +24,6 @@ from b3sum.summarizer import (
     SummarizerParams,
     attend,
     corpus_loss,
-    coverage_penalty,
-    coverage_update,
     decode,
     final_distribution,
     generation_prob,
@@ -35,7 +33,7 @@ from b3sum.summarizer import (
     train_batch,
     vocab_distribution,
 )
-from b3sum.tape import CopyIds, Kernel, NonFiniteError, RowBlock, Tape, zero_grads
+from b3sum.tape import CopyIds, DimensionError, Kernel, NonFiniteError, RowBlock, Tape, zero_grads
 
 import oracles
 from helpers import tiny_corpus, tiny_summarizer, zero_params
@@ -82,7 +80,7 @@ class TestAttend:
         model = tiny_summarizer()
         t = Tape()
         h, s, cov = _attention_inputs(t, model, n=1)
-        _, a, h_star = attend(t, model, h, _features(t, model, h), s, cov, use_coverage=True)
+        a, h_star, _ = attend(t, model, h, _features(t, model, h), s, cov)
         np.testing.assert_allclose(t.value(a), [[1.0]])
         np.testing.assert_array_equal(t.value(h_star), t.value(h))
 
@@ -91,8 +89,9 @@ class TestAttend:
         zero_params([model.attn_v, model.attn_w_enc, model.attn_w_state,
                      model.attn_bias, model.attn_w_cov])
         t = Tape()
-        h, s, cov = _attention_inputs(t, model, n=5)
-        _, a, h_star = attend(t, model, h, _features(t, model, h), s, cov, use_coverage=False)
+        h, s, _ = _attention_inputs(t, model, n=5)
+        a, h_star, penalties = attend(t, model, h, _features(t, model, h), s, None)
+        assert penalties is None
         np.testing.assert_allclose(t.value(a), np.full((1, 5), 0.2), atol=1e-7)
         np.testing.assert_allclose(
             t.value(h_star), t.value(h).mean(axis=0, keepdims=True), atol=1e-6
@@ -102,32 +101,35 @@ class TestAttend:
         model = tiny_summarizer()
         t = Tape()
         h, s, cov = _attention_inputs(t, model, n=4, seed=3)
-        e_plain, _, _ = attend(t, model, h, _features(t, model, h), s, None, use_coverage=False)
-        e_cov, _, _ = attend(t, model, h, _features(t, model, h), s, cov, use_coverage=True)
-        assert t.value(e_plain).tobytes() == t.value(e_cov).tobytes()
+        plain = attend(t, model, h, _features(t, model, h), s, None)
+        covered = attend(t, model, h, _features(t, model, h), s, cov)
+        for x, y in zip(plain[:2], covered[:2]):
+            assert t.value(x).tobytes() == t.value(y).tobytes()
+        assert t.value(covered[2]).tolist() == [[0.0]]
 
     def test_attention_sums_to_one(self):
         model = tiny_summarizer()
         for seed in range(10):
             t = Tape()
             h, s, cov = _attention_inputs(t, model, n=6, seed=seed)
-            _, a, _ = attend(t, model, h, _features(t, model, h), s, cov, use_coverage=True)
+            a, _, _ = attend(t, model, h, _features(t, model, h), s, cov)
             assert abs(t.value(a).sum() - 1.0) <= 1e-5
 
     def test_rows_are_byte_equal_to_one_row_and_per_step_calls(self):
         # R rows in one call give each row the values a call on that row
         # alone gives, and those of the per-step attention (an add chain
-        # under one tanh) that the attention_scores kernel replaced.
+        # under one tanh, then a softmax node) that the attention kernel
+        # replaced.
         model = tiny_summarizer()
         t = OracleTape()
         h, _, _ = _attention_inputs(t, model, n=5, seed=4)
         feats = _features(t, model, h)
         s = t.leaf(np.random.default_rng(5).uniform(-1, 1, (4, 2 * model.hidden_dim)))
-        together = [t.value(n) for n in attend(t, model, h, feats, s, None, use_coverage=False)]
+        together = [t.value(n) for n in attend(t, model, h, feats, s, None)[:2]]
         for r in range(4):
             s_r = t.slice(s, (r, r + 1))
-            for one_row in (attend(t, model, h, feats, s_r, None, use_coverage=False),
-                            oracles.attend(t, model, h, feats, s_r, None, use_coverage=False)):
+            for one_row in (attend(t, model, h, feats, s_r, None)[:2],
+                            oracles.attend(t, model, h, feats, s_r, None, use_coverage=False)[1:]):
                 for rows, one in zip(together, one_row):
                     assert rows[r : r + 1].tobytes() == t.value(one).tobytes()
 
@@ -135,8 +137,8 @@ class TestAttend:
         model = tiny_summarizer()
         t = Tape()
         h, s, _ = _attention_inputs(t, model)
-        with pytest.raises(ValueError, match="coverage"):
-            attend(t, model, h, _features(t, model, h), s, None, use_coverage=True)
+        with pytest.raises(DimensionError, match="coverage"):
+            attend(t, model, h, _features(t, model, h), s, t.leaf(np.zeros((2, 4))))
 
 
 class TestVocabDistribution:
@@ -235,18 +237,37 @@ class TestFinalDistribution:
 
 
 class TestCoverage:
+    # One attention node runs the chain: row r reads the coverage c_r the
+    # rows before it leave, with c_{r+1} = c_r + a_r, and column n holds
+    # the penalty Σ min(a_r, c_r).
+
+    @staticmethod
+    def _attention(t, queries, coverage, w_c=None, n=5):
+        """The (R x (n + 1)) value of one node on fixed features, v and bias."""
+        rng = np.random.default_rng(0)
+        d = queries.shape[1]
+        feats, v, bias, w = (t.leaf(rng.uniform(-1, 1, shape))
+                             for shape in ((n, d), (1, d), (1, d), (1, d)))
+        if w_c is not None:
+            w = t.leaf(w_c)
+        return t.value(t.attention(feats, t.leaf(queries), v, bias, t.leaf(coverage), w))
+
     def test_first_update_equals_first_attention(self):
+        queries = np.random.default_rng(1).uniform(-1, 1, (2, 3))
         t = Tape()
-        c0 = t.leaf([[0.0, 0.0]])
-        a0 = t.leaf([[0.3, 0.7]])
-        np.testing.assert_allclose(t.value(coverage_update(t, c0, a0)), [[0.3, 0.7]], atol=1e-7)
+        both = self._attention(t, queries, np.zeros((1, 5)))
+        assert both[0, 5] == 0.0  # nothing is covered before the first row
+        second = self._attention(t, queries[1:], both[:1, :5])
+        assert second.tobytes() == both[1:].tobytes()
 
     def test_accumulates(self):
+        rng = np.random.default_rng(2)
+        queries, c0 = rng.uniform(-1, 1, (3, 3)), rng.uniform(0, 1, (1, 5)).astype(np.float32)
         t = Tape()
-        c = t.leaf([[0.0, 0.0]])
-        c = coverage_update(t, c, t.leaf([[0.3, 0.7]]))
-        c = coverage_update(t, c, t.leaf([[0.5, 0.5]]))
-        np.testing.assert_allclose(t.value(c), [[0.8, 1.2]], atol=1e-7)
+        rows = self._attention(t, queries, c0)
+        c2 = c0 + rows[:1, :5] + rows[1:2, :5]
+        assert c2.sum() == pytest.approx(c0.sum() + 2.0, abs=1e-5)
+        assert self._attention(t, queries[2:], c2).tobytes() == rows[2:].tobytes()
 
     def test_mass_equals_step_count(self):
         _, vocab, prepared = tiny_corpus(n=2)
@@ -259,14 +280,16 @@ class TestCoverage:
             assert -1e-6 <= tr.penalty <= 1.0 + 1e-6
 
     def test_penalty_is_one_when_attention_repeats(self):
+        queries = np.repeat(np.random.default_rng(3).uniform(-1, 1, (1, 3)), 2, axis=0)
         t = Tape()
-        a = t.leaf([[0.25, 0.75]])
-        assert t.value(coverage_penalty(t, a, a))[0, 0] == pytest.approx(1.0)
+        out = self._attention(t, queries, np.zeros((1, 5)), w_c=np.zeros((1, 3)))
+        assert out[0, 5] == 0.0
+        assert out[1, 5] == pytest.approx(1.0)
 
     def test_length_mismatch(self):
         t = Tape()
-        with pytest.raises(ValueError, match="coverage_update"):
-            coverage_update(t, t.leaf([[0.0, 0.0]]), t.leaf([[1.0]]))
+        with pytest.raises(DimensionError, match=r"attention: .*coverage \(1, 4\)"):
+            self._attention(t, np.zeros((1, 3)), np.zeros((1, 4)))
 
 
 class TestSequenceLossAndTraining:
@@ -541,8 +564,9 @@ def test_sequence_loss_tape_holds_no_vocab_wide_constant():
 @pytest.mark.parametrize("use_coverage", [False, True])
 def test_attention_keeps_one_score_array_per_step(use_coverage):
     # The tape holds the encoder features, shared by every step, and no
-    # (n x attn) array per step: attention_scores stores only the scores and
-    # recomputes each row's tanh in backward, coverage term included.
+    # (n x attn) array per step: the attention kernel stores only its weights
+    # (and penalties) and recomputes each row's tanh in backward, coverage
+    # term included.
     n, attn = 50, 16
     vocab = Vocabulary([f"w{i}" for i in range(20)])
     article = [f"w{i % 17}" for i in range(n)]

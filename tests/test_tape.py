@@ -37,7 +37,7 @@ from b3sum.tape import (
 
 from helpers import tiny_corpus, tiny_summarizer
 from oracles import (MixChainTape, OracleTape, dense_acc_row_step, reference_adagrad_step,
-                     reference_clip_global_norm)
+                     reference_clip_global_norm, use_oracle_tape)
 
 
 class TestKernelForward:
@@ -47,7 +47,7 @@ class TestKernelForward:
         np.testing.assert_allclose(t.value(out), [[1 / 3, 1 / 3, 1 / 3]], atol=1e-7)
 
     def test_elementwise_min(self):
-        t = Tape()
+        t = OracleTape()
         out = t.elementwise_min(t.leaf([[0.2, 0.9]]), t.leaf([[0.5, 0.1]]))
         np.testing.assert_allclose(t.value(out), [[0.2, 0.1]], atol=1e-7)
 
@@ -62,7 +62,7 @@ class TestKernelForward:
             t.matmul(t.leaf(np.zeros((2, 3))), t.leaf(np.zeros((2, 3))))
 
     def test_elementwise_dim_mismatch(self):
-        t = Tape()
+        t = OracleTape()
         with pytest.raises(DimensionError, match="elementwise-min"):
             t.elementwise_min(t.leaf([[1.0, 2.0]]), t.leaf([[1.0, 2.0, 3.0]]))
 
@@ -134,13 +134,16 @@ class TestKernelForward:
         with pytest.raises(DimensionError, match="lstm: inputs"):
             t.lstm(x, s0, [t.leaf(np.ones((2, 3)))] * 4, [t.leaf(np.ones((1, 2)))] * 4)
         feats, queries, row = t.leaf(np.ones((3, 2))), t.leaf(np.ones((2, 2))), t.leaf([[1.0, 2.0]])
-        with pytest.raises(DimensionError, match="attention-scores: .*coverage"):
-            t.attention_scores(feats, queries, row, row, t.leaf(np.ones((2, 2))), row)
+        with pytest.raises(DimensionError, match=r"attention: .*coverage \(1, 2\)"):
+            t.attention(feats, queries, row, row, t.leaf(np.ones((1, 2))), row)
+        # one coverage row per query row is not taken: the chain starts from one row
+        with pytest.raises(DimensionError, match=r"attention: .*coverage \(2, 3\)"):
+            t.attention(feats, queries, row, row, t.leaf(np.ones((2, 3))), row)
         with pytest.raises(DimensionError, match="slice"):
             t.slice(x, (2, 4))
 
     def test_slice_takes_a_block_and_its_adjoint_lands_there(self):
-        t = Tape()
+        t = OracleTape()
         x = t.leaf(np.arange(12.0).reshape(3, 4), needs_grad=True)
         block = t.slice(x, (1, 3), (2, 4))
         np.testing.assert_array_equal(t.value(block), [[6, 7], [10, 11]])
@@ -214,7 +217,7 @@ class TestBackward:
         np.testing.assert_allclose(t.grad(x), [[2.0, 4.0]])
 
     def test_tanh_at_zero(self):
-        t = Tape()
+        t = OracleTape()
         x = t.leaf([[0.0]], needs_grad=True)
         t.backward(t.reduce_sum(t.tanh(x)))
         np.testing.assert_allclose(t.grad(x), [[1.0]])
@@ -236,7 +239,7 @@ class TestBackward:
 
     def test_unreachable_parameter_grad_stays_zero(self):
         p, q = Parameter("used", [[1.0]]), Parameter("unused", [[1.0]])
-        t = Tape()
+        t = OracleTape()
         t.param(q)
         t.backward(t.reduce_sum(t.param(p)))
         np.testing.assert_array_equal(q.grad, [[0.0]])
@@ -304,31 +307,62 @@ class TestBackward:
         assert run() == run()
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("coverage", [False, True])
-def test_attention_scores_rows_are_byte_equal_to_the_add_chain(dtype, coverage):
-    # Each row is the value that the add/add/tanh chain and the v product of
-    # a one-row attention step give, so scoring R rows in one node moves no
-    # forward value.
+def _attention_run(dtype, coverage, chain):
+    """Value and input adjoints of attention over 3 query rows, read through
+    a random weighting of the weights and of the coverage penalties.  With
+    ``chain`` it is built from the nodes the kernel replaced: the scores
+    and a softmax node, and with coverage per row a slice, scores, softmax,
+    elementwise-min, reduce-sum and add."""
     rng = np.random.default_rng(7)
     n, d, rows = 6, 5, 3
-    shapes = dict(feats=(n, d), queries=(rows, d), v=(1, d), bias=(1, d), cov=(rows, n),
-                  w_c=(1, d))
     t = OracleTape(dtype)
-    leaf = {k: t.leaf(rng.uniform(-1, 1, shape)) for k, shape in shapes.items()}
-    extra = (leaf["cov"], leaf["w_c"]) if coverage else ()
-    scores = t.value(t.attention_scores(leaf["feats"], leaf["queries"], leaf["v"], leaf["bias"],
-                                        *extra))
-    for r in range(rows):
-        terms = [leaf["feats"], t.gather_rows(leaf["queries"], (r,))]
+    shapes = dict(feats=(n, d), queries=(rows, d), v=(1, d), bias=(1, d), cov=(1, n), w_c=(1, d))
+    x = {k: t.leaf(rng.uniform(0 if k == "cov" else -1, 1, shape), needs_grad=True)
+         for k, shape in shapes.items()}
+    read_a, read_p = rng.standard_normal((rows, n)), rng.standard_normal((rows, 1))
+    scored = [x[k] for k in ("feats", "queries", "v", "bias")]
+    penalties = None
+    if not coverage:
+        del x["cov"], x["w_c"]
+        a = t.softmax(t.attention_scores(*scored)) if chain else t.attention(*scored)
+    elif not chain:
+        out = t.attention(*scored, x["cov"], x["w_c"])
+        a, penalties = t.slice(out, cols=(0, n)), t.slice(out, cols=(n, n + 1))
+    else:
+        c, a_rows, p_rows = x["cov"], [], []
+        for r in range(rows):
+            q = t.slice(x["queries"], (r, r + 1))
+            a_rows.append(t.softmax(t.attention_scores(*scored[:1], q, *scored[2:], c, x["w_c"])))
+            p_rows.append(t.reduce_sum(t.elementwise_min(a_rows[-1], c)))
+            c = t.add(c, a_rows[-1])
+        a, penalties = t.concat(a_rows, axis=0), t.concat(p_rows, axis=0)
+    values = [t.value(a).tobytes()]
+    loss = t.reduce_sum(t.mul(a, t.leaf(read_a)))
+    if penalties is not None:
+        values.append(t.value(penalties).tobytes())
+        loss = t.add(loss, t.reduce_sum(t.mul(penalties, t.leaf(read_p))))
+    t.backward(loss)
+    return values, {k: t.grad(node) for k, node in x.items()}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("coverage", [False, True])
+def test_attention_is_byte_equal_to_the_nodes_it_replaced(dtype, coverage):
+    # The attention kernel keeps every forward bit of the nodes it replaced.
+    # Without coverage every adjoint is the same bytes too.  With coverage
+    # the kernel adds a row's adjoint parts in its own order (in a model
+    # the parts from a's readers come first, the chain's after them), so
+    # each input adjoint is held within 1e-5 of its largest entry.
+    values, grads = _attention_run(dtype, coverage, chain=False)
+    want_values, want_grads = _attention_run(dtype, coverage, chain=True)
+    assert values == want_values
+    assert grads.keys() == want_grads.keys()
+    for k, want in want_grads.items():
+        assert grads[k].dtype == want.dtype == dtype
         if coverage:
-            terms.append(t.matmul(t.transpose(t.gather_rows(leaf["cov"], (r,))), leaf["w_c"]))
-        terms.append(leaf["bias"])
-        total = terms[0]
-        for term in terms[1:]:
-            total = t.add(total, term)
-        e = t.transpose(t.matmul(t.tanh(total), leaf["v"], transpose_b=True))
-        assert t.value(e).tobytes() == scores[r : r + 1].tobytes()
+            assert np.abs(grads[k] - want).max() <= 1e-5 * np.abs(want).max(), k
+        else:
+            assert grads[k].tobytes() == want.tobytes(), k
 
 
 def _copy_mix_run(tape_cls, dtype, p_gen, rows, vocab, n, width, seed):
@@ -406,7 +440,7 @@ class TestRowSparseAdjoints:
     @pytest.mark.parametrize("dense_reader_first", [False, True])
     def test_a_table_read_by_another_kernel_stays_dense(self, dense_reader_first):
         p = Parameter("table", np.arange(12.0).reshape(6, 2) / 10)
-        t = Tape()
+        t = OracleTape()
         w = t.param(p)
         terms = [t.reduce_sum(t.gather_rows(w, [1, 4, 1])),
                  t.reduce_sum(t.matmul(t.leaf([[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]]), w))]
@@ -421,7 +455,7 @@ class TestRowSparseAdjoints:
 
     def test_parameter_and_tape_return_the_dense_adjoint(self):
         p = Parameter("table", np.ones((5, 3)))
-        t = Tape()
+        t = OracleTape()
         w = t.param(p)
         t.backward(t.reduce_sum(t.gather_rows(w, [4, 2, 4])))
         assert isinstance(p._grad, RowBlock)
@@ -529,7 +563,8 @@ class TestRowState:
             assert table.value.tobytes() == want_value.tobytes()
         assert table._acc.tobytes() == want_acc.tobytes()
 
-    def test_a_table_a_matmul_also_reads_fills_out_with_the_same_bytes(self):
+    def test_a_table_a_matmul_also_reads_fills_out_with_the_same_bytes(self, monkeypatch):
+        use_oracle_tape(monkeypatch)
         rng = np.random.default_rng(12)
         start = rng.standard_normal(self.SHAPE).astype(np.float32)
         x = rng.standard_normal((2, self.SHAPE[1])).astype(np.float32)
@@ -554,7 +589,8 @@ class TestRowState:
         assert sparse._acc.tobytes() == dense._acc.tobytes()
 
     @pytest.mark.parametrize("where", ["loss", "gradient", "build"])
-    def test_a_raising_step_leaves_the_row_state_as_it_was(self, where):
+    def test_a_raising_step_leaves_the_row_state_as_it_was(self, where, monkeypatch):
+        use_oracle_tape(monkeypatch)
         table, bias = self._table(np.ones(self.SHAPE)), Parameter("bias", [[1.0]])
 
         def step(rows, fail):
@@ -608,7 +644,7 @@ class TestRecordFreeTape:
         assert len(t) == len(t.nodes) == 3  # the leaf, tanh and sigmoid
 
     def test_backward_raises(self):
-        t = Tape(record=False)
+        t = OracleTape(record=False)
         loss = t.reduce_sum(t.leaf([[1.0, 2.0]]))
         with pytest.raises(ValueError, match="records nothing"):
             t.backward(loss)
@@ -721,6 +757,10 @@ class TestAdagrad:
 
 
 class TestOptimizerStep:
+    @pytest.fixture(autouse=True)
+    def _oracle_tape(self, monkeypatch):
+        use_oracle_tape(monkeypatch)  # for the loss's reduce_sum
+
     @staticmethod
     def _linear_loss(params, coefs, built=None):
         """A builder of sum(coef * param) over the pairs of 1-row params, each
@@ -892,7 +932,7 @@ class TestParameterState:
         t.backward(t.reduce_sum(t.mul(w, w)))
         assert p.grad is t.grad(w)
         np.testing.assert_array_equal(p.grad, [[4.0, -2.0]])
-        t64 = Tape(dtype=np.float64)
+        t64 = OracleTape(dtype=np.float64)
         w64 = t64.param(p)
         t64.backward(t64.reduce_sum(w64))
         assert p.grad.dtype == np.float32
