@@ -151,17 +151,15 @@ def load_checkpoint(path, expect_hash: bytes | None = None) -> tuple[dict[str, n
 def restore_params(params, tensors: dict[str, np.ndarray]) -> None:
     """Copy loaded tensors into a model's parameters by name.
 
-    Every tensor is checked before any is copied: a missing, unknown,
-    misshapen or non-finite tensor raises CheckpointError naming it and
-    leaves the model unchanged.
+    Every tensor is checked before any is copied: a misshapen or non-finite
+    tensor raises CheckpointError naming it, and so do missing and unknown
+    tensors, all listed in one message; the model is left unchanged.
     """
     byname = {p.name: p for p in params}
-    missing = set(byname) - set(tensors)
-    unknown = set(tensors) - set(byname)
-    if missing:
-        raise CheckpointError(f"checkpoint missing tensors: {sorted(missing)}")
-    if unknown:
-        raise CheckpointError(f"checkpoint has unknown tensors: {sorted(unknown)}")
+    missing = sorted(set(byname) - set(tensors))
+    unknown = sorted(set(tensors) - set(byname))
+    if missing or unknown:
+        raise CheckpointError(f"checkpoint missing tensors: {missing}; unknown tensors: {unknown}")
     for name, p in byname.items():
         arr = tensors[name]
         if arr.shape != p.value.shape:

@@ -1,10 +1,11 @@
 """Binary summary-structure classifier over a BiLSTM encoding.
 
-One linear head per structure type reads the encoder's final hidden state
-(its final forward state joined to its first-position backward state), and
-the first logit of each head enters a shared two-way softmax.  Ties resolve to
-parallel, the majority class.  Training inputs are either the summary (its
-three sentences joined by the boundary token) or the truncated article.
+One decision layer, a (2 x 2*hidden) linear map whose row 0 scores parallel
+and row 1 sequence, reads the encoder's final hidden state (its final
+forward state joined to its first-position backward state), and a two-way
+softmax turns its logits into the decision.  Ties resolve to parallel, the
+majority class.  Training inputs are either the summary (its three sentences
+joined by the boundary token) or the truncated article.
 """
 
 from __future__ import annotations
@@ -34,20 +35,11 @@ class ClassifierParams:
         self.hidden_dim = hidden_dim
         self.embedding = EmbeddingTable(rng, "cls.emb", vocab_size, emb_dim)
         self.encoder = BiLstmEncoder(rng, "cls.enc", emb_dim, hidden_dim)
-        # One head per structure type; the decision softmax reads the first
-        # logit of each, so both heads stay distinct parameters.
-        self.head_parallel_w = draw("cls.W_p", (2, 2 * hidden_dim))
-        self.head_parallel_b = zeros_param("cls.b_p", (1, 2))
-        self.head_sequence_w = draw("cls.W_s", (2, 2 * hidden_dim))
-        self.head_sequence_b = zeros_param("cls.b_s", (1, 2))
+        self.decision_w = draw("cls.W_d", (2, 2 * hidden_dim))  # row 0 parallel, 1 sequence
+        self.decision_b = zeros_param("cls.b_d", (1, 2))
 
     def params(self) -> list[Parameter]:
-        return (
-            self.embedding.params()
-            + self.encoder.params()
-            + [self.head_parallel_w, self.head_parallel_b,
-               self.head_sequence_w, self.head_sequence_b]
-        )
+        return self.embedding.params() + self.encoder.params() + [self.decision_w, self.decision_b]
 
 
 def encode_text(tape: Tape, model: ClassifierParams, ids) -> int:
@@ -58,12 +50,9 @@ def encode_text(tape: Tape, model: ClassifierParams, ids) -> int:
 
 
 def decision_distribution(tape: Tape, model: ClassifierParams, ids) -> int:
+    """(1 x 2) node: [p(parallel), p(sequence)] for the token ids."""
     h = encode_text(tape, model, ids)
-    logit_parallel = linear(tape, model.head_parallel_w, model.head_parallel_b, h)
-    logit_sequence = linear(tape, model.head_sequence_w, model.head_sequence_b, h)
-    # first logit of each head -> shared 2-way softmax
-    first = [tape.slice(logit, cols=(0, 1)) for logit in (logit_parallel, logit_sequence)]
-    return tape.softmax(tape.concat(first, axis=1))
+    return tape.softmax(linear(tape, model.decision_w, model.decision_b, h))
 
 
 @dataclass

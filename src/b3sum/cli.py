@@ -329,7 +329,8 @@ def cmd_align_eval(args):
 
 
 def cmd_report(args):
-    per_doc = read_jsonl(args.scores, metrics.DocumentScores.from_json)
+    per_doc = read_jsonl(args.scores, corpus_mod._distinct_ids(metrics.DocumentScores.from_json,
+                                                               lambda d: d.doc_id))
     report = metrics.breakdown_report(per_doc)
     if args.format == "tsv":
         text = metrics.format_breakdown_tsv(report)

@@ -13,7 +13,8 @@ import json
 import logging
 from dataclasses import dataclass, replace
 
-from .checkpoint import checkpoint_digest, load_checkpoint, restore_params, save_checkpoint, tensor_map
+from .checkpoint import (CheckpointError, checkpoint_digest, load_checkpoint, restore_params,
+                         save_checkpoint, tensor_map)
 from .classifier import ClassifierParams, ClassifierTrainConfig, classifier_input_tokens, classify
 from .config import RunConfig
 from .corpus import CorpusError, NewsPair, Vocabulary, read_json
@@ -65,9 +66,13 @@ def save_model(model, path, cfg: RunConfig) -> None:
 
 def restore_model(model, path, cfg: RunConfig):
     """``model`` with the tensors of the checkpoint at ``path``; a config
-    hash other than ``cfg``'s is logged as a warning."""
+    hash other than ``cfg``'s is logged as a warning, and a tensor set or
+    tensor the model cannot take raises CheckpointError naming the file."""
     tensors, _ = load_checkpoint(path, expect_hash=cfg.hash_bytes())
-    restore_params(model.params(), tensors)
+    try:
+        restore_params(model.params(), tensors)
+    except CheckpointError as exc:
+        raise CheckpointError(f"{path}: {exc}") from None
     return model
 
 

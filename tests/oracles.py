@@ -11,7 +11,9 @@ backward rule, and ``attention_scores``, the scores that the library's
 ``attention`` kernel now forms with the softmax and coverage chain.  The
 per-step references below call them, so a test that runs one through
 production code first swaps the library's tape for it with
-``use_oracle_tape``.
+``use_oracle_tape``.  ``TwoHeadClassifierParams`` and
+``two_head_decision_distribution`` keep the classifier's two-head decision,
+which one decision layer replaced, as the reference its pin runs on.
 """
 
 import enum
@@ -22,7 +24,8 @@ import numpy as np
 
 from b3sum import classifier, corpus, summarizer
 from b3sum import tape as tape_mod
-from b3sum.layers import INIT_SCALE, EncoderStates, linear
+from b3sum.layers import (INIT_SCALE, BiLstmEncoder, EmbeddingTable, EncoderStates, linear,
+                          zeros_param)
 from b3sum.summarizer import DecoderStep, final_distribution, generation_prob, vocab_distribution
 from b3sum.tape import ADAGRAD_EPS, CopyIds, DimensionError, Parameter, Tape, _unbroadcast
 
@@ -314,6 +317,38 @@ def bilstm_encode(tape, enc, xs):
         final_c=tape.concat([c_f, c_b], axis=1),
         length=len(xs),
     )
+
+
+class TwoHeadClassifierParams:
+    """The classifier before one decision layer replaced its two heads: after
+    the embedding and encoder draws come ``cls.W_p``, ``cls.b_p``, ``cls.W_s``
+    and ``cls.b_s`` (each head 2 x 2*hidden, each bias 1 x 2), drawn and
+    listed in that order; ``two_head_decision_distribution`` reads row 0 of
+    each head.  The classifier pin was computed on it."""
+
+    def __init__(self, vocab_size, emb_dim, hidden_dim, seed):
+        rng = np.random.default_rng(seed)
+        self.embedding = EmbeddingTable(rng, "cls.emb", vocab_size, emb_dim)
+        self.encoder = BiLstmEncoder(rng, "cls.enc", emb_dim, hidden_dim)
+        self.head_parallel_w = uniform_param(rng, "cls.W_p", (2, 2 * hidden_dim))
+        self.head_parallel_b = zeros_param("cls.b_p", (1, 2))
+        self.head_sequence_w = uniform_param(rng, "cls.W_s", (2, 2 * hidden_dim))
+        self.head_sequence_b = zeros_param("cls.b_s", (1, 2))
+
+    def params(self):
+        return (self.embedding.params() + self.encoder.params()
+                + [self.head_parallel_w, self.head_parallel_b,
+                   self.head_sequence_w, self.head_sequence_b])
+
+
+def two_head_decision_distribution(tape, model, ids):
+    """The first logit of each head, one-column slices joined into a shared
+    2-way softmax; drop-in for ``classifier.decision_distribution``."""
+    h = classifier.encode_text(tape, model, ids)
+    first = [tape.slice(linear(tape, w, b, h), cols=(0, 1))
+             for w, b in ((model.head_parallel_w, model.head_parallel_b),
+                          (model.head_sequence_w, model.head_sequence_b))]
+    return tape.softmax(tape.concat(first, axis=1))
 
 
 def attend(tape, model, h_all, enc_features, s_t, coverage, use_coverage):

@@ -1,6 +1,7 @@
 """Binary checkpoint format round trips and run-config validation."""
 
 import logging
+import re
 import struct
 import tempfile
 import tracemalloc
@@ -135,6 +136,9 @@ class TestCheckpointRoundTrip:
             restore_params([p], tensors)
         with pytest.raises(CheckpointError, match="missing"):
             restore_params([p, Parameter("v", np.ones((1, 1)))], {"w": p.value})
+        with pytest.raises(CheckpointError, match=re.escape(
+                "checkpoint missing tensors: ['v']; unknown tensors: ['extra']")):
+            restore_params([p, Parameter("v", np.ones((1, 1)))], tensors)
 
     def test_shape_mismatch_rejected(self, tmp_path):
         path = tmp_path / "m.ckpt"

@@ -203,11 +203,14 @@ class TestTraining:
 # Computed before train_classifier and the summarizer shared one optimizer
 # step and one batch order: epoch losses as exact reprs, and a sha256 over
 # every parameter's bytes in params() order.  30 examples in batches of 7
-# end each epoch on a short batch.  The run uses the per-step encoder of
-# tests/oracles.py, the path these were computed on: the lstm kernel keeps
-# every forward value but adds adjoints in another order, so training
-# rounds differently; test_encoder_grads_match_the_per_step_reference
-# bounds that.
+# end each epoch on a short batch.  The run uses the per-step encoder and
+# the two-head classifier of tests/oracles.py, the path these were computed
+# on.  The lstm kernel keeps every forward value but adds adjoints in
+# another order, so training rounds differently;
+# test_encoder_grads_match_the_per_step_reference bounds that.  The one
+# decision layer starts from other weights (its row 1 is the old W_p's row
+# 1, not W_s's row 0) and adds the encoder's adjoint in one product;
+# test_decision_layer_matches_the_two_heads_it_replaced bounds the latter.
 PINNED_EPOCH_LOSSES = ["0.6936418175697326", "0.6895285010337829", "0.6843534231185913"]
 PINNED_PARAMS_SHA256 = "5c23acc20bff8ce5a12f6831f1716a5f3ba9176ab12c0138d4702ccc525567b1"
 
@@ -243,11 +246,68 @@ def test_encoder_grads_match_the_per_step_reference(dtype, monkeypatch):
         assert np.abs(grads[name] - ref).max() <= 1e-5 * scale, name
 
 
+def _decision_run(model, decide, examples, dtype):
+    """(decision rows, loss, {parameter name: grad}) over ``examples``."""
+    tape = Tape(dtype)
+    decisions = [decide(tape, model, ex.ids) for ex in examples]
+    loss = tape.reduce_mean(tape.concat(
+        [tape.neg_log_pick(d, ex.gold) for d, ex in zip(decisions, examples)], axis=1))
+    values = [tape.value(d).tobytes() for d in decisions], tape.value(loss).tobytes()
+    leaves = {p.name: tape.param(p) for p in model.params()}
+    tape.backward(loss)  # releases the inner nodes' values
+    zero_grads(model.params())
+    return *values, {name: tape.grad(nid) for name, nid in leaves.items()}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("hidden", [3, 8])
+def test_decision_layer_matches_the_two_heads_it_replaced(dtype, hidden):
+    # The two-head decision read row 0 of each head; copied into W_d and b_d,
+    # the one layer gives the same bytes forward and the same grads on those
+    # rows.  Only the encoder's adjoint, one product in place of two, rounds
+    # differently.
+    rng = np.random.default_rng(hidden)
+    examples = [classifier.LabeledExample(list(rng.integers(0, 12, size=n)), gold)
+                for n, gold in ((3, 0), (1, 1), (6, 1), (4, 0))]
+    for seed in range(6):
+        two = oracles.TwoHeadClassifierParams(12, 5, hidden, seed)
+        for b in (two.head_parallel_b, two.head_sequence_b):
+            b.value[...] = rng.uniform(-0.5, 0.5, size=b.shape)
+        one = ClassifierParams(12, 5, hidden, seed=seed)
+        one.decision_w.value[...] = [two.head_parallel_w.value[0], two.head_sequence_w.value[0]]
+        one.decision_b.value[...] = [[two.head_parallel_b.value[0, 0],
+                                      two.head_sequence_b.value[0, 0]]]
+        ref_rows, ref_loss, ref_grads = _decision_run(
+            two, oracles.two_head_decision_distribution, examples, dtype)
+        rows, loss, grads = _decision_run(one, decision_distribution, examples, dtype)
+        assert rows == ref_rows and loss == ref_loss
+        np.testing.assert_array_equal(
+            grads.pop("cls.W_d"), [ref_grads.pop("cls.W_p")[0], ref_grads.pop("cls.W_s")[0]])
+        np.testing.assert_array_equal(
+            grads.pop("cls.b_d"), [[ref_grads.pop("cls.b_p")[0, 0], ref_grads.pop("cls.b_s")[0, 0]]])
+        assert grads.keys() == ref_grads.keys()
+        scale = max(np.abs(g).max() for g in ref_grads.values())
+        for name, ref in ref_grads.items():
+            assert np.abs(grads[name] - ref).max() <= 1e-5 * scale, (seed, name)
+
+
+def test_a_training_example_makes_34_nodes_from_19_tensors():
+    # The two heads made 41 nodes from 21 tensors: a second linear (3
+    # nodes), a slice of each head and their concat.
+    model = _tiny(seed=1)
+    tape = Tape()
+    tape.neg_log_pick(decision_distribution(tape, model, [1, 2, 3]), 0)
+    assert len(model.params()) == 19
+    assert len(tape.nodes) == 34
+
+
 def test_training_is_bit_identical_to_the_pinned_run(monkeypatch):
     _per_step_encoder(monkeypatch)
+    monkeypatch.setattr(classifier, "decision_distribution",
+                        oracles.two_head_decision_distribution)
     train, _, vocab = _labeled_split(n=40)
     cfg = ClassifierTrainConfig(emb_dim=8, hidden_dim=8, lr=0.1, batch_size=7, epochs=3, seed=4)
-    model = ClassifierParams(vocab.size, cfg.emb_dim, cfg.hidden_dim, seed=cfg.seed)
+    model = oracles.TwoHeadClassifierParams(vocab.size, cfg.emb_dim, cfg.hidden_dim, cfg.seed)
     report = train_classifier(model, train, None, cfg)
     assert len(train) == 30
     assert [repr(loss) for loss in report.epoch_losses] == PINNED_EPOCH_LOSSES

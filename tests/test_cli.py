@@ -14,9 +14,10 @@ import pytest
 
 from b3sum import cli, metrics, pipeline
 from b3sum.checkpoint import MAGIC, load_checkpoint, save_checkpoint
+from b3sum.classifier import ClassifierParams
 from b3sum.cli import MAX_SYNTH_PAIRS, _config, build_parser, main
 from b3sum.config import MAX_BEAM_SIZE, MAX_DECODE_LEN, MAX_DIM
-from b3sum.corpus import load_jsonl, save_jsonl, synth_generate
+from b3sum.corpus import Vocabulary, load_jsonl, save_jsonl, synth_generate
 
 
 def run(capsys, *argv):
@@ -317,6 +318,30 @@ class TestModelCommands:
         assert "tensor 'proj.V_out' holds non-finite values" in err
         assert not (tmp_path / "tuned.ckpt").exists()
 
+    def test_auto_label_names_a_two_head_classifier_checkpoint(self, workspace, tmp_path,
+                                                                capsys):
+        # A classifier saved with the two heads that one decision layer
+        # replaced is refused, naming the file and both tensor sets.
+        vocab = tmp_path / "vocab.json"
+        run_json(capsys, "build-vocab", "--corpus", str(workspace / "train.jsonl"),
+                 "--vocab-out", str(vocab))
+        model = ClassifierParams(Vocabulary.load(vocab).size, emb_dim=8, hidden_dim=8)
+        tensors = {p.name: p.value for p in model.params()[:-2]}
+        for name, shape in (("cls.W_p", (2, 16)), ("cls.b_p", (1, 2)),
+                            ("cls.W_s", (2, 16)), ("cls.b_s", (1, 2))):
+            tensors[name] = np.zeros(shape, dtype=np.float32)
+        ckpt = tmp_path / "two-head.ckpt"
+        save_checkpoint(tensors, ckpt)
+        code, out, err = run(capsys, "auto-label", "--classifier", str(ckpt),
+                             "--vocab", str(vocab), "--corpus", str(workspace / "train.jsonl"),
+                             "--out-parallel", str(tmp_path / "par.jsonl"),
+                             "--out-sequence", str(tmp_path / "seq.jsonl"), *TINY)
+        assert code == 1 and out == ""
+        assert (f"error: {ckpt}: checkpoint missing tensors: ['cls.W_d', 'cls.b_d']; "
+                "unknown tensors: ['cls.W_p', 'cls.W_s', 'cls.b_p', 'cls.b_s']") in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "par.jsonl").exists()
+
     @pytest.fixture(scope="class")
     def pretrained(self, workspace, tmp_path_factory):
         """(vocab path, one-step checkpoint path) built with TINY."""
@@ -584,8 +609,10 @@ class TestEvaluationCommands:
         (lambda rec: rec | {"pattern": "xyz"},
          "'pattern' must be null or a permutation of '123', got 'xyz'"),
         (lambda rec: rec | {"id": [1, 2]}, "id must be a string or an integer, got list"),
+        (lambda rec: rec | {"id": "synth-9-00000"}, "repeated id 'synth-9-00000'"),
     ], ids=["not-an-object", "no-positions", "two-positions", "nan-score", "1e999-score",
-            "score-above-one", "unknown-gold-class", "unknown-pattern", "id-a-list"])
+            "score-above-one", "unknown-gold-class", "unknown-pattern", "id-a-list",
+            "repeated-id"])
     def test_report_names_the_bad_scores_line(self, tmp_path, capsys, reference, edit, message):
         ref_path, pairs = reference
         sys_path = self._write_system(tmp_path, pairs)

@@ -418,6 +418,37 @@ def test_every_kernel_is_made_by_production_code(monkeypatch):
     assert [k.value for k in Kernel if k is not Kernel.LEAF and k not in made] == []
 
 
+def test_every_parameter_is_read_by_production_code(monkeypatch):
+    # A part of a parameter no forward reads keeps a zero grad: it is drawn,
+    # trained and saved for nothing.  Coverage-on training and a classifier
+    # epoch give each row of every weight, and each entry of every one-row
+    # parameter, a non-zero grad.  The embedding tables, whose grads hold
+    # only the rows a batch gathers, are left out.
+    read = {}
+
+    def recording(params, lr):
+        for p in params:
+            if not p.row_sparse:
+                hit = np.zeros(p.shape, bool) if p._grad is None else p._grad != 0
+                read[p.name] = read.get(p.name, False) | (hit if p.shape[0] == 1
+                                                          else hit.any(axis=1))
+        return adagrad_step(params, lr)
+
+    monkeypatch.setattr("b3sum.tape.adagrad_step", recording)
+    _, vocab, prepared = tiny_corpus(n=2)
+    model = tiny_summarizer(vocab.size)
+    summarizer.train_batch(model, prepared, RunConfig(), use_coverage=True)
+    cls = ClassifierParams(vocab.size, emb_dim=4, hidden_dim=6, seed=1)
+    classifier.train_classifier(
+        cls, [LabeledExample([5, 6, 7], 0), LabeledExample([8, 9], 1)], None,
+        ClassifierTrainConfig(batch_size=2, epochs=1))
+    params = [p for p in model.params() + cls.params() if not p.row_sparse]
+    assert sorted(read) == sorted(p.name for p in params)
+    unread = [f"{p.name}[0, {j}]" if p.shape[0] == 1 else f"{p.name}[{j}]"
+              for p in params for j in np.flatnonzero(~read[p.name].reshape(-1))]
+    assert unread == []
+
+
 class TestRowSparseAdjoints:
     def test_gather_only_leaf_keeps_its_distinct_rows(self):
         rng = np.random.default_rng(3)
