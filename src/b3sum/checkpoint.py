@@ -18,6 +18,7 @@ failed save leaves any previous checkpoint as it was.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import logging
 import math
@@ -55,21 +56,31 @@ def save_checkpoint(tensors: dict[str, np.ndarray], path, config_hash: bytes = b
             raise CheckpointError(
                 f"tensor name {name[:40]!r}... is longer than 65535 UTF-8 bytes"
             )
+    with atomic_write(path, "xb") as fh:
+        fh.write(MAGIC)
+        fh.write(struct.pack("<II", VERSION, len(tensors)))
+        for name, value in tensors.items():
+            arr = np.ascontiguousarray(value, dtype="<f4")
+            encoded = name.encode("utf-8")
+            fh.write(struct.pack("<H", len(encoded)))
+            fh.write(encoded)
+            fh.write(struct.pack("<B", arr.ndim))
+            fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
+            fh.write(arr.tobytes())
+        fh.write(config_hash)
+
+
+@contextlib.contextmanager
+def atomic_write(path, mode: str, encoding: str | None = None):
+    """A new temporary file beside ``path``, opened with ``mode`` (``"xb"``
+    or ``"x"``), that is flushed, fsynced and moved over ``path`` when the
+    block ends; if the block raises, the file is removed and ``path`` keeps
+    what it held."""
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
-    fh = open(tmp, "xb")
+    fh = open(tmp, mode, encoding=encoding)
     try:
         with fh:
-            fh.write(MAGIC)
-            fh.write(struct.pack("<II", VERSION, len(tensors)))
-            for name, value in tensors.items():
-                arr = np.ascontiguousarray(value, dtype="<f4")
-                encoded = name.encode("utf-8")
-                fh.write(struct.pack("<H", len(encoded)))
-                fh.write(encoded)
-                fh.write(struct.pack("<B", arr.ndim))
-                fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-                fh.write(arr.tobytes())
-            fh.write(config_hash)
+            yield fh
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)

@@ -487,11 +487,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "summarize":
-        routed = all(
-            getattr(args, k) for k in
-            ("classifier", "classifier_vocab", "parallel_checkpoint", "sequence_checkpoint")
-        )
-        if not args.checkpoint and not routed:
+        routed = [k for k in
+                  ("classifier", "classifier_vocab", "parallel_checkpoint", "sequence_checkpoint")
+                  if getattr(args, k)]
+        if args.checkpoint and routed:
+            parser.error("summarize: --checkpoint decodes with one model and cannot be given "
+                         "with " + " ".join("--" + k.replace("_", "-") for k in routed))
+        if not args.checkpoint and len(routed) < 4:
             parser.error(
                 "summarize needs --checkpoint, or all of --classifier "
                 "--classifier-vocab --parallel-checkpoint --sequence-checkpoint"

@@ -13,8 +13,8 @@ import json
 import logging
 from dataclasses import dataclass, replace
 
-from .checkpoint import (CheckpointError, checkpoint_digest, load_checkpoint, restore_params,
-                         save_checkpoint, tensor_map)
+from .checkpoint import (CheckpointError, atomic_write, checkpoint_digest, load_checkpoint,
+                         restore_params, save_checkpoint, tensor_map)
 from .classifier import ClassifierParams, ClassifierTrainConfig, classifier_input_tokens, classify
 from .config import RunConfig
 from .corpus import CorpusError, NewsPair, Vocabulary, read_json
@@ -231,10 +231,12 @@ def open_manifest(path) -> dict:
 
 
 def update_manifest(path, info: dict) -> dict:
-    """File a stage record under its ``"stage"`` in the manifest at ``path``."""
+    """File a stage record under its ``"stage"`` in the manifest at ``path``,
+    replacing the file whole, so a record that cannot be written leaves the
+    manifest as it was."""
     manifest = open_manifest(path)
     manifest.setdefault("stages", {})[info["stage"]] = info
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path, "x", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return manifest

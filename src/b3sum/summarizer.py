@@ -192,12 +192,6 @@ def final_distribution(tape: Tape, p_gen: int, p_vocab: int, a_t: int,
     ``a_t`` belongs to one step, and so does row r of the result.  One
     ``copy_mix`` node.
     """
-    n_src = tape.value(a_t).shape[1]
-    if copy_ids.ids.size != n_src:
-        raise ValueError(
-            f"final_distribution: {n_src} attention weights vs "
-            f"{copy_ids.ids.size} source positions"
-        )
     return tape.copy_mix(p_gen, p_vocab, a_t, copy_ids)
 
 
@@ -308,8 +302,10 @@ def decoder_step(tape: Tape, model: SummarizerParams, art: EncodedArticle, xs: i
     without it when ``coverage`` is None.  The vocabulary output never
     feeds back into the recurrence, so it is left to
     ``output_distribution``.  ``force_p_gen`` replaces the learned switch
-    by a constant.
+    by a constant in [0, 1].
     """
+    if force_p_gen is not None and not 0.0 <= force_p_gen <= 1.0:  # NaN fails too
+        raise ValueError(f"force_p_gen must be a finite value in [0, 1], got {force_p_gen!r}")
     s = lstm_step(tape, model.decoder, xs, s_prev)
     a, h_star, penalties = attend(tape, model, art.enc.h_concat, art.enc_features, s, coverage)
     if force_p_gen is None:

@@ -45,7 +45,8 @@ class Kernel(enum.Enum):
     rows by integer id, so lookups need no one-hot constant, and SLICE takes
     a block of rows and columns.  COPY_MIX is the pointer-generator's output
     mix, so the copy distribution needs no copy matrix and no chain of
-    vocabulary-wide nodes.  LSTM runs a whole sequence through an LSTM cell
+    vocabulary-wide nodes, and its backward reads only the source columns
+    of its adjoint.  LSTM runs a whole sequence through an LSTM cell
     and ATTENTION gives R query rows their attention over n positions, with
     coverage running each row's penalty and coverage update in the same
     node; each is one node with its own backward rule, so a sequence makes
@@ -419,38 +420,12 @@ def _attention_backward(features, queries, v, bias, coverage, w_c, value, grad):
     return grads if coverage is None else grads + [d_c, d_w_c]
 
 
-def _inv_gate(p_gen, dtype):
-    """1 + (−p_gen), as a ``one`` leaf plus ``scale(p_gen, -1.0)`` made it."""
-    return np.ones((1, 1), dtype=dtype) + (p_gen * dtype(-1.0)).astype(dtype)
-
-
 def _copy_columns(a, ids: CopyIds):
     """The copy distribution's columns ``ids.cols``: column k of ``a`` added
     into column ``ids.inverse[k]``, in order, onto zeros."""
     out = np.zeros((a.shape[0], ids.cols.size), dtype=a.dtype)
     np.add.at(out, (slice(None), ids.inverse), a)
     return out
-
-
-def _gate_sums(g, p_vocab, copy, ids: CopyIds):
-    """Per row, the sums of ``g·[p_vocab | 0]`` and ``g·copy`` (``copy``
-    holding the columns ``ids.cols``), each over all ``ids.width`` columns
-    as the chain's (T x width) products were summed: a few rows at a time,
-    at most SUM_CHUNK elements, since a row's sum does not depend on the
-    rows around it."""
-    rows, vocab = p_vocab.shape
-    sums = np.empty((2, rows, 1), dtype=np.result_type(g, p_vocab, copy))
-    step = max(1, SUM_CHUNK // ids.width)
-    for r in range(0, rows, step):
-        block = np.zeros((min(step, rows - r), ids.width), dtype=sums.dtype)
-        block[:, :vocab] = p_vocab[r : r + step]
-        sums[0, r : r + step] = np.multiply(g[r : r + step], block, out=block).sum(
-            axis=1, keepdims=True)
-        block[...] = 0
-        block[:, ids.cols] = copy[r : r + step]
-        sums[1, r : r + step] = np.multiply(g[r : r + step], block, out=block).sum(
-            axis=1, keepdims=True)
-    return sums
 
 
 class Tape:
@@ -606,16 +581,15 @@ class Tape:
         return self._append(Kernel.SLICE, (a,), np.ascontiguousarray(va[block]), block)
 
     def copy_mix(self, p_gen: int, p_vocab: int, a: int, ids: CopyIds) -> int:
-        """The pointer-generator mix ``[p_vocab | 0]·p_gen + copy·(1 − p_gen)``
-        over ``ids.width`` columns, one row per step.
+        """The pointer-generator mix ``p_vocab·p_gen + copy·(1 − p_gen)`` over
+        ``ids.width`` columns, one row per step.
 
-        ``p_vocab`` (T x V) is zero-padded to the width, ``copy`` adds column
-        k of the attention ``a`` (T x n) into column ``ids.ids[k]``, and
-        ``p_gen`` is (T x 1).  Each value and adjoint is the one the chain of
-        pad, concat, scatter, scale, add, mul, mul and add nodes made, summed
-        in the same order, but only the result is stored: the copy columns
-        are rebuilt from ``a`` in backward, and no other (T x width) array
-        outlives the call.
+        ``p_vocab`` (T x V) fills the first V columns, ``copy`` adds column k
+        of the attention ``a`` (T x n) into column ``ids.ids[k]``, and
+        ``p_gen`` (T x 1) lies in [0, 1].  Only the result is stored, and
+        backward reads the n source columns, never a (T x width) replica:
+        the p_gen adjoint is the generated mass less the copied mass, per row,
+        ``Σ_v g_v·p_vocab_v − Σ_i g[ids_i]·a_i``.
         """
         vg, vv, va = (self.value(i) for i in (p_gen, p_vocab, a))
         rows, vocab = vv.shape
@@ -624,15 +598,9 @@ class Tape:
                 f"copy-mix: p_gen {vg.shape}, p_vocab {vv.shape} and attention {va.shape} "
                 f"do not fit {ids.ids.size} ids of width {ids.width}"
             )
-        inv_gate = _inv_gate(vg, self.dtype)
-        out = np.empty((rows, ids.width), dtype=np.result_type(vv, vg, va))
+        out = np.zeros((rows, ids.width), dtype=np.result_type(vv, vg, va))
         np.multiply(vv, vg, out=out[:, :vocab])
-        out[:, vocab:] = np.zeros((1, 1), dtype=out.dtype) * vg
-        kept = out[:, ids.cols]
-        # The chain added a copy part of 0·(1 − p_gen) in every column no id
-        # names; adding it keeps the sign of a zero as the chain left it.
-        out += np.zeros((1, 1), dtype=out.dtype) * inv_gate
-        out[:, ids.cols] = kept + _copy_columns(va, ids) * inv_gate
+        out[:, ids.cols] += _copy_columns(va, ids) * (1 - vg)
         return self._append(Kernel.COPY_MIX, (p_gen, p_vocab, a), out, ids)
 
     def reduce_mean(self, a: int) -> int:
@@ -878,16 +846,16 @@ class Tape:
                 self._add_grad(i, gi)
         elif k is Kernel.COPY_MIX:
             p_gen, p_vocab, a = (self.nodes[i] for i in ids)
-            inv_gate = _inv_gate(p_gen.value, self.dtype)
+            g_vocab = g[:, : p_vocab.value.shape[1]]
             if p_vocab.needs_grad:
-                self._add_grad(ids[1], g[:, : p_vocab.value.shape[1]] * p_gen.value)
+                self._add_grad(ids[1], g_vocab * p_gen.value)
+            g_copy = g[:, node.arg.ids]
             if p_gen.needs_grad:
-                from_vocab, from_copy = _gate_sums(
-                    g, p_vocab.value, _copy_columns(a.value, node.arg), node.arg)
-                self._add_grad(ids[0], from_vocab)
-                self._add_grad(ids[0], from_copy * self.dtype(-1.0))
+                generated = np.einsum("ij,ij->i", g_vocab, p_vocab.value)
+                copied = np.einsum("ij,ij->i", g_copy, a.value)
+                self._add_grad(ids[0], (generated - copied)[:, None])
             if a.needs_grad:
-                self._add_grad(ids[2], g[:, node.arg.ids] * inv_gate)
+                self._add_grad(ids[2], np.multiply(g_copy, 1 - p_gen.value, out=g_copy))
         else:
             raise ValueError(f"no backward rule for kernel {k}")
 

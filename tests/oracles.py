@@ -14,6 +14,10 @@ production code first swaps the library's tape for it with
 ``use_oracle_tape``.  ``TwoHeadClassifierParams`` and
 ``two_head_decision_distribution`` keep the classifier's two-head decision,
 which one decision layer replaced, as the reference its pin runs on.
+``MixChainTape`` keeps the chain of nodes the ``copy_mix`` kernel replaced;
+the summarizer's two pins (``GOLDEN`` and the pipeline's pinned run) pass it
+to ``use_oracle_tape``, since the kernel sums its p_gen adjoint over the
+source columns and so rounds training differently.
 """
 
 import enum
@@ -192,13 +196,13 @@ class OracleTape(Tape):
             super()._accumulate_input_grads(node, g)
 
 
-def use_oracle_tape(monkeypatch):
-    """Make every tape the library builds an ``OracleTape``, so a reference
-    that calls ``mul``, ``log``, ``transpose``, ``elementwise_min`` or
-    ``reduce_sum`` runs through production training, evaluation, decoding
-    and classification."""
+def use_oracle_tape(monkeypatch, tape_cls=OracleTape):
+    """Make every tape the library builds a ``tape_cls``, an ``OracleTape``
+    by default, so a reference that calls ``mul``, ``log``, ``transpose``,
+    ``elementwise_min`` or ``reduce_sum`` runs through production training,
+    evaluation, decoding and classification."""
     for module in (tape_mod, summarizer, classifier):
-        monkeypatch.setattr(module, "Tape", OracleTape)
+        monkeypatch.setattr(module, "Tape", tape_cls)
 
 
 class MixChainTape(OracleTape):

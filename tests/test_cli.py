@@ -487,6 +487,21 @@ class TestModelCommands:
                   "--summaries-out", "o.jsonl"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("routed", [
+        ["--classifier", "c.ckpt"], ["--classifier-vocab", "cv.json"],
+        ["--parallel-checkpoint", "p.ckpt"], ["--sequence-checkpoint", "s.ckpt"],
+        ["--classifier", "c.ckpt", "--classifier-vocab", "cv.json",
+         "--parallel-checkpoint", "p.ckpt", "--sequence-checkpoint", "s.ckpt"],
+    ], ids=["classifier", "classifier-vocab", "parallel", "sequence", "all"])
+    def test_summarize_rejects_a_single_model_with_routed_flags(self, routed, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["summarize", "--articles", "x.jsonl", "--vocab", "v.json",
+                  "--summaries-out", "o.jsonl", "--checkpoint", "b.ckpt", *routed])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--checkpoint decodes with one model and cannot be given with" in err
+        assert all(flag in err for flag in routed[::2])
+
 
 class TestEvaluationCommands:
     @pytest.fixture()

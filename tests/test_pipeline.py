@@ -28,7 +28,7 @@ from b3sum.summarizer import prepare_pair
 from b3sum.tape import NonFiniteError
 
 from helpers import zero_params
-from oracles import per_step_teacher_forced, use_oracle_tape
+from oracles import MixChainTape, per_step_teacher_forced, use_oracle_tape
 
 
 def _cfg(**kw):
@@ -92,10 +92,12 @@ def test_non_finite_training_step_is_named(corpus):
 # step and one batch order.  Pretraining takes 5 steps over 12 pairs in
 # batches of 4, so it starts a second pass, and switches coverage on at
 # step 3; fine-tuning takes 3 steps over 5 pairs, a short batch among them.
-# The run uses oracles.per_step_teacher_forced, the per-step path these
-# were computed on: the lstm and attention kernels keep every forward
-# value but add adjoints in another order, so the checkpoints round
-# differently.  test_summarizer's TestPerRowReferenceEquivalence bounds that.
+# The run uses oracles.per_step_teacher_forced and oracles.MixChainTape,
+# the per-step path and the copy-mix chain these were computed on: the lstm,
+# attention and copy-mix kernels keep every forward value but add or sum
+# adjoints in another order, so the checkpoints round differently.
+# test_summarizer's TestPerRowReferenceEquivalence and test_tape's
+# test_copy_mix_matches_the_chain_it_replaced bound that.
 PINNED_LOSSES = [
     "3.894705295562744", "3.917904853820801", "3.882148265838623", "4.837911128997803",
     "4.832944869995117", "3.8975167274475098", "3.8929972648620605", "3.888843536376953",
@@ -116,7 +118,7 @@ def test_pretrain_then_finetune_is_bit_identical_to_the_pinned_run(corpus, tmp_p
         return losses[-1]
 
     monkeypatch.setattr(pipeline, "train_batch", recording)
-    use_oracle_tape(monkeypatch)
+    use_oracle_tape(monkeypatch, MixChainTape)
     monkeypatch.setattr(summarizer, "_teacher_forced", per_step_teacher_forced)
     pretrain(pairs, vocab, cfg, steps=5, out_path=tmp_path / "b.ckpt")
     finetune(tmp_path / "b.ckpt", pairs[:5], "parallel", vocab, cfg, steps=3,
@@ -310,3 +312,13 @@ class TestManifest:
         assert manifest == {"stages": {"pretrain": {"stage": "pretrain", "steps": 4},
                                        "finetune-parallel": {"stage": "finetune-parallel",
                                                              "steps": 1}}}
+
+    def test_a_failed_update_leaves_the_manifest_as_it_was(self, tmp_path):
+        path = tmp_path / "pipeline.json"
+        update_manifest(path, {"stage": "pretrain", "steps": 3})
+        before = path.read_bytes()
+        with pytest.raises(TypeError):
+            update_manifest(path, {"stage": "finetune-parallel", "bad": object()})
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["pipeline.json"]
+        assert open_manifest(path)["stages"]["pretrain"]["steps"] == 3

@@ -37,7 +37,7 @@ from b3sum.tape import CopyIds, DimensionError, Kernel, NonFiniteError, RowBlock
 
 import oracles
 from helpers import tiny_corpus, tiny_summarizer, zero_params
-from oracles import DenseTape, OracleTape, per_row_teacher_forced, use_oracle_tape
+from oracles import DenseTape, MixChainTape, OracleTape, per_row_teacher_forced, use_oracle_tape
 
 
 def _attention_inputs(tape, model, n=4, seed=0):
@@ -232,8 +232,34 @@ class TestFinalDistribution:
             assert abs(p.sum() - 1.0) <= 1e-5
 
     def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="source positions"):
+        with pytest.raises(ValueError, match=r"attention \(1, 2\) do not fit 1 ids"):
             self._mix(0.5, [1.0], [0.5, 0.5, 0.0][:2], [0], 1)
+
+
+def _forced_p_gen_runs(force_p_gen):
+    """Decoding, the teacher-forced loss and teacher-forced accuracy, each
+    with the switch forced to ``force_p_gen``."""
+    pairs, vocab, _ = tiny_corpus(n=1, seed=22)
+    model = tiny_summarizer(vocab_size=vocab.size, seed=10)
+    ex = prepare_pair(pairs[0], vocab)
+    return [
+        lambda: decode(model, pairs[0].article, vocab, max_decode_len=5, force_p_gen=force_p_gen),
+        lambda: sequence_loss(Tape(), model, ex, force_p_gen=force_p_gen),
+        lambda: token_prediction_accuracy(model, [ex], force_p_gen=force_p_gen),
+    ]
+
+
+@pytest.mark.parametrize("force_p_gen", [2.0, -0.5, float("nan")])
+def test_force_p_gen_outside_the_unit_interval_is_rejected(force_p_gen):
+    for run in _forced_p_gen_runs(force_p_gen):
+        with pytest.raises(ValueError, match=r"force_p_gen must be a finite value in \[0, 1\]"):
+            run()
+
+
+@pytest.mark.parametrize("force_p_gen", [0.0, 1.0])
+def test_force_p_gen_at_either_end_of_the_unit_interval_runs(force_p_gen):
+    for run in _forced_p_gen_runs(force_p_gen):
+        run()
 
 
 class TestCoverage:
@@ -994,8 +1020,11 @@ def test_golden_values_are_unchanged(monkeypatch):
     # part run once per step.  Teacher forcing stacks the T rows into one
     # GEMM, which rounds differently (the losses move in the 6th significant
     # digit), so the pins are checked on the per-row reference; decoding
-    # runs one row per hypothesis either way.
-    use_oracle_tape(monkeypatch)
+    # runs one row per hypothesis either way.  The copy mix is the chain of
+    # nodes the copy-mix kernel replaced: the kernel keeps every forward
+    # value but sums its p_gen adjoint over the source columns, which rounds
+    # training differently (test_copy_mix_matches_the_chain_it_replaced).
+    use_oracle_tape(monkeypatch, MixChainTape)
     monkeypatch.setattr(summarizer, "_teacher_forced", per_row_teacher_forced)
     assert _golden_values(*_train_golden()) == GOLDEN
 
