@@ -72,6 +72,8 @@ def _parse_set(values) -> dict:
             overrides[key] = json.loads(raw)
         except json.JSONDecodeError:
             overrides[key] = raw
+        except (ValueError, RecursionError) as exc:  # an int too long to convert, or too deep
+            raise ValueError(f"--set {key}: {exc}") from None
     return overrides
 
 

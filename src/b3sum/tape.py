@@ -85,7 +85,8 @@ class TapeNode:
         self.value = value
         self.grad = None
         self.needs_grad = needs_grad
-        self.arg = arg  # kernel-specific: axis, ids, slices, scale factor, flag or saved gates
+        # kernel-specific: axis, ids, slices, factor, flag, saved gates or a leaf's Parameter
+        self.arg = arg
 
 
 class NodeCount:
@@ -158,6 +159,59 @@ def _gathered_rows(pairs, like: np.ndarray) -> RowBlock:
     return RowBlock(rows, block, like.shape)
 
 
+# A FactoredGrad forms rows in blocks that start on this grid and hold at
+# least this many rows: only such a block of gᵀ·a has the same bytes as
+# those rows of the whole product (a block of 1 or 7 rows may not).
+ROW_GRID = 16
+
+
+class FactoredGrad:
+    """The adjoint of a parameter that ``transpose_b`` matmuls read, kept as
+    the (g, a) pairs their rules pushed, which hold fewer elements than it:
+    its value is Σ gₖᵀ·aₖ, added in reader order, then times each factor in
+    ``scales`` (the clip's).  The norm and Adagrad form its rows a block at
+    a time; ``dense()`` is the full adjoint.  Each pair is a node's adjoint
+    and a computed value, which nothing writes again.
+    """
+
+    __slots__ = ("pairs", "shape", "dtype", "scales")
+
+    def __init__(self, g: np.ndarray, a: np.ndarray):
+        self.pairs = [(g, a)]
+        self.shape = (g.shape[1], a.shape[1])
+        self.dtype = np.result_type(g, a)
+        self.scales = ()
+
+    @property
+    def held(self) -> int:
+        return sum(g.size + a.size for g, a in self.pairs)
+
+    def rows(self, first: int, stop: int) -> np.ndarray:
+        """Rows ``first .. stop`` of the adjoint, formed over those rows
+        rounded out to the ``ROW_GRID`` grid."""
+        lo, hi = first - first % ROW_GRID, min(stop + -stop % ROW_GRID, self.shape[0])
+        if hi - lo < ROW_GRID:  # the last cell of the grid
+            lo = max(lo - ROW_GRID, 0)
+        (g, a), *rest = self.pairs
+        out = g[:, lo:hi].T @ a
+        for g, a in rest:
+            out += g[:, lo:hi].T @ a
+        for factor in self.scales:
+            out *= factor
+        return out[first - lo : stop - lo]
+
+    def dense(self) -> np.ndarray:
+        return self.rows(0, self.shape[0])
+
+    def flat_chunk(self, start: int, n: int, dtype=np.float64) -> np.ndarray:
+        """Elements ``start .. start + n`` of the adjoint in C order, as an
+        array no one else holds."""
+        width = self.shape[1]
+        first, stop = start // width, (start + n - 1) // width + 1
+        offset = start - first * width
+        return self.rows(first, stop).reshape(-1)[offset : offset + n].astype(dtype, copy=False)
+
+
 class CopyIds:
     """The column each source position's attention is copied to, for
     ``Tape.copy_mix``: ``ids`` checked against ``width`` and their distinct
@@ -191,8 +245,9 @@ class Parameter:
     a dense grad reaching ``adagrad_step``, or a row state growing past half
     the rows fills it out to a dense array.
     Backward may leave a ``RowBlock`` in ``_grad`` (the adjoint of a table
-    only ``gather_rows`` reads), which the optimizer functions use as it is;
-    reading ``grad`` makes it dense.
+    only ``gather_rows`` reads) or a ``FactoredGrad`` (of a large weight only
+    ``transpose_b`` matmuls read), which the optimizer functions use as it
+    is; reading ``grad`` makes it dense.
     ``zero_grad`` releases the grad; the next read of ``grad`` sees zeros.
     """
 
@@ -222,7 +277,7 @@ class Parameter:
     def grad(self) -> np.ndarray:
         if self._grad is None:
             self._grad = np.zeros_like(self.value)
-        elif isinstance(self._grad, RowBlock):
+        elif not isinstance(self._grad, np.ndarray):
             self._grad = self._grad.dense()
         return self._grad
 
@@ -354,10 +409,11 @@ def _lstm_backward(x, s0, w, out, gates, reverse, grad):
 
 
 def _softmax(v):
-    """Per row, with max subtraction for stability."""
-    shifted = v - v.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    """Per row, with max subtraction for stability, formed in one new array."""
+    out = v - v.max(axis=-1, keepdims=True)
+    np.exp(out, out=out)
+    out /= out.sum(axis=-1, keepdims=True)
+    return out
 
 
 def _softmax_backward(y, g):
@@ -439,8 +495,9 @@ class Tape:
     soon as nothing is left to read it (before its own rule runs, unless
     that rule reads it).  So a tape runs backward once; read any
     intermediate value before calling it.  A leaf that only ``gather_rows``
-    reads keeps a ``RowBlock`` adjoint, the rows it gathered; ``grad``
-    returns it dense.
+    reads keeps a ``RowBlock`` adjoint, the rows it gathered, and a large
+    parameter that only ``transpose_b`` matmuls read a ``FactoredGrad``;
+    ``grad`` returns either dense.
 
     On a float32 tape a parameter leaf's value is the Parameter's own
     ``value`` array, not a copy, so a parameter must not be updated while a
@@ -468,9 +525,10 @@ class Tape:
         return self.nodes[nid].value if self.record else nid
 
     def grad(self, nid: int) -> np.ndarray | None:
-        """The node's adjoint, or None; a ``RowBlock`` is returned dense."""
+        """The node's adjoint, or None; a ``RowBlock`` or ``FactoredGrad`` is
+        returned dense."""
         g = self.nodes[nid].grad
-        return g.dense() if isinstance(g, RowBlock) else g
+        return g.dense() if isinstance(g, (RowBlock, FactoredGrad)) else g
 
     # -- node constructors ------------------------------------------------
 
@@ -495,6 +553,8 @@ class Tape:
         if entry is not None:
             return entry[0]
         nid = self.leaf(p.value, needs_grad=True)  # no copy when dtypes match
+        if self.record:
+            self.nodes[nid].arg = p
         self._param_nodes[id(p)] = (nid, p)
         return nid
 
@@ -578,7 +638,8 @@ class Tape:
                 raise DimensionError(f"slice: {pair} outside {va.shape}")
             block.append(slice(*pair))
         block = tuple(block)
-        return self._append(Kernel.SLICE, (a,), np.ascontiguousarray(va[block]), block)
+        # a copy even when the block is contiguous: no computed value shares a leaf's memory
+        return self._append(Kernel.SLICE, (a,), va[block].copy(), block)
 
     def copy_mix(self, p_gen: int, p_vocab: int, a: int, ids: CopyIds) -> int:
         """The pointer-generator mix ``p_vocab·p_gen + copy·(1 − p_gen)`` over
@@ -696,13 +757,15 @@ class Tape:
         has been pushed to the node's inputs, and its value as the sweep
         reaches it (every other reader of a value comes later on the tape),
         before its rule runs unless the rule reads it (``tanh``,
-        ``sigmoid``, ``softmax``, ``lstm`` and ``attention``).  So the logits
-        are gone before their rule makes the output weights' adjoint.  After
+        ``sigmoid``, ``softmax``, ``lstm`` and ``attention``).  After
         backward only leaves hold a ``grad``, and only leaves and the loss
         node hold a ``value``; the tape cannot run backward again.  A leaf
         adjoint may be a ``RowBlock``: while only ``gather_rows`` has added
-        into a leaf, its adjoint holds just the gathered rows, filled out to
-        a dense array if another kernel adds in.  A Parameter holding no
+        into a leaf, its adjoint holds just the gathered rows.  It may be a
+        ``FactoredGrad``, the (adjoint, input) pairs of the ``transpose_b``
+        matmuls that read a large parameter, so the output weights' (V x H)
+        adjoint is never made.  Either is filled out to a dense array if
+        another kernel adds in.  A Parameter holding no
         grad takes a float32 leaf adjoint as it is, so the leaf and the
         Parameter then share it; otherwise the adjoint is added into the
         Parameter's dense grad.
@@ -741,7 +804,7 @@ class Tape:
             if p._grad is None and g.dtype == np.float32:
                 p._grad = g
             else:
-                if isinstance(g, RowBlock):
+                if not isinstance(g, np.ndarray):
                     g = g.dense()
                 np.add(p.grad, g.astype(np.float32, copy=False), out=p._grad)
 
@@ -758,13 +821,37 @@ class Tape:
             self._dense_grad(node)
             node.grad += g
 
+    def _add_weight_grad(self, nid: int, g: np.ndarray, a: int):
+        """Accumulate gᵀ·a, the adjoint of a ``transpose_b`` matmul's weight,
+        into node ``nid``.  A parameter leaf of at least ``SUM_CHUNK``
+        elements keeps it as a ``FactoredGrad`` while the pairs hold fewer
+        elements than the weight and ``a`` is computed (Adagrad writes
+        parameter values in place); otherwise it is filled out dense."""
+        node, va = self.nodes[nid], self.nodes[a].value
+        if not node.needs_grad:
+            return
+        factored = node.grad is None or isinstance(node.grad, FactoredGrad)
+        if (factored and isinstance(node.arg, Parameter) and node.value.size >= SUM_CHUNK
+                and self.nodes[a].kernel is not Kernel.LEAF):
+            if node.grad is None:
+                node.grad = FactoredGrad(g, va)
+            else:
+                node.grad.pairs.append((g, va))
+            if node.grad.held < node.value.size:
+                return
+            node.grad = node.grad.dense()
+        else:
+            self._add_grad(nid, g.T @ va)
+
     @staticmethod
     def _dense_grad(node: TapeNode) -> np.ndarray:
         """The node's adjoint as a dense array it keeps: zeros when it has
-        none yet, and a leaf's gathered rows added in once another kernel
-        adds in too."""
+        none yet, and a leaf's gathered rows or factored adjoint filled out
+        once another kernel adds in too."""
         if node.grad is None:
             node.grad = np.zeros_like(node.value)
+        elif isinstance(node.grad, FactoredGrad):
+            node.grad = node.grad.dense()
         elif isinstance(node.grad, list):
             pairs, node.grad = node.grad, np.zeros_like(node.value)
             for ids, g in pairs:
@@ -779,8 +866,10 @@ class Tape:
             va, vb = self.nodes[a].value, self.nodes[b].value
             if self.nodes[a].needs_grad:
                 self._add_grad(a, g @ vb if node.arg else g @ vb.T)
-            if self.nodes[b].needs_grad:
-                self._add_grad(b, g.T @ va if node.arg else va.T @ g)
+            if node.arg:
+                self._add_weight_grad(b, g, a)
+            elif self.nodes[b].needs_grad:
+                self._add_grad(b, va.T @ g)
         elif k is Kernel.ADD:
             for i in ids:
                 self._add_grad(i, _unbroadcast(g, self.nodes[i].value.shape), view=True)
@@ -823,7 +912,7 @@ class Tape:
             src = self.nodes[ids[0]]
             if not src.needs_grad:
                 pass
-            elif src.kernel is Kernel.LEAF and not isinstance(src.grad, np.ndarray):
+            elif src.kernel is Kernel.LEAF and (src.grad is None or isinstance(src.grad, list)):
                 if src.grad is None:
                     src.grad = []
                 src.grad.append((node.arg, g))
@@ -888,9 +977,10 @@ def _pairwise_sum_of_squares(chunk_of, start: int, n: int) -> float:
 
 def _sum_of_squares(g) -> float:
     """Float64 sum of squares in memory order, with one float64 chunk of at
-    most SUM_CHUNK elements alive at a time.  A ``RowBlock`` sums as its
-    dense adjoint would, building only the chunks its rows reach."""
-    if isinstance(g, RowBlock):
+    most SUM_CHUNK elements alive at a time.  A ``RowBlock`` or
+    ``FactoredGrad`` sums as its dense adjoint would, from the chunks it
+    forms."""
+    if isinstance(g, (RowBlock, FactoredGrad)):
         return _pairwise_sum_of_squares(g.flat_chunk, 0, g.shape[0] * g.shape[1])
     flat = g.ravel(order="K")  # a view for C- and F-ordered grads
     return _pairwise_sum_of_squares(
@@ -917,7 +1007,8 @@ def clip_global_norm(params, max_norm: float) -> float:
     """Scale all grads so their global L2 norm is at most max_norm.
 
     Returns the applied factor (1.0 when no clipping happened, including the
-    all-zero case).  Idempotent: a second application is a no-op.
+    all-zero case).  Idempotent: a second application is a no-op.  A
+    ``FactoredGrad`` records the float32 factor instead.
     """
     if max_norm <= 0:
         raise ValueError("max_norm must be positive")
@@ -927,7 +1018,9 @@ def clip_global_norm(params, max_norm: float) -> float:
     factor = max_norm / norm
     for p in params:
         g = p._grad
-        if g is not None:
+        if isinstance(g, FactoredGrad):
+            g.scales += (np.float32(factor),)
+        elif g is not None:
             scaled = g.block if isinstance(g, RowBlock) else g
             scaled *= np.float32(factor)
     return factor
@@ -979,7 +1072,8 @@ def adagrad_step(params, lr: float):
     parameter with no dense accumulator updates its row state (see
     ``Parameter``), grown by the rows it did not hold yet, and filled out
     dense once it would hold more than half the rows; a dense grad fills
-    the row state out first.
+    the row state out first.  A ``FactoredGrad`` forms each chunk as it
+    is reached.
     """
     lr, eps = np.float32(lr), np.float32(ADAGRAD_EPS)
     for p in params:
@@ -996,10 +1090,14 @@ def adagrad_step(params, lr: float):
             continue
         # C order for all three, whatever the grad's layout: reshape copies
         # a grad that is not C-contiguous, and the step is then made on that copy.
-        flat_g, flat_acc, flat_value = (a.reshape(-1) for a in (g, p.adagrad_acc, p.value))
-        for start in range(0, flat_g.size, SUM_CHUNK):
+        flat_acc, flat_value = (a.reshape(-1) for a in (p.adagrad_acc, p.value))
+        flat_g = None if isinstance(g, FactoredGrad) else g.reshape(-1)
+        for start in range(0, flat_value.size, SUM_CHUNK):
             chunk = slice(start, start + SUM_CHUNK)
-            gc = flat_g[chunk]
+            if flat_g is None:
+                gc = g.flat_chunk(start, min(SUM_CHUNK, flat_value.size - start), np.float32)
+            else:
+                gc = flat_g[chunk]
             _adagrad_update(gc, flat_acc[chunk], lr, eps)
             flat_value[chunk] -= gc
         p.zero_grad()

@@ -1,4 +1,8 @@
-"""Shared fixtures: tiny models, zeroed parameters, small corpora."""
+"""Shared fixtures: tiny models, zeroed parameters, small corpora, and a
+traced allocation peak."""
+
+import tracemalloc
+from contextlib import contextmanager
 
 from b3sum.corpus import build_vocab, synth_generate
 from b3sum.summarizer import SummarizerParams, prepare_pair
@@ -21,3 +25,34 @@ def tiny_corpus(n=6, seed=7, oov_rate=0.3):
     vocab = build_vocab(base, mode="cap", size=90)
     pairs = synth_generate(seed=seed, n=n, oov_rate=oov_rate)
     return pairs, vocab, [prepare_pair(p, vocab) for p in pairs]
+
+
+class TracedMemory:
+    """What ``traced_peak`` saw: ``peak``, the highest total of traced bytes
+    in the block, set as the block ends."""
+
+    peak = 0
+
+    @staticmethod
+    def held() -> int:
+        """The bytes traced now."""
+        return tracemalloc.get_traced_memory()[0]
+
+    def restart(self) -> int:
+        """Count the peak again from what is traced now, and return that."""
+        tracemalloc.reset_peak()
+        return self.held()
+
+
+@contextmanager
+def traced_peak():
+    """Trace Python allocations for the block: only arrays made inside it
+    count.  Yields a ``TracedMemory`` whose ``peak`` is set on the way out,
+    also when the block raises."""
+    traced = TracedMemory()
+    tracemalloc.start()
+    try:
+        yield traced
+    finally:
+        traced.peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()

@@ -266,6 +266,15 @@ class DenseTape(MixChainTape):
         return super().matmul(a, b, per_row=per_row)
 
 
+class DenseWeightTape(Tape):
+    """A Tape whose matmul rule forms a ``transpose_b`` weight's adjoint as
+    the dense product gᵀ·a, as it did before large weights kept the two
+    factors."""
+
+    def _add_weight_grad(self, nid, g, a):
+        self._add_grad(nid, g.T @ self.nodes[a].value)
+
+
 # -- the per-step composites that the sequence kernels replaced ---------------
 #
 # The recurrent layers and attention as they were before the ``lstm`` and
@@ -552,3 +561,4 @@ def build_vocab(pairs, mode="cap", size=50000, min_count=2):
     else:
         raise ValueError(f"unknown vocab mode {mode!r}")
     return kept
+

@@ -4,7 +4,6 @@ import logging
 import re
 import struct
 import tempfile
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +24,7 @@ from b3sum.config import MAX_BEAM_SIZE, MAX_DECODE_LEN, RunConfig
 from b3sum.corpus import read_json
 from b3sum.tape import Parameter
 
-from helpers import tiny_summarizer
+from helpers import tiny_summarizer, traced_peak
 
 
 class TestCheckpointRoundTrip:
@@ -91,14 +90,9 @@ class TestCheckpointRoundTrip:
     def test_oversized_header_fails_before_allocating(self, tmp_path, size, message):
         path = tmp_path / "claims-64mib.ckpt"
         path.write_bytes(self._header_only((4096, 4096), size))
-        tracemalloc.start()
-        try:
-            with pytest.raises(CheckpointError, match=message):
-                load_checkpoint(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 64 * 1024
+        with traced_peak() as traced, pytest.raises(CheckpointError, match=message):
+            load_checkpoint(path)
+        assert traced.peak < 64 * 1024
 
     def test_dims_whose_product_overflows_int64_are_rejected_by_name(self, tmp_path):
         path = tmp_path / "overflow.ckpt"
@@ -288,16 +282,12 @@ def test_load_checkpoint_on_mutated_bytes_fails_only_by_name(edits, header_edits
     with tempfile.TemporaryDirectory() as d:
         path = Path(d) / "m.ckpt"
         path.write_bytes(data)
-        tracemalloc.start()
-        try:
+        with traced_peak() as traced:
             try:
                 load_checkpoint(path)
             except CheckpointError:
                 pass
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-    assert peak <= len(data) + 64 * 1024
+    assert traced.peak <= len(data) + 64 * 1024
 
 
 _JSON_VALUES = st.recursive(

@@ -117,6 +117,19 @@ class TestUsageAndFailures:
         assert message in err
         assert not (tmp_path / "o.jsonl").exists()
 
+    @pytest.mark.parametrize("raw, message", [
+        ("[" * 30000 + "]" * 30000, "maximum recursion depth"),
+        ("1" * 5000, "integer string conversion"),
+    ], ids=["deep", "long-int"])
+    def test_a_set_value_json_cannot_parse_is_named_by_flag_and_key(
+            self, tmp_path, capsys, raw, message):
+        code, _, err = run(capsys, "gen-synth", "--n", "1",
+                           "--corpus-out", str(tmp_path / "x.jsonl"), "--set", f"seed={raw}")
+        assert code == 1
+        assert err.startswith("error: --set seed: ") and message in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "x.jsonl").exists()
+
     @pytest.mark.parametrize("argv, message", [
         (["gen-synth", "--n", "2", "--oov-rate", "3", "--corpus-out", "c.jsonl"],
          "--oov-rate must be a number in [0, 1], got 3.0"),

@@ -1,7 +1,6 @@
 """Embedding, LSTM cell, bidirectional encoder, and linear-layer contracts."""
 
 import threading
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +23,7 @@ from b3sum.config import RunConfig
 from b3sum.tape import Kernel, Parameter, Tape, finite_diff_check, optimizer_step
 
 import oracles
-from helpers import tiny_corpus, tiny_summarizer, zero_params
+from helpers import tiny_corpus, tiny_summarizer, traced_peak, zero_params
 
 
 def _rng(seed=0):
@@ -417,13 +416,9 @@ class TestUniformParam:
             fill(gen, out)
 
         monkeypatch.setattr(layers, "_fill_uniform", recording)
-        tracemalloc.start()
-        try:
+        with traced_peak() as traced:
             p = uniform_param(_rng(5), "emb", (20000, 256))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 4 * 20000 * 256 + 2 * 8 * layers.CHUNK + 64 * 1024
+        assert traced.peak <= 4 * 20000 * 256 + 2 * 8 * layers.CHUNK + 64 * 1024
         assert len(filled) == 2 and all(out.base is p.value for out in filled)
 
     def test_tiny_model_starts_no_thread(self, monkeypatch):

@@ -6,7 +6,6 @@ import os
 import subprocess
 import sys
 import textwrap
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +20,7 @@ from b3sum.config import RunConfig
 from b3sum.corpus import NewsPair, Vocabulary
 from b3sum.summarizer import (
     ExtendedVocab,
+    PreparedExample,
     SummarizerParams,
     attend,
     corpus_loss,
@@ -33,10 +33,11 @@ from b3sum.summarizer import (
     train_batch,
     vocab_distribution,
 )
-from b3sum.tape import CopyIds, DimensionError, Kernel, NonFiniteError, RowBlock, Tape, zero_grads
+from b3sum.tape import (CopyIds, DimensionError, FactoredGrad, Kernel, NonFiniteError, RowBlock,
+                        Tape, zero_grads)
 
 import oracles
-from helpers import tiny_corpus, tiny_summarizer, zero_params
+from helpers import tiny_corpus, tiny_summarizer, traced_peak, zero_params
 from oracles import DenseTape, MixChainTape, OracleTape, per_row_teacher_forced, use_oracle_tape
 
 
@@ -746,31 +747,76 @@ class TestDirectionalGradientAtPaperShape:
 
 
 def test_backward_peak_stays_under_one_v_out_less_one_output_block():
-    # Backward makes one stacked V_out product, not T outer products added
-    # into a parameter-sized adjoint (two V_out-sized arrays alive at once),
-    # and the sweep hands back each (T x V') value as it reaches it, the
-    # copy mix's and the logits' before their rules run.  Vocab-heavy: V_out
-    # (5,000 x 64) outweighs four (T x V') blocks at T = 15.  Measured: V_out
-    # less 1.8 blocks; the mix as a chain of nodes peaked at V_out less 1.26.
+    # Backward keeps V_out's adjoint as its two factors, not T outer
+    # products added into a parameter-sized adjoint (two V_out-sized arrays
+    # alive at once), and the sweep hands back each (T x V') value as it
+    # reaches it, the copy mix's and the logits' before their rules run.
+    # Vocab-heavy: V_out (5,000 x 64) outweighs four (T x V') blocks at
+    # T = 15.  Measured: V_out less 3.2 blocks (about one block); one
+    # stacked V_out product peaked at V_out less 1.2, and the mix as a chain
+    # of nodes at V_out less 1.26.
     vocab = Vocabulary([f"w{i}" for i in range(4995)])
     rng = np.random.default_rng(0)
     article = [f"w{i}" for i in rng.integers(0, 4995, 40)] + ["zz", "qq"]
     summary = [[f"w{i}" for i in rng.integers(0, 4995, 4)] for _ in range(3)]
     ex = prepare_pair(NewsPair(id="heavy", article=article, summary=summary), vocab)
     model = SummarizerParams(vocab.size, emb_dim=16, hidden_dim=64, seed=1)
-    tracemalloc.start()  # before the tape is built, so the values it frees count
-    try:
+    with traced_peak() as traced:  # before the tape is built, so the values it frees count
         t = Tape()
         loss, _, _, _ = sequence_loss(t, model, ex, use_coverage=True)
-        entry = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
+        entry = traced.restart()
         t.backward(loss)
-        peak = tracemalloc.get_traced_memory()[1] - entry
-    finally:
-        tracemalloc.stop()
+    peak = traced.peak - entry
     rows, ext = len(ex.target_ext_ids), ex.ext.size
     assert rows == 15
     assert peak < model.proj_v_out.value.nbytes - rows * ext * 4
+
+
+def _wide_examples(vocab_size, target_len, batch, n=30):
+    """``batch`` examples over a ``vocab_size`` vocabulary: n source tokens,
+    some outside it, and ``target_len`` target steps, the stop token last."""
+    rng = np.random.default_rng(vocab_size + target_len)
+    vocab = Vocabulary([f"w{i}" for i in range(vocab_size - len(Vocabulary.SPECIALS))])
+    examples = []
+    for k in range(batch):
+        ext = ExtendedVocab(vocab, [f"w{i}" for i in rng.integers(0, vocab_size + 10, n)])
+        targets = [int(i) for i in rng.integers(5, ext.size, target_len - 1)] + [Vocabulary.STOP]
+        dec_in = [Vocabulary.START] + [i if i < vocab.size else Vocabulary.UNK
+                                       for i in targets[:-1]]
+        examples.append(PreparedExample(f"wide{k}", dec_in, targets, ext))
+    return examples
+
+
+@pytest.mark.parametrize("vocab_size, hidden, target_len, batch", [
+    (20000, 256, 60, 1), (20011, 200, 40, 2), (9001, 128, 7, 3), (6007, 96, 1, 2),
+])
+@pytest.mark.parametrize("clip_norm", [0.5, 1e9], ids=["clipped", "unclipped"])
+def test_factored_weight_adjoints_train_to_the_dense_rules_bytes(
+        monkeypatch, vocab_size, hidden, target_len, batch, clip_norm):
+    # Three train_batch steps on the production tape and on one whose matmul
+    # rule forms every transposed weight's adjoint dense: the same losses,
+    # clip factors, values and accumulators, byte for byte.
+    examples = _wide_examples(vocab_size, target_len, batch)
+    runs = []
+    for tape_cls in (Tape, oracles.DenseWeightTape):
+        factors, factored = [], set()
+
+        def clip(params, max_norm, inner=tape_mod.clip_global_norm):
+            factored.update(p.name for p in params if isinstance(p._grad, FactoredGrad))
+            factors.append(inner(params, max_norm))
+            return factors[-1]
+
+        with monkeypatch.context() as m:
+            use_oracle_tape(m, tape_cls)
+            m.setattr(tape_mod, "clip_global_norm", clip)
+            model = SummarizerParams(vocab_size, emb_dim=32, hidden_dim=hidden, seed=1)
+            cfg = RunConfig(clip_norm=clip_norm)
+            losses = [train_batch(model, examples, cfg) for _ in range(3)]
+        runs.append((losses, factors, [(p.value.tobytes(), p.adagrad_acc.tobytes())
+                                       for p in model.params()], factored))
+    assert runs[0][:3] == runs[1][:3]
+    assert "proj.V_out" in runs[0][3] and not runs[1][3]
+    assert all(f < 1.0 for f in factors) if clip_norm < 1 else factors == [1.0] * 3
 
 
 def test_a_training_tape_holds_three_output_blocks_and_the_gathered_rows():
@@ -878,15 +924,12 @@ def test_a_training_tape_keeps_no_array_per_target_step():
     traced = []
     for target_len in (30, 60):
         model, _, ex = _mid_shape_example(target_len)
-        tracemalloc.start()
-        try:
+        with traced_peak() as memory:
             t = Tape()
             loss, _, _, _ = sequence_loss(t, model, ex)
-            held = tracemalloc.get_traced_memory()[0]
+            held = memory.held()
             t.backward(loss)
-            traced.append((len(t), held, tracemalloc.get_traced_memory()[1]))
-        finally:
-            tracemalloc.stop()
+        traced.append((len(t), held, memory.peak))
     (nodes, held, peak), (nodes_2, held_2, peak_2) = traced
     budget = 30 * 200 * model.attn_dim * 4 // 2
     assert nodes_2 == nodes
@@ -903,13 +946,10 @@ def test_a_beam_decode_holds_no_values_of_past_steps():
     article = [ex.ext.token(i) for i in ex.ext.src_ext_ids]
     peaks = []
     for steps in (20, 40):
-        tracemalloc.start()
-        try:
+        with traced_peak() as traced:
             out = decode(model, article, vocab, mode="beam", beam_size=4, max_decode_len=steps,
                          force_p_gen=0.0)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+        peaks.append(traced.peak)
         assert len(out.token_ids) == steps
     assert peaks[1] - peaks[0] < 64 * 1024
 

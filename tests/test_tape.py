@@ -1,7 +1,6 @@
 """Kernel semantics, backward correctness, optimizer, and the grad checker."""
 
 import itertools
-import tracemalloc
 import weakref
 
 import numpy as np
@@ -18,12 +17,14 @@ from b3sum.tape import (
     SUM_CHUNK,
     CopyIds,
     DimensionError,
+    FactoredGrad,
     GradCheckReport,
     Kernel,
     NonFiniteError,
     Parameter,
     RowBlock,
     Tape,
+    _softmax,
     _sum_of_squares,
     adagrad_step,
     batch_order,
@@ -35,7 +36,8 @@ from b3sum.tape import (
     zero_grads,
 )
 
-from helpers import tiny_corpus, tiny_summarizer
+import oracles
+from helpers import tiny_corpus, tiny_summarizer, traced_peak
 from oracles import (MixChainTape, OracleTape, dense_acc_row_step, reference_adagrad_step,
                      reference_clip_global_norm, use_oracle_tape)
 
@@ -207,6 +209,17 @@ def test_softmax_adjoint_is_written_into_its_incoming_adjoint(dtype):
     g = t.value(w)  # the mul's adjoint of y
     want = yv * (g - (g * yv).sum(axis=-1, keepdims=True))
     assert t.grad(x).dtype == dtype and t.grad(x).tobytes() == want.tobytes()
+
+
+def test_softmax_makes_one_array_of_its_input_size():
+    # The shifted logits are exponentiated and normalised in place: one
+    # (T x V) array where the formula written out makes three, same bytes.
+    v = np.random.default_rng(5).standard_normal((60, 20000)).astype(np.float32)
+    with traced_peak() as traced:
+        out = _softmax(v)
+    assert traced.peak <= v.nbytes + (1 << 16)
+    e = np.exp(v - v.max(axis=-1, keepdims=True))
+    assert out.tobytes() == (e / e.sum(axis=-1, keepdims=True)).tobytes()
 
 
 class TestBackward:
@@ -422,14 +435,10 @@ def test_copy_mix_backward_peak_is_one_vocab_block():
               for shape in ((rows, 1), (rows, vocab), (rows, n))]
     mix = t.copy_mix(*inputs, CopyIds(rng.integers(0, vocab + 40, n), vocab + 40))
     g = rng.standard_normal((rows, vocab + 40)).astype(np.float32)
-    tracemalloc.start()
-    try:
+    with traced_peak() as traced:
         t._accumulate_input_grads(t.nodes[mix], g)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
     assert all(t.grad(x) is not None for x in inputs)
-    assert peak <= rows * vocab * 4 + (1 << 19)
+    assert traced.peak <= rows * vocab * 4 + (1 << 19)
 
 
 def test_every_kernel_is_made_by_production_code(monkeypatch):
@@ -683,6 +692,171 @@ class TestRowState:
         assert (table._acc.rows.tobytes(), table._acc.block.tobytes(),
                 table.value.tobytes()) == state
         assert table._grad is None
+
+
+class TestFactoredGrad:
+    """A large weight that only ``transpose_b`` matmuls read keeps its
+    adjoint's factors (``FactoredGrad``), against the dense rule it replaces
+    (``oracles.DenseWeightTape``)."""
+
+    @staticmethod
+    def _logits_loss(t, w, x, targets):
+        """mean -log softmax(tanh(x)·Wᵀ)[targets]: the output projection's shape."""
+        logits = t.matmul(t.tanh(t.leaf(x)), w, transpose_b=True)
+        return t.reduce_mean(t.neg_log_pick(t.softmax(logits), targets))
+
+    @pytest.mark.parametrize("rows, width", [(257, 256), (20011, 200), (40, 7)],
+                             ids=["1-row-tail", "11-row-tail", "short"])
+    def test_every_chunk_has_the_dense_products_bytes(self, rows, width):
+        # Chunks start anywhere a pairwise-sum leaf may (multiples of 8
+        # elements), so their rows straddle the 16-row grid; the last cell of
+        # a 257-row grid holds one row, which alone would round differently.
+        rng = np.random.default_rng(rows)
+        pairs = [(rng.standard_normal((t, rows)).astype(np.float32),
+                  rng.standard_normal((t, width)).astype(np.float32)) for t in (60, 7)]
+        grad = FactoredGrad(*pairs[0])
+        grad.pairs.append(pairs[1])
+        grad.scales = (np.float32(0.37),)
+        want = pairs[0][0].T @ pairs[0][1]
+        want += pairs[1][0].T @ pairs[1][1]
+        want *= np.float32(0.37)
+        assert grad.dense().tobytes() == want.tobytes()
+        flat = want.reshape(-1)
+        starts = {0, 8, flat.size - 8, 1000 * 8, flat.size // 2 - flat.size // 2 % 8}
+        for start in sorted(s for s in starts if s < flat.size):
+            n = min(SUM_CHUNK, flat.size - start)
+            part = flat[start : start + n]
+            chunk = grad.flat_chunk(start, n)
+            assert chunk.dtype == np.float64
+            assert chunk.tobytes() == part.astype(np.float64).tobytes()
+            assert grad.flat_chunk(start, n, np.float32).tobytes() == part.tobytes()
+
+    @pytest.mark.parametrize("clip_norm", [None, 1e-3, 1e9],
+                             ids=["unclipped", "clipped", "factor-1"])
+    def test_steps_match_the_dense_rule(self, clip_norm, monkeypatch):
+        rng = np.random.default_rng(21)
+        start = (rng.standard_normal((2048, 40)) * 0.1).astype(np.float32)
+        x = rng.standard_normal((6, 40)).astype(np.float32)
+        targets = rng.integers(0, 2048, 6)
+        runs = []
+        for tape_cls in (Tape, oracles.DenseWeightTape):
+            p, seen = Parameter("V_out", start.copy()), []
+
+            def build(t):
+                loss = self._logits_loss(t, t.param(p), x, targets)
+                seen.append(t)
+                return loss
+
+            with monkeypatch.context() as m:
+                use_oracle_tape(m, tape_cls)
+                losses, kinds = [], []
+                for _ in range(3):
+                    losses.append(optimizer_step(build, [p], lr=0.1, clip_norm=clip_norm))
+                    kinds.append(type(seen[-1].nodes[seen[-1]._param_nodes[id(p)][0]].grad))
+            runs.append((losses, p.value.tobytes(), p.adagrad_acc.tobytes(), kinds))
+        assert runs[0][:3] == runs[1][:3]
+        assert runs[0][3] == [FactoredGrad] * 3 and runs[1][3] == [np.ndarray] * 3
+
+    def test_norm_clip_and_grad_read_the_dense_adjoint(self):
+        rng = np.random.default_rng(22)
+        x = rng.standard_normal((5, 32)).astype(np.float32)
+        targets = rng.integers(0, 4096, 5)
+        start = rng.standard_normal((4096, 32)).astype(np.float32)
+        runs = []
+        for tape_cls in (Tape, oracles.DenseWeightTape):
+            p = Parameter("V_out", start.copy())
+            t = tape_cls()
+            w = t.param(p)
+            t.backward(self._logits_loss(t, w, x, targets))
+            kind, dense = type(p._grad), t.grad(w).tobytes()
+            norm = global_grad_norm([p])
+            factor = clip_global_norm([p], norm / 3)
+            runs.append((norm, factor, dense, p.grad.tobytes(), kind, type(p._grad)))
+        assert runs[0][:4] == runs[1][:4]
+        assert runs[0][1] < 1.0
+        # reading grad filled the factors out
+        assert runs[0][4:] == (FactoredGrad, np.ndarray) and runs[1][4:] == (np.ndarray,) * 2
+
+    @pytest.mark.parametrize("gather_after_matmul", [False, True])
+    def test_a_table_gathered_and_read_transposed_keeps_the_dense_rules_bytes(
+            self, gather_after_matmul, monkeypatch):
+        # Tied embeddings: the gathers' rows and the matmul's factors land on
+        # one leaf, and it is filled out dense whichever rule runs first.
+        rng = np.random.default_rng(23)
+        start = (rng.standard_normal((2048, 32)) * 0.1).astype(np.float32)
+        ids, targets = [5, 2047, 5, 16], rng.integers(0, 2048, 4)
+        runs = []
+        for tape_cls in (Tape, oracles.DenseWeightTape):
+            table = Parameter("emb", start.copy())
+
+            def build(t):
+                w = t.param(table)
+                logits = t.matmul(t.tanh(t.gather_rows(w, ids)), w, transpose_b=True)
+                nll = t.reduce_mean(t.neg_log_pick(t.softmax(logits), targets))
+                if not gather_after_matmul:
+                    return nll
+                return t.add(nll, t.reduce_mean(t.tanh(t.gather_rows(w, ids[::-1]))))
+
+            with monkeypatch.context() as m:
+                use_oracle_tape(m, tape_cls)
+                losses = [optimizer_step(build, [table], lr=0.1, clip_norm=0.5)
+                          for _ in range(3)]
+            runs.append((losses, table.value.tobytes(), table.adagrad_acc.tobytes()))
+        assert runs[0] == runs[1]
+
+    def test_float64_adjoint_stays_factored_and_matches_finite_differences(self):
+        # The float64 tape keeps the weight's factors through backward; the
+        # dense adjoint read back from the tape and the Parameter agrees with
+        # central differences at entries across the 16-row grid and its
+        # one-row last cell.
+        rng = np.random.default_rng(24)
+        p = Parameter("V_out", rng.standard_normal((1025, 64)) * 0.5)
+        x = rng.standard_normal((3, 64))
+        targets = [0, 1024, 517]
+
+        def loss_of():
+            t = Tape(dtype=np.float64)
+            w = t.param(p)
+            return t, w, self._logits_loss(t, w, x, targets)
+
+        t, w, loss = loss_of()
+        t.backward(loss)
+        assert isinstance(t.nodes[w].grad, FactoredGrad)
+        analytic = t.grad(w)
+        assert analytic.dtype == np.float64
+        np.testing.assert_array_equal(p.grad, analytic.astype(np.float32))
+        flat = p.value.reshape(-1)
+        for row, col in ((0, 0), (15, 63), (16, 1), (517, 30), (1023, 5), (1024, 63)):
+            i, h, orig = row * 64 + col, 1e-3, flat[row * 64 + col]
+            values = []
+            for step in (h, -h):
+                flat[i] = orig + step
+                t, _, loss = loss_of()
+                # float32 rounds the step
+                values.append((float(t.value(loss)[0, 0]), float(flat[i])))
+            flat[i] = orig
+            (f_plus, x_plus), (f_minus, x_minus) = values
+            numeric = (f_plus - f_minus) / (x_plus - x_minus)
+            a = float(analytic[row, col])
+            assert abs(a - numeric) / max(abs(a), abs(numeric), 1e-8) <= 1e-3, (row, col)
+
+    def test_backward_clip_and_adagrad_never_hold_a_weight_sized_block(self):
+        # At paper shape (T 60, vocab 20,000, hidden 256) the dense adjoint
+        # is a 19.5 MiB float32 block; the factors are a (T x V) adjoint and
+        # a (T x H) input, and the norm and Adagrad form one chunk at a time.
+        rows, vocab, hidden = 60, 20000, 256
+        rng = np.random.default_rng(25)
+        p = Parameter("V_out", (rng.standard_normal((vocab, hidden)) * 0.05).astype(np.float32))
+        p.adagrad_acc  # created before tracing: only the step's arrays count
+        t = Tape()
+        loss = self._logits_loss(t, t.param(p), rng.standard_normal((rows, hidden)),
+                                 rng.integers(0, vocab, rows))
+        with traced_peak() as traced:
+            t.backward(loss)
+            assert isinstance(p._grad, FactoredGrad)
+            clip_global_norm([p], 1e-3)
+            adagrad_step([p], lr=0.1)
+        assert traced.peak < vocab * hidden * 4
 
 
 class TestRecordFreeTape:
@@ -1021,39 +1195,27 @@ class TestParameterState:
         n = 1 << 20
         p = Parameter("big", np.zeros((1, n), dtype=np.float32))
         p.grad[...] = 1.0  # norm 1024, so the clip scales every element
-        tracemalloc.start()
-        try:
+        with traced_peak() as traced:
             clip_global_norm([p], 2.0)
             adagrad_step([p], lr=0.1)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 8 * n + 64 * 1024
+        assert traced.peak <= 8 * n + 64 * 1024
 
     def test_clip_norm_alone_stays_within_one_mebibyte(self):
         # The float64 squares are made one chunk of at most SUM_CHUNK
         # elements at a time, so no grad-sized temporary is left.
         p = Parameter("big", np.zeros((1, 1 << 20), dtype=np.float32))
         p.grad[...] = 1.0
-        tracemalloc.start()
-        try:
+        with traced_peak() as traced:
             clip_global_norm([p], 2.0)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1 << 20
+        assert traced.peak <= 1 << 20
 
     def test_adagrad_alone_stays_within_one_mebibyte(self):
         p = Parameter("big", np.zeros((1, 1 << 20), dtype=np.float32))
         p.adagrad_acc  # created before tracing: only the step's temporaries count
         p.grad[...] = 1.0
-        tracemalloc.start()
-        try:
+        with traced_peak() as traced:
             adagrad_step([p], lr=0.1)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1 << 20
+        assert traced.peak <= 1 << 20
 
 
 @pytest.mark.parametrize("shape, layout", [
