@@ -8,7 +8,8 @@ gradients with central finite differences.
 
 import numpy as np
 
-from b3sum.tape import Parameter, Tape, adagrad_step, clip_global_norm, finite_diff_check
+from b3sum.tape import (Parameter, Tape, adagrad_step, clip_global_norm, finite_diff_check,
+                        zero_grads)
 
 # A Tape records every kernel application.  Values are computed eagerly;
 # calling backward() fills the gradients of the leaves the loss depends on.
@@ -42,7 +43,9 @@ def build(dtype):
 report = finite_diff_check(build, [w, b], h=1e-3, tol=1e-3)
 print(report)
 
-# Optimizer step: clip the global gradient norm, then Adagrad.
+# Optimizer step: clip the global gradient norm, then Adagrad.  Backward adds
+# into the grads a parameter holds, so the first sweep's are released first.
+zero_grads([w, b])
 tape = Tape()
 x = tape.leaf([[1.0, 2.0]])
 h = tape.tanh(tape.add(tape.matmul(x, tape.param(w)), tape.param(b)))

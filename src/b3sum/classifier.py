@@ -44,8 +44,6 @@ class ClassifierParams:
 
 def encode_text(tape: Tape, model: ClassifierParams, ids) -> int:
     """(1 x 2*hidden) node: the encoder's final hidden state."""
-    if not ids:
-        raise ValueError("encode_text: empty token sequence")
     return bilstm_encode(tape, model.encoder, embed_rows(tape, model.embedding, ids)).final_h
 
 

@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import copy
 import threading
-from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .tape import DimensionError, Parameter, Tape
+from .tape import Parameter, Tape
 
 INIT_SCALE = 0.1
 FORGET_BIAS = 1.0
@@ -151,12 +151,8 @@ def lstm_step(tape: Tape, cell: LstmCell, xs: int, s0: int, reverse: bool = Fals
     ``s0 = [h0 | c0]``: one ``lstm`` node whose row t is [h_t | c_t], the
     state after reading row t; with ``reverse`` the rows are read last to
     first.  Decoding calls it on one row per step.  The kernel reads each
-    gate's weight and bias leaf as it is stored.
+    gate's weight and bias leaf as it is stored, and rejects a wrong width.
     """
-    if tape.value(xs).shape[1] != cell.input_dim:
-        raise DimensionError(
-            f"lstm_step: input dims {tape.value(xs).shape} != (n, {cell.input_dim})"
-        )
     return tape.lstm(xs, s0, [tape.param(cell.w[g]) for g in cell.GATES],
                      [tape.param(cell.b[g]) for g in cell.GATES], reverse)
 
@@ -172,45 +168,50 @@ class BiLstmEncoder:
         return self.forward_cell.params() + self.backward_cell.params()
 
 
-@dataclass
 class EncoderStates:
-    """Per-position states plus the sequence's final state.
+    """A sequence's two ``lstm`` nodes, and the states read from them.
 
     ``h_concat`` is the (n x 2*hidden) node of each position's forward and
     backward h.  ``final_h`` and ``final_c`` are (1 x 2*hidden) nodes that
     join the forward state after the last token and the backward state after
-    the first, each having read the whole sequence; ``final_c`` is None
-    unless ``bilstm_encode`` was asked for it.
+    the first, each having read the whole sequence.  Each is built on the
+    tape the first time it is read, and kept; a state no caller reads makes
+    no node.
     """
 
-    h_concat: int
-    final_h: int
-    final_c: int | None
-    length: int
+    def __init__(self, tape: Tape, fwd: int, bwd: int, hidden_dim: int, length: int):
+        self.tape, self.fwd, self.bwd = tape, fwd, bwd
+        self.hidden_dim, self.length = hidden_dim, length
+
+    def _join(self, cols, final: bool) -> int:
+        # every row of both directions, or the forward last and the backward first
+        rows = ((self.length - 1, self.length), (0, 1)) if final else (None, None)
+        halves = [self.tape.slice(d, r, cols) for d, r in zip((self.fwd, self.bwd), rows)]
+        return self.tape.concat(halves, axis=1)
+
+    @cached_property
+    def h_concat(self) -> int:
+        return self._join((0, self.hidden_dim), final=False)
+
+    @cached_property
+    def final_h(self) -> int:
+        return self._join((0, self.hidden_dim), final=True)
+
+    @cached_property
+    def final_c(self) -> int:
+        return self._join((self.hidden_dim, 2 * self.hidden_dim), final=True)
 
 
-def bilstm_encode(tape: Tape, enc: BiLstmEncoder, xs: int,
-                  final_c: bool = False) -> EncoderStates:
+def bilstm_encode(tape: Tape, enc: BiLstmEncoder, xs: int) -> EncoderStates:
     """Both directions over the rows of ``xs`` (n x input), one ``lstm_step``
-    each; ``final_c`` also builds the final cell state."""
+    each."""
     n = tape.value(xs).shape[0]
     if n == 0:
         raise ValueError("bilstm_encode: empty input sequence")
     fwd = lstm_step(tape, enc.forward_cell, xs, enc.forward_cell.zero_state(tape))
     bwd = lstm_step(tape, enc.backward_cell, xs, enc.backward_cell.zero_state(tape),
                     reverse=True)
-    h, c = (0, enc.hidden_dim), (enc.hidden_dim, 2 * enc.hidden_dim)
-
-    def final(cols):
-        return tape.concat([tape.slice(fwd, (n - 1, n), cols), tape.slice(bwd, (0, 1), cols)],
-                           axis=1)
-
-    return EncoderStates(
-        h_concat=tape.concat([tape.slice(fwd, cols=h), tape.slice(bwd, cols=h)], axis=1),
-        final_h=final(h),
-        final_c=final(c) if final_c else None,
-        length=n,
-    )
+    return EncoderStates(tape, fwd, bwd, enc.hidden_dim, n)
 
 
 def linear(tape: Tape, w: Parameter, b: Parameter, x: int) -> int:

@@ -20,7 +20,6 @@ from .corpus import NewsPair, Vocabulary
 from .layers import (
     BiLstmEncoder,
     EmbeddingTable,
-    EncoderStates,
     LstmCell,
     bilstm_encode,
     embed_rows,
@@ -248,30 +247,32 @@ def _step_trace(attention: np.ndarray, p_gen: float, coverage: np.ndarray | None
 
 @dataclass
 class EncodedArticle:
-    """Per-article decoder context: encoder states, their attention features,
-    the bridged initial decoder state row s0 = [h0 | c0], the article's
-    ``ExtendedVocab``, and its source ids as the copy mix reads them,
-    checked and deduplicated once per article rather than once per step."""
+    """Per-article decoder context: the encoder's (n x 2*hidden) states
+    ``h_all`` and their attention features, the bridged initial decoder state
+    row s0 = [h0 | c0], and the article's source ids as the copy mix reads
+    them, checked and deduplicated once per article rather than once per
+    step.  It keeps no other encoder node, so decoding frees them."""
 
-    enc: EncoderStates
+    h_all: int
     enc_features: int
     s0: int
-    ext: ExtendedVocab
     copy_ids: CopyIds
 
     def zero_coverage(self, tape: Tape) -> int:
-        return tape.leaf(np.zeros((1, self.enc.length), dtype=tape.dtype))
+        return tape.leaf(np.zeros((1, tape.value(self.h_all).shape[0]), dtype=tape.dtype))
 
 
 def encode_article(tape: Tape, model: SummarizerParams, ext: ExtendedVocab) -> EncodedArticle:
     """Run the encoder over the article's base-vocab ``ext.enc_ids`` and
     bridge its final states to the decoder's initial state row."""
     xs = embed_rows(tape, model.embedding, ext.enc_ids)
-    enc = bilstm_encode(tape, model.encoder, xs, final_c=True)
-    enc_features = tape.matmul(enc.h_concat, tape.param(model.attn_w_enc), transpose_b=True)
-    h0 = tape.tanh(linear(tape, model.bridge_w_h, model.bridge_b_h, enc.final_h))
-    c0 = tape.tanh(linear(tape, model.bridge_w_c, model.bridge_b_c, enc.final_c))
-    return EncodedArticle(enc, enc_features, tape.concat([h0, c0], axis=1), ext,
+    enc = bilstm_encode(tape, model.encoder, xs)
+    # the three states before anything else: a moved allocation can shift peak RSS
+    h_all, final_h, final_c = enc.h_concat, enc.final_h, enc.final_c
+    enc_features = tape.matmul(h_all, tape.param(model.attn_w_enc), transpose_b=True)
+    h0 = tape.tanh(linear(tape, model.bridge_w_h, model.bridge_b_h, final_h))
+    c0 = tape.tanh(linear(tape, model.bridge_w_c, model.bridge_b_c, final_c))
+    return EncodedArticle(h_all, enc_features, tape.concat([h0, c0], axis=1),
                           CopyIds(ext.src_ext_ids, ext.size))
 
 
@@ -307,7 +308,7 @@ def decoder_step(tape: Tape, model: SummarizerParams, art: EncodedArticle, xs: i
     if force_p_gen is not None and not 0.0 <= force_p_gen <= 1.0:  # NaN fails too
         raise ValueError(f"force_p_gen must be a finite value in [0, 1], got {force_p_gen!r}")
     s = lstm_step(tape, model.decoder, xs, s_prev)
-    a, h_star, penalties = attend(tape, model, art.enc.h_concat, art.enc_features, s, coverage)
+    a, h_star, penalties = attend(tape, model, art.h_all, art.enc_features, s, coverage)
     if force_p_gen is None:
         p_gen = generation_prob(tape, model, h_star, s, xs)
     else:

@@ -1183,9 +1183,9 @@ class GradCheckReport:
 def finite_diff_check(build, params, h: float = 1e-3, tol: float = 1e-3) -> GradCheckReport:
     """Compare analytic gradients against central finite differences.
 
-    ``build(dtype)`` must construct a fresh tape from the current parameter
-    values and return ``(tape, loss_node_id)``.  It is called many times, so
-    it must be deterministic.  All differencing runs in float64.
+    ``build(dtype)`` must return ``(tape, loss_node_id)``, a fresh tape from
+    the current parameter values; it is called many times, so it must be
+    deterministic.  All differencing runs in float64; grads are left as found.
     """
     if h <= 0:
         raise ValueError("h must be positive")
@@ -1197,9 +1197,12 @@ def finite_diff_check(build, params, h: float = 1e-3, tol: float = 1e-3) -> Grad
     tape, loss = build(np.float64)
     if tape.value(loss).size != 1:
         raise DimensionError("finite_diff_check: loss must be scalar")
+    found = [(nid, p, p._grad) for nid, p in tape._param_nodes.values()]
+    zero_grads(p for _, p, _ in found)  # backward would add into the grads it finds
     tape.backward(loss)
     analytic = {}
-    for nid, p in tape._param_nodes.values():
+    for nid, p, held in found:
+        p._grad = held
         g = tape.grad(nid)
         analytic[p.name] = g.copy() if g is not None else np.zeros_like(tape.value(nid))
 
@@ -1207,11 +1210,8 @@ def finite_diff_check(build, params, h: float = 1e-3, tol: float = 1e-3) -> Grad
     worst = ""
     failures = []
     for p in params:
-        grads = analytic.get(p.name)
-        if grads is None:
-            grads = np.zeros(p.value.shape, dtype=np.float64)
         flat_value = p.value.reshape(-1)
-        flat_grad = grads.reshape(-1)
+        flat_grad = analytic.get(p.name, np.zeros(p.value.shape)).reshape(-1)
         for i in range(flat_value.size):
             orig = flat_value[i]
             flat_value[i] = orig + h

@@ -1,11 +1,12 @@
-"""Shared fixtures: tiny models, zeroed parameters, small corpora, and a
-traced allocation peak."""
+"""Shared fixtures: tiny models, zeroed parameters, small corpora, a traced
+allocation peak, and the nodes of a tape that nothing reads."""
 
 import tracemalloc
 from contextlib import contextmanager
 
 from b3sum.corpus import build_vocab, synth_generate
 from b3sum.summarizer import SummarizerParams, prepare_pair
+from b3sum.tape import Kernel
 
 
 def zero_params(params):
@@ -56,3 +57,12 @@ def traced_peak():
     finally:
         traced.peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
+
+
+def unread_nodes(tape) -> list[tuple[int, str]]:
+    """(id, kernel) of each computed node on a recorded ``tape`` that no
+    later node reads, other than the root, the tape's last node."""
+    read = {i for node in tape.nodes for i in node.input_ids}
+    root = len(tape.nodes) - 1
+    return [(nid, node.kernel.value) for nid, node in enumerate(tape.nodes)
+            if node.kernel is not Kernel.LEAF and nid not in read and nid != root]

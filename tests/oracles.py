@@ -20,6 +20,7 @@ to ``use_oracle_tape``, since the kernel sums its p_gen adjoint over the
 source columns and so rounds training differently.
 """
 
+import collections
 import enum
 import itertools
 import math
@@ -28,8 +29,7 @@ import numpy as np
 
 from b3sum import classifier, corpus, summarizer
 from b3sum import tape as tape_mod
-from b3sum.layers import (INIT_SCALE, BiLstmEncoder, EmbeddingTable, EncoderStates, linear,
-                          zeros_param)
+from b3sum.layers import INIT_SCALE, BiLstmEncoder, EmbeddingTable, linear, zeros_param
 from b3sum.summarizer import DecoderStep, final_distribution, generation_prob, vocab_distribution
 from b3sum.tape import ADAGRAD_EPS, CopyIds, DimensionError, Parameter, Tape, _unbroadcast
 
@@ -312,8 +312,12 @@ def lstm_step(tape, cell, x, h_prev, c_prev):
     return h_t, c_t
 
 
+OracleStates = collections.namedtuple("OracleStates", "h_concat final_h final_c length")
+
+
 def bilstm_encode(tape, enc, xs):
-    """Both directions step by step over a list of 1-row nodes."""
+    """Both directions step by step over a list of 1-row nodes; every state
+    is built at once."""
     h_f, c_f = zero_state(tape, enc.forward_cell)
     fwd = []
     for x in xs:
@@ -324,7 +328,7 @@ def bilstm_encode(tape, enc, xs):
     for k in range(len(xs) - 1, -1, -1):
         h_b, c_b = lstm_step(tape, enc.backward_cell, xs[k], h_b, c_b)
         bwd[k] = h_b
-    return EncoderStates(
+    return OracleStates(
         h_concat=tape.concat([tape.concat(fwd, axis=0), tape.concat(bwd, axis=0)], axis=1),
         final_h=tape.concat([fwd[-1], bwd[0]], axis=1),
         final_c=tape.concat([c_f, c_b], axis=1),

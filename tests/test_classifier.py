@@ -24,7 +24,7 @@ from b3sum.layers import lstm_step
 from b3sum.tape import NonFiniteError, Tape, optimizer_step, zero_grads
 
 import oracles
-from helpers import zero_params
+from helpers import traced_peak, zero_params
 
 
 def _tiny(vocab_size=10, seed=0):
@@ -291,14 +291,35 @@ def test_decision_layer_matches_the_two_heads_it_replaced(dtype, hidden):
             assert np.abs(grads[name] - ref).max() <= 1e-5 * scale, (seed, name)
 
 
-def test_a_training_example_makes_34_nodes_from_19_tensors():
+def test_a_training_example_makes_31_nodes_from_19_tensors():
     # The two heads made 41 nodes from 21 tensors: a second linear (3
-    # nodes), a slice of each head and their concat.
+    # nodes), a slice of each head and their concat.  The encoder's
+    # per-position h rows, which nothing reads here, were 3 more: a slice
+    # of each direction and their concat.
     model = _tiny(seed=1)
     tape = Tape()
     tape.neg_log_pick(decision_distribution(tape, model, [1, 2, 3]), 0)
     assert len(model.params()) == 19
-    assert len(tape.nodes) == 34
+    assert len(tape.nodes) == 31
+
+
+def test_a_training_step_stays_under_its_traced_peak():
+    # One optimizer step after a warm one, at vocab 2,000, dims 128, batch
+    # 8 and 200 tokens: 13.05 MiB traced.  Building the per-position h rows
+    # that the decision never reads took it to 15.79 MiB.
+    rng = np.random.default_rng(0)
+    model = ClassifierParams(2000, emb_dim=128, hidden_dim=128, seed=1)
+    examples = [(rng.integers(0, 2000, size=200).tolist(), k % 2) for k in range(8)]
+
+    def build(tape):
+        losses = [tape.neg_log_pick(decision_distribution(tape, model, ids), gold)
+                  for ids, gold in examples]
+        return tape.reduce_mean(tape.concat(losses, axis=1))
+
+    optimizer_step(build, model.params(), 0.01)  # makes the Adagrad state
+    with traced_peak() as traced:
+        optimizer_step(build, model.params(), 0.01)
+    assert traced.peak <= 14.5 * 2**20
 
 
 def test_training_is_bit_identical_to_the_pinned_run(monkeypatch):

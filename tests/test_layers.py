@@ -1,5 +1,6 @@
 """Embedding, LSTM cell, bidirectional encoder, and linear-layer contracts."""
 
+import re
 import threading
 
 import numpy as np
@@ -20,10 +21,10 @@ from b3sum.layers import (
 from b3sum import classifier, summarizer
 from b3sum.classifier import ClassifierParams, ClassifierTrainConfig, LabeledExample
 from b3sum.config import RunConfig
-from b3sum.tape import Kernel, Parameter, Tape, finite_diff_check, optimizer_step
+from b3sum.tape import DimensionError, Kernel, Parameter, Tape, finite_diff_check, optimizer_step
 
 import oracles
-from helpers import tiny_corpus, tiny_summarizer, traced_peak, zero_params
+from helpers import tiny_corpus, tiny_summarizer, traced_peak, unread_nodes, zero_params
 
 
 def _rng(seed=0):
@@ -89,9 +90,12 @@ class TestLstmStep:
                                    [[0.2, -0.4, 0.6]], atol=1e-7)
 
     def test_input_dim_checked(self):
+        # the kernel's shape check, naming every shape it was handed
         cell = LstmCell(_rng(), "c", 3, 4)
         t = Tape()
-        with pytest.raises(Exception, match="lstm_step"):
+        shapes = [(4, 7)] * 4 + [(1, 4)] * 4
+        with pytest.raises(DimensionError, match=re.escape(
+                f"lstm: inputs (1, 2), state (1, 8), gate weights and biases {shapes}")):
             lstm_step(t, cell, t.leaf([[1.0, 2.0]]), cell.zero_state(t))
 
     def test_gradients_match_finite_differences(self):
@@ -197,6 +201,39 @@ class TestLstmStep:
                 assert stacked_w not in seen and (1, 4 * cell.hidden_dim) not in seen
 
 
+def test_no_production_tape_holds_an_unread_node(monkeypatch):
+    # Every computed node but the root is read by a later one: training
+    # tapes of both models, a loss and a decision built on their own.
+    _, vocab, prepared = tiny_corpus(n=2)
+    summ = tiny_summarizer(vocab.size, emb=3, hidden=5)
+    cls = ClassifierParams(vocab.size, emb_dim=4, hidden_dim=6, seed=1)
+    tapes = {}
+
+    def recording(name):
+        def step(build, *args, **kwargs):
+            def traced(tape):
+                tapes[name] = tape
+                return build(tape)
+
+            return optimizer_step(traced, *args, **kwargs)
+
+        return step
+
+    for use_coverage in (False, True):
+        monkeypatch.setattr(summarizer, "optimizer_step", recording(f"train_batch {use_coverage}"))
+        summarizer.train_batch(summ, prepared, RunConfig(), use_coverage=use_coverage)
+        tapes[f"sequence_loss {use_coverage}"] = t = Tape()
+        summarizer.sequence_loss(t, summ, prepared[0], use_coverage=use_coverage)
+    monkeypatch.setattr(classifier, "optimizer_step", recording("classifier step"))
+    classifier.train_classifier(
+        cls, [LabeledExample([5, 6, 7], 0), LabeledExample([8, 9], 1)], None,
+        ClassifierTrainConfig(batch_size=2, epochs=1))
+    tapes["decision_distribution"] = t = Tape()
+    classifier.decision_distribution(t, cls, [5, 6, 7])
+    assert len(tapes) == 6
+    assert {name: unread_nodes(t) for name, t in tapes.items()} == {name: [] for name in tapes}
+
+
 class TestBiLstmEncoder:
     def test_single_token_shapes(self):
         enc = BiLstmEncoder(_rng(3), "e", input_dim=3, hidden_dim=4)
@@ -238,16 +275,20 @@ class TestBiLstmEncoder:
         np.testing.assert_array_equal(bwd_half, replay[::-1])
 
     def test_final_c_is_built_only_when_asked(self):
+        # Encoding makes the two lstm nodes; a state is built when first
+        # read (two slices and a concat) and kept for later reads.
         enc = BiLstmEncoder(_rng(9), "e", 2, 3)
         vals = _rng(12).uniform(-1, 1, size=(4, 2))
-        t_plain = Tape()
-        plain = bilstm_encode(t_plain, enc, t_plain.leaf(vals))
         t = oracles.OracleTape()
-        with_c = bilstm_encode(t, enc, t.leaf(vals), final_c=True)
-        assert plain.final_c is None and len(t) == len(t_plain) + 3  # two slices and a concat
+        states = bilstm_encode(t, enc, t.leaf(vals))
+        assert [n.kernel for n in t.nodes if n.kernel is not Kernel.LEAF] == [Kernel.LSTM] * 2
+        made = len(t)
+        final_c = states.final_c
+        assert len(t) == made + 3
+        assert states.final_c == final_c and len(t) == made + 3
         ref = oracles.bilstm_encode(t, enc, [t.leaf(vals[k : k + 1]) for k in range(4)])
-        for got, want in ((with_c.final_h, ref.final_h), (with_c.final_c, ref.final_c),
-                          (with_c.h_concat, ref.h_concat)):
+        for got, want in ((final_c, ref.final_c), (states.final_h, ref.final_h),
+                          (states.h_concat, ref.h_concat)):
             assert t.value(got).tobytes() == t.value(want).tobytes()
 
     def test_gradcheck_through_encoder(self):
@@ -256,7 +297,7 @@ class TestBiLstmEncoder:
 
         def build(dtype):
             t = oracles.OracleTape(dtype=dtype)
-            states = bilstm_encode(t, enc, t.leaf(vals), final_c=True)
+            states = bilstm_encode(t, enc, t.leaf(vals))
             loss = t.reduce_sum(t.mul(states.h_concat, states.h_concat))
             return t, t.add(loss, t.reduce_sum(t.mul(states.final_c, states.final_c)))
 

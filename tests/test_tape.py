@@ -929,6 +929,30 @@ class TestFiniteDiffCheck:
         assert not report.ok
         assert any("bad" in f for f in report.failures)
 
+    def test_grads_are_left_as_the_check_found_them(self):
+        # The check's own backward must not add into a grad a training step
+        # then clips and applies.
+        w = Parameter("w", [[0.5, -0.3], [0.1, 0.8]])
+        b = Parameter("b", [[0.2, -0.1]])
+
+        def build(dtype):
+            t = Tape(dtype=dtype)
+            h = t.tanh(t.add(t.matmul(t.leaf([[1.0, 2.0]]), t.param(w)), t.param(b)))
+            return t, t.neg_log_pick(t.softmax(h), 0)
+
+        def backward():
+            t, loss = build(np.float32)
+            t.backward(loss)
+            return [p.grad.tobytes() for p in (w, b)]
+
+        once = backward()
+        assert finite_diff_check(build, [w, b]).ok
+        assert [p.grad.tobytes() for p in (w, b)] == once
+        zero_grads([w, b])
+        assert finite_diff_check(build, [w, b]).ok
+        assert w._grad is None and b._grad is None
+        assert backward() == once
+
 
 class TestClipGlobalNorm:
     def test_clips_to_max_norm(self):
