@@ -74,8 +74,9 @@ def save_checkpoint(tensors: dict[str, np.ndarray], path, config_hash: bytes = b
 def atomic_write(path, mode: str, encoding: str | None = None):
     """A new temporary file beside ``path``, opened with ``mode`` (``"xb"``
     or ``"x"``), that is flushed, fsynced and moved over ``path`` when the
-    block ends; if the block raises, the file is removed and ``path`` keeps
-    what it held."""
+    block ends, and then the directory holding it fsynced, so the move
+    outlasts a crash; if the block raises, the file is removed and ``path``
+    keeps what it held."""
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     fh = open(tmp, mode, encoding=encoding)
     try:
@@ -87,6 +88,11 @@ def atomic_write(path, mode: str, encoding: str | None = None):
     except BaseException:
         os.unlink(tmp)
         raise
+    dir_fd = os.open(os.path.dirname(os.path.abspath(path)), os.O_RDONLY)
+    try:
+        os.fsync(dir_fd)
+    finally:
+        os.close(dir_fd)
 
 
 def _read(fh, size: int, what: str) -> bytes:

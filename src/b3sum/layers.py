@@ -205,13 +205,10 @@ class EncoderStates:
 def bilstm_encode(tape: Tape, enc: BiLstmEncoder, xs: int) -> EncoderStates:
     """Both directions over the rows of ``xs`` (n x input), one ``lstm_step``
     each."""
-    n = tape.value(xs).shape[0]
-    if n == 0:
-        raise ValueError("bilstm_encode: empty input sequence")
     fwd = lstm_step(tape, enc.forward_cell, xs, enc.forward_cell.zero_state(tape))
     bwd = lstm_step(tape, enc.backward_cell, xs, enc.backward_cell.zero_state(tape),
                     reverse=True)
-    return EncoderStates(tape, fwd, bwd, enc.hidden_dim, n)
+    return EncoderStates(tape, fwd, bwd, enc.hidden_dim, tape.value(xs).shape[0])
 
 
 def linear(tape: Tape, w: Parameter, b: Parameter, x: int) -> int:

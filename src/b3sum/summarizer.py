@@ -11,7 +11,7 @@ into the attention scores and penalizes re-attended positions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -132,8 +132,8 @@ class SummarizerParams:
 
 def attend(tape: Tape, model: SummarizerParams, h_all: int, enc_features: int, s: int,
            coverage: int | None) -> tuple[int, int, int | None]:
-    """Attention distribution, context vector and coverage penalties for R
-    decoder rows, from one ``attention`` node.
+    """Attention distribution and context vector for R decoder rows, from
+    one ``attention`` node.
 
     ``h_all`` is the (n x 2*hidden) encoder-state node and ``enc_features``
     its (n x attn) features h_all·W_hᵀ, which do not depend on the step, so
@@ -142,20 +142,20 @@ def attend(tape: Tape, model: SummarizerParams, h_all: int, enc_features: int, s
     before the first row, or None for no coverage; with it each row reads
     the coverage the rows before it leave.  Each row's products are one-row
     products, so a row gets the values it would get alone.  Returns node
-    ids (a, h_star, penalties): R rows each, the penalties (R x 1), or None
-    without coverage.
+    ids (a, h_star, attention): R rows each, and with coverage the
+    (R x (n + 1)) attention node ``a`` is sliced from, its last column the
+    coverage penalties, or None without coverage.
     """
     queries = tape.matmul(s, tape.param(model.attn_w_state), transpose_b=True, per_row=True)
     scored = [enc_features, queries, tape.param(model.attn_v), tape.param(model.attn_bias)]
-    penalties = None
+    attention = None
     if coverage is None:
         a = tape.attention(*scored)
     else:
-        out = tape.attention(*scored, coverage, tape.param(model.attn_w_cov))
-        n = tape.value(coverage).shape[1]
-        a, penalties = tape.slice(out, cols=(0, n)), tape.slice(out, cols=(n, n + 1))
+        attention = tape.attention(*scored, coverage, tape.param(model.attn_w_cov))
+        a = tape.slice(attention, cols=(0, tape.value(coverage).shape[1]))
     h_star = tape.matmul(a, h_all, per_row=True)
-    return a, h_star, penalties
+    return a, h_star, attention
 
 
 def vocab_distribution(tape: Tape, model: SummarizerParams, s_t: int, h_star: int) -> int:
@@ -234,17 +234,6 @@ class StepTrace:
     penalty: float | None
 
 
-def _step_trace(attention: np.ndarray, p_gen: float, coverage: np.ndarray | None,
-                penalty: float | None) -> StepTrace:
-    """One step's trace from its (1 x n) attention row, p_gen and coverage row."""
-    return StepTrace(
-        attention=attention.copy(),
-        coverage_before=coverage.copy() if coverage is not None else np.zeros(attention.shape),
-        p_gen=float(p_gen),
-        penalty=penalty,
-    )
-
-
 @dataclass
 class EncodedArticle:
     """Per-article decoder context: the encoder's (n x 2*hidden) states
@@ -280,14 +269,24 @@ def encode_article(tape: Tape, model: SummarizerParams, ext: ExtendedVocab) -> E
 class DecoderStep:
     """Node ids of the recurrent part over R decoder rows: the states
     s = [h | c], the contexts h*, the attention a and the switch p_gen, one
-    row each, and with coverage the (R x 1) coverage penalties, otherwise
-    None."""
+    row each.  With coverage, ``attention`` is the node ``a`` is sliced
+    from, and ``penalties``, the (R x 1) coverage penalties in its last
+    column, is built on the tape the first time it is read, and kept;
+    without coverage both are None."""
 
+    tape: Tape
     s: int
     h_star: int
     a: int
     p_gen: int
-    penalties: int | None
+    attention: int | None
+
+    @cached_property
+    def penalties(self) -> int | None:
+        if self.attention is None:
+            return None
+        n = self.tape.value(self.a).shape[1]
+        return self.tape.slice(self.attention, cols=(n, n + 1))
 
 
 def decoder_step(tape: Tape, model: SummarizerParams, art: EncodedArticle, xs: int,
@@ -308,12 +307,12 @@ def decoder_step(tape: Tape, model: SummarizerParams, art: EncodedArticle, xs: i
     if force_p_gen is not None and not 0.0 <= force_p_gen <= 1.0:  # NaN fails too
         raise ValueError(f"force_p_gen must be a finite value in [0, 1], got {force_p_gen!r}")
     s = lstm_step(tape, model.decoder, xs, s_prev)
-    a, h_star, penalties = attend(tape, model, art.h_all, art.enc_features, s, coverage)
+    a, h_star, attention = attend(tape, model, art.h_all, art.enc_features, s, coverage)
     if force_p_gen is None:
         p_gen = generation_prob(tape, model, h_star, s, xs)
     else:
         p_gen = tape.leaf(np.full((tape.value(xs).shape[0], 1), force_p_gen, dtype=tape.dtype))
-    return DecoderStep(s, h_star, a, p_gen, penalties)
+    return DecoderStep(tape, s, h_star, a, p_gen, attention)
 
 
 def output_distribution(tape: Tape, model: SummarizerParams, art: EncodedArticle,
@@ -344,34 +343,21 @@ def _teacher_forced(tape: Tape, model: SummarizerParams, ex: PreparedExample,
 
 
 def sequence_loss(tape: Tape, model: SummarizerParams, ex: PreparedExample,
-                  use_coverage: bool = False, cov_lambda: float = 1.0,
-                  force_p_gen: float | None = None,
-                  collect_traces: bool = False):
+                  use_coverage: bool = False, cov_lambda: float = 1.0):
     """Teacher-forced mean step loss for one example.
 
-    Returns (loss_node, nll_mean_node, cov_mean_node, traces); the total is
+    Returns (loss_node, nll_mean_node, cov_mean_node, step); the total is
     assembled as mean(nll) + lambda * mean(penalty) so the two components
-    recombine exactly to the reported loss.
+    recombine exactly to the reported loss, and ``step`` is the
+    ``DecoderStep`` over the T target rows.
     """
-    p_final, step = _teacher_forced(tape, model, ex, use_coverage, force_p_gen)
-    traces = []
-    if collect_traces:
-        attention, p_gen = tape.value(step.a), tape.value(step.p_gen)
-        penalties = coverage = None
-        if use_coverage:  # each row's coverage is rebuilt with the attention kernel's adds
-            penalties = tape.value(step.penalties)
-            coverage = np.zeros((1, attention.shape[1]), dtype=attention.dtype)
-        for r in range(attention.shape[0]):
-            penalty = None if penalties is None else float(penalties[r, 0])
-            traces.append(_step_trace(attention[r : r + 1], p_gen[r, 0], coverage, penalty))
-            if coverage is not None:
-                coverage = coverage + attention[r : r + 1]
+    p_final, step = _teacher_forced(tape, model, ex, use_coverage, None)
     nll_mean = tape.reduce_mean(tape.neg_log_pick(p_final, ex.target_ext_ids))
     if use_coverage:
         pen_mean = tape.reduce_mean(step.penalties)
         loss = tape.add(nll_mean, tape.scale(pen_mean, cov_lambda))
-        return loss, nll_mean, pen_mean, traces
-    return nll_mean, nll_mean, None, traces
+        return loss, nll_mean, pen_mean, step
+    return nll_mean, nll_mean, None, step
 
 
 TrainConfig = RunConfig  # an older name, still built by perfbench/workloads.py
@@ -536,14 +522,15 @@ def decode(model: SummarizerParams, article_tokens, vocab: Vocabulary,
             logps[list(_BANNED_STARTS)] = -np.inf
             traces = hyp.traces
             if collect_traces:
-                attention = tape.value(step.a)
-                coverage = None if hyp.coverage is None else tape.value(hyp.coverage)
+                attention = tape.value(step.a).copy()
+                coverage = (np.zeros(attention.shape) if hyp.coverage is None
+                            else tape.value(hyp.coverage).copy())
                 # a float32 sum, as decode traces have always been; the loss
                 # reads step.penalties, summed in float64
-                penalty = None if coverage is None else float(
+                penalty = None if hyp.coverage is None else float(
                     np.minimum(attention, coverage).sum())
-                traces = traces + [_step_trace(attention, tape.value(step.p_gen)[0, 0],
-                                               coverage, penalty)]
+                traces = traces + [StepTrace(attention, coverage,
+                                             float(tape.value(step.p_gen)[0, 0]), penalty)]
             coverage = None if hyp.coverage is None else tape.add(hyp.coverage, step.a)
             steps.append((step.s, coverage, traces))
             for token in _top_k(logps, 2 * width):

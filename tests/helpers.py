@@ -1,11 +1,14 @@
 """Shared fixtures: tiny models, zeroed parameters, small corpora, a traced
-allocation peak, and the nodes of a tape that nothing reads."""
+allocation peak, the nodes of a tape that nothing reads, and the traces of
+a teacher-forced decoder step."""
 
 import tracemalloc
 from contextlib import contextmanager
 
+import numpy as np
+
 from b3sum.corpus import build_vocab, synth_generate
-from b3sum.summarizer import SummarizerParams, prepare_pair
+from b3sum.summarizer import StepTrace, SummarizerParams, prepare_pair
 from b3sum.tape import Kernel
 
 
@@ -59,10 +62,33 @@ def traced_peak():
         tracemalloc.stop()
 
 
-def unread_nodes(tape) -> list[tuple[int, str]]:
+def unread_nodes(tape, read_by_value=()) -> list[tuple[int, str]]:
     """(id, kernel) of each computed node on a recorded ``tape`` that no
-    later node reads, other than the root, the tape's last node."""
+    later node reads, other than the root, the tape's last node, and the
+    nodes of the kernels in ``read_by_value``, whose values the caller
+    reads through ``tape.value``."""
     read = {i for node in tape.nodes for i in node.input_ids}
     root = len(tape.nodes) - 1
     return [(nid, node.kernel.value) for nid, node in enumerate(tape.nodes)
-            if node.kernel is not Kernel.LEAF and nid not in read and nid != root]
+            if node.kernel is not Kernel.LEAF and node.kernel not in read_by_value
+            and nid not in read and nid != root]
+
+
+def step_traces(tape, step) -> list[StepTrace]:
+    """One ``StepTrace`` per row of a teacher-forced decoder step (the step
+    ``sequence_loss`` returns), as ``decode`` records them: each row's
+    coverage is rebuilt with the attention kernel's adds."""
+    attention, p_gen = tape.value(step.a), tape.value(step.p_gen)
+    penalties = None if step.penalties is None else tape.value(step.penalties)
+    coverage = np.zeros((1, attention.shape[1]), dtype=attention.dtype)
+    traces = []
+    for r in range(attention.shape[0]):
+        row = attention[r : r + 1]
+        traces.append(StepTrace(
+            attention=row.copy(),
+            coverage_before=np.zeros(row.shape) if penalties is None else coverage.copy(),
+            p_gen=float(p_gen[r, 0]),
+            penalty=None if penalties is None else float(penalties[r, 0]),
+        ))
+        coverage = coverage + row
+    return traces

@@ -30,7 +30,7 @@ import numpy as np
 from b3sum import classifier, corpus, summarizer
 from b3sum import tape as tape_mod
 from b3sum.layers import INIT_SCALE, BiLstmEncoder, EmbeddingTable, linear, zeros_param
-from b3sum.summarizer import DecoderStep, final_distribution, generation_prob, vocab_distribution
+from b3sum.summarizer import final_distribution, generation_prob, vocab_distribution
 from b3sum.tape import ADAGRAD_EPS, CopyIds, DimensionError, Parameter, Tape, _unbroadcast
 
 
@@ -383,12 +383,16 @@ def attend(tape, model, h_all, enc_features, s_t, coverage, use_coverage):
     return e_t, a_t, tape.matmul(a_t, h_all)
 
 
+StackedStep = collections.namedtuple("StackedStep", "s h_star a p_gen penalties")
+
+
 def _per_step_teacher_forced(tape, model, ex, use_coverage, force_p_gen, output_per_row):
     """Teacher forcing built from the per-step composites above: encoder and
     decoder one step per token and attention one step at a time, with the
     output part once per target row inside the step loop or once on all
-    rows after it.  The rows are stacked into a ``DecoderStep`` for
-    ``sequence_loss`` to read; the loss reads none of the stacks that the
+    rows after it.  The rows are stacked into a ``StackedStep``, whose
+    fields are the ``DecoderStep`` fields that ``sequence_loss`` and
+    ``helpers.step_traces`` read; the loss reads none of the stacks that the
     output part does not."""
     xs = embed_rows(tape, model.embedding, ex.ext.enc_ids)
     enc = bilstm_encode(tape, model.encoder, xs)
@@ -431,7 +435,7 @@ def _per_step_teacher_forced(tape, model, ex, use_coverage, force_p_gen, output_
         p_gen, a = tape.concat(switches, axis=0), tape.concat(attention, axis=0)
         p_final = final_distribution(tape, p_gen, p_vocab, a, copy_ids)
     penalties = tape.concat(penalties, axis=0) if use_coverage else None
-    return p_final, DecoderStep(s, h_star, a, p_gen, penalties)
+    return p_final, StackedStep(s, h_star, a, p_gen, penalties)
 
 
 def per_row_teacher_forced(tape, model, ex, use_coverage, force_p_gen):

@@ -56,6 +56,7 @@ from b3sum.summarizer import (
 )
 from b3sum.tape import CopyIds, Parameter, Tape, finite_diff_check
 
+from helpers import step_traces
 from oracles import OracleTape, oracle_align, oracle_lcs, oracle_rouge_n
 
 
@@ -385,10 +386,9 @@ class TestCriterion3CoverageIdentities:
         # sum_i c^t_i == t: exact up to accumulated float rounding
         for dtype, tol in ((np.float64, 1e-9), (np.float32, 2e-4)):
             t = Tape(dtype=dtype)
-            _, _, _, traces = sequence_loss(t, model, ex, use_coverage=True,
-                                            collect_traces=True)
-            for step, tr in enumerate(traces):
-                assert abs(tr.coverage_before.sum() - step) <= tol
+            _, _, _, step = sequence_loss(t, model, ex, use_coverage=True)
+            for i, tr in enumerate(step_traces(t, step)):
+                assert abs(tr.coverage_before.sum() - i) <= tol
                 assert -1e-6 <= tr.penalty <= 1.0 + 1e-6
 
         # the same identities along a decoded trajectory

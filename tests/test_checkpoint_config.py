@@ -1,7 +1,9 @@
 """Binary checkpoint format round trips and run-config validation."""
 
 import logging
+import os
 import re
+import stat
 import struct
 import tempfile
 from pathlib import Path
@@ -37,6 +39,28 @@ class TestCheckpointRoundTrip:
         assert stored == cfg.hash_bytes()
         for p in model.params():
             assert tensors[p.name].tobytes() == p.value.tobytes()
+
+    def test_save_syncs_the_directory_after_the_move(self, tmp_path, monkeypatch):
+        # the move outlasts a crash only once the directory holding it is synced
+        events = []
+        fsync, replace = os.fsync, os.replace
+
+        def recording_fsync(fd):
+            st = os.fstat(fd)
+            events.append(("fsync", (st.st_dev, st.st_ino) if stat.S_ISDIR(st.st_mode) else "file"))
+            fsync(fd)
+
+        def recording_replace(src, dst):
+            replace(src, dst)
+            events.append(("replace", os.fspath(dst)))
+
+        monkeypatch.setattr(os, "fsync", recording_fsync)
+        monkeypatch.setattr(os, "replace", recording_replace)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(tensor_map(tiny_summarizer(seed=5).params()), path)
+        d = os.stat(tmp_path)
+        assert events == [("fsync", "file"), ("replace", os.fspath(path)),
+                          ("fsync", (d.st_dev, d.st_ino))]
 
     def test_restore_into_fresh_model(self, tmp_path):
         a = tiny_summarizer(seed=5)

@@ -21,7 +21,7 @@ from b3sum.classifier import (
 )
 from b3sum.corpus import Vocabulary, build_vocab, split_pairs, synth_generate
 from b3sum.layers import lstm_step
-from b3sum.tape import NonFiniteError, Tape, optimizer_step, zero_grads
+from b3sum.tape import DimensionError, NonFiniteError, Tape, optimizer_step, zero_grads
 
 import oracles
 from helpers import traced_peak, zero_params
@@ -55,7 +55,7 @@ class TestEncodeText:
         np.testing.assert_array_equal(h[:, 5:], t2.value(bwd)[:, :5])
 
     def test_empty_input_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
+        with pytest.raises(DimensionError, match=r"lstm: inputs \(0, "):
             encode_text(Tape(), _tiny(), [])
 
     def test_reversed_input_swaps_halves_with_shared_cells(self):

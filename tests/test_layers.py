@@ -1,5 +1,6 @@
 """Embedding, LSTM cell, bidirectional encoder, and linear-layer contracts."""
 
+import itertools
 import re
 import threading
 
@@ -203,8 +204,9 @@ class TestLstmStep:
 
 def test_no_production_tape_holds_an_unread_node(monkeypatch):
     # Every computed node but the root is read by a later one: training
-    # tapes of both models, a loss and a decision built on their own.
-    _, vocab, prepared = tiny_corpus(n=2)
+    # tapes of both models, a loss and a decision built on their own, and
+    # the summarizer's decoding and evaluation tapes, recorded.
+    pairs, vocab, prepared = tiny_corpus(n=2)
     summ = tiny_summarizer(vocab.size, emb=3, hidden=5)
     cls = ClassifierParams(vocab.size, emb_dim=4, hidden_dim=6, seed=1)
     tapes = {}
@@ -230,8 +232,43 @@ def test_no_production_tape_holds_an_unread_node(monkeypatch):
         ClassifierTrainConfig(batch_size=2, epochs=1))
     tapes["decision_distribution"] = t = Tape()
     classifier.decision_distribution(t, cls, [5, 6, 7])
-    assert len(tapes) == 6
-    assert {name: unread_nodes(t) for name, t in tapes.items()} == {name: [] for name in tapes}
+
+    made = []
+
+    def recording_tape(record=True):  # in place of the tape that records nothing
+        made.append(Tape())
+        return made[-1]
+
+    monkeypatch.setattr(summarizer, "Tape", recording_tape)
+    runs = {
+        "decode greedy": lambda cov: summarizer.decode(
+            summ, pairs[0].article, vocab, max_decode_len=5, use_coverage=cov),
+        "decode beam": lambda cov: summarizer.decode(
+            summ, pairs[0].article, vocab, mode="beam", max_decode_len=5, use_coverage=cov),
+        "token_prediction_accuracy": lambda cov: summarizer.token_prediction_accuracy(
+            summ, prepared[:1], use_coverage=cov),
+        "corpus_loss": lambda cov: summarizer.corpus_loss(summ, prepared[:1], use_coverage=cov),
+    }
+    for (name, run), use_coverage in itertools.product(runs.items(), (False, True)):
+        run(use_coverage)
+        tapes[f"{name} {use_coverage}"] = made.pop()
+    assert len(tapes) == 14 and not made
+
+    def coverage_add(t, nid):
+        # decode's next coverage of a hypothesis, hyp.coverage + step.a: no
+        # step reads it once no candidate continued the hypothesis, or once
+        # decoding has stopped
+        node = t.nodes[nid]
+        return node.kernel is Kernel.ADD and t.nodes[node.input_ids[1]].kernel is Kernel.SLICE
+
+    unread = {}
+    for name, t in tapes.items():
+        if name.startswith("decode"):  # each step's copy mix is read through tape.value
+            unread[name] = [(nid, kernel) for nid, kernel in unread_nodes(t, (Kernel.COPY_MIX,))
+                            if not coverage_add(t, nid)]
+        else:
+            unread[name] = unread_nodes(t)
+    assert unread == {name: [] for name in tapes}
 
 
 class TestBiLstmEncoder:
@@ -258,7 +295,7 @@ class TestBiLstmEncoder:
     def test_empty_sequence_rejected(self):
         enc = BiLstmEncoder(_rng(), "e", 2, 3)
         t = Tape()
-        with pytest.raises(ValueError, match="empty"):
+        with pytest.raises(DimensionError, match=r"lstm: inputs \(0, "):
             bilstm_encode(t, enc, t.leaf(np.zeros((0, 2))))
 
     def test_backward_direction_replays_forward_on_reversed_input(self):

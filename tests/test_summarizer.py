@@ -37,7 +37,7 @@ from b3sum.tape import (CopyIds, DimensionError, FactoredGrad, Kernel, NonFinite
                         Tape, zero_grads)
 
 import oracles
-from helpers import tiny_corpus, tiny_summarizer, traced_peak, zero_params
+from helpers import step_traces, tiny_corpus, tiny_summarizer, traced_peak, zero_params
 from oracles import DenseTape, MixChainTape, OracleTape, per_row_teacher_forced, use_oracle_tape
 
 
@@ -91,8 +91,8 @@ class TestAttend:
                      model.attn_bias, model.attn_w_cov])
         t = Tape()
         h, s, _ = _attention_inputs(t, model, n=5)
-        a, h_star, penalties = attend(t, model, h, _features(t, model, h), s, None)
-        assert penalties is None
+        a, h_star, attention = attend(t, model, h, _features(t, model, h), s, None)
+        assert attention is None
         np.testing.assert_allclose(t.value(a), np.full((1, 5), 0.2), atol=1e-7)
         np.testing.assert_allclose(
             t.value(h_star), t.value(h).mean(axis=0, keepdims=True), atol=1e-6
@@ -106,7 +106,7 @@ class TestAttend:
         covered = attend(t, model, h, _features(t, model, h), s, cov)
         for x, y in zip(plain[:2], covered[:2]):
             assert t.value(x).tobytes() == t.value(y).tobytes()
-        assert t.value(covered[2]).tolist() == [[0.0]]
+        assert t.value(covered[2])[:, -1:].tolist() == [[0.0]]  # the penalty column
 
     def test_attention_sums_to_one(self):
         model = tiny_summarizer()
@@ -238,14 +238,13 @@ class TestFinalDistribution:
 
 
 def _forced_p_gen_runs(force_p_gen):
-    """Decoding, the teacher-forced loss and teacher-forced accuracy, each
-    with the switch forced to ``force_p_gen``."""
+    """Decoding and teacher-forced accuracy, each with the switch forced to
+    ``force_p_gen``."""
     pairs, vocab, _ = tiny_corpus(n=1, seed=22)
     model = tiny_summarizer(vocab_size=vocab.size, seed=10)
     ex = prepare_pair(pairs[0], vocab)
     return [
         lambda: decode(model, pairs[0].article, vocab, max_decode_len=5, force_p_gen=force_p_gen),
-        lambda: sequence_loss(Tape(), model, ex, force_p_gen=force_p_gen),
         lambda: token_prediction_accuracy(model, [ex], force_p_gen=force_p_gen),
     ]
 
@@ -300,10 +299,9 @@ class TestCoverage:
         _, vocab, prepared = tiny_corpus(n=2)
         model = tiny_summarizer(vocab_size=vocab.size, seed=2)
         t = Tape()
-        _, _, _, traces = sequence_loss(t, model, prepared[0], use_coverage=True,
-                                        collect_traces=True)
-        for step, tr in enumerate(traces):
-            assert abs(tr.coverage_before.sum() - step) <= 1e-4
+        _, _, _, step = sequence_loss(t, model, prepared[0], use_coverage=True)
+        for i, tr in enumerate(step_traces(t, step)):
+            assert abs(tr.coverage_before.sum() - i) <= 1e-4
             assert -1e-6 <= tr.penalty <= 1.0 + 1e-6
 
     def test_penalty_is_one_when_attention_repeats(self):
@@ -660,11 +658,11 @@ class TestPerRowReferenceEquivalence:
         model, ex = _wide_example()
 
         def run():
-            _, _, _, traces = sequence_loss(summarizer.Tape(), model, ex, use_coverage=True,
-                                                       collect_traces=True)
+            tape = summarizer.Tape()
+            _, _, _, step = sequence_loss(tape, model, ex, use_coverage=True)
             return (token_prediction_accuracy(model, [ex], use_coverage=True),
                     [(tr.attention.tobytes(), tr.coverage_before.tobytes(), tr.p_gen, tr.penalty)
-                     for tr in traces])
+                     for tr in step_traces(tape, step)])
 
         stacked = run()
         use_oracle_tape(monkeypatch)
@@ -1093,8 +1091,9 @@ def test_teacher_forced_replay_of_a_decode_matches_its_traces(trained, use_cover
             i if i < vocab.size else Vocabulary.UNK for i in out.token_ids[:-1]
         ]
         ex.target_ext_ids = list(out.token_ids)
-        _, _, _, traces = sequence_loss(Tape(), model, ex, use_coverage=use_coverage,
-                                        force_p_gen=force_p_gen, collect_traces=True)
+        tape = Tape()
+        _, step = summarizer._teacher_forced(tape, model, ex, use_coverage, force_p_gen)
+        traces = step_traces(tape, step)
         assert len(traces) == len(out.traces) == len(out.token_ids), search
         for replayed, decoded in zip(traces, out.traces):
             assert replayed.attention.tobytes() == decoded.attention.tobytes()
