@@ -27,6 +27,8 @@ import struct
 
 import numpy as np
 
+from .tape import all_finite
+
 MAGIC = b"B3SM"
 VERSION = 1
 
@@ -183,7 +185,7 @@ def restore_params(params, tensors: dict[str, np.ndarray]) -> None:
             raise CheckpointError(
                 f"tensor {name!r} has shape {arr.shape}, model expects {p.value.shape}"
             )
-        if not np.isfinite(arr).all():
+        if not all_finite(arr):
             raise CheckpointError(f"tensor {name!r} holds non-finite values")
     for name, p in byname.items():
         p.value[...] = tensors[name]

@@ -11,32 +11,32 @@ joined by the boundary token) or the truncated article.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
 from .corpus import BINARY_CLASSES, NewsPair, Vocabulary
-from .layers import BiLstmEncoder, EmbeddingTable, bilstm_encode, embed_rows, linear, uniform_param, zeros_param
+from .layers import BiLstmEncoder, EmbeddingTable, ParamInit, bilstm_encode, embed_rows, linear, zeros_param
 from .metrics import classification_report
 from .summarizer import target_token_sequence
 from .tape import Parameter, Tape, optimizer_step, train_steps
 
 
 class ClassifierParams:
-    """The classifier's tensors, drawn from ``seed``; with ``seed=None``
-    every tensor is zeros, made without a draw, for a checkpoint to fill."""
+    """The classifier's tensors, drawn from ``seed`` as one stream
+    (``layers.ParamInit``); with ``seed=None`` every tensor is zeros, made
+    without a draw, for a checkpoint to fill."""
 
     def __init__(self, vocab_size: int, emb_dim: int = 256, hidden_dim: int = 256,
                  seed: int | None = 13):
-        rng = None if seed is None else np.random.default_rng(seed)
-        draw = zeros_param if rng is None else partial(uniform_param, rng)
+        init = ParamInit(seed)
         self.vocab_size = vocab_size
         self.emb_dim = emb_dim
         self.hidden_dim = hidden_dim
-        self.embedding = EmbeddingTable(rng, "cls.emb", vocab_size, emb_dim)
-        self.encoder = BiLstmEncoder(rng, "cls.enc", emb_dim, hidden_dim)
-        self.decision_w = draw("cls.W_d", (2, 2 * hidden_dim))  # row 0 parallel, 1 sequence
+        self.embedding = EmbeddingTable(init, "cls.emb", vocab_size, emb_dim)
+        self.encoder = BiLstmEncoder(init, "cls.enc", emb_dim, hidden_dim)
+        self.decision_w = init.uniform("cls.W_d", (2, 2 * hidden_dim))  # row 0 parallel, 1 sequence
         self.decision_b = zeros_param("cls.b_d", (1, 2))
+        init.draw()
 
     def params(self) -> list[Parameter]:
         return self.embedding.params() + self.encoder.params() + [self.decision_w, self.decision_b]

@@ -17,69 +17,130 @@ from functools import cached_property
 
 import numpy as np
 
-from .tape import Parameter, Tape
+from .tape import Parameter, Tape, all_finite
 
 INIT_SCALE = 0.1
 FORGET_BIAS = 1.0
 
 
-# Element counts: a tensor of SPLIT_MIN or more is drawn on two threads (see
-# uniform_param); CHUNK float64 draws are 128 KiB, which stay in cache from
-# the draw through the scale to the float32 result.
+# Element counts: a model of SPLIT_MIN or more draws is drawn on two threads
+# (see ParamInit.draw).  CHUNK float64 draws (512 KiB) stay in cache from the
+# draw through the finiteness check and the scale to the float32 result, and
+# are few enough calls that numpy's per-call cost stays small.
 SPLIT_MIN = 1 << 16
-CHUNK = 1 << 14
+CHUNK = 1 << 16
 
 
-def _fill_uniform(gen: np.random.Generator, out: np.ndarray) -> None:
-    """Fill the flat ``out`` with ``gen``'s next ``len(out)`` draws of
-    ``uniform(-INIT_SCALE, INIT_SCALE)`` through one float64 buffer of at
-    most CHUNK draws.  Each value is numpy's ``low + (high - low) * u``,
-    computed in float64 and rounded once into ``out``: a float64 ``out``
-    holds the bytes of one ``gen.uniform`` call, a float32 one their cast."""
-    work = np.empty(min(CHUNK, len(out)), dtype=np.float64)
-    for lo in range(0, len(out), CHUNK):
-        dst = out[lo:lo + CHUNK]
-        chunk = work[:len(dst)]
-        gen.random(out=chunk)
-        chunk *= 2 * INIT_SCALE
-        chunk += -INIT_SCALE
-        dst[...] = chunk  # a plain cast; a ufunc writing float32 would add a 64 KiB buffer
+def _draw_chunk(gen: np.random.Generator, chunk: np.ndarray) -> None:
+    """Overwrite the float64 ``chunk`` with ``gen``'s next ``len(chunk)``
+    draws of ``uniform(-INIT_SCALE, INIT_SCALE)``: numpy's own
+    ``low + (high - low) * u``, so they are ``gen.uniform``'s bytes."""
+    gen.random(out=chunk)
+    chunk *= 2 * INIT_SCALE
+    chunk += -INIT_SCALE
 
 
-def uniform_param(rng: np.random.Generator, name: str, shape) -> Parameter:
-    """A Parameter of ``rng.uniform(-INIT_SCALE, INIT_SCALE, size=shape)`` as
-    float32, leaving ``rng`` in the state that call leaves it in.
+def _fill_uniform(gen: np.random.Generator, segments) -> None:
+    """Fill each flat view of ``segments``, (name, view) pairs in stream
+    order, with ``gen``'s next draws through one float64 buffer of at most
+    CHUNK draws.  Each chunk is checked finite while it is in cache (a
+    non-finite one raises ValueError naming its parameter), then rounded
+    once into its view: a float64 view holds ``gen.uniform``'s bytes, a
+    float32 one their cast, finite when they are, since each value lies in
+    [-INIT_SCALE, INIT_SCALE]."""
+    work = np.empty(min(CHUNK, max(v.size for _, v in segments)), dtype=np.float64)
+    for name, v in segments:
+        for lo in range(0, v.size, CHUNK):
+            dst = v[lo:lo + CHUNK]
+            chunk = work[:len(dst)]
+            _draw_chunk(gen, chunk)
+            if not all_finite(chunk):
+                raise ValueError(f"parameter {name!r} has non-finite values")
+            dst[...] = chunk  # a plain cast; a ufunc writing float32 would add a 64 KiB buffer
 
-    The draws go straight into the float32 array the Parameter keeps, a
-    chunk at a time, so no tensor-sized float64 array is made.  A PCG64
-    tensor of at least ``SPLIT_MIN`` elements is drawn in two halves at
-    once, each through its own chunk buffer: ``rng`` draws the first, and a
-    helper thread draws the second from a copy of the stream advanced past
-    the first.  After the join, ``rng`` takes the copy's position;
-    ``advance`` clears PCG64's buffered 32-bit word, which is put back.  An
-    error in the helper is raised here, and no thread outlives the call.
+
+def _split(segments, at: int):
+    """``segments`` cut at stream position ``at``: the (name, view) pairs
+    before it and those after it, a tensor across ``at`` cut in two views."""
+    first, second, lo = [], [], 0
+    for name, v in segments:
+        hi = lo + v.size
+        if hi <= at:
+            first.append((name, v))
+        elif lo >= at:
+            second.append((name, v))
+        else:
+            first.append((name, v[:at - lo]))
+            second.append((name, v[at - lo:]))
+        lo = hi
+    return first, second
+
+
+def zeros_param(name: str, shape) -> Parameter:
+    return Parameter._unchecked(name, np.zeros(shape, dtype=np.float32))
+
+
+class ParamInit:
+    """The random tensors of one model, drawn as one stream.
+
+    ``seed`` is an int or a ``np.random.Generator``, which is drawn from in
+    place; with ``seed=None`` every tensor is zeros, made without a draw, for
+    a checkpoint to fill.  A model declares its tensors with ``uniform`` in
+    stream order and then calls ``draw`` once, which fills them all: each
+    holds ``rng.uniform(-INIT_SCALE, INIT_SCALE, size=shape)`` cast to
+    float32, as if drawn in turn by one serial call per tensor, and leaves
+    the generator in the state those calls leave it in.
+
+    The draws go straight into the float32 arrays the Parameters keep, a
+    chunk at a time, so no tensor-sized float64 array is made, and each
+    chunk is checked finite as it is drawn, so no Parameter reads its values
+    again.  A PCG64 stream of at least ``SPLIT_MIN`` draws is split once at
+    its midpoint, which may fall inside a tensor: the caller draws the first
+    half, and one helper thread draws the second from a copy of the stream
+    advanced past the first, each through its own chunk buffer.  After the
+    join the generator takes the copy's position; ``advance`` clears PCG64's
+    buffered 32-bit word, which is put back.  An error in the helper is
+    raised in the caller, and no thread outlives ``draw``.
     """
-    value = np.empty(shape, dtype=np.float32)
-    v = value.reshape(-1)
-    bits = rng.bit_generator
-    if v.size < SPLIT_MIN or not isinstance(bits, np.random.PCG64):
-        _fill_uniform(rng, v)
-    else:
-        half = v.size // 2
+
+    def __init__(self, seed: int | np.random.Generator | None):
+        self.rng = None if seed is None else np.random.default_rng(seed)
+        self._declared: list[Parameter] = []
+
+    def uniform(self, name: str, shape) -> Parameter:
+        """A Parameter of ``shape`` that ``draw`` fills; zeros without a seed."""
+        if self.rng is None:
+            return zeros_param(name, shape)
+        p = Parameter._unchecked(name, np.empty(shape, dtype=np.float32))
+        self._declared.append(p)
+        return p
+
+    def draw(self) -> None:
+        """Fill every tensor declared since the last call."""
+        segments = [(p.name, p.value.reshape(-1)) for p in self._declared]
+        self._declared = []
+        n = sum(v.size for _, v in segments)
+        if n == 0:
+            return
+        bits = self.rng.bit_generator
+        if n < SPLIT_MIN or not isinstance(bits, np.random.PCG64):
+            _fill_uniform(self.rng, segments)
+            return
+        first, second = _split(segments, n // 2)
         ahead = copy.deepcopy(bits)
-        ahead.advance(half)
+        ahead.advance(n // 2)
         errors = []
 
         def second_half():
             try:
-                _fill_uniform(np.random.Generator(ahead), v[half:])
+                _fill_uniform(np.random.Generator(ahead), second)
             except BaseException as exc:  # re-raised by the caller after the join
                 errors.append(exc)
 
-        helper = threading.Thread(target=second_half, name=f"uniform_param {name}")
+        helper = threading.Thread(target=second_half, name="ParamInit.draw")
         helper.start()
         try:
-            _fill_uniform(rng, v[:half])
+            _fill_uniform(self.rng, first)
         finally:
             helper.join()
         if errors:
@@ -88,24 +149,18 @@ def uniform_param(rng: np.random.Generator, name: str, shape) -> Parameter:
         buffered = bits.state
         state["has_uint32"], state["uinteger"] = buffered["has_uint32"], buffered["uinteger"]
         bits.state = state
-    return Parameter(name, value)
-
-
-def zeros_param(name: str, shape) -> Parameter:
-    return Parameter(name, np.zeros(shape, dtype=np.float32))
 
 
 class EmbeddingTable:
-    """Token-id to vector lookup; row k of the weight matrix embeds id k.
-    With ``rng=None`` the weights are zeros, made without a draw.  Only
+    """Token-id to vector lookup; row k of the weight matrix embeds id k,
+    declared to ``init`` (zeros if it has no seed).  Only
     ``embed_rows`` reads the weights, so they are ``row_sparse``: Adagrad
     keeps state only for the rows training has gathered."""
 
-    def __init__(self, rng: np.random.Generator | None, name: str, vocab_size: int, dim: int):
+    def __init__(self, init: ParamInit, name: str, vocab_size: int, dim: int):
         self.vocab_size = vocab_size
         self.dim = dim
-        shape = (vocab_size, dim)
-        self.weights = zeros_param(name, shape) if rng is None else uniform_param(rng, name, shape)
+        self.weights = init.uniform(name, (vocab_size, dim))
         self.weights.row_sparse = True
 
     def params(self):
@@ -120,21 +175,16 @@ def embed_rows(tape: Tape, table: EmbeddingTable, ids) -> int:
 
 
 class LstmCell:
-    """Standard LSTM cell; gate matrices are (hidden x (input + hidden)).
-    With ``rng=None`` they are zeros, made without a draw."""
+    """Standard LSTM cell; gate matrices are (hidden x (input + hidden)),
+    declared to ``init`` (zeros if it has no seed)."""
 
     GATES = ("i", "f", "o", "g")
 
-    def __init__(self, rng: np.random.Generator | None, name: str, input_dim: int,
-                 hidden_dim: int):
+    def __init__(self, init: ParamInit, name: str, input_dim: int, hidden_dim: int):
         self.input_dim = input_dim
         self.hidden_dim = hidden_dim
         shape = (hidden_dim, input_dim + hidden_dim)
-        self.w = {
-            gate: zeros_param(f"{name}.W_{gate}", shape) if rng is None
-            else uniform_param(rng, f"{name}.W_{gate}", shape)
-            for gate in self.GATES
-        }
+        self.w = {gate: init.uniform(f"{name}.W_{gate}", shape) for gate in self.GATES}
         self.b = {gate: zeros_param(f"{name}.b_{gate}", (1, hidden_dim)) for gate in self.GATES}
         self.b["f"].value += np.float32(FORGET_BIAS)
 
@@ -158,10 +208,9 @@ def lstm_step(tape: Tape, cell: LstmCell, xs: int, s0: int, reverse: bool = Fals
 
 
 class BiLstmEncoder:
-    def __init__(self, rng: np.random.Generator | None, name: str, input_dim: int,
-                 hidden_dim: int):
-        self.forward_cell = LstmCell(rng, f"{name}.fwd", input_dim, hidden_dim)
-        self.backward_cell = LstmCell(rng, f"{name}.bwd", input_dim, hidden_dim)
+    def __init__(self, init: ParamInit, name: str, input_dim: int, hidden_dim: int):
+        self.forward_cell = LstmCell(init, f"{name}.fwd", input_dim, hidden_dim)
+        self.backward_cell = LstmCell(init, f"{name}.bwd", input_dim, hidden_dim)
         self.hidden_dim = hidden_dim
 
     def params(self):

@@ -11,7 +11,7 @@ into the attention scores and penalizes re-attended positions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
@@ -21,11 +21,11 @@ from .layers import (
     BiLstmEncoder,
     EmbeddingTable,
     LstmCell,
+    ParamInit,
     bilstm_encode,
     embed_rows,
     linear,
     lstm_step,
-    uniform_param,
     zeros_param,
 )
 from .tape import CopyIds, Parameter, Tape, optimizer_step
@@ -70,14 +70,13 @@ class ExtendedVocab:
 
 
 class SummarizerParams:
-    """All learnable tensors of the summarization model, drawn from ``seed``;
-    with ``seed=None`` every tensor is zeros, made without a draw, for a
-    checkpoint to fill."""
+    """All learnable tensors of the summarization model, drawn from ``seed``
+    as one stream (``layers.ParamInit``); with ``seed=None`` every tensor is
+    zeros, made without a draw, for a checkpoint to fill."""
 
     def __init__(self, vocab_size: int, emb_dim: int, hidden_dim: int,
                  attn_dim: int | None = None, seed: int | None = 13):
-        rng = None if seed is None else np.random.default_rng(seed)
-        draw = zeros_param if rng is None else partial(uniform_param, rng)
+        init = ParamInit(seed)
         attn_dim = attn_dim or hidden_dim
         self.vocab_size = vocab_size
         self.emb_dim = emb_dim
@@ -87,30 +86,31 @@ class SummarizerParams:
         enc_dim = 2 * hidden_dim         # encoder h_i is [fwd; bwd]
         feat_dim = state_dim + enc_dim   # [s_t, h*_t]
 
-        self.embedding = EmbeddingTable(rng, "emb", vocab_size, emb_dim)
-        self.encoder = BiLstmEncoder(rng, "enc", emb_dim, hidden_dim)
-        self.decoder = LstmCell(rng, "dec", emb_dim, hidden_dim)
+        self.embedding = EmbeddingTable(init, "emb", vocab_size, emb_dim)
+        self.encoder = BiLstmEncoder(init, "enc", emb_dim, hidden_dim)
+        self.decoder = LstmCell(init, "dec", emb_dim, hidden_dim)
 
-        self.attn_v = draw("attn.v", (1, attn_dim))
-        self.attn_w_enc = draw("attn.W_h", (attn_dim, enc_dim))
-        self.attn_w_state = draw("attn.W_s", (attn_dim, state_dim))
+        self.attn_v = init.uniform("attn.v", (1, attn_dim))
+        self.attn_w_enc = init.uniform("attn.W_h", (attn_dim, enc_dim))
+        self.attn_w_state = init.uniform("attn.W_s", (attn_dim, state_dim))
         self.attn_bias = zeros_param("attn.b_a", (1, attn_dim))
-        self.attn_w_cov = draw("attn.w_c", (1, attn_dim))
+        self.attn_w_cov = init.uniform("attn.w_c", (1, attn_dim))
 
         self.proj_b_in = zeros_param("proj.b_in", (1, feat_dim))
-        self.proj_v = draw("proj.V", (hidden_dim, feat_dim))
+        self.proj_v = init.uniform("proj.V", (hidden_dim, feat_dim))
         self.proj_b_mid = zeros_param("proj.b_mid", (1, hidden_dim))
-        self.proj_v_out = draw("proj.V_out", (vocab_size, hidden_dim))
+        self.proj_v_out = init.uniform("proj.V_out", (vocab_size, hidden_dim))
 
-        self.ptr_w_context = draw("ptr.w_context", (1, enc_dim))
-        self.ptr_w_state = draw("ptr.w_state", (1, state_dim))
-        self.ptr_w_input = draw("ptr.w_input", (1, emb_dim))
+        self.ptr_w_context = init.uniform("ptr.w_context", (1, enc_dim))
+        self.ptr_w_state = init.uniform("ptr.w_state", (1, state_dim))
+        self.ptr_w_input = init.uniform("ptr.w_input", (1, emb_dim))
         self.ptr_bias = zeros_param("ptr.b_g", (1, 1))
 
-        self.bridge_w_h = draw("bridge.W_h", (hidden_dim, enc_dim))
+        self.bridge_w_h = init.uniform("bridge.W_h", (hidden_dim, enc_dim))
         self.bridge_b_h = zeros_param("bridge.b_h", (1, hidden_dim))
-        self.bridge_w_c = draw("bridge.W_c", (hidden_dim, enc_dim))
+        self.bridge_w_c = init.uniform("bridge.W_c", (hidden_dim, enc_dim))
         self.bridge_b_c = zeros_param("bridge.b_c", (1, hidden_dim))
+        init.draw()
 
     def params(self) -> list[Parameter]:
         return (

@@ -225,13 +225,27 @@ class CopyIds:
         self.width = width
 
 
+def all_finite(values: np.ndarray) -> bool:
+    """Whether every value is finite, read without a value-sized mask: a
+    float64 sum of float32 values, or of float64 values far below the
+    float64 maximum, cannot overflow, so it is finite exactly when every
+    value is.  ``Parameter``, a model's draw and ``restore_params`` all
+    check values by this one rule."""
+    with np.errstate(invalid="ignore"):  # inf + -inf: a nan, rejected
+        return math.isfinite(values.sum(dtype=np.float64))
+
+
 class Parameter:
     """A named trainable tensor with gradient and Adagrad accumulator state.
 
     ``value`` is the C-contiguous float32 array it is handed, kept rather
-    than copied, so the caller gives that array up (``uniform_param`` and
-    ``zeros_param`` hand over what they made, and a model's tensors are
+    than copied, so the caller gives that array up (a model's tensors are
     never copied); a list, another dtype or another layout is converted.
+    A non-finite value raises ValueError naming the parameter.  The private
+    ``_unchecked`` keeps a 2-D C-contiguous float32 array without reading
+    it, for a maker whose values are finite by construction
+    (``layers.zeros_param``) or checked chunk by chunk as they are drawn
+    (``layers.ParamInit``), so a model's values are read once, not twice.
 
     ``grad`` (zeros) is created on first use.  The accumulator
     (``ADAGRAD_INIT_ACC``) is made by ``optimizer_step`` before it builds the
@@ -254,17 +268,23 @@ class Parameter:
     __slots__ = ("name", "value", "row_sparse", "_grad", "_acc")
 
     def __init__(self, name: str, value):
-        self.name = name
         # C order, so adagrad_step's flat views write into the value itself.
-        self.value = np.ascontiguousarray(value, dtype=np.float32)
-        if self.value.ndim != 2:
-            self.value = np.atleast_2d(self.value)
-        # A float64 sum of float32 values cannot overflow, so it is finite
-        # exactly when every value is; it makes no value-sized mask.
-        with np.errstate(invalid="ignore"):  # inf + -inf: a nan, rejected below
-            total = self.value.sum(dtype=np.float64)
-        if not math.isfinite(total):
+        value = np.ascontiguousarray(value, dtype=np.float32)
+        if value.ndim != 2:
+            value = np.atleast_2d(value)
+        if not all_finite(value):
             raise ValueError(f"parameter {name!r} has non-finite values")
+        self._keep(name, value)
+
+    @classmethod
+    def _unchecked(cls, name: str, value: np.ndarray) -> Parameter:
+        p = cls.__new__(cls)
+        p._keep(name, value)
+        return p
+
+    def _keep(self, name: str, value: np.ndarray) -> None:
+        self.name = name
+        self.value = value
         self.row_sparse = False
         self._grad = None
         self._acc = None

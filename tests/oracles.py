@@ -27,9 +27,9 @@ import math
 
 import numpy as np
 
-from b3sum import classifier, corpus, summarizer
+from b3sum import classifier, corpus, layers, summarizer
 from b3sum import tape as tape_mod
-from b3sum.layers import INIT_SCALE, BiLstmEncoder, EmbeddingTable, linear, zeros_param
+from b3sum.layers import INIT_SCALE, BiLstmEncoder, EmbeddingTable, ParamInit, linear, zeros_param
 from b3sum.summarizer import final_distribution, generation_prob, vocab_distribution
 from b3sum.tape import ADAGRAD_EPS, CopyIds, DimensionError, Parameter, Tape, _unbroadcast
 
@@ -344,13 +344,14 @@ class TwoHeadClassifierParams:
     each head.  The classifier pin was computed on it."""
 
     def __init__(self, vocab_size, emb_dim, hidden_dim, seed):
-        rng = np.random.default_rng(seed)
-        self.embedding = EmbeddingTable(rng, "cls.emb", vocab_size, emb_dim)
-        self.encoder = BiLstmEncoder(rng, "cls.enc", emb_dim, hidden_dim)
-        self.head_parallel_w = uniform_param(rng, "cls.W_p", (2, 2 * hidden_dim))
+        init = ParamInit(seed)
+        self.embedding = EmbeddingTable(init, "cls.emb", vocab_size, emb_dim)
+        self.encoder = BiLstmEncoder(init, "cls.enc", emb_dim, hidden_dim)
+        self.head_parallel_w = init.uniform("cls.W_p", (2, 2 * hidden_dim))
         self.head_parallel_b = zeros_param("cls.b_p", (1, 2))
-        self.head_sequence_w = uniform_param(rng, "cls.W_s", (2, 2 * hidden_dim))
+        self.head_sequence_w = init.uniform("cls.W_s", (2, 2 * hidden_dim))
         self.head_sequence_b = zeros_param("cls.b_s", (1, 2))
+        init.draw()
 
     def params(self):
         return (self.embedding.params() + self.encoder.params()
@@ -485,9 +486,28 @@ def dense_acc_row_step(value, acc, grad, lr):
 
 
 def uniform_param(rng, name, shape):
-    """Drop-in for ``layers.uniform_param``: one serial ``rng.uniform`` call
-    cast to float32, the reference for the two-part draw."""
+    """One serial ``rng.uniform`` call cast to float32: the reference for
+    ``layers.ParamInit``'s one-pass draw."""
     return Parameter(name, rng.uniform(-INIT_SCALE, INIT_SCALE, size=shape).astype(np.float32))
+
+
+def use_serial_init(monkeypatch):
+    """Patch ``layers.ParamInit`` so each random tensor is drawn as it is
+    declared, by ``uniform_param``, and ``draw`` has nothing left to do.
+    Returns the names of the tensors drawn, in order, so a test can check
+    that the reference made every random tensor it compares."""
+    drawn = []
+    declare = layers.ParamInit.uniform
+
+    def serial(init, name, shape):
+        if init.rng is None:
+            return declare(init, name, shape)
+        drawn.append(name)
+        return uniform_param(init.rng, name, shape)
+
+    monkeypatch.setattr(layers.ParamInit, "uniform", serial)
+    monkeypatch.setattr(layers.ParamInit, "draw", lambda init: None)
+    return drawn
 
 
 def _fresh_oov_name(rng):

@@ -180,6 +180,21 @@ class TestCheckpointRoundTrip:
             restore_params([a, b], tensors)
         np.testing.assert_array_equal(a.value, [[0.0, 0.0]])
 
+    @pytest.mark.parametrize("bad", [[np.nan, 1.0], [-np.inf, 1.0], [np.inf, -np.inf]])
+    def test_every_non_finite_kind_is_rejected_by_name(self, bad):
+        p = Parameter("w", [[0.0, 0.0]])
+        with pytest.raises(CheckpointError, match="tensor 'w' holds non-finite values"):
+            restore_params([p], {"w": np.array([bad], dtype=np.float32)})
+        np.testing.assert_array_equal(p.value, [[0.0, 0.0]])
+
+    def test_a_vocab_20k_tensor_is_checked_without_a_value_sized_mask(self):
+        table = np.full((20000, 256), 0.5, dtype=np.float32)
+        p = Parameter("proj.V_out", np.zeros_like(table))
+        with traced_peak() as traced:
+            restore_params([p], {"proj.V_out": table})
+        assert traced.peak < 256 * 1024  # an np.isfinite mask would be 5.12 MB
+        assert p.value.tobytes() == table.tobytes()
+
     @pytest.mark.parametrize("bad", ["long-name", "bad-value"])
     def test_failed_save_keeps_previous_checkpoint(self, tmp_path, bad):
         path = tmp_path / "m.ckpt"

@@ -9,7 +9,7 @@ from b3sum.checkpoint import checkpoint_digest, load_checkpoint
 from b3sum.classifier import ClassifierParams
 from b3sum.config import RunConfig
 from b3sum.corpus import build_vocab, synth_generate
-from b3sum import classifier, layers, pipeline
+from b3sum import layers, pipeline
 from b3sum.pipeline import (
     StructureAwareModel,
     _train_steps,
@@ -214,11 +214,20 @@ def test_loading_draws_nothing_and_restores_every_byte(corpus, tmp_path, monkeyp
              "c": pipeline.restore_model(pipeline.new_classifier(vocab.size, cfg),
                                          tmp_path / "c.ckpt", cfg)}
     calls = []
-    for module in (layers, summarizer, classifier):
-        monkeypatch.setattr(module, "uniform_param", lambda rng, name, shape: calls.append(name))
+    fill = layers._fill_uniform
+
+    def counting(gen, segments):
+        calls.extend(name for name, _ in segments)
+        fill(gen, segments)
+
+    monkeypatch.setattr(layers, "_fill_uniform", counting)
     loaded = {"s": pipeline.load_summarizer(tmp_path / "s.ckpt", vocab, cfg),
               "c": pipeline.load_classifier(tmp_path / "c.ckpt", vocab, cfg)}
     assert calls == []
+    # the counting patch sees every draw a fresh model makes
+    fresh = pipeline.new_summarizer(vocab.size, cfg)
+    assert calls and set(calls) == {p.name for p in fresh.params()
+                                    if p.value.min() != p.value.max()}
     for key in saved:
         for p, q, r in zip(loaded[key].params(), drawn[key].params(), saved[key].params(),
                            strict=True):
