@@ -94,7 +94,7 @@ _FRACTION = "a number in [0, 1]", lambda v: 0 <= v <= 1
 _COUNT = "an integer >= 1", lambda v: v >= 1
 # flag -> (what the value must be, check) for the numeric flags that are not
 # config keys, so a bad value is named by its flag; synth_generate and
-# build_vocab keep their own checks of n and size for library callers
+# build_vocab keep their own checks of n, the rates and size for library callers
 _FLAG_RULES = {"oov_rate": _FRACTION, "mix": _FRACTION, "target_precision": _FRACTION,
                "min_count": _COUNT, "steps": _COUNT, "epochs": _COUNT,
                "n": (f"an integer in [1, {MAX_SYNTH_PAIRS}]", lambda v: 1 <= v <= MAX_SYNTH_PAIRS),

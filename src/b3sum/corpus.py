@@ -349,8 +349,11 @@ def build_vocab(pairs, mode: str = "cap", size: int = 50000, min_count: int = 2)
 
 def split_pairs(pairs, sizes, seed: int = 0):
     """Deterministic train/dev/test split of ``sizes=(n_train, n_dev, n_test)``
-    pairs, shuffled by ``seed``."""
+    pairs, shuffled by ``seed``.  A negative size raises CorpusError."""
     n = len(pairs)
+    for name, size in zip(("train", "dev", "test"), sizes):
+        if size < 0:
+            raise CorpusError(f"{name} split size must be >= 0, got {size}")
     if sum(sizes) > n:
         raise CorpusError(f"requested split sizes {sizes} exceed corpus size {n}")
     order = np.random.default_rng(seed).permutation(n)
@@ -381,11 +384,6 @@ _OOV_STEMS = ["zorv", "vexl", "quam", "kyrr"]
 _RAW_BLOCK = 4096  # words per random_raw call, whatever the corpus size
 
 
-def _raw_words(bits):
-    while True:
-        yield from bits.random_raw(_RAW_BLOCK).tolist()
-
-
 class _Draws:
     """``Generator(bits)``'s ``random()``, ``integers(0, excl)`` (for
     2 <= excl <= 2**32) and ``choice(pop, k, replace=False)`` (for
@@ -395,22 +393,45 @@ class _Draws:
     high half (PCG64's ``next_uint32``).  ``below`` is Lemire's
     multiply-and-reject; ``sample`` is Floyd's sampling, then a Fisher-Yates
     shuffle, as numpy does them.
+
+    The words are read ``_RAW_BLOCK`` at a time into a buffer that
+    ``_replay_block`` also reads through ``peek`` and ``skip``; ``high`` is
+    the buffered high half, or None.  The two share this state, so either
+    resumes where the other stopped.
     """
 
     def __init__(self, bits):
-        self._word = _raw_words(bits).__next__
-        self._high = None
+        self._bits = bits
+        self._words = np.empty(0, np.uint64)
+        self._next = 0  # index in _words of the next unread word
+        self.high = None
+
+    def peek(self, count: int) -> np.ndarray:
+        """The next ``count`` words, left unread."""
+        while self._words.size - self._next < count:
+            self._words = np.concatenate(
+                (self._words[self._next:], self._bits.random_raw(_RAW_BLOCK)))
+            self._next = 0
+        return self._words[self._next : self._next + count]
+
+    def skip(self, count: int) -> None:
+        self._next += count
+
+    def _word(self) -> int:
+        word = int(self.peek(1)[0])
+        self._next += 1
+        return word
 
     def random(self) -> float:
         return (self._word() >> 11) * 2.0**-53
 
     def _u32(self) -> int:
-        high = self._high
+        high = self.high
         if high is None:
             word = self._word()
-            self._high = word >> 32
+            self.high = word >> 32
             return word & 0xFFFFFFFF
-        self._high = None
+        self.high = None
         return high
 
     def below(self, excl: int) -> int:
@@ -436,6 +457,152 @@ def _fresh_oov_name(draws: _Draws) -> str:
     return f"{_OOV_STEMS[draws.below(len(_OOV_STEMS))]}{100 + draws.below(900)}"
 
 
+def _draw_pair(draws: _Draws, oov_rate: float, structure_mix: float):
+    """One pair's (fields, parallel), drawn one call at a time.  ``fields``
+    are e1-e4, the three objects, the three places, the two days, the time
+    and the category."""
+    fields = [_ENTITIES[i] for i in draws.sample(len(_ENTITIES), 4)]
+    if draws.random() < oov_rate:
+        fields[0] = _fresh_oov_name(draws)
+    if draws.random() < oov_rate:
+        fields[1] = _fresh_oov_name(draws)
+    fields += (_OBJECTS[i] for i in draws.sample(len(_OBJECTS), 3))
+    fields += (_PLACES[i] for i in draws.sample(len(_PLACES), 3))
+    fields += (_DAYS[i] for i in draws.sample(len(_DAYS), 2))
+    fields.append(_TIMES[draws.below(len(_TIMES))])
+    parallel = draws.random() < structure_mix
+    fields.append(_CATEGORIES[draws.below(len(_CATEGORIES))])
+    return fields, parallel
+
+
+# _draw_pair's 26 bounded 32-bit draws, in draw order: the entities' Floyd
+# picks and Fisher-Yates swaps (columns 0-6), e1's and e2's OOV stem and
+# number (7-10, drawn only when that pair's double falls below oov_rate),
+# then those of the objects (11-15), the places (16-20) and the days
+# (21-23), the time (24) and the category (25).
+_BOUNDS = np.array([13, 14, 15, 16, 4, 3, 2, 4, 900, 4, 900,
+                    5, 6, 7, 3, 2, 4, 5, 6, 3, 2, 4, 5, 2, 4, 3])
+# Lemire redraws a low half below these (made in Python: numpy arithmetic
+# at import reads more of numpy's code and raises max RSS)
+_THRESHOLDS = np.array([(2**32 - b) % b for b in _BOUNDS.tolist()])
+# where each column's draw sits among its pair's 32-bit halves, before the
+# OOV draws the pair skips are taken out
+_HALF = np.array([*range(9), 7, 8, *range(7, 22)])
+_AFTER_E1 = np.array([0] * 9 + [2] * 17)
+_AFTER_E2 = np.array([0] * 11 + [2] * 15)
+# The four samples as rows of a (4 x 4) block: entities (k = 4), objects,
+# places (k = 3), days (k = 2).  Their spare slots hold the time (7, 11, 14)
+# and the category (15), so the block's 16 slots index one lexicon.
+_SLOTS = np.array([0, 1, 2, 3, 11, 12, 13, 24, 16, 17, 18, 24, 21, 22, 24, 25])
+_FLOYD_FIRST = np.array([12, 4, 3, 3])  # pop - k
+# Fisher-Yates step i = 3, 2, 1 swaps slot i of each sample with k > i and the
+# slot its draw names: (slots i, the samples' first slots, the draws' columns)
+_SWAPS = [(np.array([3]), np.array([0]), [4]),
+          (np.array([2, 6, 10]), np.array([0, 4, 8]), [5, 14, 19]),
+          (np.array([1, 5, 9, 13]), np.array([0, 4, 8, 12]), [6, 15, 20, 23])]
+_LEXICON = np.array(_ENTITIES + _OBJECTS + _PLACES + _DAYS + _TIMES + _CATEGORIES, object)
+_FIELDS = [0, 1, 2, 3, 4, 5, 6, 8, 9, 10, 12, 13, 14, 15]  # slots in _draw_pair's order
+_LEXICON_AT = np.array([0, 0, 0, 0, 16, 16, 16, 23, 23, 23, 29, 29, 34, 38])  # field list starts
+_BLOCK_PAIRS = 256  # at most 16 words a pair, so a block peeks 4096 words
+
+
+def _replay_block(draws: _Draws, count: int, oov_rate: float, structure_mix: float):
+    """``_draw_pair``'s results for up to ``count`` pairs, made as whole
+    arrays, and ``draws`` left after them.  It stops before the first pair
+    with a low half that Lemire may redraw (in practice a 900-bound OOV
+    number, at 796 in 2**32), which ``_draw_pair`` then replays.
+
+    A pair takes 14 words, plus one for each OOV name: its three doubles
+    take one each, its 22 or more 32-bit draws the halves of the rest.  As
+    that count of halves is even, every pair starts with the buffered half
+    (``draws.high``) the block started with, or with none.
+    """
+    parity = draws.high is not None
+    window = draws.peek(16 * count)
+    hits = ((window >> 11) * 2.0**-53 < oov_rate).tolist()
+    first_double = 4 - parity  # after the entities' 7 draws
+    e1_oov, e2_oov = [], []
+    d1 = first_double
+    for _ in range(count):
+        o1 = hits[d1]
+        o2 = hits[d1 + 1 + o1]
+        e1_oov.append(o1)
+        e2_oov.append(o2)
+        d1 += 14 + o1 + o2
+    o1, o2 = np.array(e1_oov, np.intp), np.array(e2_oov, np.intp)
+    start = np.zeros(count + 1, np.intp)  # each pair's first word, then the block's end
+    np.cumsum(14 + o1 + o2, out=start[1:])
+    first = 2 * start - 6 * np.arange(count + 1)  # each pair's first half in ``halves``
+    d1 = start[:-1] + first_double
+    d2 = d1 + 1 + o1
+    d3 = d2 + 8 + o2
+    keep = np.ones(start[-1], bool)
+    keep[d1] = keep[d2] = keep[d3] = False
+    halves = window[: start[-1]][keep].astype("<u8", copy=False).view("<u4").astype(np.int64)
+    if parity:
+        halves = np.concatenate(([draws.high], halves))
+    prod = halves[first[:-1, None] + _HALF + o1[:, None] * _AFTER_E1
+                  + o2[:, None] * _AFTER_E2] * _BOUNDS
+    # the OOV columns of a pair without that name read two of its other
+    # draws, which can only stop the block early, never make it wrong
+    redrawn = ((prod & 0xFFFFFFFF) < _THRESHOLDS).any(1)
+    done = int(redrawn.argmax()) if redrawn.any() else count
+    draws.skip(int(start[done]))
+    draws.high = int(halves[first[done]]) if parity else None
+
+    drawn = prod[:done] >> 32
+    picks = drawn[:, _SLOTS]
+    block = picks.reshape(-1, 4, 4)
+    for t, m in ((1, 4), (2, 3), (3, 1)):  # Floyd: a repeated pick becomes pop - k + t
+        pick = block[:, :m, t]
+        taken = (block[:, :m, :t] == pick[..., None]).any(2)
+        block[:, :m, t] = np.where(taken, _FLOYD_FIRST[:m] + t, pick)
+    rows = np.arange(done)[:, None]
+    for slots, starts, cols in _SWAPS:  # Fisher-Yates, one step i at a time
+        other = starts + drawn[:, cols]
+        held = picks[:, slots]
+        picks[:, slots] = picks[rows, other]
+        picks[rows, other] = held
+
+    words = _LEXICON[picks[:, _FIELDS] + _LEXICON_AT].tolist()
+    parallel = ((window[d3[:done]] >> 11) * 2.0**-53 < structure_mix).tolist()
+    pairs = []
+    for fields, new_e1, new_e2, (stem1, num1, stem2, num2), par in zip(
+            words, e1_oov, e2_oov, drawn[:, 7:11].tolist(), parallel):
+        if new_e1:
+            fields[0] = f"{_OOV_STEMS[stem1]}{100 + num1}"
+        if new_e2:
+            fields[1] = f"{_OOV_STEMS[stem2]}{100 + num2}"
+        pairs.append((fields, par))
+    return pairs
+
+
+def _news_pair(pair_id: str, fields, parallel: bool) -> NewsPair:
+    e1, e2, e3, e4, obj, obj2, obj3, place, place2, place3, day, day2, time, category = fields
+    s1 = [e1, "announced", "the", obj, "plan", "in", place, "on", day]
+    s2 = [e2, "backed", "the", obj, "effort", "from", place2]
+    if parallel:
+        s3 = [e1, "outlined", "further", obj2, "steps", "for", time]
+    else:
+        s3 = [e2, "detailed", "the", obj, "terms", "this", time]
+
+    article = (
+        s1
+        + [e3, "visited", "the", place3, "fair", "yesterday"]
+        + s2
+        + [e4, "reviewed", "a", obj3, "proposal", "overnight"]
+        + s3
+        + ["officials", "expect", "updates", "after", day2]
+    )
+    return NewsPair(
+        id=pair_id,
+        article=article,
+        summary=[s1, s2, s3],
+        label=StructureLabel.PARALLEL if parallel else StructureLabel.SEQUENCE,
+        category=category,
+    )
+
+
 def synth_generate(
     seed: int, n: int, oov_rate: float = 0.2, structure_mix: float = 0.8
 ) -> list[NewsPair]:
@@ -446,47 +613,25 @@ def synth_generate(
     parallel pairs, e2 for sequence pairs.  Articles contain all three fact
     sentences verbatim plus distractors.  With probability oov_rate each
     entity is a fresh name outside the closed lexicon, so pairs exercise the
-    copy path once a vocabulary is built over the corpus.  ``_Draws``
-    replays the draws of ``np.random.default_rng(seed)``.
+    copy path once a vocabulary is built over the corpus.
+
+    The pairs are those of ``_draw_pair`` on ``np.random.default_rng(seed)``'s
+    draws.  ``_replay_block`` makes them ``_BLOCK_PAIRS`` at a time; a pair
+    with a draw Lemire may redraw is replayed by ``_draw_pair`` itself.  Both
+    rates must lie in [0, 1].
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    for name, rate in (("oov_rate", oov_rate), ("structure_mix", structure_mix)):
+        if not 0 <= rate <= 1:
+            raise ValueError(f"{name} must be in [0, 1], got {rate!r}")
     draws = _Draws(np.random.default_rng(seed).bit_generator)
     pairs = []
-    for k in range(n):
-        e1, e2, e3, e4 = (_ENTITIES[i] for i in draws.sample(len(_ENTITIES), 4))
-        if draws.random() < oov_rate:
-            e1 = _fresh_oov_name(draws)
-        if draws.random() < oov_rate:
-            e2 = _fresh_oov_name(draws)
-        obj, obj2, obj3 = (_OBJECTS[i] for i in draws.sample(len(_OBJECTS), 3))
-        place, place2, place3 = (_PLACES[i] for i in draws.sample(len(_PLACES), 3))
-        day, day2 = (_DAYS[i] for i in draws.sample(len(_DAYS), 2))
-        time = _TIMES[draws.below(len(_TIMES))]
-        parallel = draws.random() < structure_mix
-
-        s1 = [e1, "announced", "the", obj, "plan", "in", place, "on", day]
-        s2 = [e2, "backed", "the", obj, "effort", "from", place2]
-        if parallel:
-            s3 = [e1, "outlined", "further", obj2, "steps", "for", time]
-        else:
-            s3 = [e2, "detailed", "the", obj, "terms", "this", time]
-
-        article = (
-            s1
-            + [e3, "visited", "the", place3, "fair", "yesterday"]
-            + s2
-            + [e4, "reviewed", "a", obj3, "proposal", "overnight"]
-            + s3
-            + ["officials", "expect", "updates", "after", day2]
-        )
-        pairs.append(
-            NewsPair(
-                id=f"synth-{seed}-{k:05d}",
-                article=article,
-                summary=[s1, s2, s3],
-                label=StructureLabel.PARALLEL if parallel else StructureLabel.SEQUENCE,
-                category=_CATEGORIES[draws.below(len(_CATEGORIES))],
-            )
-        )
+    while len(pairs) < n:
+        want = min(n - len(pairs), _BLOCK_PAIRS)
+        block = _replay_block(draws, want, oov_rate, structure_mix)
+        if len(block) < want:  # the next pair holds a draw Lemire may redraw
+            block.append(_draw_pair(draws, oov_rate, structure_mix))
+        for fields, parallel in block:
+            pairs.append(_news_pair(f"synth-{seed}-{len(pairs):05d}", fields, parallel))
     return pairs

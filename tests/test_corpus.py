@@ -3,6 +3,7 @@
 import hashlib
 import json
 import re
+import sys
 import tempfile
 from pathlib import Path
 
@@ -26,6 +27,7 @@ from b3sum.corpus import (
     split_pairs,
     synth_generate,
 )
+from helpers import traced_peak
 
 
 def _pair(i="p1", n_article=5, label=None):
@@ -286,6 +288,13 @@ class TestSplit:
         with pytest.raises(CorpusError, match="exceed"):
             split_pairs(synth_generate(seed=1, n=3), sizes=(3, 1, 1))
 
+    @pytest.mark.parametrize("sizes, name", [((3, -1, 2), "dev"), ((-2, 1, 1), "train"),
+                                             ((1, 1, -1), "test")])
+    def test_a_negative_size_is_rejected_by_name(self, sizes, name):
+        """(3, -1, 2) on 5 pairs once put one pair in both train and test."""
+        with pytest.raises(CorpusError, match=rf"^{name} split size must be >= 0, got -\d$"):
+            split_pairs(synth_generate(seed=1, n=5), sizes=sizes)
+
 
 class TestSynthGenerate:
     def test_deterministic(self):
@@ -328,6 +337,13 @@ class TestSynthGenerate:
         with pytest.raises(ValueError):
             synth_generate(seed=1, n=0)
 
+    @pytest.mark.parametrize("name", ["oov_rate", "structure_mix"])
+    @pytest.mark.parametrize("rate", [float("nan"), -0.1, 1.5, float("inf"), -float("inf")])
+    def test_a_rate_outside_0_1_is_rejected_by_name(self, name, rate):
+        """A NaN rate once gave an all-sequence corpus with no OOV names."""
+        with pytest.raises(ValueError, match=rf"^{name} must be in \[0, 1\], got {rate!r}$"):
+            synth_generate(seed=1, n=200, **{name: rate})
+
     @pytest.mark.parametrize("seed", [-1, 1.5, "7"])
     def test_a_bad_seed_fails_as_default_rng_fails(self, seed):
         with pytest.raises((ValueError, TypeError)) as want:
@@ -352,13 +368,73 @@ class TestSynthGenerate:
 _RATES = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
 
 
+# the corpus sizes at and around the first two block boundaries
+_BOUNDARIES = [k * corpus._BLOCK_PAIRS + d for k in (1, 2) for d in (-1, 0, 1)]
+
+
 @settings(max_examples=150, deadline=None)
-@given(seed=st.integers(0, 2**64), n=st.integers(1, 400), oov_rate=_RATES,
-       structure_mix=_RATES)
+@given(seed=st.integers(0, 2**64),
+       n=st.integers(1, 2 * corpus._BLOCK_PAIRS + 40) | st.sampled_from(_BOUNDARIES),
+       oov_rate=_RATES, structure_mix=_RATES)
 def test_synth_generate_matches_the_generator_reference(seed, n, oov_rate, structure_mix):
     got = synth_generate(seed, n, oov_rate, structure_mix)
     want = oracles.synth_generate(seed, n, oov_rate, structure_mix)
     assert [p.to_json() for p in got] == [p.to_json() for p in want]
+
+
+def test_a_redrawn_draw_is_replayed_and_later_blocks_start_on_the_buffered_half(monkeypatch):
+    """Seed 224's 2000 all-OOV pairs hold one 900-bound draw that Lemire
+    redraws (796 of the 2**32 low halves are).  ``_draw_pair`` replays that
+    pair in 27 32-bit draws: 22, four for the two OOV names and the redraw.
+    The odd count leaves a half buffered, so every later block starts on it."""
+    fallbacks, block_starts = [], []
+    draw_pair, replay = corpus._draw_pair, corpus._replay_block
+
+    def counting_draw_pair(draws, *rates):
+        calls, u32 = [], draws._u32
+        draws._u32 = lambda: calls.append(1) or u32()
+        try:
+            return draw_pair(draws, *rates)
+        finally:
+            del draws._u32
+            fallbacks.append((block_starts[-1:], len(calls)))
+
+    def recording_replay(draws, count, *rates):
+        block_starts.append(draws.high is not None)
+        return replay(draws, count, *rates)
+
+    monkeypatch.setattr(corpus, "_draw_pair", counting_draw_pair)
+    monkeypatch.setattr(corpus, "_replay_block", recording_replay)
+    args = (224, 2000, 1.0, 0.5)
+    got = synth_generate(*args)
+    assert [p.to_json() for p in got] == [p.to_json() for p in oracles.synth_generate(*args)]
+    assert fallbacks == [([False], 27)]
+    assert block_starts[0] is False and len(block_starts) > 2 and all(block_starts[1:])
+
+
+@settings(max_examples=120, deadline=None)
+@given(seed=st.integers(0, 2**64), count=st.integers(1, 40), lead=st.integers(0, 3),
+       oov_rate=_RATES, structure_mix=_RATES, stop_early=st.booleans())
+def test_the_block_replay_matches_the_per_draw_replay_from_either_half(
+        seed, count, lead, oov_rate, structure_mix, stop_early):
+    """``_replay_block`` against ``_draw_pair`` from the same state: after
+    ``lead`` 32-bit draws, so an odd ``lead`` starts the block on a buffered
+    half.  ``stop_early`` raises every Lemire threshold to 2**26, so about
+    a third of the pairs stop the block, which must leave the state where
+    the per-draw replay of the pairs before them does."""
+    block_draws, pair_draws = (corpus._Draws(np.random.default_rng(seed).bit_generator)
+                               for _ in range(2))
+    for draws in (block_draws, pair_draws):
+        for _ in range(lead):
+            draws.below(2)
+    with pytest.MonkeyPatch.context() as mp:
+        if stop_early:
+            mp.setattr(corpus, "_THRESHOLDS", np.full(26, 2**26, np.uint64))
+        got = corpus._replay_block(block_draws, count, oov_rate, structure_mix)
+    want = [corpus._draw_pair(pair_draws, oov_rate, structure_mix) for _ in got]
+    assert got == want
+    assert block_draws.high == pair_draws.high
+    assert block_draws.random() == pair_draws.random()
 
 
 class TestDraws:
@@ -409,8 +485,13 @@ class TestDraws:
             assert draws.random() == rng.random()
 
     def test_a_large_corpus_reads_one_block_at_a_time(self, monkeypatch):
-        sizes = []
-        replay = corpus._Draws
+        """10**5 pairs read their words ``_RAW_BLOCK`` at a time and are
+        replayed at most ``_BLOCK_PAIRS`` at a time.  No array grows with n:
+        the traced peak stays within the pairs list plus 1 MiB, where the
+        block's working set is about 0.45 MiB and one int64 per pair would
+        add 0.76 MiB."""
+        sizes, counts = [], []
+        draws, replay = corpus._Draws, corpus._replay_block
 
         class Recording:
             def __init__(self, bits):
@@ -420,10 +501,19 @@ class TestDraws:
                 sizes.append(size)
                 return self.bits.random_raw(size)
 
-        monkeypatch.setattr(corpus, "_Draws", lambda bits: replay(Recording(bits)))
-        monkeypatch.setattr(corpus, "NewsPair", lambda **fields: None)  # keep no pairs
-        assert len(synth_generate(seed=3, n=10**5)) == 10**5
+        def recording_replay(block_draws, count, *rates):
+            counts.append(count)
+            return replay(block_draws, count, *rates)
+
+        monkeypatch.setattr(corpus, "_Draws", lambda bits: draws(Recording(bits)))
+        monkeypatch.setattr(corpus, "_replay_block", recording_replay)
+        monkeypatch.setattr(corpus, "_news_pair", lambda *args: None)  # keep no pairs
+        with traced_peak() as traced:
+            pairs = synth_generate(seed=3, n=10**5)
+        assert len(pairs) == 10**5
         assert len(sizes) > 1 and set(sizes) == {corpus._RAW_BLOCK}
+        assert max(counts) == corpus._BLOCK_PAIRS
+        assert traced.peak <= sys.getsizeof(pairs) + 2**20
 
 
 _SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
