@@ -68,7 +68,7 @@ def save_checkpoint(tensors: dict[str, np.ndarray], path, config_hash: bytes = b
             fh.write(encoded)
             fh.write(struct.pack("<B", arr.ndim))
             fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            fh.write(arr.tobytes())
+            fh.write(arr.data)  # the array's own buffer, not a bytes copy of it
         fh.write(config_hash)
 
 

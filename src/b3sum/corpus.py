@@ -19,7 +19,7 @@ import enum
 import json
 from collections import Counter
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -316,19 +316,18 @@ def preprocess(
 
 
 def build_vocab(pairs, mode: str = "cap", size: int = 50000, min_count: int = 2) -> Vocabulary:
-    """Build a vocabulary over article + summary tokens.
+    """Build a vocabulary over article + summary tokens, counted by one
+    ``Counter`` over each pair's article and then its summary sentences.
 
     mode="cap" keeps the `size` most frequent tokens (ties broken by first
-    occurrence); mode="min_count" keeps tokens seen at least `min_count`
-    times.  Specials are always present and do not count against the cap.
+    occurrence in that order); mode="min_count" keeps tokens seen at least
+    `min_count` times.  Specials are always present and do not count against
+    the cap.
     """
     if not pairs:
         raise CorpusError("cannot build vocabulary from an empty corpus")
-    counts: Counter[str] = Counter()  # in order of first occurrence
-    for p in pairs:
-        counts.update(p.article)
-        for s in p.summary:
-            counts.update(s)
+    counts = Counter(chain.from_iterable(
+        tokens for p in pairs for tokens in (p.article, *p.summary)))
     for special in Vocabulary.SPECIALS:
         counts.pop(special, None)
 
@@ -385,19 +384,14 @@ _RAW_BLOCK = 4096  # words per random_raw call, whatever the corpus size
 
 
 class _Draws:
-    """``Generator(bits)``'s ``random()``, ``integers(0, excl)`` (for
-    2 <= excl <= 2**32) and ``choice(pop, k, replace=False)`` (for
-    k < pop <= 10000) as ``random``, ``below`` and ``sample``, replayed from
-    the PCG64 ``bits``' raw words.  A double is ``(w >> 11) * 2**-53`` of a
-    fresh word; 32-bit draws are a fresh word's low half, then its buffered
-    high half (PCG64's ``next_uint32``).  ``below`` is Lemire's
-    multiply-and-reject; ``sample`` is Floyd's sampling, then a Fisher-Yates
-    shuffle, as numpy does them.
+    """The raw words of the PCG64 ``bits``, read ``_RAW_BLOCK`` at a time into
+    a buffer that ``_replay_block`` reads through ``peek`` and ``skip``, and
+    ``high``, the buffered high half of a word whose low half a 32-bit draw
+    took (PCG64's ``next_uint32``), or None.
 
-    The words are read ``_RAW_BLOCK`` at a time into a buffer that
-    ``_replay_block`` also reads through ``peek`` and ``skip``; ``high`` is
-    the buffered high half, or None.  The two share this state, so either
-    resumes where the other stopped.
+    ``release`` leaves ``bits`` where these draws stand, so that numpy's own
+    ``Generator`` on it draws on from there; ``resume`` reads back where it
+    stopped.
     """
 
     def __init__(self, bits):
@@ -417,61 +411,38 @@ class _Draws:
     def skip(self, count: int) -> None:
         self._next += count
 
-    def _word(self) -> int:
-        word = int(self.peek(1)[0])
-        self._next += 1
-        return word
+    def release(self) -> None:
+        """Move ``bits`` back to the next unread word, with ``high`` as its
+        buffered half, and empty the buffer."""
+        unread = self._words.size - self._next
+        if unread:
+            self._bits.advance(2**128 - unread)  # a full period less the words read ahead
+        state = self._bits.state  # advance cleared its buffered half
+        state["has_uint32"], state["uinteger"] = (0, 0) if self.high is None else (1, self.high)
+        self._bits.state = state
+        self._words, self._next = self._words[:0], 0
 
-    def random(self) -> float:
-        return (self._word() >> 11) * 2.0**-53
-
-    def _u32(self) -> int:
-        high = self.high
-        if high is None:
-            word = self._word()
-            self.high = word >> 32
-            return word & 0xFFFFFFFF
-        self.high = None
-        return high
-
-    def below(self, excl: int) -> int:
-        m = self._u32() * excl
-        if m & 0xFFFFFFFF < excl:
-            threshold = (0x100000000 - excl) % excl
-            while m & 0xFFFFFFFF < threshold:
-                m = self._u32() * excl
-        return m >> 32
-
-    def sample(self, pop: int, k: int) -> list[int]:
-        picked: list[int] = []
-        for j in range(pop - k, pop):
-            v = self.below(j + 1)
-            picked.append(j if v in picked else v)
-        for i in range(k - 1, 0, -1):
-            s = self.below(i + 1)
-            picked[i], picked[s] = picked[s], picked[i]
-        return picked
+    def resume(self) -> None:
+        """Take ``high`` back from ``bits``, where a ``Generator`` left it."""
+        state = self._bits.state
+        self.high = state["uinteger"] if state["has_uint32"] else None
 
 
-def _fresh_oov_name(draws: _Draws) -> str:
-    return f"{_OOV_STEMS[draws.below(len(_OOV_STEMS))]}{100 + draws.below(900)}"
-
-
-def _draw_pair(draws: _Draws, oov_rate: float, structure_mix: float):
-    """One pair's (fields, parallel), drawn one call at a time.  ``fields``
-    are e1-e4, the three objects, the three places, the two days, the time
-    and the category."""
-    fields = [_ENTITIES[i] for i in draws.sample(len(_ENTITIES), 4)]
-    if draws.random() < oov_rate:
-        fields[0] = _fresh_oov_name(draws)
-    if draws.random() < oov_rate:
-        fields[1] = _fresh_oov_name(draws)
-    fields += (_OBJECTS[i] for i in draws.sample(len(_OBJECTS), 3))
-    fields += (_PLACES[i] for i in draws.sample(len(_PLACES), 3))
-    fields += (_DAYS[i] for i in draws.sample(len(_DAYS), 2))
-    fields.append(_TIMES[draws.below(len(_TIMES))])
-    parallel = draws.random() < structure_mix
-    fields.append(_CATEGORIES[draws.below(len(_CATEGORIES))])
+def _draw_pair(rng: np.random.Generator, oov_rate: float, structure_mix: float):
+    """One pair's (fields, parallel), drawn by ``rng`` one call at a time:
+    the draws that ``_replay_block`` replays.  ``fields`` are e1-e4, the
+    three objects, the three places, the two days, the time and the
+    category."""
+    fields = [_ENTITIES[i] for i in rng.choice(len(_ENTITIES), 4, replace=False)]
+    for e in (0, 1):
+        if rng.random() < oov_rate:
+            fields[e] = f"{_OOV_STEMS[rng.integers(len(_OOV_STEMS))]}{rng.integers(100, 1000)}"
+    fields += (_OBJECTS[i] for i in rng.choice(len(_OBJECTS), 3, replace=False))
+    fields += (_PLACES[i] for i in rng.choice(len(_PLACES), 3, replace=False))
+    fields += (_DAYS[i] for i in rng.choice(len(_DAYS), 2, replace=False))
+    fields.append(_TIMES[rng.integers(len(_TIMES))])
+    parallel = rng.random() < structure_mix
+    fields.append(_CATEGORIES[rng.integers(len(_CATEGORIES))])
     return fields, parallel
 
 
@@ -508,9 +479,12 @@ _BLOCK_PAIRS = 256  # at most 16 words a pair, so a block peeks 4096 words
 
 def _replay_block(draws: _Draws, count: int, oov_rate: float, structure_mix: float):
     """``_draw_pair``'s results for up to ``count`` pairs, made as whole
-    arrays, and ``draws`` left after them.  It stops before the first pair
-    with a low half that Lemire may redraw (in practice a 900-bound OOV
-    number, at 796 in 2**32), which ``_draw_pair`` then replays.
+    arrays from the raw words, and ``draws`` left after them.  numpy's
+    ``choice(replace=False)`` is Floyd's sampling, then a Fisher-Yates
+    shuffle, and its bounded 32-bit draws are Lemire's multiply-and-reject;
+    so is this replay.  It stops before the first pair with a low half that
+    Lemire may redraw (in practice a 900-bound OOV number, at 796 in 2**32),
+    which ``_draw_pair`` then draws.
 
     A pair takes 14 words, plus one for each OOV name: its three doubles
     take one each, its 22 or more 32-bit draws the halves of the rest.  As
@@ -615,23 +589,27 @@ def synth_generate(
     entity is a fresh name outside the closed lexicon, so pairs exercise the
     copy path once a vocabulary is built over the corpus.
 
-    The pairs are those of ``_draw_pair`` on ``np.random.default_rng(seed)``'s
-    draws.  ``_replay_block`` makes them ``_BLOCK_PAIRS`` at a time; a pair
-    with a draw Lemire may redraw is replayed by ``_draw_pair`` itself.  Both
-    rates must lie in [0, 1].
+    The pairs are those of ``_draw_pair`` on ``np.random.default_rng(seed)``.
+    ``_replay_block`` makes them ``_BLOCK_PAIRS`` at a time from the raw
+    words; a pair with a draw Lemire may redraw is drawn by ``_draw_pair``
+    on the generator itself, which ``_Draws`` releases to it and then
+    resumes from.  Both rates must lie in [0, 1].
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     for name, rate in (("oov_rate", oov_rate), ("structure_mix", structure_mix)):
         if not 0 <= rate <= 1:
             raise ValueError(f"{name} must be in [0, 1], got {rate!r}")
-    draws = _Draws(np.random.default_rng(seed).bit_generator)
+    rng = np.random.default_rng(seed)
+    draws = _Draws(rng.bit_generator)
     pairs = []
     while len(pairs) < n:
         want = min(n - len(pairs), _BLOCK_PAIRS)
         block = _replay_block(draws, want, oov_rate, structure_mix)
         if len(block) < want:  # the next pair holds a draw Lemire may redraw
-            block.append(_draw_pair(draws, oov_rate, structure_mix))
+            draws.release()
+            block.append(_draw_pair(rng, oov_rate, structure_mix))
+            draws.resume()
         for fields, parallel in block:
             pairs.append(_news_pair(f"synth-{seed}-{len(pairs):05d}", fields, parallel))
     return pairs

@@ -461,10 +461,12 @@ def _split_sentences(token_ids, ext: ExtendedVocab) -> tuple[list[list[str]], bo
     return sentences, degenerate
 
 
-def _advance(hyp: Hypothesis, token: int, log_prob: float, state, coverage, traces) -> Hypothesis:
+def _advance(hyp: Hypothesis, token: int, log_prob: float, state, traces) -> Hypothesis:
+    """``hyp`` continued by ``token``, with no coverage yet: ``decode`` adds
+    it only to a hypothesis that takes another step."""
     sb_count = hyp.sb_count + (token == Vocabulary.SB)
     return Hypothesis(tokens=hyp.tokens + [token], log_prob=log_prob,
-                      state=state, coverage=coverage, sb_count=sb_count,
+                      state=state, sb_count=sb_count,
                       finished=token == Vocabulary.STOP or sb_count >= 3, traces=traces)
 
 
@@ -531,19 +533,28 @@ def decode(model: SummarizerParams, article_tokens, vocab: Vocabulary,
                     np.minimum(attention, coverage).sum())
                 traces = traces + [StepTrace(attention, coverage,
                                              float(tape.value(step.p_gen)[0, 0]), penalty)]
-            coverage = None if hyp.coverage is None else tape.add(hyp.coverage, step.a)
-            steps.append((step.s, coverage, traces))
+            steps.append((step, traces))
             for token in _top_k(logps, 2 * width):
                 candidates.append((-(hyp.log_prob + float(logps[token])), h_idx, int(token)))
         candidates.sort()
-        parents, beams = beams, []
+        parents, beams, kept_from = beams, [], []
         for neg_log_prob, h_idx, token in candidates:
-            nh = _advance(parents[h_idx], token, -neg_log_prob, *steps[h_idx])
-            (finished if nh.finished else beams).append(nh)
+            step, traces = steps[h_idx]
+            nh = _advance(parents[h_idx], token, -neg_log_prob, step.s, traces)
+            if nh.finished:
+                finished.append(nh)
+            else:
+                beams.append(nh)
+                kept_from.append(h_idx)
             if len(beams) >= width:
                 break
-        if not beams or len(finished) >= width:
+        if not beams or len(finished) >= width or t + 1 == max_decode_len:
             break
+        if use_coverage:  # one next coverage per parent, shared by its kept children
+            added = {h_idx: tape.add(parents[h_idx].coverage, steps[h_idx][0].a)
+                     for h_idx in dict.fromkeys(kept_from)}
+            for nh, h_idx in zip(beams, kept_from):
+                nh.coverage = added[h_idx]
     pool = finished if finished else beams
     best = max(pool, key=lambda h: (h.score(), -len(h.tokens)))
     sentences, degenerate = _split_sentences(best.tokens, ext)

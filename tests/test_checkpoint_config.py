@@ -195,6 +195,15 @@ class TestCheckpointRoundTrip:
         assert traced.peak < 256 * 1024  # an np.isfinite mask would be 5.12 MB
         assert p.value.tobytes() == table.tobytes()
 
+    def test_a_vocab_20k_tensor_is_saved_without_a_copy(self, tmp_path):
+        table = np.full((20000, 256), 0.5, dtype=np.float32)
+        path = tmp_path / "m.ckpt"
+        with traced_peak() as traced:
+            save_checkpoint({"proj.V_out": table}, path)
+        assert traced.peak < 256 * 1024  # a bytes copy of the table would be 20.48 MB
+        tensors, _ = load_checkpoint(path)
+        assert tensors["proj.V_out"].tobytes() == table.tobytes()
+
     @pytest.mark.parametrize("bad", ["long-name", "bad-value"])
     def test_failed_save_keeps_previous_checkpoint(self, tmp_path, bad):
         path = tmp_path / "m.ckpt"

@@ -1,6 +1,7 @@
 """JSONL ingestion, preprocessing, vocabulary, splits, synthetic generator."""
 
 import hashlib
+import itertools
 import json
 import re
 import sys
@@ -384,20 +385,16 @@ def test_synth_generate_matches_the_generator_reference(seed, n, oov_rate, struc
 
 def test_a_redrawn_draw_is_replayed_and_later_blocks_start_on_the_buffered_half(monkeypatch):
     """Seed 224's 2000 all-OOV pairs hold one 900-bound draw that Lemire
-    redraws (796 of the 2**32 low halves are).  ``_draw_pair`` replays that
-    pair in 27 32-bit draws: 22, four for the two OOV names and the redraw.
-    The odd count leaves a half buffered, so every later block starts on it."""
+    redraws (796 of the 2**32 low halves are).  ``_draw_pair`` draws that
+    pair on the generator in 27 32-bit draws: 22, four for the two OOV
+    names and the redraw.  The odd count leaves a half buffered, so every
+    later block starts on it."""
     fallbacks, block_starts = [], []
     draw_pair, replay = corpus._draw_pair, corpus._replay_block
 
-    def counting_draw_pair(draws, *rates):
-        calls, u32 = [], draws._u32
-        draws._u32 = lambda: calls.append(1) or u32()
-        try:
-            return draw_pair(draws, *rates)
-        finally:
-            del draws._u32
-            fallbacks.append((block_starts[-1:], len(calls)))
+    def counting_draw_pair(rng, *rates):
+        fallbacks.append(block_starts[-1:])
+        return draw_pair(rng, *rates)
 
     def recording_replay(draws, count, *rates):
         block_starts.append(draws.high is not None)
@@ -408,81 +405,84 @@ def test_a_redrawn_draw_is_replayed_and_later_blocks_start_on_the_buffered_half(
     args = (224, 2000, 1.0, 0.5)
     got = synth_generate(*args)
     assert [p.to_json() for p in got] == [p.to_json() for p in oracles.synth_generate(*args)]
-    assert fallbacks == [([False], 27)]
+    assert fallbacks == [[False]]
     assert block_starts[0] is False and len(block_starts) > 2 and all(block_starts[1:])
+
+
+def _position(bits):
+    """Where the PCG64 ``bits`` stands: its state and its buffered half, or
+    None (numpy leaves a spent half in ``uinteger``)."""
+    state = bits.state
+    return state["state"], state["uinteger"] if state["has_uint32"] else None
+
+
+# Lemire redraws about a third of the pairs' low halves below this
+_FORCED_THRESHOLDS = np.full(26, 2**26, np.int64)
 
 
 @settings(max_examples=120, deadline=None)
 @given(seed=st.integers(0, 2**64), count=st.integers(1, 40), lead=st.integers(0, 3),
        oov_rate=_RATES, structure_mix=_RATES, stop_early=st.booleans())
-def test_the_block_replay_matches_the_per_draw_replay_from_either_half(
+def test_the_block_replay_matches_the_generator_from_either_half(
         seed, count, lead, oov_rate, structure_mix, stop_early):
-    """``_replay_block`` against ``_draw_pair`` from the same state: after
-    ``lead`` 32-bit draws, so an odd ``lead`` starts the block on a buffered
-    half.  ``stop_early`` raises every Lemire threshold to 2**26, so about
-    a third of the pairs stop the block, which must leave the state where
-    the per-draw replay of the pairs before them does."""
-    block_draws, pair_draws = (corpus._Draws(np.random.default_rng(seed).bit_generator)
-                               for _ in range(2))
-    for draws in (block_draws, pair_draws):
+    """``_replay_block`` against ``_draw_pair`` on a ``Generator`` in the
+    same state: after ``lead`` draws of ``integers(0, 2)``, so an odd
+    ``lead`` starts the block on a buffered half.  ``stop_early`` raises
+    every Lemire threshold to 2**26, so about a third of the pairs stop the
+    block, which must leave the stream where the generator stands after the
+    pairs before them."""
+    block_rng, pair_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    for rng in (block_rng, pair_rng):
         for _ in range(lead):
-            draws.below(2)
+            rng.integers(0, 2)
+    draws = corpus._Draws(block_rng.bit_generator)
+    draws.resume()
     with pytest.MonkeyPatch.context() as mp:
         if stop_early:
-            mp.setattr(corpus, "_THRESHOLDS", np.full(26, 2**26, np.uint64))
-        got = corpus._replay_block(block_draws, count, oov_rate, structure_mix)
-    want = [corpus._draw_pair(pair_draws, oov_rate, structure_mix) for _ in got]
+            mp.setattr(corpus, "_THRESHOLDS", _FORCED_THRESHOLDS)
+        got = corpus._replay_block(draws, count, oov_rate, structure_mix)
+    want = [corpus._draw_pair(pair_rng, oov_rate, structure_mix) for _ in got]
     assert got == want
-    assert block_draws.high == pair_draws.high
-    assert block_draws.random() == pair_draws.random()
+    draws.release()
+    assert _position(block_rng.bit_generator) == _position(pair_rng.bit_generator)
 
 
 class TestDraws:
-    """``corpus._Draws`` against ``np.random.Generator`` on the same seed."""
+    """``corpus._Draws``: how it reads the stream and hands it to numpy."""
 
-    # Lemire rejects about half the first draws at 2**31 + 1, and at
-    # 2**32 - 1 rejects only a leftover of 0
-    BOUNDS = [2, 3, 4, 5, 6, 7, 16, 900, 2**31 - 1, 2**31, 2**31 + 1, 2**32 - 1, 2**32]
-    CALL = st.one_of(
-        st.tuples(st.just("below"), st.sampled_from(BOUNDS) | st.integers(2, 2**32)),
-        st.tuples(st.just("random")),
-        st.integers(2, 40).flatmap(
-            lambda pop: st.tuples(st.just("sample"), st.just(pop), st.integers(1, pop - 1))),
-    )
+    @pytest.mark.parametrize("raw_block", [3, 17, 4096])
+    def test_a_stopped_block_hands_the_generator_the_next_unread_word(
+            self, monkeypatch, raw_block):
+        """With every Lemire threshold at 2**26 about a third of the pairs
+        stop their block and are drawn by the generator.  Seed 224's pair 184
+        holds a draw that numpy really redraws, which leaves a half buffered,
+        so the later hand-offs start on it.  ``release`` must rewind the
+        stream to the next unread word, through ``advance`` by a full period
+        less the words read ahead, and leave ``high`` as its buffered half."""
+        monkeypatch.setattr(corpus, "_THRESHOLDS", _FORCED_THRESHOLDS)
+        monkeypatch.setattr(corpus, "_RAW_BLOCK", raw_block)
+        parities, release = [], corpus._Draws.release
 
-    @staticmethod
-    def replay(draws, call):
-        return getattr(draws, call[0])(*call[1:])
+        def checked_release(draws):
+            ahead = np.random.PCG64()
+            ahead.state = draws._bits.state
+            unread = [*draws._words[draws._next:].tolist(), int(ahead.random_raw())]
+            high = draws.high
+            release(draws)
+            rewound = np.random.PCG64()
+            rewound.state = state = draws._bits.state
+            assert (state["has_uint32"], state["uinteger"]) == (
+                (0, 0) if high is None else (1, high))
+            assert rewound.random_raw(len(unread)).tolist() == unread, \
+                "PCG64.advance did not rewind to the next unread word"
+            parities.append(high is not None)
 
-    @staticmethod
-    def generator(rng, call):
-        if call[0] == "below":
-            return int(rng.integers(0, call[1]))
-        if call[0] == "random":
-            return float(rng.random())
-        return rng.choice(call[1], call[2], replace=False).tolist()
-
-    @settings(max_examples=200, deadline=None)
-    @given(seed=st.integers(0, 2**32), calls=st.lists(CALL, max_size=60),
-           block=st.sampled_from([1, 2, 3, 5, 4096]))
-    def test_interleaved_calls_match(self, seed, calls, block):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(corpus, "_RAW_BLOCK", block)
-            draws, rng = corpus._Draws(np.random.default_rng(seed).bit_generator), \
-                np.random.default_rng(seed)
-            for call in [*calls, ("random",)]:
-                assert self.replay(draws, call) == self.generator(rng, call), call
-
-    def test_rejections_are_replayed(self):
-        """2**31 + 1 rejects about half its draws; each rejection must read
-        the next 32 bits, also across a block boundary."""
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(corpus, "_RAW_BLOCK", 3)
-            draws = corpus._Draws(np.random.default_rng(11).bit_generator)
-            rng = np.random.default_rng(11)
-            for excl in [2**31 + 1] * 500 + [2**32 - 1] * 50:
-                assert draws.below(excl) == rng.integers(0, excl)
-            assert draws.random() == rng.random()
+        monkeypatch.setattr(corpus._Draws, "release", checked_release)
+        for args in [(seed, 60, oov_rate, 0.5) for seed, oov_rate
+                     in itertools.product(range(6), (0.0, 0.3, 1.0))] + [(224, 260, 1.0, 0.5)]:
+            got = synth_generate(*args)
+            assert [p.to_json() for p in got] == [p.to_json() for p in oracles.synth_generate(*args)]
+        assert len(parities) > 100 and set(parities) == {False, True}
 
     def test_a_large_corpus_reads_one_block_at_a_time(self, monkeypatch):
         """10**5 pairs read their words ``_RAW_BLOCK`` at a time and are

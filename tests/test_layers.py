@@ -267,18 +267,10 @@ def test_no_production_tape_holds_an_unread_node(monkeypatch):
         tapes[f"{name} {use_coverage}"] = made.pop()
     assert len(tapes) == 14 and not made
 
-    def coverage_add(t, nid):
-        # decode's next coverage of a hypothesis, hyp.coverage + step.a: no
-        # step reads it once no candidate continued the hypothesis, or once
-        # decoding has stopped
-        node = t.nodes[nid]
-        return node.kernel is Kernel.ADD and t.nodes[node.input_ids[1]].kernel is Kernel.SLICE
-
     unread = {}
     for name, t in tapes.items():
         if name.startswith("decode"):  # each step's copy mix is read through tape.value
-            unread[name] = [(nid, kernel) for nid, kernel in unread_nodes(t, (Kernel.COPY_MIX,))
-                            if not coverage_add(t, nid)]
+            unread[name] = unread_nodes(t, (Kernel.COPY_MIX,))
         else:
             unread[name] = unread_nodes(t)
     assert unread == {name: [] for name in tapes}
