@@ -168,11 +168,11 @@ def load_checkpoint(path, expect_hash: bytes | None = None) -> tuple[dict[str, n
 
 
 def restore_params(params, tensors: dict[str, np.ndarray]) -> None:
-    """Copy loaded tensors into a model's parameters by name.
-
-    Every tensor is checked before any is copied: a misshapen or non-finite
-    tensor raises CheckpointError naming it, and so do missing and unknown
-    tensors, all listed in one message; the model is left unchanged.
+    """Hand loaded tensors to a model's parameters by name, each kept, not
+    copied (as ``Parameter`` keeps a C-contiguous float32 array), so the
+    caller gives the arrays up.  Every tensor is checked first: a misshapen
+    or non-finite tensor raises CheckpointError naming it, and so do missing
+    and unknown tensors, all listed in one message; the model is unchanged.
     """
     byname = {p.name: p for p in params}
     missing = sorted(set(byname) - set(tensors))
@@ -188,7 +188,7 @@ def restore_params(params, tensors: dict[str, np.ndarray]) -> None:
         if not all_finite(arr):
             raise CheckpointError(f"tensor {name!r} holds non-finite values")
     for name, p in byname.items():
-        p.value[...] = tensors[name]
+        p.value = np.ascontiguousarray(tensors[name], dtype=np.float32)
 
 
 def checkpoint_digest(path) -> str:

@@ -24,7 +24,7 @@ from .tape import Parameter, Tape, optimizer_step, train_steps
 class ClassifierParams:
     """The classifier's tensors, drawn from ``seed`` as one stream
     (``layers.ParamInit``); with ``seed=None`` every tensor is zeros, made
-    without a draw, for a checkpoint to fill."""
+    without a draw, for a checkpoint to replace."""
 
     def __init__(self, vocab_size: int, emb_dim: int = 256, hidden_dim: int = 256,
                  seed: int | None = 13):

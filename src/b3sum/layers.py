@@ -85,7 +85,7 @@ class ParamInit:
 
     ``seed`` is an int or a ``np.random.Generator``, which is drawn from in
     place; with ``seed=None`` every tensor is zeros, made without a draw, for
-    a checkpoint to fill.  A model declares its tensors with ``uniform`` in
+    a checkpoint to replace.  A model declares its tensors with ``uniform`` in
     stream order and then calls ``draw`` once, which fills them all: each
     holds ``rng.uniform(-INIT_SCALE, INIT_SCALE, size=shape)`` cast to
     float32, as if drawn in turn by one serial call per tensor, and leaves

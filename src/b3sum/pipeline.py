@@ -65,9 +65,9 @@ def save_model(model, path, cfg: RunConfig) -> None:
 
 
 def restore_model(model, path, cfg: RunConfig):
-    """``model`` with the tensors of the checkpoint at ``path``; a config
-    hash other than ``cfg``'s is logged as a warning, and a tensor set or
-    tensor the model cannot take raises CheckpointError naming the file."""
+    """``model`` holding the arrays loaded from the checkpoint at ``path``; a
+    config hash other than ``cfg``'s is logged as a warning, and a tensor set
+    or tensor the model cannot take raises CheckpointError naming the file."""
     tensors, _ = load_checkpoint(path, expect_hash=cfg.hash_bytes())
     try:
         restore_params(model.params(), tensors)
@@ -77,7 +77,7 @@ def restore_model(model, path, cfg: RunConfig):
 
 
 # A loaded model is built with seed=None: its tensors are zeros, not drawn,
-# until restore_model fills them.
+# until restore_model replaces them with the loaded arrays.
 def load_summarizer(path, vocab: Vocabulary, cfg: RunConfig) -> SummarizerParams:
     return restore_model(_summarizer(vocab.size, cfg, None), path, cfg)
 

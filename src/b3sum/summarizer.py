@@ -72,7 +72,7 @@ class ExtendedVocab:
 class SummarizerParams:
     """All learnable tensors of the summarization model, drawn from ``seed``
     as one stream (``layers.ParamInit``); with ``seed=None`` every tensor is
-    zeros, made without a draw, for a checkpoint to fill."""
+    zeros, made without a draw, for a checkpoint to replace."""
 
     def __init__(self, vocab_size: int, emb_dim: int, hidden_dim: int,
                  attn_dim: int | None = None, seed: int | None = 13):
@@ -424,16 +424,20 @@ def token_prediction_accuracy(model: SummarizerParams, examples: list[PreparedEx
 
 @dataclass
 class Hypothesis:
-    tokens: list[int] = field(default_factory=list)
+    """A hypothesis of ``length`` tokens, held as one link: ``path`` is
+    (the parent's path, token, trace), None before the first token.
+    ``trace`` is that step's (a, coverage before, p_gen) handles, which no
+    later step writes, or None without ``collect_traces``."""
+
+    length: int = 0
     log_prob: float = 0.0
     state: int | None = None  # the decoder state row [h | c]
     coverage: int | None = None
     sb_count: int = 0
-    finished: bool = False
-    traces: list[StepTrace] = field(default_factory=list)
+    path: tuple | None = None
 
     def score(self) -> float:
-        return self.log_prob / max(1, len(self.tokens))
+        return self.log_prob / max(1, self.length)
 
 
 @dataclass
@@ -461,15 +465,6 @@ def _split_sentences(token_ids, ext: ExtendedVocab) -> tuple[list[list[str]], bo
     return sentences, degenerate
 
 
-def _advance(hyp: Hypothesis, token: int, log_prob: float, state, traces) -> Hypothesis:
-    """``hyp`` continued by ``token``, with no coverage yet: ``decode`` adds
-    it only to a hypothesis that takes another step."""
-    sb_count = hyp.sb_count + (token == Vocabulary.SB)
-    return Hypothesis(tokens=hyp.tokens + [token], log_prob=log_prob,
-                      state=state, sb_count=sb_count,
-                      finished=token == Vocabulary.STOP or sb_count >= 3, traces=traces)
-
-
 def _top_k(x: np.ndarray, k: int) -> np.ndarray:
     """Ids of the ``k`` largest entries of ``x``, largest first and ties by
     lower id: ``np.argsort(-x, kind="stable")[:k]`` without sorting all of x."""
@@ -489,9 +484,9 @@ def decode(model: SummarizerParams, article_tokens, vocab: Vocabulary,
     Beam search keeps ``beam_size`` live hypotheses with length-normalized
     final scoring; greedy decoding is beam search of width 1.  Output token
     ids live in the extended vocabulary and are resolved back to surface
-    tokens, so copied out-of-vocabulary tokens survive.  With
-    ``collect_traces`` the result carries one ``StepTrace`` per token of the
-    winning hypothesis.
+    tokens, so copied out-of-vocabulary tokens survive.  The winner's links
+    are walked once at the end; with ``collect_traces`` the walk builds one
+    ``StepTrace`` per token of the winner, and no other.
     """
     if not article_tokens:
         raise ValueError("decode: empty article")
@@ -513,7 +508,7 @@ def decode(model: SummarizerParams, article_tokens, vocab: Vocabulary,
     for t in range(max_decode_len):
         steps, candidates = [], []
         for h_idx, hyp in enumerate(beams):
-            prev = hyp.tokens[-1] if hyp.tokens else Vocabulary.START
+            prev = hyp.path[1] if hyp.path else Vocabulary.START
             x_t = embed_rows(tape, model.embedding,
                              [prev if prev < model.vocab_size else Vocabulary.UNK])
             step = decoder_step(tape, model, art, x_t, hyp.state, hyp.coverage, force_p_gen)
@@ -522,26 +517,17 @@ def decode(model: SummarizerParams, article_tokens, vocab: Vocabulary,
                 raise ValueError(f"decode: non-finite probabilities at step {t}")
             logps = np.log(probs.astype(np.float64) + PGEN_EPS)
             logps[list(_BANNED_STARTS)] = -np.inf
-            traces = hyp.traces
-            if collect_traces:
-                attention = tape.value(step.a).copy()
-                coverage = (np.zeros(attention.shape) if hyp.coverage is None
-                            else tape.value(hyp.coverage).copy())
-                # a float32 sum, as decode traces have always been; the loss
-                # reads step.penalties, summed in float64
-                penalty = None if hyp.coverage is None else float(
-                    np.minimum(attention, coverage).sum())
-                traces = traces + [StepTrace(attention, coverage,
-                                             float(tape.value(step.p_gen)[0, 0]), penalty)]
-            steps.append((step, traces))
+            steps.append(step)
             for token in _top_k(logps, 2 * width):
                 candidates.append((-(hyp.log_prob + float(logps[token])), h_idx, int(token)))
         candidates.sort()
         parents, beams, kept_from = beams, [], []
         for neg_log_prob, h_idx, token in candidates:
-            step, traces = steps[h_idx]
-            nh = _advance(parents[h_idx], token, -neg_log_prob, step.s, traces)
-            if nh.finished:
+            parent, step = parents[h_idx], steps[h_idx]
+            trace = (step.a, parent.coverage, step.p_gen) if collect_traces else None
+            nh = Hypothesis(parent.length + 1, -neg_log_prob, step.s, None,
+                            parent.sb_count + (token == Vocabulary.SB), (parent.path, token, trace))
+            if token == Vocabulary.STOP or nh.sb_count >= 3:
                 finished.append(nh)
             else:
                 beams.append(nh)
@@ -551,11 +537,25 @@ def decode(model: SummarizerParams, article_tokens, vocab: Vocabulary,
         if not beams or len(finished) >= width or t + 1 == max_decode_len:
             break
         if use_coverage:  # one next coverage per parent, shared by its kept children
-            added = {h_idx: tape.add(parents[h_idx].coverage, steps[h_idx][0].a)
+            added = {h_idx: tape.add(parents[h_idx].coverage, steps[h_idx].a)
                      for h_idx in dict.fromkeys(kept_from)}
             for nh, h_idx in zip(beams, kept_from):
                 nh.coverage = added[h_idx]
     pool = finished if finished else beams
-    best = max(pool, key=lambda h: (h.score(), -len(h.tokens)))
-    sentences, degenerate = _split_sentences(best.tokens, ext)
-    return DecodeResult(sentences, best.tokens, degenerate, best.traces)
+    best = max(pool, key=lambda h: (h.score(), -h.length))
+    token_ids, traces, link = [], [], best.path
+    while link is not None:
+        link, token, trace = link
+        token_ids.append(token)
+        if collect_traces:
+            a, coverage, p_gen = trace
+            attention = tape.value(a)
+            before = np.zeros(attention.shape) if coverage is None else tape.value(coverage)
+            # a float32 sum, as decode traces have always been; the loss
+            # reads step.penalties, summed in float64
+            penalty = None if coverage is None else float(np.minimum(attention, before).sum())
+            traces.append(StepTrace(attention, before, float(tape.value(p_gen)[0, 0]), penalty))
+    token_ids.reverse()
+    traces.reverse()
+    sentences, degenerate = _split_sentences(token_ids, ext)
+    return DecodeResult(sentences, token_ids, degenerate, traces)

@@ -17,13 +17,16 @@ which one decision layer replaced, as the reference its pin runs on.
 ``MixChainTape`` keeps the chain of nodes the ``copy_mix`` kernel replaced;
 the summarizer's two pins (``GOLDEN`` and the pipeline's pinned run) pass it
 to ``use_oracle_tape``, since the kernel sums its p_gen adjoint over the
-source columns and so rounds training differently.
+source columns and so rounds training differently.  ``decode`` keeps the
+beam search that copied each hypothesis's token and trace lists, the
+reference for the library's search over links to parents.
 """
 
 import collections
 import enum
 import itertools
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -453,6 +456,107 @@ def per_step_teacher_forced(tape, model, ex, use_coverage, force_p_gen):
     the output part once on all target rows: the reference for the pinned
     pipeline run."""
     return _per_step_teacher_forced(tape, model, ex, use_coverage, force_p_gen, False)
+
+
+# Beam search as it was before hypotheses became links to their parents:
+# each candidate copies its hypothesis's token and trace lists, and every
+# stepped hypothesis gets a ``StepTrace`` of copied arrays before the beam
+# prunes.  It runs the library's step pieces, so it is the reference for
+# the search itself: which candidates are kept, how ties break, and which
+# hypothesis wins.
+
+
+@dataclass
+class Hypothesis:
+    tokens: list[int] = field(default_factory=list)
+    log_prob: float = 0.0
+    state: int | None = None  # the decoder state row [h | c]
+    coverage: int | None = None
+    sb_count: int = 0
+    finished: bool = False
+    traces: list = field(default_factory=list)
+
+    def score(self) -> float:
+        return self.log_prob / max(1, len(self.tokens))
+
+
+def _advance(hyp, token, log_prob, state, traces):
+    """``hyp`` continued by ``token``, with no coverage yet: ``decode`` adds
+    it only to a hypothesis that takes another step."""
+    sb_count = hyp.sb_count + (token == corpus.Vocabulary.SB)
+    return Hypothesis(tokens=hyp.tokens + [token], log_prob=log_prob,
+                      state=state, sb_count=sb_count,
+                      finished=token == corpus.Vocabulary.STOP or sb_count >= 3, traces=traces)
+
+
+def decode(model, article_tokens, vocab, mode="greedy", beam_size=4, max_decode_len=120,
+           use_coverage=False, force_p_gen=None, collect_traces=False):
+    """Drop-in for ``summarizer.decode`` on copied token and trace lists."""
+    s = summarizer
+    if not article_tokens:
+        raise ValueError("decode: empty article")
+    if mode not in ("greedy", "beam"):
+        raise ValueError(f"decode: unknown mode {mode!r}")
+    if beam_size < 1:
+        raise ValueError("decode: beam size must be >= 1")
+    if model.vocab_size != vocab.size:
+        raise ValueError(
+            f"decode: model vocab {model.vocab_size} != vocabulary size {vocab.size}"
+        )
+    width = 1 if mode == "greedy" else beam_size
+    ext = s.ExtendedVocab(vocab, article_tokens)
+    tape = Tape(record=False)
+    art = s.encode_article(tape, model, ext)
+    beams = [Hypothesis(state=art.s0,
+                        coverage=art.zero_coverage(tape) if use_coverage else None)]
+    finished = []
+    for t in range(max_decode_len):
+        steps, candidates = [], []
+        for h_idx, hyp in enumerate(beams):
+            prev = hyp.tokens[-1] if hyp.tokens else corpus.Vocabulary.START
+            prev = prev if prev < model.vocab_size else corpus.Vocabulary.UNK
+            x_t = layers.embed_rows(tape, model.embedding, [prev])
+            step = s.decoder_step(tape, model, art, x_t, hyp.state, hyp.coverage, force_p_gen)
+            probs = tape.value(s.output_distribution(tape, model, art, step))[0]
+            if not np.isfinite(probs).all():
+                raise ValueError(f"decode: non-finite probabilities at step {t}")
+            logps = np.log(probs.astype(np.float64) + s.PGEN_EPS)
+            logps[list(s._BANNED_STARTS)] = -np.inf
+            traces = hyp.traces
+            if collect_traces:
+                attention = tape.value(step.a).copy()
+                coverage = (np.zeros(attention.shape) if hyp.coverage is None
+                            else tape.value(hyp.coverage).copy())
+                penalty = None if hyp.coverage is None else float(
+                    np.minimum(attention, coverage).sum())
+                traces = traces + [s.StepTrace(attention, coverage,
+                                               float(tape.value(step.p_gen)[0, 0]), penalty)]
+            steps.append((step, traces))
+            for token in s._top_k(logps, 2 * width):
+                candidates.append((-(hyp.log_prob + float(logps[token])), h_idx, int(token)))
+        candidates.sort()
+        parents, beams, kept_from = beams, [], []
+        for neg_log_prob, h_idx, token in candidates:
+            step, traces = steps[h_idx]
+            nh = _advance(parents[h_idx], token, -neg_log_prob, step.s, traces)
+            if nh.finished:
+                finished.append(nh)
+            else:
+                beams.append(nh)
+                kept_from.append(h_idx)
+            if len(beams) >= width:
+                break
+        if not beams or len(finished) >= width or t + 1 == max_decode_len:
+            break
+        if use_coverage:  # one next coverage per parent, shared by its kept children
+            added = {h_idx: tape.add(parents[h_idx].coverage, steps[h_idx][0].a)
+                     for h_idx in dict.fromkeys(kept_from)}
+            for nh, h_idx in zip(beams, kept_from):
+                nh.coverage = added[h_idx]
+    pool = finished if finished else beams
+    best = max(pool, key=lambda h: (h.score(), -len(h.tokens)))
+    sentences, degenerate = s._split_sentences(best.tokens, ext)
+    return s.DecodeResult(sentences, best.tokens, degenerate, best.traces)
 
 
 def reference_clip_global_norm(grads, max_norm):

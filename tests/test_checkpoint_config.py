@@ -180,6 +180,18 @@ class TestCheckpointRoundTrip:
             restore_params([a, b], tensors)
         np.testing.assert_array_equal(a.value, [[0.0, 0.0]])
 
+    def test_a_restore_failing_on_the_last_tensor_leaves_every_value_as_it_was(self):
+        model = tiny_summarizer(seed=5)
+        before = [(p.value, p.value.tobytes()) for p in model.params()]
+        tensors = {name: arr.copy() for name, arr in
+                   tensor_map(tiny_summarizer(seed=6).params()).items()}
+        last = model.params()[-1].name  # checked last
+        tensors[last][0, 0] = np.nan
+        with pytest.raises(CheckpointError, match=f"tensor {last!r} holds non-finite values"):
+            restore_params(model.params(), tensors)
+        for p, (value, data) in zip(model.params(), before, strict=True):
+            assert p.value is value and p.value.tobytes() == data, p.name
+
     @pytest.mark.parametrize("bad", [[np.nan, 1.0], [-np.inf, 1.0], [np.inf, -np.inf]])
     def test_every_non_finite_kind_is_rejected_by_name(self, bad):
         p = Parameter("w", [[0.0, 0.0]])

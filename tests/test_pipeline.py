@@ -235,6 +235,25 @@ def test_loading_draws_nothing_and_restores_every_byte(corpus, tmp_path, monkeyp
             assert p.value.tobytes() == q.value.tobytes() == r.value.tobytes(), p.name
 
 
+def test_a_loaded_model_holds_the_checkpoint_arrays(corpus, tmp_path, monkeypatch):
+    _, vocab = corpus
+    cfg = _cfg()
+    pipeline.save_model(new_summarizer(vocab.size, cfg), tmp_path / "s.ckpt", cfg)
+    loaded = []
+
+    def keeping(*args, _load=pipeline.load_checkpoint, **kwargs):
+        tensors, stored_hash = _load(*args, **kwargs)
+        loaded.append(tensors)
+        return tensors, stored_hash
+
+    monkeypatch.setattr(pipeline, "load_checkpoint", keeping)
+    model = pipeline.load_summarizer(tmp_path / "s.ckpt", vocab, cfg)
+    [tensors] = loaded
+    assert sorted(tensors) == sorted(p.name for p in model.params())
+    for p in model.params():  # kept, not copied into the zeros the model was built with
+        assert p.value is tensors[p.name], p.name
+
+
 class TestFinetune:
     def test_zero_steps_equals_base(self, corpus, tmp_path):
         pairs, vocab = corpus

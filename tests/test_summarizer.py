@@ -469,6 +469,26 @@ class TestDecode:
                 assert abs(tr.coverage_before.sum() - step) <= 1e-4
                 assert -1e-6 <= tr.penalty <= 1.0 + 1e-6
 
+    @pytest.mark.parametrize("use_coverage", [False, True])
+    @pytest.mark.parametrize("search", [dict(mode="greedy"), dict(mode="beam", beam_size=4)])
+    def test_one_step_trace_is_built_per_token_of_the_result(self, monkeypatch, search,
+                                                             use_coverage):
+        # A 30-step beam-4 coverage decode of this article built 117 when
+        # every stepped hypothesis got its trace before the beam pruned.
+        built = []
+
+        class CountingStepTrace(summarizer.StepTrace):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(summarizer, "StepTrace", CountingStepTrace)
+        pairs, vocab, _ = tiny_corpus(n=2)
+        model = tiny_summarizer(vocab.size, emb=3, hidden=5)
+        out = decode(model, pairs[0].article, vocab, max_decode_len=30,
+                     use_coverage=use_coverage, collect_traces=True, **search)
+        assert len(built) == len(out.traces) == len(out.token_ids) == 30
+
     @pytest.mark.parametrize("mode", ["greedy", "beam"])
     def test_non_finite_weight_is_a_named_error(self, mode):
         pairs, vocab, _ = tiny_corpus(n=1, seed=26)
@@ -488,6 +508,36 @@ def test_top_k_equals_stable_argsort(data):
     k = data.draw(st.integers(1, x.size + 3))
     np.testing.assert_array_equal(summarizer._top_k(x, k),
                                   np.argsort(-x, kind="stable")[:k])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_decode_matches_the_list_copying_reference_beam(data):
+    """Random tiny models, articles drawn from the vocabulary, its specials
+    and OOV names, against ``oracles.decode``: the same tokens, and the same
+    bytes in every trace."""
+    vocab = Vocabulary([f"t{i}" for i in range(data.draw(st.integers(1, 12)))])
+    model = tiny_summarizer(vocab.size, emb=3, hidden=data.draw(st.integers(2, 5)),
+                            seed=data.draw(st.integers(0, 2**16)))
+    model.proj_v_out.value *= data.draw(st.sampled_from([1.0, 30.0]))  # flat or peaked
+    words = [vocab.token(i) for i in range(vocab.size)] + ["zz", "qq"]
+    article = data.draw(st.lists(st.sampled_from(words), min_size=1, max_size=10))
+    kw = dict(mode=data.draw(st.sampled_from(["greedy", "beam"])),
+              beam_size=data.draw(st.integers(1, 5)),
+              max_decode_len=data.draw(st.integers(1, 12)),
+              use_coverage=data.draw(st.booleans()),
+              force_p_gen=data.draw(st.sampled_from([None, 0.0])),
+              collect_traces=data.draw(st.booleans()))
+    out, ref = decode(model, article, vocab, **kw), oracles.decode(model, article, vocab, **kw)
+    assert (out.token_ids, out.sentences, out.degenerate) == (ref.token_ids, ref.sentences,
+                                                              ref.degenerate)
+    assert len(out.traces) == len(ref.traces) == (len(ref.token_ids) if kw["collect_traces"]
+                                                  else 0)
+    for got, want in zip(out.traces, ref.traces):
+        for name in ("attention", "coverage_before"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+        assert (got.p_gen, got.penalty) == (want.p_gen, want.penalty)
 
 
 def _repeated_oov_example():
